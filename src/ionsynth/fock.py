@@ -134,6 +134,16 @@ def index_of(component: Component, truncation: Truncation) -> int:
         ) from None
 
 
+def _total_j(indices: np.ndarray, truncation: Truncation) -> np.ndarray:
+    """Total quanta J of each basis index, by arithmetic on the canonical order.
+
+    C(J + 3, 3) occupations have total <= J, so an index's J is the number of
+    those counts its vibrational position reaches.
+    """
+    below = np.array([math.comb(j + 3, 3) for j in range(truncation.j_max + 1)])
+    return np.searchsorted(below, np.asarray(indices) // len(Level), side="right")
+
+
 def component_of(index: int, truncation: Truncation) -> Component:
     """Inverse of :func:`index_of`."""
     table = _basis_table(truncation.j_max)[0]

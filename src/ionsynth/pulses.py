@@ -14,6 +14,14 @@ schedule.
 The closed-form solvers pick (x, theta) so that a pulse sends one chosen
 amplitude of a pair exactly to zero, transferring its population to the
 partner component.
+
+Replay tracks the occupied-J frontier: the highest total quantum number J
+that may hold a nonzero amplitude.  Every channel preserves J except the red
+sideband H9, which links J to J-1, so a pulse can lift the frontier by at most
+one, and only on H9.  Pairs whose lower-J end lies above the frontier hold two
+exact zeros, which a rotation leaves at zero; replay skips them, and the
+amplitudes it returns are value-identical to rotating every pair.  A
+preparation from the vacuum starts at frontier 0.
 """
 
 from __future__ import annotations
@@ -23,11 +31,12 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
+from typing import Iterable
 
 import numpy as np
 
 from .channels import CHANNELS, ChannelId, LambDickeParams, coupled_pairs, dense_hamiltonian
-from .fock import Component, DomainError, StateVector, Truncation, index_of
+from .fock import Component, DomainError, StateVector, Truncation, _total_j, index_of
 
 __all__ = [
     "Pulse",
@@ -97,12 +106,21 @@ class Schedule:
 
 @dataclass(frozen=True)
 class _PairTable:
-    """Vectorized view of a channel's coupled pairs under one configuration."""
+    """Vectorized view of a channel's coupled pairs under one configuration.
+
+    Pairs run in basis order of their lower-level end, so the total J of a
+    pair's lower-J end never decreases along the table.  ``prefix[f]`` is the
+    number of leading pairs whose lower-J end is <= f, and ``lift`` the J gap
+    between a pair's two ends (1 for the red sideband, 0 for every other
+    channel).
+    """
 
     src_index: np.ndarray
     dst_index: np.ndarray
     omega: np.ndarray
     row_by_src: dict[int, int] = field(repr=False)
+    prefix: tuple[int, ...] = field(repr=False)
+    lift: int
 
 
 @lru_cache(maxsize=256)
@@ -111,19 +129,55 @@ def _pair_table(cid: ChannelId, truncation: Truncation, ld: LambDickeParams) -> 
     src = np.array([index_of(p.src, truncation) for p in pairs], dtype=np.intp)
     dst = np.array([index_of(p.dst, truncation) for p in pairs], dtype=np.intp)
     omega = np.array([p.omega for p in pairs], dtype=np.float64)
-    return _PairTable(src, dst, omega, {int(s): k for k, s in enumerate(src)})
+    j_src = _total_j(src, truncation)
+    j_dst = _total_j(dst, truncation)
+    low = np.minimum(j_src, j_dst)
+    prefix = np.searchsorted(low, np.arange(truncation.j_max + 1), side="right")
+    lift = int(np.max(np.abs(j_src - j_dst), initial=0))
+    return _PairTable(
+        src, dst, omega, {int(s): k for k, s in enumerate(src)}, tuple(prefix.tolist()), lift
+    )
 
 
-def _rotate_inplace(amps: np.ndarray, table: _PairTable, x: float, theta: float) -> None:
-    if x == 0.0 or table.src_index.size == 0:
+def _rotate_inplace(
+    amps: np.ndarray, table: _PairTable, x: float, theta: float, count: int | None = None
+) -> None:
+    """Rotate the first ``count`` pairs of ``table`` (all of them by default)."""
+    if x == 0.0 or count == 0 or table.src_index.size == 0:
         return
-    u = amps[table.src_index]
-    v = amps[table.dst_index]
-    ang = x * table.omega
+    src = table.src_index[:count]
+    dst = table.dst_index[:count]
+    u = amps[src]
+    v = amps[dst]
+    ang = x * table.omega[:count]
     c = np.cos(ang)
     s = np.sin(ang)
-    amps[table.src_index] = c * u + (-1j * cmath.exp(1j * theta)) * (s * v)
-    amps[table.dst_index] = c * v + (-1j * cmath.exp(-1j * theta)) * (s * u)
+    amps[src] = c * u + (-1j * cmath.exp(1j * theta)) * (s * v)
+    amps[dst] = c * v + (-1j * cmath.exp(-1j * theta)) * (s * u)
+
+
+def _replay(
+    amps: np.ndarray,
+    truncation: Truncation,
+    ld: LambDickeParams,
+    pulses: Iterable[tuple[ChannelId, float, float]],
+) -> None:
+    """Apply (channel, x, theta) pulses to ``amps`` in place: the replay kernel.
+
+    Each pulse rotates only the pairs that reach the occupied-J frontier; see
+    the module docstring for why the skipped pairs hold exact zeros.
+    """
+    occupied = np.flatnonzero(amps)
+    frontier = int(_total_j(occupied[-1], truncation)) if occupied.size else 0
+    tables: dict[ChannelId, _PairTable] = {}
+    for cid, x, theta in pulses:
+        if x == 0.0:
+            continue
+        table = tables.get(cid)
+        if table is None:
+            table = tables[cid] = _pair_table(cid, truncation, ld)
+        _rotate_inplace(amps, table, x, theta, table.prefix[frontier])
+        frontier = min(frontier + table.lift, truncation.j_max)
 
 
 def apply_pulse(
@@ -131,7 +185,7 @@ def apply_pulse(
 ) -> StateVector:
     """Apply one pulse exactly; returns a new state, norm preserved."""
     amps = state.amplitudes.copy()
-    _rotate_inplace(amps, _pair_table(pulse.channel, state.truncation, ld), pulse.x, pulse.theta)
+    _replay(amps, state.truncation, ld, [(pulse.channel, pulse.x, pulse.theta)])
     return StateVector._wrap(amps, state.truncation)
 
 
@@ -143,14 +197,12 @@ def apply_schedule(state: StateVector, schedule: Schedule) -> StateVector:
             f"state truncation j_max={state.truncation.j_max}"
         )
     amps = state.amplitudes.copy()
-    tables: dict[ChannelId, _PairTable] = {}
-    for pulse in schedule.pulses:
-        table = tables.get(pulse.channel)
-        if table is None:
-            table = tables[pulse.channel] = _pair_table(
-                pulse.channel, schedule.truncation, schedule.lamb_dicke
-            )
-        _rotate_inplace(amps, table, pulse.x, pulse.theta)
+    _replay(
+        amps,
+        schedule.truncation,
+        schedule.lamb_dicke,
+        ((p.channel, p.x, p.theta) for p in schedule.pulses),
+    )
     return StateVector._wrap(amps, state.truncation)
 
 

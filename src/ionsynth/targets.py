@@ -8,6 +8,7 @@ whether the truncation is adequate.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -40,9 +41,15 @@ def _level_a_state(entries: dict[Occupation, complex], truncation: Truncation) -
     return amps
 
 
+def _check_alpha(alpha: complex) -> None:
+    if not cmath.isfinite(alpha):
+        raise DomainError(f"alpha must be finite, got {alpha!r}")
+
+
 def target_corr(alpha: complex, truncation: Truncation) -> Target:
     """Fully correlated state: amplitudes of a coherent state carried by the
     diagonal occupations |n, n, n>."""
+    _check_alpha(alpha)
     prefactor = math.exp(-0.5 * abs(alpha) ** 2)
     entries: dict[Occupation, complex] = {}
     for n in range(truncation.j_max // 3 + 1):
@@ -77,6 +84,7 @@ def target_ghz(alpha: complex, truncation: Truncation) -> Target:
     Amplitudes with odd total quanta cancel identically, so only even-total
     occupations appear.
     """
+    _check_alpha(alpha)
     prefactor = math.exp(-1.5 * abs(alpha) ** 2)
     entries: dict[Occupation, complex] = {}
     for j in range(0, truncation.j_max + 1, 2):

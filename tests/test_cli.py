@@ -146,6 +146,27 @@ def test_targets_lists_builtins(capsys):
         assert name in out
 
 
+def test_sweep_rejects_negative_seed(ghz_schedule, tmp_path, capsys):
+    code, _, err = run(
+        capsys, "sweep", "--schedule", str(ghz_schedule), "--target", "ghz",
+        "--trials", "2", "--seed", "-1", "--out", str(tmp_path / "s.csv"),
+    )
+    assert code == 2
+    assert "seed" in err
+    assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize("alpha", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("target", ["ghz", "corr"])
+def test_compile_rejects_non_finite_alpha(target, alpha, tmp_path, capsys):
+    code, _, err = run(
+        capsys, "compile", "--target", target, "--jmax", "3", "--alpha", alpha,
+        "--out", str(tmp_path / "s.json"),
+    )
+    assert code == 2
+    assert "alpha" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

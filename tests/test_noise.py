@@ -3,14 +3,21 @@ import pytest
 
 from ionsynth import (
     DomainError,
+    Level,
     NoiseModel,
+    Pulse,
+    Schedule,
     Truncation,
+    apply_schedule,
     deevolve,
+    fidelity_to_target,
     perturb,
     random_target,
     run_trials,
     simulate_trial,
     sweep,
+    target_corr,
+    vacuum_state,
     wrap_angle,
 )
 
@@ -26,6 +33,67 @@ def test_zero_noise_returns_schedule_unchanged(preparation):
     _, prep = preparation
     noisy = perturb(prep, NoiseModel(), np.random.default_rng(0))
     assert noisy == prep
+
+
+def scalar_perturb(schedule, noise, rng):
+    """The original per-pulse loop: one scalar length draw, then one phase
+    draw, for each slot in order."""
+    half_x = 0.5 * noise.delta
+    half_theta = 0.5 * noise.delta_theta
+    pulses = []
+    for p in schedule.pulses:
+        x = p.x + rng.uniform(-half_x, half_x)
+        if x < 0.0:
+            x = 0.0
+        theta = p.theta + rng.uniform(-half_theta, half_theta)
+        pulses.append(Pulse(p.channel, x, theta, p.note))
+    return Schedule(
+        tuple(pulses), schedule.lamb_dicke, schedule.truncation, schedule.direction, schedule.target
+    )
+
+
+def bits(schedule):
+    return [(p.channel, p.x.hex(), p.theta.hex(), p.note) for p in schedule.pulses]
+
+
+@pytest.fixture(scope="module")
+def corr_preparation():
+    t = Truncation(6)
+    target = target_corr(1.0, t).state
+    return target, deevolve(target).preparation
+
+
+NOISE_MODELS = [
+    NoiseModel(0.03, 0.01),
+    NoiseModel(),
+    NoiseModel(delta=20.0, delta_theta=1.0),  # clamps about half of all slots
+]
+
+
+@pytest.mark.parametrize("noise", NOISE_MODELS)
+def test_perturb_matches_scalar_loop_bit_for_bit(preparation, corr_preparation, noise):
+    for _, prep in (preparation, corr_preparation):
+        for seed in (0, 1, 42, 2**40 + 3):
+            fast = perturb(prep, noise, np.random.default_rng([seed, 5]))
+            slow = scalar_perturb(prep, noise, np.random.default_rng([seed, 5]))
+            assert bits(fast) == bits(slow)
+    if noise.delta > 1.0:
+        clamped = sum(p.x == 0.0 for p in fast.pulses)
+        assert clamped > len(fast) // 4
+
+
+@pytest.mark.parametrize("noise", NOISE_MODELS)
+def test_simulate_trial_equals_replaying_perturb(corr_preparation, noise):
+    target, prep = corr_preparation
+    for seed in range(4):
+        noisy = perturb(prep, noise, np.random.default_rng([seed, 9]))
+        out = apply_schedule(vacuum_state(prep.truncation), noisy)
+        fid = fidelity_to_target(out, target)
+        p_a = min(1.0, max(0.0, float(out.level_probabilities()[Level.A])))
+        r = simulate_trial(target, prep, noise, np.random.default_rng([seed, 9]))
+        assert r.fidelity == fid
+        assert r.level_a_probability == p_a
+        assert r.postselect_fidelity == (min(1.0, fid / p_a) if p_a > 0.0 else 0.0)
 
 
 def test_perturbation_bounds(preparation):
@@ -114,6 +182,14 @@ def test_run_trials_rejects_empty_batch(preparation):
     target, prep = preparation
     with pytest.raises(DomainError):
         run_trials(target, prep, NoiseModel(), 0, seed=1)
+
+
+def test_negative_seed_is_rejected(preparation):
+    target, prep = preparation
+    with pytest.raises(DomainError, match="seed"):
+        run_trials(target, prep, NoiseModel(), 2, seed=-1)
+    with pytest.raises(DomainError, match="seed"):
+        sweep(target, prep, [NoiseModel()], n=2, seed=-1)
 
 
 def test_noise_model_validation():

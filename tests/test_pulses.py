@@ -15,18 +15,24 @@ from ionsynth import (
     Occupation,
     Pulse,
     Schedule,
+    StateVector,
     Truncation,
     apply_pulse,
     apply_schedule,
     basis_state,
+    component_of,
     dagger_schedule,
+    deevolve,
     nonlinearity,
+    random_target,
     solve_kill_lower,
     solve_kill_upper,
+    target_corr,
+    target_ghz,
     vacuum_state,
     wrap_angle,
 )
-from ionsynth.pulses import oracle_apply
+from ionsynth.pulses import _pair_table, _rotate_inplace, oracle_apply
 
 from conftest import random_state
 
@@ -258,3 +264,97 @@ def test_long_schedule_norm_drift():
     )
     out = apply_schedule(s, Schedule(pulses, LD, t, Direction.PREPARATION))
     assert abs(out.norm() - 1.0) <= 1e-10
+
+
+def full_table_replay(state: StateVector, schedule: Schedule) -> np.ndarray:
+    """Reference replay: every pulse rotates every coupled pair of its channel."""
+    amps = state.amplitudes.copy()
+    for p in schedule.pulses:
+        table = _pair_table(p.channel, schedule.truncation, schedule.lamb_dicke)
+        _rotate_inplace(amps, table, p.x, p.theta)
+    return amps
+
+
+def random_schedule(t: Truncation, rng, n: int, h9_slots=()) -> Schedule:
+    """Random pulses on channels other than H9, with H9 at the given slots and
+    about one slot in five of zero length."""
+    others = [cid for cid in ChannelId if cid is not ChannelId.H9]
+    pulses = []
+    for k in range(n):
+        cid = ChannelId.H9 if k in h9_slots else others[rng.integers(len(others))]
+        x = 0.0 if rng.random() < 0.2 else float(rng.uniform(0, 2))
+        pulses.append(Pulse(cid, x, float(rng.uniform(-math.pi, math.pi))))
+    return Schedule(tuple(pulses), LD, t, Direction.PREPARATION)
+
+
+def low_j_state(t: Truncation, j_top: int, rng) -> StateVector:
+    """Random unit state supported on total quanta J <= j_top."""
+    amps = random_state(t, rng).amplitudes
+    amps[[component_of(k, t).occ.total > j_top for k in range(t.dim)]] = 0.0
+    return StateVector(amps / np.linalg.norm(amps), t)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_replay_of_dense_state_matches_full_table(seed):
+    t = Truncation(4)
+    rng = np.random.default_rng(seed)
+    sched = random_schedule(t, rng, 300, h9_slots=set(rng.integers(0, 300, 20).tolist()))
+    s = random_state(t, rng)
+    assert np.array_equal(apply_schedule(s, sched).amplitudes, full_table_replay(s, sched))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_replay_of_low_j_state_matches_full_table(seed):
+    """The frontier starts below J_max and must rise with every H9 pulse,
+    wherever the H9 pulses sit."""
+    t = Truncation(5)
+    rng = np.random.default_rng(100 + seed)
+    n = 120
+    h9_slots = set(rng.choice(n, size=int(rng.integers(1, 8)), replace=False).tolist())
+    sched = random_schedule(t, rng, n, h9_slots)
+    for j_top in range(3):
+        s = vacuum_state(t) if j_top == 0 else low_j_state(t, j_top, rng)
+        assert np.array_equal(apply_schedule(s, sched).amplitudes, full_table_replay(s, sched))
+    pulse = sched.pulses[min(h9_slots)]
+    s = low_j_state(t, 1, rng)
+    expected = full_table_replay(s, Schedule((pulse,), LD, t, Direction.PREPARATION))
+    assert np.array_equal(apply_pulse(s, pulse).amplitudes, expected)
+
+
+def test_replay_of_compiled_schedules_matches_full_table():
+    """Pruned preparations from the vacuum, and de-evolutions of a target
+    whose support stops below J_max."""
+    t = Truncation(7)
+    for target in (target_ghz(1.0, t).state, target_corr(0.8, t).state,
+                   random_target(t, np.random.default_rng(3)).state):
+        result = deevolve(target)
+        prep = result.preparation
+        pruned = Schedule(
+            tuple(p for p in prep.pulses if p.x > 0.0), LD, t, prep.direction, prep.target
+        )
+        v = vacuum_state(t)
+        for sched in (prep, pruned):
+            assert np.array_equal(apply_schedule(v, sched).amplitudes, full_table_replay(v, sched))
+        de = result.deevolution
+        assert np.array_equal(
+            apply_schedule(target, de).amplitudes, full_table_replay(target, de)
+        )
+
+
+@pytest.mark.parametrize("j_max", [0, 1, 4, 7])
+@pytest.mark.parametrize("ld", [LD, LambDickeParams(0.0, 0.0, 0.0, 0.0)])
+def test_pair_table_frontier_invariants(j_max, ld):
+    """The lower-end J never decreases along a table, prefix[f] counts the pairs
+    with lower-end J <= f, and only H9 lifts J (by exactly one)."""
+    t = Truncation(j_max)
+    for cid in ChannelId:
+        table = _pair_table(cid, t, ld)
+        j_src = np.array([component_of(int(k), t).occ.total for k in table.src_index], dtype=int)
+        j_dst = np.array([component_of(int(k), t).occ.total for k in table.dst_index], dtype=int)
+        low = np.minimum(j_src, j_dst)
+        assert np.all(np.diff(low) >= 0)
+        assert table.prefix == tuple(int(np.sum(low <= f)) for f in range(j_max + 1))
+        assert table.prefix[-1] == table.src_index.size
+        expected_lift = 1 if cid is ChannelId.H9 else 0
+        assert np.all(j_src - j_dst == expected_lift)
+        assert table.lift == (expected_lift if j_max >= 1 else 0)

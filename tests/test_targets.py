@@ -138,3 +138,10 @@ def test_random_target_is_unit_level_a():
     cols = target.state.amplitudes.reshape(-1, 4)
     assert np.all(cols[:, 1:] == 0)
     assert np.all(np.abs(cols[:, 0]) > 0)
+
+
+@pytest.mark.parametrize("build", [target_ghz, target_corr])
+@pytest.mark.parametrize("alpha", [float("nan"), float("inf"), complex(1.0, float("nan"))])
+def test_non_finite_alpha_is_rejected_by_name(build, alpha):
+    with pytest.raises(DomainError, match="alpha"):
+        build(alpha, Truncation(3))
