@@ -54,6 +54,16 @@ def _eps_triple(text: str) -> tuple[float, float, float]:
         raise argparse.ArgumentTypeError(f"bad Lamb-Dicke triple {text!r}") from exc
 
 
+def _tolerance(text: str) -> float:
+    try:
+        tol = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad tolerance {text!r}") from exc
+    if not (0.0 <= tol < 1.0):
+        raise argparse.ArgumentTypeError(f"tolerance must lie in [0, 1), got {text!r}")
+    return tol
+
+
 def _grid_spec(text: str) -> tuple[float, float, int]:
     parts = text.split(":")
     if len(parts) != 3:
@@ -206,7 +216,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--schedule", required=True, help="schedule JSON file")
     _add_target_options(p_verify, with_jmax=False)
     p_verify.add_argument(
-        "--tol", type=float, default=1e-9, help="fail when fidelity < 1 - tol (default 1e-9)"
+        "--tol",
+        type=_tolerance,
+        default=1e-9,
+        help="fail when fidelity < 1 - tol, with 0 <= tol < 1 (default 1e-9)",
     )
     p_verify.set_defaults(func=_cmd_verify)
 

@@ -14,8 +14,11 @@ Schedule files are UTF-8 JSON::
       ]
     }
 
-Floats are written with Python's shortest round-trip representation, so
-``load_schedule(save_schedule(s)) == s`` bit for bit.
+The bytes on disk are exactly those of ``json.dump(doc, f, indent=2)`` plus
+a trailing newline (the sketch above is compacted); ``save_schedule`` streams
+them pulse by pulse.  Floats are written with Python's shortest round-trip
+representation, so ``load_schedule(save_schedule(s)) == s`` bit for bit.  A
+pulse note must lie inside the file's cutoff ``jmax``.
 
 Target files are a JSON array of ``{"n": [nx, ny, nz], "re": ..., "im": ...}``
 components on electronic level a.  The norm must already be 1 to within 1e-6;
@@ -57,22 +60,23 @@ class TargetFormatError(ValueError):
     """A target file could not be parsed or failed validation."""
 
 
-def _pulse_to_json(i: int, pulse: Pulse) -> dict[str, Any]:
-    note = None
-    if pulse.note is not None:
-        occ, level = pulse.note
-        note = [occ.nx, occ.ny, occ.nz, level.label]
-    return {
-        "i": i,
-        "channel": pulse.channel.name,
-        "x": pulse.x,
-        "theta": pulse.theta,
-        "note": note,
-    }
+# One pulse object and one note list, laid out as json.dump(indent=2) lays
+# them out inside the top-level "pulses" array.
+_PULSE_JSON = (
+    '\n    {{\n      "i": {},\n      "channel": "{}",\n      "x": {!r},'
+    '\n      "theta": {!r},\n      "note": {}\n    }}'
+)
+_NOTE_JSON = '[\n        {},\n        {},\n        {},\n        "{}"\n      ]'
 
 
 def save_schedule(schedule: Schedule, path: str | os.PathLike[str]) -> None:
-    doc = {
+    """Write ``schedule`` as JSON, streaming one pulse at a time.
+
+    The bytes equal ``json.dump(doc, f, indent=2)`` of the whole document plus
+    a trailing newline: the header goes through ``json.dumps``, each pulse
+    through a fixed format string with ``repr`` floats.
+    """
+    head = {
         "version": 1,
         "lamb_dicke": {
             "ex": schedule.lamb_dicke.eps_x,
@@ -83,11 +87,19 @@ def save_schedule(schedule: Schedule, path: str | os.PathLike[str]) -> None:
         "jmax": schedule.truncation.j_max,
         "direction": schedule.direction.value,
         "target": schedule.target,
-        "pulses": [_pulse_to_json(i, p) for i, p in enumerate(schedule.pulses)],
     }
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        json.dump(doc, f, indent=2)
-        f.write("\n")
+        # The header without its closing "\n}", so the pulses array follows.
+        f.write(json.dumps(head, indent=2)[:-2] + ',\n  "pulses": [')
+        sep = ""
+        for i, pulse in enumerate(schedule.pulses):
+            note = "null"
+            if pulse.note is not None:
+                occ, level = pulse.note
+                note = _NOTE_JSON.format(occ.nx, occ.ny, occ.nz, level.label)
+            f.write(sep + _PULSE_JSON.format(i, pulse.channel.name, pulse.x, pulse.theta, note))
+            sep = ","
+        f.write("\n  ]\n}\n" if schedule.pulses else "]\n}\n")
 
 
 def _expect(doc: dict[str, Any], key: str, kinds: type | tuple[type, ...], where: str) -> Any:
@@ -106,7 +118,7 @@ def _finite(doc: dict[str, Any], key: str, where: str) -> float:
     return value
 
 
-def _parse_note(raw: Any, where: str) -> Component | None:
+def _parse_note(raw: Any, where: str, j_max: int) -> Component | None:
     if raw is None:
         return None
     if not (isinstance(raw, list) and len(raw) == 4):
@@ -115,6 +127,10 @@ def _parse_note(raw: Any, where: str) -> Component | None:
     for value in (nx, ny, nz):
         if not isinstance(value, int) or isinstance(value, bool) or value < 0:
             raise ScheduleFormatError(f"{where}: occupation numbers must be integers >= 0")
+    if nx + ny + nz > j_max:
+        raise ScheduleFormatError(
+            f"{where}: total occupation {nx + ny + nz} exceeds the cutoff {j_max}"
+        )
     try:
         level = Level.from_label(label)
     except DomainError as exc:
@@ -175,7 +191,7 @@ def load_schedule(path: str | os.PathLike[str]) -> Schedule:
             raise ScheduleFormatError(f"{where}channel: unknown channel {name!r}") from exc
         x = _finite(entry, "x", where)
         theta = _finite(entry, "theta", where)
-        note = _parse_note(entry.get("note"), f"{where}note")
+        note = _parse_note(entry.get("note"), f"{where}note", jmax)
         try:
             pulses.append(Pulse(channel, x, theta, note))
         except DomainError as exc:

@@ -16,11 +16,32 @@ fixed nx:
 * before each merge, the destination row is collected on the next level pair
   so the merge cannot scatter population backwards.
 
-Every pulse is solved from the current working amplitudes, applied globally
-(all coupled pairs of its channel rotate), and emitted in order.  Components
-whose amplitude is already zero still emit an explicit x=0 pulse: the program
-shape is fixed by the truncation alone, exactly as a hardware sequence would
-be fixed before the state is known.
+Every pulse is solved from the current working amplitudes, applied, and
+emitted in order.  Components whose amplitude is already zero still emit an
+explicit x=0 pulse: the program shape is fixed by the truncation alone,
+exactly as a hardware sequence would be fixed before the state is known.
+
+Applying a pulse solved at an occupation of total J rotates only the pairs of
+its channel whose lower-J end is <= J (the stage frontier).  Amplitudes the
+skipped pairs hold go stale (they differ from a full-table rotation), but no
+later solve reads them.  The invariant is: when stage J starts, every
+amplitude at total J or below is exact.
+
+* ``build_U_abc(J)`` and ``build_U_bcd(J-1)`` use J-preserving channels and
+  solve at J and J-1, rotating every pair at or below the solved J, so what
+  they read and write there stays exact.  They leave stale values above J,
+  and at J on levels b, c, d only: ``build_U_bcd``'s channels never touch
+  level a.
+* ``bridge(J)`` on the red sideband H9 reads (J; a) and (J-1; b), both exact.
+  H9 links (J'; a) with (J'-1; b), so of the pairs it rotates only
+  (J+1; a) <-> (J; b) has a stale end, and its outputs stay at J and above.
+* Stage J-1 therefore starts with every amplitude at J-1 or below exact, and
+  by induction so does the final read of the vacuum amplitude.
+
+So ``deevolve`` emits bit for bit the pulses and residual it would emit if
+every pulse rotated its channel's full pair table.  A standalone ``build_*``
+or ``bridge`` call likewise leaves the pairs above its solved J unrotated:
+amplitudes at or below that J match a full-table rotation, those above do not.
 """
 
 from __future__ import annotations
@@ -87,7 +108,8 @@ def _solve_and_apply(
     emit: Emit,
     ld: LambDickeParams,
 ) -> None:
-    """Solve one transfer against current amplitudes, emit it, apply it."""
+    """Solve one transfer against current amplitudes, emit it, and apply it
+    up to the stage frontier ``occ.total`` (see the module docstring)."""
     spec = CHANNELS[cid]
     table = _pair_table(cid, work.truncation, ld)
     src_index = index_of(Component(occ, spec.lower_level), work.truncation)
@@ -110,7 +132,7 @@ def _solve_and_apply(
         note = Component(occ, spec.lower_level)
     pulse = Pulse(cid, x, theta, note)
     emit(pulse)
-    _rotate_inplace(work.amplitudes, table, pulse.x, pulse.theta)
+    _rotate_inplace(work.amplitudes, table, pulse.x, pulse.theta, table.prefix[occ.total])
 
 
 def _collect_row(

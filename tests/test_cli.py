@@ -182,3 +182,35 @@ def test_error_paths_exit_2(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1", "1", "2", "abc"])
+def test_verify_rejects_bad_tolerance(tmp_path, tol, capsys):
+    """A NaN tolerance used to pass a corr schedule checked against ghz."""
+    path = tmp_path / "corr.json"
+    assert run(capsys, "compile", "--target", "corr", "--jmax", "4", "--out", str(path))[0] == 0
+    code, out, err = run(
+        capsys, "verify", "--schedule", str(path), "--target", "ghz", "--tol", tol
+    )
+    assert code == 2
+    assert "--tol" in err
+    assert "status: ok" not in out
+
+
+@pytest.mark.parametrize("tol", ["0", "0.5", "0.999"])
+def test_verify_accepts_tolerance_in_range(ghz_schedule, tol, capsys):
+    code, out, err = run(
+        capsys, "verify", "--schedule", str(ghz_schedule), "--target", "ghz", "--tol", tol
+    )
+    assert err == "" and "fidelity:" in out
+    if tol != "0":  # tol 0 demands a fidelity of exactly 1
+        assert code == 0 and "status: ok" in out
+
+
+def test_verify_rejects_note_outside_cutoff(ghz_schedule, capsys):
+    doc = json.loads(ghz_schedule.read_text())
+    doc["pulses"][0]["note"] = [50, 0, 0, "a"]
+    ghz_schedule.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", "--schedule", str(ghz_schedule), "--target", "ghz")
+    assert code == 2
+    assert "pulses[0].note" in err and "status" not in out

@@ -5,11 +5,16 @@ import numpy as np
 import pytest
 
 from ionsynth import (
+    ChannelId,
     Component,
+    Direction,
+    LambDickeParams,
     Level,
     NoiseModel,
     Occupation,
+    Pulse,
     REPORT_HEADER,
+    Schedule,
     ScheduleFormatError,
     TargetFormatError,
     Truncation,
@@ -20,7 +25,10 @@ from ionsynth import (
     save_report,
     save_schedule,
     sweep,
+    target_corr,
+    target_ghz,
 )
+from ionsynth.cli import main
 
 
 @pytest.fixture(scope="module")
@@ -67,6 +75,81 @@ def test_schedule_file_layout(compiled, tmp_path):
     assert b"\r" not in path.read_bytes()
 
 
+def json_dump_schedule(schedule, path):
+    """Reference writer: the whole document through json.dump(indent=2), as
+    schedule files were written before the streamed writer."""
+
+    def pulse_doc(i, pulse):
+        note = None
+        if pulse.note is not None:
+            occ, level = pulse.note
+            note = [occ.nx, occ.ny, occ.nz, level.label]
+        return {"i": i, "channel": pulse.channel.name, "x": pulse.x,
+                "theta": pulse.theta, "note": note}
+
+    ld = schedule.lamb_dicke
+    doc = {
+        "version": 1,
+        "lamb_dicke": {"ex": ld.eps_x, "ey": ld.eps_y, "ez": ld.eps_z, "exc": ld.eps_carrier},
+        "jmax": schedule.truncation.j_max,
+        "direction": schedule.direction.value,
+        "target": schedule.target,
+        "pulses": [pulse_doc(i, p) for i, p in enumerate(schedule.pulses)],
+    }
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        json.dump(doc, f, indent=2)
+        f.write("\n")
+
+
+def assert_writer_bytes(schedule, tmp_path):
+    streamed, reference = tmp_path / "streamed.json", tmp_path / "reference.json"
+    save_schedule(schedule, streamed)
+    json_dump_schedule(schedule, reference)
+    assert streamed.read_bytes() == reference.read_bytes()
+    assert load_schedule(streamed) == schedule
+
+
+ODD_PULSES = (
+    Pulse(ChannelId.H9, 0.0, math.pi, Component(Occupation(1, 0, 0), Level.A)),
+    Pulse(ChannelId.H1, 5e-324, -1e-300),
+    Pulse(ChannelId.H4, 1e16, 0.1 + 0.2, None),
+    Pulse(ChannelId.H7, 123456.789, -3.0, Component(Occupation(0, 2, 0), Level.D)),
+)
+
+
+@pytest.mark.parametrize("direction", list(Direction))
+@pytest.mark.parametrize(
+    "target",
+    ["", 'quote " and backslash \\ here', "non-ASCII: \u03c8 \u00fc \U0001f680", "tab\tnl\n"],
+    ids=["blank", "quote-backslash", "non-ascii", "control"],
+)
+@pytest.mark.parametrize(
+    "ld", [LambDickeParams(), LambDickeParams(0, 0, 0, 0), LambDickeParams(0.45, 1, 0.25, 2)]
+)
+@pytest.mark.parametrize("pulses", [(), ODD_PULSES], ids=["empty", "odd"])
+def test_streamed_writer_matches_json_dump(pulses, ld, target, direction, tmp_path):
+    """Empty schedules, null notes, escaped and non-ASCII target strings,
+    integer-valued Lamb-Dicke parameters and both directions."""
+    assert_writer_bytes(Schedule(pulses, ld, Truncation(2), direction, target), tmp_path)
+
+
+def test_streamed_writer_matches_json_dump_on_compiled_schedules(tmp_path):
+    for target in (target_corr(1.0, Truncation(6)), target_ghz(0.8, Truncation(5))):
+        result = deevolve(target.state, description=target.description)
+        for schedule in (result.deevolution, result.preparation):
+            assert_writer_bytes(schedule, tmp_path)
+
+
+def test_streamed_writer_matches_json_dump_on_pruned_cli_schedule(tmp_path, capsys):
+    path = tmp_path / "pruned.json"
+    argv = ["compile", "--target", "corr", "--jmax", "5", "--prune-noops", "--out", str(path)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    schedule = load_schedule(path)
+    assert 0 < len(schedule) < deevolve(target_corr(1.0, Truncation(5)).state).pulse_count
+    assert_writer_bytes(schedule, tmp_path)
+
+
 def _write_doc(tmp_path, mutate):
     doc = {
         "version": 1,
@@ -98,6 +181,9 @@ def _write_doc(tmp_path, mutate):
         (lambda d: d["pulses"][0].update(theta=float("inf")), "pulses[0].theta"),
         (lambda d: d["pulses"][0].update(note=[0, 0, 0]), "note"),
         (lambda d: d["pulses"][0].update(note=[0, 0, 0, "e"]), "note"),
+        (lambda d: d["pulses"][0].update(note=[2, 0, 0, "a"]), "pulses[0].note: total occupation 2"),
+        (lambda d: d.update(jmax=4) or d["pulses"][0].update(note=[50, 0, 0, "a"]),
+         "pulses[0].note: total occupation 50 exceeds the cutoff 4"),
         (lambda d: d["lamb_dicke"].pop("exc"), "lamb_dicke.exc"),
     ],
 )

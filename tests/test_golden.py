@@ -15,6 +15,22 @@ GHZ4_SCHEDULE = "97dba55b0584ca11df1d8c9e0479deb0add3feb03c8a923bde8d04430d497f9
 CORR8_SCHEDULE = "d56087cb5facf4be441a81b60ef13ecabaf6869aa22dfd2229aba7d8598179c4"
 CORR8_SWEEP_SEED42 = "9ef08f33587e4f98ba6f754d16227d6c1a80609c285945e2f010eb4b6d2bc9c9"
 
+# The writer's other paths and the compiler away from the default working point.
+EXTRA_SCHEDULES = {
+    "ghz6-deevolution": (
+        ["--target", "ghz", "--jmax", "6", "--direction", "deevolution"],
+        "77d1ec98f758d965f92eddd76565a2007f00a772058eee50b1c89c21114a70a0",
+    ),
+    "corr8-pruned": (
+        ["--target", "corr", "--jmax", "8", "--prune-noops"],
+        "7e7ad087d457f5430b70791287e688336c6ff70bd171642605e68c58d626bfa9",
+    ),
+    "corr8-eps": (
+        ["--target", "corr", "--jmax", "8", "--eps", "0.45,0.15,0.25", "--eps-carrier", "0.15"],
+        "c3452d084fa52263dcaae2b75e9812cd39c88516715aee1ce9666875c216e623",
+    ),
+}
+
 
 def sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -44,3 +60,12 @@ def test_corr_schedule_bytes(outputs):
 def test_sweep_csv_bytes(outputs):
     assert len(outputs[2].read_text().splitlines()) == 5
     assert sha256(outputs[2]) == CORR8_SWEEP_SEED42
+
+
+@pytest.mark.parametrize("name", list(EXTRA_SCHEDULES))
+def test_extra_schedule_bytes(name, tmp_path, capsys):
+    flags, digest = EXTRA_SCHEDULES[name]
+    out = tmp_path / f"{name}.json"
+    assert main(["compile", *flags, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert sha256(out) == digest

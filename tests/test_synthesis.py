@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ionsynth import (
+    CHANNELS,
     ChannelId,
     Component,
     Direction,
@@ -11,6 +12,7 @@ from ionsynth import (
     LambDickeParams,
     Level,
     Occupation,
+    Pulse,
     StateVector,
     Truncation,
     apply_schedule,
@@ -20,12 +22,20 @@ from ionsynth import (
     index_of,
     nonlinearity,
     pulse_count_model,
+    solve_kill_lower,
+    solve_kill_upper,
+    target_corr,
+    target_diag,
+    target_ghz,
     vacuum_state,
 )
+from ionsynth import synthesis
+from ionsynth.channels import partner_occupation
+from ionsynth.fock import _total_j
 from ionsynth.pulses import _pair_table, _rotate_inplace
 from ionsynth.synthesis import build_A, build_B, build_C, build_U_abc, build_U_bcd, bridge
 
-from conftest import random_level_a
+from conftest import random_level_a, random_state
 
 LD = LambDickeParams()
 LD0 = LambDickeParams(0.0, 0.0, 0.0, 0.0)
@@ -348,3 +358,157 @@ def test_golden_pulse_counts_small():
     assert pulse_count_model(0) == 1
     assert pulse_count_model(4) == 179
     assert pulse_count_model(6) == 482
+
+
+# --- Stage-frontier rotations against the full-table compiler ---------------
+
+
+def full_table_solve_and_apply(work, cid, occ, *, kill_upper, emit, ld):
+    """Reference compiler step: every coupled pair of the channel rotates on
+    every pulse, whatever the solved J (the loop before stage frontiers)."""
+    spec = CHANNELS[cid]
+    table = _pair_table(cid, work.truncation, ld)
+    src_index = index_of(Component(occ, spec.lower_level), work.truncation)
+    row = table.row_by_src.get(src_index)
+    if row is None:
+        raise RuntimeError(
+            f"channel {cid.name} has no coupled pair at occupation {tuple(occ)}"
+        )
+    dst_index = int(table.dst_index[row])
+    omega = float(table.omega[row])
+    q_lower = complex(work.amplitudes[src_index])
+    q_upper = complex(work.amplitudes[dst_index])
+    if kill_upper:
+        x, theta = solve_kill_upper(q_lower, q_upper, omega)
+        note = Component(partner_occupation(spec, occ), spec.upper_level)
+    else:
+        x, theta = solve_kill_lower(q_lower, q_upper, omega)
+        note = Component(occ, spec.lower_level)
+    pulse = Pulse(cid, x, theta, note)
+    emit(pulse)
+    _rotate_inplace(work.amplitudes, table, pulse.x, pulse.theta)
+
+
+def full_table(fn, *args):
+    """Run ``fn`` with the full-table compiler step patched in; check that the
+    patch was really used, so a refactor cannot turn this into a self-compare."""
+    calls = []
+
+    def step(*a, **kw):
+        calls.append(1)
+        full_table_solve_and_apply(*a, **kw)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(synthesis, "_solve_and_apply", step)
+        out = fn(*args)
+    assert calls
+    return out
+
+
+def fingerprint(pulses):
+    return [(p.channel, p.x.hex(), p.theta.hex(), p.note) for p in pulses]
+
+
+def sparse_random(t: Truncation, seed: int) -> StateVector:
+    """Random level-a target with about 70% of its components zeroed."""
+    rng = np.random.default_rng(seed)
+    amps = random_level_a(t, rng).amplitudes.copy()
+    amps[rng.random(amps.size) < 0.7] = 0.0
+    amps[0] += 0.1  # never all zero
+    return StateVector(amps / np.linalg.norm(amps), t)
+
+
+FRONTIER_LDS = {
+    "default": LD,
+    "random": LambDickeParams(*np.random.default_rng(2024).uniform(0.05, 0.35, 4).tolist()),
+    "eps_x=0.5": LambDickeParams(0.5, 0.1, 0.2, 0.1),
+}
+
+
+def frontier_targets(t: Truncation) -> dict[str, StateVector]:
+    out = {
+        "corr": target_corr(1.0, t).state,
+        "ghz": target_ghz(1.0, t).state,
+        "dense": random_level_a(t, np.random.default_rng(t.j_max)),
+        "sparse": sparse_random(t, 500 + t.j_max),
+    }
+    if t.j_max >= 12:
+        out["diag"] = target_diag(t).state
+    return out
+
+
+@pytest.mark.parametrize("ld_name", list(FRONTIER_LDS))
+@pytest.mark.parametrize("j_max", [1, 2, 5, 8, 12])
+def test_deevolve_matches_full_table_compiler(j_max, ld_name):
+    """Stage-frontier rotations emit bit for bit the full-table program."""
+    ld = FRONTIER_LDS[ld_name]
+    t = Truncation(j_max)
+    for name, target in frontier_targets(t).items():
+        got = deevolve(target, ld)
+        want = full_table(deevolve, target, ld)
+        assert fingerprint(got.deevolution.pulses) == fingerprint(want.deevolution.pulses), name
+        assert got.final_residual.hex() == want.final_residual.hex(), name
+        assert got.pulse_count == want.pulse_count
+
+
+def builder_calls(j_max: int):
+    """The (builder, args, solved J) sequence that ``deevolve`` runs."""
+    for j in range(j_max, 0, -1):
+        yield build_U_abc, (j,), j
+        yield build_U_bcd, (j - 1,), j - 1
+        yield bridge, (j,), j
+    yield build_U_abc, (0,), 0
+
+
+def run_builder(builder, state: StateVector, args, ld, *, reference: bool):
+    """Apply one builder to a copy of ``state``; returns (pulses, amplitudes)."""
+    work = StateVector(state.amplitudes.copy(), state.truncation)
+    pulses = []
+    if reference:
+        full_table(builder, work, *args, pulses.append, ld)
+    else:
+        builder(work, *args, pulses.append, ld)
+    return pulses, work.amplitudes
+
+
+def assert_matches_up_to(builder, state, args, solved_j, ld):
+    """Pulses and amplitudes at or below ``solved_j`` equal the full-table
+    reference; higher amplitudes stay as they came in, except that bridge(J)
+    also rotates its (J+1; a) <-> (J; b) pairs.  Returns the new state."""
+    t = state.truncation
+    got, amps = run_builder(builder, state, args, ld, reference=False)
+    want, ref = run_builder(builder, state, args, ld, reference=True)
+    assert fingerprint(got) == fingerprint(want)
+    total = _total_j(np.arange(t.dim), t)
+    low = total <= solved_j
+    assert np.array_equal(amps[low], ref[low])
+    untouched = total > solved_j + (1 if builder is bridge else 0)
+    assert np.array_equal(amps[untouched], state.amplitudes[untouched])
+    return StateVector(amps, t)
+
+
+@pytest.mark.parametrize("ld_name", list(FRONTIER_LDS))
+@pytest.mark.parametrize("j_max", [2, 5])
+def test_builders_match_full_table_at_or_below_solved_j(j_max, ld_name):
+    """Along the de-evolution of corr and a sparse random target, each
+    build_U_abc / build_U_bcd / bridge call, fed the stage-frontier state,
+    agrees with the full-table step at or below the J it solves."""
+    ld = FRONTIER_LDS[ld_name]
+    t = Truncation(j_max)
+    for target in (target_corr(1.0, t).state, sparse_random(t, 9)):
+        state = target
+        for builder, args, solved_j in builder_calls(j_max):
+            state = assert_matches_up_to(builder, state, args, solved_j, ld)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_row_builders_match_full_table_on_dense_states(seed):
+    """Standalone build_A/B/C on a state dense over every level and J."""
+    t = Truncation(5)
+    rng = np.random.default_rng(900 + seed)
+    state = random_state(t, rng)
+    j = int(rng.integers(1, 5))
+    n_x = int(rng.integers(0, j))
+    for builder in (build_A, build_B, build_C):
+        state = assert_matches_up_to(builder, state, (j, n_x), j, LD)
+    state = assert_matches_up_to(bridge, state, (j,), j, LD)
