@@ -18,7 +18,8 @@ The bytes on disk are exactly those of ``json.dump(doc, f, indent=2)`` plus
 a trailing newline (the sketch above is compacted); ``save_schedule`` streams
 them pulse by pulse.  Floats are written with Python's shortest round-trip
 representation, so ``load_schedule(save_schedule(s)) == s`` bit for bit.  A
-pulse note must lie inside the file's cutoff ``jmax``.
+pulse note must lie inside the file's cutoff ``jmax`` and on one of the two
+levels its channel couples.
 
 Target files are a JSON array of ``{"n": [nx, ny, nz], "re": ..., "im": ...}``
 components on electronic level a.  The norm must already be 1 to within 1e-6;
@@ -35,7 +36,7 @@ from typing import Any
 import numpy as np
 
 from .fock import Component, DomainError, Level, Occupation, StateVector, Truncation
-from .channels import ChannelId, LambDickeParams
+from .channels import CHANNELS, ChannelId, LambDickeParams
 from .noise import SweepReport
 from .pulses import Direction, Pulse, Schedule
 from .targets import Target, _level_a_state
@@ -118,7 +119,7 @@ def _finite(doc: dict[str, Any], key: str, where: str) -> float:
     return value
 
 
-def _parse_note(raw: Any, where: str, j_max: int) -> Component | None:
+def _parse_note(raw: Any, where: str, j_max: int, channel: ChannelId) -> Component | None:
     if raw is None:
         return None
     if not (isinstance(raw, list) and len(raw) == 4):
@@ -135,6 +136,8 @@ def _parse_note(raw: Any, where: str, j_max: int) -> Component | None:
         level = Level.from_label(label)
     except DomainError as exc:
         raise ScheduleFormatError(f"{where}: {exc}") from exc
+    if level not in (CHANNELS[channel].lower_level, CHANNELS[channel].upper_level):
+        raise ScheduleFormatError(f"{where}: level {label} is not coupled by channel {channel.name}")
     return Component(Occupation(nx, ny, nz), level)
 
 
@@ -191,7 +194,7 @@ def load_schedule(path: str | os.PathLike[str]) -> Schedule:
             raise ScheduleFormatError(f"{where}channel: unknown channel {name!r}") from exc
         x = _finite(entry, "x", where)
         theta = _finite(entry, "theta", where)
-        note = _parse_note(entry.get("note"), f"{where}note", jmax)
+        note = _parse_note(entry.get("note"), f"{where}note", jmax, channel)
         try:
             pulses.append(Pulse(channel, x, theta, note))
         except DomainError as exc:

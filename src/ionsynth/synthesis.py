@@ -16,10 +16,12 @@ fixed nx:
 * before each merge, the destination row is collected on the next level pair
   so the merge cannot scatter population backwards.
 
-Every pulse is solved from the current working amplitudes, applied, and
-emitted in order.  Components whose amplitude is already zero still emit an
-explicit x=0 pulse: the program shape is fixed by the truncation alone,
-exactly as a hardware sequence would be fixed before the state is known.
+The program's shape is data: each builder takes only ``(J[, nx])`` and yields
+steps ``(channel, occupation, kill_upper)``, and ``plan(j_max)`` chains them
+into the whole de-evolution, fixed by the cutoff alone as a hardware sequence
+is fixed before the state is known.  One numeric pass, ``run_steps``, solves
+each step against the working amplitudes, emits the pulse and applies it; a
+step on zero amplitudes still emits an explicit x=0 pulse.
 
 Applying a pulse solved at an occupation of total J rotates only the pairs of
 its channel whose lower-J end is <= J (the stage frontier).  Amplitudes the
@@ -39,28 +41,24 @@ amplitude at total J or below is exact.
   by induction so does the final read of the vacuum amplitude.
 
 So ``deevolve`` emits bit for bit the pulses and residual it would emit if
-every pulse rotated its channel's full pair table.  A standalone ``build_*``
-or ``bridge`` call likewise leaves the pairs above its solved J unrotated:
-amplitudes at or below that J match a full-table rotation, those above do not.
+every pulse rotated its channel's full pair table.  A standalone builder's
+steps, run through ``run_steps``, likewise leave pairs above the solved J
+unrotated: amplitudes at or below it match a full-table rotation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
-import numpy as np
-
-from .channels import CHANNELS, ChannelId, LambDickeParams, partner_occupation
+from .channels import CHANNELS, ChannelId, LambDickeParams
 from .fock import (
     Component,
     DomainError,
-    Level,
     Occupation,
     StateVector,
-    Truncation,
     _require_level_a_support,
+    component_of,
     index_of,
 )
 from .pulses import (
@@ -82,11 +80,15 @@ __all__ = [
     "build_U_abc",
     "build_U_bcd",
     "bridge",
+    "plan",
+    "run_steps",
     "deevolve",
     "pulse_count_model",
 ]
 
-Emit = Callable[[Pulse], None]
+# Solve a channel at an occupation of its lower level, nulling the pair's
+# upper end if kill_upper, else its lower end.
+Step = tuple[ChannelId, Occupation, bool]
 
 
 @dataclass(frozen=True)
@@ -105,14 +107,13 @@ def _solve_and_apply(
     occ: Occupation,
     *,
     kill_upper: bool,
-    emit: Emit,
+    emit: Callable[[Pulse], None],
     ld: LambDickeParams,
 ) -> None:
     """Solve one transfer against current amplitudes, emit it, and apply it
     up to the stage frontier ``occ.total`` (see the module docstring)."""
-    spec = CHANNELS[cid]
     table = _pair_table(cid, work.truncation, ld)
-    src_index = index_of(Component(occ, spec.lower_level), work.truncation)
+    src_index = index_of(Component(occ, CHANNELS[cid].lower_level), work.truncation)
     row = table.row_by_src.get(src_index)
     if row is None:
         raise RuntimeError(
@@ -122,30 +123,26 @@ def _solve_and_apply(
     omega = float(table.omega[row])
     q_lower = complex(work.amplitudes[src_index])
     q_upper = complex(work.amplitudes[dst_index])
-    if kill_upper:
-        x, theta = solve_kill_upper(q_lower, q_upper, omega)
-        pocc = partner_occupation(spec, occ)
-        assert pocc is not None
-        note = Component(pocc, spec.upper_level)
-    else:
-        x, theta = solve_kill_lower(q_lower, q_upper, omega)
-        note = Component(occ, spec.lower_level)
+    solve = solve_kill_upper if kill_upper else solve_kill_lower
+    x, theta = solve(q_lower, q_upper, omega)
+    note = component_of(dst_index if kill_upper else src_index, work.truncation)
     pulse = Pulse(cid, x, theta, note)
     emit(pulse)
     _rotate_inplace(work.amplitudes, table, pulse.x, pulse.theta, table.prefix[occ.total])
 
 
-def _collect_row(
+def run_steps(
     work: StateVector,
-    j: int,
-    n_x: int,
-    *,
-    exchange: ChannelId,
-    carrier: ChannelId,
-    lead: bool,
-    emit: Emit,
+    steps: Iterable[Step],
+    emit: Callable[[Pulse], None],
     ld: LambDickeParams,
 ) -> None:
+    """The numeric pass: solve, emit and apply each step in order on ``work``."""
+    for cid, occ, kill_upper in steps:
+        _solve_and_apply(work, cid, occ, kill_upper=kill_upper, emit=emit, ld=ld)
+
+
+def _collect_row(j: int, n_x: int, exchange: ChannelId, carrier: ChannelId, lead: bool) -> Iterator[Step]:
     """Concentrate a row's population of the channel pair's two levels.
 
     The ladder kills the lower-level component at ny, then the upper-level
@@ -155,83 +152,82 @@ def _collect_row(
     visits.
     """
     if lead:
-        _solve_and_apply(
-            work, carrier, Occupation(n_x, 0, j - n_x), kill_upper=True, emit=emit, ld=ld
-        )
+        yield carrier, Occupation(n_x, 0, j - n_x), True
     for n_y in range(j - n_x):
         n_z = j - n_x - n_y
-        _solve_and_apply(
-            work, exchange, Occupation(n_x, n_y, n_z), kill_upper=False, emit=emit, ld=ld
-        )
-        _solve_and_apply(
-            work, carrier, Occupation(n_x, n_y + 1, n_z - 1), kill_upper=True, emit=emit, ld=ld
-        )
+        yield exchange, Occupation(n_x, n_y, n_z), False
+        yield carrier, Occupation(n_x, n_y + 1, n_z - 1), True
 
 
-def build_A(work: StateVector, j: int, n_x: int, emit: Emit, ld: LambDickeParams) -> None:
+def build_A(j: int, n_x: int) -> Iterator[Step]:
     """Collect row n_x of subspace J on levels (a, b) into (n_x, J-n_x, 0; a)."""
-    _collect_row(work, j, n_x, exchange=ChannelId.H1, carrier=ChannelId.H2, lead=False, emit=emit, ld=ld)
+    return _collect_row(j, n_x, ChannelId.H1, ChannelId.H2, lead=False)
 
 
-def build_B(work: StateVector, j: int, n_x: int, emit: Emit, ld: LambDickeParams) -> None:
+def build_B(j: int, n_x: int) -> Iterator[Step]:
     """Collect row n_x of subspace J on levels (b, c) into (n_x, J-n_x, 0; b).
 
     Starts with a carrier kill of (n_x, 0, J-n_x; c) so arbitrary level-c
     population is folded in before the exchange/carrier ladder runs.
     """
-    _collect_row(work, j, n_x, exchange=ChannelId.H3, carrier=ChannelId.H4, lead=True, emit=emit, ld=ld)
+    return _collect_row(j, n_x, ChannelId.H3, ChannelId.H4, lead=True)
 
 
-def _collect_row_cd(work: StateVector, j: int, n_x: int, emit: Emit, ld: LambDickeParams) -> None:
+def _collect_row_cd(j: int, n_x: int) -> Iterator[Step]:
     # build_B shifted one level up: collects (c, d) into (n_x, j-n_x, 0; c).
-    _collect_row(work, j, n_x, exchange=ChannelId.H7, carrier=ChannelId.H6, lead=True, emit=emit, ld=ld)
+    return _collect_row(j, n_x, ChannelId.H7, ChannelId.H6, lead=True)
 
 
-def build_C(work: StateVector, j: int, n_x: int, emit: Emit, ld: LambDickeParams) -> None:
+def build_C(j: int, n_x: int) -> Iterator[Step]:
     """Merge the collected row n_x into row n_x+1: one exchange pulse nulling
     (n_x, J-n_x, 0; a) into (n_x+1, J-n_x-1, 0; b)."""
-    _solve_and_apply(
-        work, ChannelId.H5, Occupation(n_x, j - n_x, 0), kill_upper=False, emit=emit, ld=ld
-    )
+    yield ChannelId.H5, Occupation(n_x, j - n_x, 0), False
 
 
-def build_U_abc(work: StateVector, j: int, emit: Emit, ld: LambDickeParams) -> None:
+def build_U_abc(j: int) -> Iterator[Step]:
     """Concentrate all population of subspace J on levels {a, b, c} at (J, 0, 0; a).
 
     Requires level d of the subspace to be clear.  For J = 0 this degenerates
     to the single final carrier pulse b -> a.
     """
     if j >= 1:
-        build_B(work, j, 0, emit, ld)
+        yield from build_B(j, 0)
     for n_x in range(j):
-        build_A(work, j, n_x, emit, ld)
-        build_B(work, j, n_x + 1, emit, ld)
-        build_C(work, j, n_x, emit, ld)
-    _solve_and_apply(work, ChannelId.H2, Occupation(j, 0, 0), kill_upper=True, emit=emit, ld=ld)
+        yield from build_A(j, n_x)
+        yield from build_B(j, n_x + 1)
+        yield from build_C(j, n_x)
+    yield ChannelId.H2, Occupation(j, 0, 0), True
 
 
-def build_U_bcd(work: StateVector, j: int, emit: Emit, ld: LambDickeParams) -> None:
+def build_U_bcd(j: int) -> Iterator[Step]:
     """Concentrate all population of subspace J on levels {b, c, d} at (J, 0, 0; b).
 
     Level-shifted analog of :func:`build_U_abc` (a->b, b->c, c->d, with the
     merge running on the x-exchange between levels b and c); level a is never
     touched.
     """
-    _collect_row_cd(work, j, 0, emit, ld)
+    yield from _collect_row_cd(j, 0)
     for n_x in range(j):
-        build_B(work, j, n_x, emit, ld)
-        _collect_row_cd(work, j, n_x + 1, emit, ld)
-        _solve_and_apply(
-            work, ChannelId.H8, Occupation(n_x, j - n_x, 0), kill_upper=False, emit=emit, ld=ld
-        )
-    build_B(work, j, j, emit, ld)
+        yield from build_B(j, n_x)
+        yield from _collect_row_cd(j, n_x + 1)
+        yield ChannelId.H8, Occupation(n_x, j - n_x, 0), False
+    yield from build_B(j, j)
 
 
-def bridge(work: StateVector, j: int, emit: Emit, ld: LambDickeParams) -> None:
+def bridge(j: int) -> tuple[Step]:
     """One red-sideband pulse nulling (J, 0, 0; a) into (J-1, 0, 0; b)."""
     if j < 1:
         raise DomainError(f"bridge needs J >= 1, got {j}")
-    _solve_and_apply(work, ChannelId.H9, Occupation(j, 0, 0), kill_upper=False, emit=emit, ld=ld)
+    return ((ChannelId.H9, Occupation(j, 0, 0), False),)
+
+
+def plan(j_max: int) -> Iterator[Step]:
+    """Every step of the de-evolution at cutoff ``j_max``, stage by stage."""
+    for j in range(j_max, 0, -1):
+        yield from build_U_abc(j)
+        yield from build_U_bcd(j - 1)
+        yield from bridge(j)
+    yield from build_U_abc(0)
 
 
 def deevolve(
@@ -248,16 +244,11 @@ def deevolve(
     """
     _require_level_a_support(target)
     norm = target.norm()
-    if abs(norm - 1.0) > 1e-6:
+    if not abs(norm - 1.0) <= 1e-6:  # written so that a NaN norm fails too
         raise DomainError(f"target must be normalized, got norm {norm!r}")
     work = StateVector._wrap(target.amplitudes / norm, target.truncation)
     pulses: list[Pulse] = []
-    emit = pulses.append
-    for j in range(target.truncation.j_max, 0, -1):
-        build_U_abc(work, j, emit, ld)
-        build_U_bcd(work, j - 1, emit, ld)
-        bridge(work, j, emit, ld)
-    build_U_abc(work, 0, emit, ld)
+    run_steps(work, plan(target.truncation.j_max), pulses.append, ld)
     residual = 1.0 - abs(work.amplitudes[0]) ** 2
     deevolution = Schedule(
         tuple(pulses), ld, target.truncation, Direction.DEEVOLUTION, description
@@ -270,20 +261,9 @@ def deevolve(
     )
 
 
-@lru_cache(maxsize=32)
 def pulse_count_model(j_max: int) -> int:
-    """Emitted pulse count for a full-support target at ``j_max``.
-
-    The count depends only on the truncation, so it is measured by compiling
-    one generic random target.  Grows as the cube of ``j_max``.
-    """
+    """Emitted pulse count at ``j_max``: the length of :func:`plan`, which
+    needs no target.  Grows as the cube of ``j_max``."""
     if j_max < 0:
         raise DomainError(f"j_max must be >= 0, got {j_max}")
-    truncation = Truncation(j_max)
-    rng = np.random.default_rng([987654321, j_max])
-    amps = np.zeros(truncation.dim, dtype=np.complex128)
-    cols = amps.reshape(-1, len(Level))
-    vib = truncation.vibrational_dim
-    cols[:, Level.A] = rng.normal(size=vib) + 1j * rng.normal(size=vib)
-    target = StateVector._wrap(amps / np.linalg.norm(amps), truncation)
-    return deevolve(target).pulse_count
+    return sum(1 for _ in plan(j_max))

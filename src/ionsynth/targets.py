@@ -41,21 +41,32 @@ def _level_a_state(entries: dict[Occupation, complex], truncation: Truncation) -
     return amps
 
 
-def _check_alpha(alpha: complex) -> None:
+def _prefactor(alpha: complex, rate: float) -> float:
+    """exp(-rate |alpha|^2) for a finite alpha; a prefactor that underflows to 0
+    is rejected before any alpha**n (which may overflow) is taken."""
     if not cmath.isfinite(alpha):
         raise DomainError(f"alpha must be finite, got {alpha!r}")
+    # the exp is 0 long before |alpha| = 1e3, and |alpha|**2 raises past 1e154
+    prefactor = math.exp(-rate * abs(alpha) ** 2) if abs(alpha) < 1e3 else 0.0
+    _check_kept(prefactor, alpha)
+    return prefactor
+
+
+def _check_kept(kept: float, alpha: complex) -> None:
+    if not (math.isfinite(kept) and kept > 0.0):
+        raise DomainError(f"alpha={alpha!r} is too large: the kept target amplitudes underflow")
 
 
 def target_corr(alpha: complex, truncation: Truncation) -> Target:
     """Fully correlated state: amplitudes of a coherent state carried by the
     diagonal occupations |n, n, n>."""
-    _check_alpha(alpha)
-    prefactor = math.exp(-0.5 * abs(alpha) ** 2)
+    prefactor = _prefactor(alpha, 0.5)
     entries: dict[Occupation, complex] = {}
     for n in range(truncation.j_max // 3 + 1):
         entries[Occupation(n, n, n)] = prefactor * alpha**n / math.sqrt(math.factorial(n))
     amps = _level_a_state(entries, truncation)
     kept = float(np.sum(np.abs(amps) ** 2))  # untruncated total is exactly 1
+    _check_kept(kept, alpha)
     return Target(
         state=StateVector._wrap(amps / math.sqrt(kept), truncation),
         description=f"corr(alpha={alpha})",
@@ -84,8 +95,7 @@ def target_ghz(alpha: complex, truncation: Truncation) -> Target:
     Amplitudes with odd total quanta cancel identically, so only even-total
     occupations appear.
     """
-    _check_alpha(alpha)
-    prefactor = math.exp(-1.5 * abs(alpha) ** 2)
+    prefactor = _prefactor(alpha, 1.5)
     entries: dict[Occupation, complex] = {}
     for j in range(0, truncation.j_max + 1, 2):
         for nx in range(j + 1):
@@ -101,6 +111,7 @@ def target_ghz(alpha: complex, truncation: Truncation) -> Target:
                 )
     amps = _level_a_state(entries, truncation)
     kept = float(np.sum(np.abs(amps) ** 2))
+    _check_kept(kept, alpha)
     total = 2.0 + 2.0 * math.exp(-6.0 * abs(alpha) ** 2)  # untruncated norm**2
     return Target(
         state=StateVector._wrap(amps / math.sqrt(kept), truncation),

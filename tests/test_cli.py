@@ -214,3 +214,31 @@ def test_verify_rejects_note_outside_cutoff(ghz_schedule, capsys):
     code, out, err = run(capsys, "verify", "--schedule", str(ghz_schedule), "--target", "ghz")
     assert code == 2
     assert "pulses[0].note" in err and "status" not in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--target", "corr", "--alpha", "1000", "--jmax", "4"],
+        ["--target", "ghz", "--alpha", "40"],
+    ],
+)
+def test_compile_rejects_large_alpha_by_name(argv, tmp_path, capsys):
+    out_path = tmp_path / "s.json"
+    code, _, err = run(capsys, "compile", *argv, "--out", str(out_path))
+    assert code == 2
+    assert "alpha" in err and "nan" not in err and "Warning" not in err
+    assert not out_path.exists()
+
+
+def test_verify_rejects_note_on_uncoupled_level(tmp_path, capsys):
+    """An H2 (a <-> b) pulse cannot have nulled a level-d component."""
+    path = tmp_path / "ghz2.json"
+    assert run(capsys, "compile", "--target", "ghz", "--jmax", "2", "--out", str(path))[0] == 0
+    doc = json.loads(path.read_text())
+    i = next(k for k, p in enumerate(doc["pulses"]) if p["channel"] == "H2")
+    doc["pulses"][i]["note"] = [0, 0, 0, "d"]
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", "--schedule", str(path), "--target", "ghz")
+    assert code == 2
+    assert f"pulses[{i}].note" in err and "status" not in out

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from ionsynth import (
+    CHANNELS,
     ChannelId,
     Component,
     Direction,
@@ -280,3 +281,21 @@ def test_load_target_rejects(tmp_path, doc, fragment):
     with pytest.raises(TargetFormatError) as err:
         load_target(path, Truncation(2))
     assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize("cid", list(ChannelId))
+def test_load_schedule_note_must_sit_on_a_coupled_level(tmp_path, cid):
+    """A note names the component its pulse nulled, which lies on one of the
+    two levels the pulse's channel couples."""
+    spec = CHANNELS[cid]
+    for level in Level:
+        path = _write_doc(
+            tmp_path,
+            lambda d: d["pulses"][0].update(channel=cid.name, note=[1, 0, 0, level.label]),
+        )
+        if level in (spec.lower_level, spec.upper_level):
+            note = load_schedule(path).pulses[0].note
+            assert note == Component(Occupation(1, 0, 0), level)
+        else:
+            with pytest.raises(ScheduleFormatError, match=r"pulses\[0\]\.note: level"):
+                load_schedule(path)

@@ -1,0 +1,63 @@
+"""The benchmark's tracer and reference interpreter still find what they use.
+
+``perfbench/spans.py`` wraps ionsynth functions at the module attribute names
+their callers use, and ``perfbench/reference.py`` replays schedules from
+``channels.coupled_pairs``.  A package change that renames or reshapes one of
+these breaks the traced benchmark run or its correctness check, so both files
+are loaded here by path, exactly as they are.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from ionsynth import Truncation, deevolve, target_ghz
+from ionsynth.cli import main
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_resolves_every_patched_name():
+    spans = load("spans")
+    tracer = spans.Tracer()  # looks up every (module, attribute) in PATCHES
+    assert [(m.__name__, attr) for m, attr, _ in tracer._originals] == [
+        (module, attr) for module, attr, _ in spans.PATCHES
+    ]
+    assert all(callable(original) for _, _, original in tracer._originals)
+
+
+def test_traced_compile_counts_its_pulses(tmp_path, capsys):
+    """Installed, the tracer sees the CLI's deevolve and save_schedule calls,
+    and uninstalling puts every original back."""
+    spans = load("spans")
+    tracer = spans.Tracer()
+    tracer.request = 1
+    tracer.install()
+    try:
+        argv = ["compile", "--target", "ghz", "--jmax", "4", "--out", str(tmp_path / "s.json")]
+        assert main(argv) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    for module, attr, original in tracer._originals:
+        assert getattr(module, attr) is original
+    m = spans.summarize(tracer, 1)
+    assert m["synthesis.pulses_emitted"] == 179
+    assert m["synthesis.deevolve_s"] > 0 and m["files.save_schedule_s"] > 0
+    assert m["files.schedule_bytes"] == (tmp_path / "s.json").stat().st_size
+
+
+def test_reference_replay_closes_ghz_preparation():
+    reference = load("reference")
+    target = target_ghz(1.0, Truncation(4)).state
+    out = reference.reference_replay(deevolve(target).preparation)
+    assert abs(np.vdot(out, target.amplitudes)) ** 2 == pytest.approx(1.0, abs=1e-12)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -145,3 +146,30 @@ def test_random_target_is_unit_level_a():
 def test_non_finite_alpha_is_rejected_by_name(build, alpha):
     with pytest.raises(DomainError, match="alpha"):
         build(alpha, Truncation(3))
+
+
+@pytest.mark.parametrize(
+    "build, alpha",
+    [
+        (target_corr, 1000.0),
+        (target_corr, 37.0),
+        (target_corr, 1e200),
+        (target_ghz, 40.0),
+        (target_ghz, 30j),
+        (target_ghz, 1e200),
+    ],
+)
+def test_large_alpha_is_rejected_by_name(build, alpha):
+    """Past the underflow of the coherent prefactor the kept mass is 0 (or NaN
+    once alpha**n overflows); that is an error naming alpha, not a NaN state."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="alpha"):
+            build(alpha, Truncation(4))
+
+
+@pytest.mark.parametrize("build, alpha", [(target_corr, 20.0), (target_ghz, 15.0)])
+def test_large_alpha_below_underflow_stays_normalized(build, alpha):
+    target = build(alpha, Truncation(4))
+    assert np.all(np.isfinite(target.state.amplitudes))
+    assert target.state.norm() == pytest.approx(1.0, abs=1e-12)
