@@ -16,14 +16,28 @@ holding n quanta is
 
 with ``L1_n`` the generalized Laguerre polynomial of order 1; it tends to 1 in
 the small-eps limit, recovering the familiar sqrt factors.
+
+A channel's coupled pairs are built as arrays, by arithmetic on the canonical
+basis order (``fock``): the occupation (nx, ny, nz) of total J = nx + ny + nz
+has vibrational index
+
+    C(J + 2, 3) + nx*(J + 1) - nx*(nx - 1)/2 + ny
+
+and its component on electronic level l has index 4*vib + l.  The partner of
+a lower-level component adds one quantum to the channel's raised mode and
+takes one from its lowered mode, and every Lamb-Dicke factor comes from one
+Laguerre evaluation per eps over n = 0..j_max.  :func:`rabi` and
+:func:`partner_occupation` compute the same numbers one component at a time.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 from enum import Enum, IntEnum
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import eval_genlaguerre
@@ -35,7 +49,6 @@ from .fock import (
     Occupation,
     Truncation,
     enumerate_basis,
-    index_of,
 )
 
 __all__ = [
@@ -45,6 +58,7 @@ __all__ = [
     "Mode",
     "ChannelSpec",
     "CoupledPair",
+    "PairTable",
     "CHANNELS",
     "nonlinearity",
     "rabi",
@@ -194,34 +208,150 @@ class CoupledPair:
     omega: float
 
 
+@dataclass(frozen=True, eq=False)
+class PairTable(Sequence[CoupledPair]):
+    """A channel's coupled pairs under one truncation and Lamb-Dicke point.
+
+    Row k rotates basis index ``src_index[k]`` (lower level) with
+    ``dst_index[k]`` (upper level) at Rabi frequency ``omega[k] > 0``.  Rows
+    run in basis order of their lower-level end, so the total J of a row's
+    lower-J end never decreases along the table.  ``prefix[f]`` is the number
+    of leading rows whose lower-J end is <= f, and ``lift`` the J gap between
+    a row's two ends (1 for the red sideband, 0 for every other channel).
+
+    Omega depends on a row only through nx (carriers, red sideband) or the
+    raised and lowered occupations (exchange), so ``omega_distinct`` holds one
+    Rabi frequency per such key, numbered in order of first appearance, and
+    ``omega == omega_distinct[omega_inverse]`` bit for bit; the first c rows
+    use only the first ``distinct_count[c]`` entries.
+
+    Indexing, slicing and iteration give :class:`CoupledPair` views.
+    """
+
+    src_index: np.ndarray
+    dst_index: np.ndarray
+    omega: np.ndarray
+    omega_distinct: np.ndarray = field(repr=False)
+    omega_inverse: np.ndarray = field(repr=False)
+    distinct_count: np.ndarray = field(repr=False)
+    prefix: tuple[int, ...] = field(repr=False)
+    lift: int
+    # row_by_vib[v]: the row whose lower-level end has vibrational index v, or -1
+    row_by_vib: np.ndarray = field(repr=False)
+    components: np.ndarray = field(repr=False)  # the basis as an object array
+
+    def __len__(self) -> int:
+        return self.src_index.size
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(*k.indices(len(self)))]
+        return CoupledPair(
+            self.components[self.src_index[k]],
+            self.components[self.dst_index[k]],
+            float(self.omega[k]),
+        )
+
+    def row_of(self, src: int) -> int | None:
+        """Row whose lower-level end is basis index ``src``, or None."""
+        row = int(self.row_by_vib[src // len(Level)])
+        return row if row >= 0 and self.src_index[row] == src else None
+
+
+def _vib_index(nx: np.ndarray, ny: np.ndarray, nz: np.ndarray) -> np.ndarray:
+    """Canonical vibrational index of each occupation (module docstring)."""
+    j = nx + ny + nz
+    return (j + 2) * (j + 1) * j // 6 + nx * (j + 1) - nx * (nx - 1) // 2 + ny
+
+
+@lru_cache(maxsize=32)
+def _layout(j_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows nx, ny, nz of every vibrational index below the cutoff, and the
+    basis components as an object array; both read-only."""
+    cube = np.indices((j_max + 1,) * 3).reshape(3, -1)
+    cube = cube[:, cube.sum(axis=0) <= j_max]
+    occ = np.empty_like(cube)
+    occ[:, _vib_index(*cube)] = cube
+    basis = enumerate_basis(Truncation(j_max))
+    components = np.fromiter(basis, dtype=object, count=len(basis))
+    for array in (occ, components):
+        array.setflags(write=False)
+    return occ, components
+
+
+def _nonlinearities(eps: float, j_max: int) -> np.ndarray:
+    """``nonlinearity(eps, n)`` for n = 0..j_max, by the same operations."""
+    x = eps * eps
+    n = np.arange(j_max + 1)
+    return math.exp(-0.5 * x) * eval_genlaguerre(n, 1, x) / (n + 1)
+
+
 def coupled_pairs(
     spec: ChannelSpec, truncation: Truncation, ld: LambDickeParams
-) -> tuple[list[CoupledPair], list[Component]]:
+) -> tuple[PairTable, list[Component]]:
     """Partition the basis into coupled pairs and untouched components.
 
     Every component appears exactly once: either in one pair or in the
     untouched list.  Pairs never leave the truncation because each channel
     preserves or lowers the total quantum number.  Zero-Rabi combinations are
     classified as untouched so later pulse solving never divides by zero.
+    Omega is bit for bit what :func:`rabi` gives the same lower occupation.
     """
-    basis = enumerate_basis(truncation)
-    claimed = np.zeros(len(basis), dtype=bool)
-    pairs: list[CoupledPair] = []
-    for k, comp in enumerate(basis):
-        if comp.level is not spec.lower_level:
-            continue
-        pocc = partner_occupation(spec, comp.occ)
-        if pocc is None:
-            continue
-        omega = rabi(spec, comp.occ, ld)
-        if omega <= 0.0:
-            continue
-        dst = Component(pocc, spec.upper_level)
-        pairs.append(CoupledPair(comp, dst, omega))
-        claimed[k] = True
-        claimed[index_of(dst, truncation)] = True
-    untouched = [comp for k, comp in enumerate(basis) if not claimed[k]]
-    return pairs, untouched
+    j_max = truncation.j_max
+    occ, components = _layout(j_max)
+    vib = np.arange(occ.shape[1])
+    if spec.lowered is not None:
+        vib = vib[occ[spec.lowered] >= 1]
+    # Omega depends on a row only through nx (carriers, red sideband) or the
+    # raised and lowered occupations (exchange).  ``rank`` numbers those keys
+    # in the order they first appear along the basis.
+    if spec.kind is ChannelKind.CARRIER:
+        rank = occ[Mode.X, vib]
+        omega = _nonlinearities(ld.eps_carrier, j_max)[rank]
+    elif spec.kind is ChannelKind.RED_SIDEBAND:
+        nx = occ[Mode.X, vib]
+        rank = nx - 1
+        omega = np.sqrt(nx) * _nonlinearities(ld.eps_carrier, j_max)[nx - 1]
+    else:
+        n_up = occ[spec.raised, vib]
+        n_down = occ[spec.lowered, vib]
+        total = n_up + n_down
+        rank = total * (total - 1) // 2 + n_up
+        omega = (
+            np.sqrt((n_up + 1) * n_down)
+            * _nonlinearities(ld.mode_eps(spec.raised), j_max)[n_up]
+            * _nonlinearities(ld.mode_eps(spec.lowered), j_max)[n_down - 1]
+        )
+    keep = omega > 0.0
+    vib, rank, omega = vib[keep], rank[keep], omega[keep]
+    upper = occ[:, vib]
+    if spec.raised is not None:
+        upper[spec.raised] += 1
+    if spec.lowered is not None:
+        upper[spec.lowered] -= 1
+    levels = len(Level)
+    src = levels * vib + spec.lower_level
+    dst = levels * _vib_index(*upper) + spec.upper_level
+    j_dst = upper.sum(axis=0)  # every channel keeps or lowers J
+    distinct = np.zeros(int(rank.max(initial=-1)) + 1)
+    distinct[rank] = omega  # the rows of one rank hold the same bits
+    row_by_vib = np.full(truncation.vibrational_dim, -1, dtype=np.intp)
+    row_by_vib[vib] = np.arange(vib.size)
+    table = PairTable(
+        src_index=src,
+        dst_index=dst,
+        omega=omega,
+        omega_distinct=distinct,
+        omega_inverse=rank,
+        distinct_count=np.concatenate(([0], np.maximum.accumulate(rank) + 1)),
+        prefix=tuple(np.searchsorted(j_dst, np.arange(j_max + 1), side="right").tolist()),
+        lift=1 if spec.kind is ChannelKind.RED_SIDEBAND and vib.size else 0,
+        row_by_vib=row_by_vib,
+        components=components,
+    )
+    claimed = np.zeros(truncation.dim, dtype=bool)
+    claimed[src] = claimed[dst] = True
+    return table, components[~claimed].tolist()
 
 
 def dense_hamiltonian(
@@ -237,9 +367,6 @@ def dense_hamiltonian(
     h = np.zeros((dim, dim), dtype=np.complex128)
     raising = cmath.exp(-1j * theta)
     pairs, _ = coupled_pairs(spec, truncation, ld)
-    for pair in pairs:
-        i = index_of(pair.src, truncation)
-        j = index_of(pair.dst, truncation)
-        h[j, i] = pair.omega * raising
-        h[i, j] = pair.omega * raising.conjugate()
+    h[pairs.dst_index, pairs.src_index] = pairs.omega * raising
+    h[pairs.src_index, pairs.dst_index] = pairs.omega * raising.conjugate()
     return h

@@ -51,7 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
-from .channels import CHANNELS, ChannelId, LambDickeParams
+from .channels import CHANNELS, ChannelId, LambDickeParams, rabi
 from .fock import (
     Component,
     DomainError,
@@ -114,10 +114,13 @@ def _solve_and_apply(
     up to the stage frontier ``occ.total`` (see the module docstring)."""
     table = _pair_table(cid, work.truncation, ld)
     src_index = index_of(Component(occ, CHANNELS[cid].lower_level), work.truncation)
-    row = table.row_by_src.get(src_index)
+    row = table.row_of(src_index)
     if row is None:
-        raise RuntimeError(
-            f"channel {cid.name} has no coupled pair at occupation {tuple(occ)}"
+        omega = rabi(CHANNELS[cid], occ, ld)
+        raise DomainError(
+            f"channel {cid.name} has no coupled pair at occupation {tuple(occ)} "
+            f"for {ld!r}: its Rabi frequency {omega:.6g} is not positive (the "
+            "Lamb-Dicke point is at or past a zero of its Laguerre factor)"
         )
     dst_index = int(table.dst_index[row])
     omega = float(table.omega[row])

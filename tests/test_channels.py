@@ -2,23 +2,27 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ionsynth import (
     CHANNELS,
     ChannelId,
     ChannelKind,
+    Component,
     DomainError,
     LambDickeParams,
     Level,
     Mode,
     Occupation,
     Truncation,
+    component_of,
     enumerate_basis,
     index_of,
     nonlinearity,
     rabi,
 )
-from ionsynth.channels import coupled_pairs, dense_hamiltonian, partner_occupation
+from ionsynth.channels import CoupledPair, coupled_pairs, dense_hamiltonian, partner_occupation
 
 LD = LambDickeParams()
 LD0 = LambDickeParams(0.0, 0.0, 0.0, 0.0)
@@ -222,3 +226,122 @@ def test_dense_hamiltonian_is_hermitian_with_pair_eigenvalues():
         for c in untouched[:10]:
             k = index_of(c, t)
             assert np.count_nonzero(h[k]) == 0
+
+
+# --- Array tables against the per-component loop ----------------------------
+
+
+def loop_coupled_pairs(spec, t, ld):
+    """Reference build: the per-component loop over the basis, one ``rabi`` and
+    ``partner_occupation`` call and one ``index_of`` lookup per pair."""
+    basis = enumerate_basis(t)
+    claimed = np.zeros(len(basis), dtype=bool)
+    src, dst, omega = [], [], []
+    for k, comp in enumerate(basis):
+        if comp.level is not spec.lower_level:
+            continue
+        pocc = partner_occupation(spec, comp.occ)
+        if pocc is None:
+            continue
+        w = rabi(spec, comp.occ, ld)
+        if w <= 0.0:
+            continue
+        d = index_of(Component(pocc, spec.upper_level), t)
+        src.append(k)
+        dst.append(d)
+        omega.append(w)
+        claimed[k] = claimed[d] = True
+    untouched = [comp for k, comp in enumerate(basis) if not claimed[k]]
+    return (
+        np.array(src, dtype=np.intp),
+        np.array(dst, dtype=np.intp),
+        np.array(omega, dtype=np.float64),
+        untouched,
+    )
+
+
+def assert_tables_match_loop(t, ld):
+    for cid, spec in CHANNELS.items():
+        table, untouched = coupled_pairs(spec, t, ld)
+        src, dst, omega, want_untouched = loop_coupled_pairs(spec, t, ld)
+        assert table.src_index.dtype == np.intp and table.dst_index.dtype == np.intp
+        assert table.omega.dtype == np.float64
+        assert table.src_index.tobytes() == src.tobytes(), cid
+        assert table.dst_index.tobytes() == dst.tobytes(), cid
+        assert table.omega.tobytes() == omega.tobytes(), cid
+        assert table.omega_distinct[table.omega_inverse].tobytes() == omega.tobytes(), cid
+        assert untouched == want_untouched, cid
+
+
+@pytest.mark.parametrize("j_max", range(17))
+def test_tables_match_loop_at_default_point(j_max):
+    assert_tables_match_loop(Truncation(j_max), LD)
+
+
+@pytest.mark.parametrize(
+    "j_max, ld",
+    [
+        (0, LambDickeParams(0, 0, 0, 0)),
+        (5, LambDickeParams(0, 0, 0, 0)),
+        (12, LambDickeParams(0, 0, 0, 0)),
+        (12, LambDickeParams(0.6, 0.1, 0.2, 0.1)),  # past the first zero of L1_11
+        (4, LambDickeParams(0.3, 0.1, 0.2, 1.4142)),  # carrier factor past a zero
+    ],
+)
+def test_tables_match_loop_at_edge_points(j_max, ld):
+    assert_tables_match_loop(Truncation(j_max), ld)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    j_max=st.integers(0, 8),
+    eps=st.tuples(*[st.floats(0.0, 1.5, allow_nan=False)] * 4),
+)
+def test_tables_match_loop_over_random_points(j_max, eps):
+    assert_tables_match_loop(Truncation(j_max), LambDickeParams(*eps))
+
+
+def test_pair_views_index_slice_and_iterate():
+    t = Truncation(3)
+    table, _ = coupled_pairs(CHANNELS[ChannelId.H5], t, LD)
+    views = list(table)
+    assert len(views) == len(table) == table.src_index.size > 2
+    for k, pair in enumerate(views):
+        assert pair == table[k] == CoupledPair(
+            component_of(int(table.src_index[k]), t),
+            component_of(int(table.dst_index[k]), t),
+            float(table.omega[k]),
+        )
+        assert pair.omega == rabi(CHANNELS[ChannelId.H5], pair.src.occ, LD)
+    assert table[-1] == views[-1]
+    assert table[1:3] == views[1:3] and table[::-2] == views[::-2]
+    with pytest.raises(IndexError):
+        table[len(table)]
+
+
+@pytest.mark.parametrize("ld", [LD, LD0, LambDickeParams(0.6, 0.1, 0.2, 0.1)])
+def test_pair_table_row_lookup_and_distinct_omega(ld):
+    t = Truncation(6)
+    for spec in CHANNELS.values():
+        table, _ = coupled_pairs(spec, t, ld)
+        rows = {int(s): k for k, s in enumerate(table.src_index)}
+        for index in range(t.dim):
+            assert table.row_of(index) == rows.get(index)
+        assert table.omega_distinct[table.omega_inverse].tobytes() == table.omega.tobytes()
+        inverse = table.omega_inverse.tolist()
+        # one entry per occupation key that Omega depends on
+        keys = {}
+        for pair, entry in zip(table, inverse):
+            occ = pair.src.occ
+            key = (occ.nx,) if spec.raised is None else (occ[spec.raised], occ[spec.lowered])
+            assert keys.setdefault(entry, key) == key
+        assert len(set(keys.values())) == len(keys)
+        # entries are numbered in order of first appearance, and a prefix of
+        # rows needs only a prefix of them
+        firsts = list(dict.fromkeys(inverse))
+        assert firsts == sorted(firsts)
+        assert table.distinct_count.tolist() == [
+            max(inverse[:c], default=-1) + 1 for c in range(len(table) + 1)
+        ]
+        if ld != LambDickeParams(0.6, 0.1, 0.2, 0.1):  # no pair dropped: no gaps
+            assert firsts == list(range(len(table.omega_distinct)))

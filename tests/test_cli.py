@@ -242,3 +242,21 @@ def test_verify_rejects_note_on_uncoupled_level(tmp_path, capsys):
     code, out, err = run(capsys, "verify", "--schedule", str(path), "--target", "ghz")
     assert code == 2
     assert f"pulses[{i}].note" in err and "status" not in out
+
+
+@pytest.mark.parametrize(
+    "argv, channel",
+    [
+        (["--eps", "0.6,0.1,0.2", "--jmax", "12"], "H5"),
+        (["--eps", "1.3,0.1,0.2", "--jmax", "4"], "H5"),
+        (["--eps-carrier", "1.4142", "--jmax", "4"], "H4"),
+    ],
+)
+def test_compile_rejects_uncoupled_pair_by_name(argv, channel, tmp_path, capsys):
+    """A Lamb-Dicke point past a Laguerre zero the program needs exits 2."""
+    out_path = tmp_path / "s.json"
+    code, _, err = run(capsys, "compile", "--target", "corr", *argv, "--out", str(out_path))
+    assert code == 2
+    assert err.startswith(f"error: channel {channel} has no coupled pair at occupation (")
+    assert "LambDickeParams(" in err and "unexpected" not in err
+    assert not out_path.exists()

@@ -13,7 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ionsynth import Truncation, deevolve, target_ghz
+from ionsynth import CHANNELS, ChannelId, LambDickeParams, Truncation, deevolve, target_ghz
+from ionsynth.channels import coupled_pairs
 from ionsynth.cli import main
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -61,3 +62,27 @@ def test_reference_replay_closes_ghz_preparation():
     target = target_ghz(1.0, Truncation(4)).state
     out = reference.reference_replay(deevolve(target).preparation)
     assert abs(np.vdot(out, target.amplitudes)) ** 2 == pytest.approx(1.0, abs=1e-12)
+
+
+def test_traced_compile_at_fresh_point_builds_nine_tables(tmp_path, capsys):
+    """At a Lamb-Dicke point no other test uses, the compile misses the pair
+    table cache once per channel, through the patched ``pulses.coupled_pairs``."""
+    spans = load("spans")
+    tracer = spans.Tracer()
+    tracer.request = 1
+    tracer.install()
+    try:
+        argv = ["compile", "--target", "corr", "--jmax", "5", "--eps", "0.2718,0.1414,0.1732",
+                "--eps-carrier", "0.1123", "--out", str(tmp_path / "s.json")]
+        assert main(argv) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    built = [span for span in tracer.spans if span[spans.NAME] == "channels.coupled_pairs"]
+    assert len(built) == len(ChannelId)
+    t = Truncation(5)
+    ld = LambDickeParams(0.2718, 0.1414, 0.1732, 0.1123)
+    for cid, spec in CHANNELS.items():
+        pairs, _ = coupled_pairs(spec, t, ld)
+        assert tracer.pair_sizes[(cid, t, ld)] == len(pairs)
+        assert tracer.pair_count(cid, t, ld) == len(pairs)

@@ -358,3 +358,56 @@ def test_pair_table_frontier_invariants(j_max, ld):
         expected_lift = 1 if cid is ChannelId.H9 else 0
         assert np.all(j_src - j_dst == expected_lift)
         assert table.lift == (expected_lift if j_max >= 1 else 0)
+
+
+# --- Distinct-omega rotations against the per-pair kernel --------------------
+
+
+def per_pair_rotate(amps, table, x, theta, count=None):
+    """Reference kernel: cos and sin of x*omega evaluated on every pair."""
+    if x == 0.0 or count == 0 or table.src_index.size == 0:
+        return
+    src = table.src_index[:count]
+    dst = table.dst_index[:count]
+    u = amps[src]
+    v = amps[dst]
+    ang = x * table.omega[:count]
+    c = np.cos(ang)
+    s = np.sin(ang)
+    amps[src] = c * u + (-1j * cmath.exp(1j * theta)) * (s * v)
+    amps[dst] = c * v + (-1j * cmath.exp(-1j * theta)) * (s * u)
+
+
+def signed_zero_state(t: Truncation, rng: np.random.Generator) -> np.ndarray:
+    """Random amplitudes with about half of them replaced by signed zeros."""
+    amps = rng.normal(size=t.dim) + 1j * rng.normal(size=t.dim)
+    zeros = np.array([0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)])
+    mask = rng.random(t.dim) < 0.5
+    amps[mask] = zeros[rng.integers(0, 4, size=int(mask.sum()))]
+    return amps
+
+
+@pytest.mark.parametrize(
+    "j_max, ld",
+    [
+        (6, LD),
+        (12, LD),
+        (8, LambDickeParams(0.0, 0.0, 0.0, 0.0)),
+        (12, LambDickeParams(0.5, 0.15, 0.25, 0.15)),
+        (12, LambDickeParams(0.6, 0.1, 0.2, 0.1)),  # H5 drops pairs past a zero
+    ],
+)
+def test_rotate_matches_per_pair_kernel_bit_for_bit(j_max, ld):
+    t = Truncation(j_max)
+    rng = np.random.default_rng(1000 + j_max)
+    for cid in ChannelId:
+        table = _pair_table(cid, t, ld)
+        for count in [None, *table.prefix]:
+            xs = (float(rng.uniform(0, 3)), float(rng.uniform(0, 1e3)), 1e-300)
+            thetas = (float(rng.uniform(-math.pi, math.pi)), 0.0, math.pi / 2, math.pi)
+            for x, theta in zip(xs * 4, thetas * 3):
+                amps = signed_zero_state(t, rng)
+                want = amps.copy()
+                per_pair_rotate(want, table, x, theta, count)
+                _rotate_inplace(amps, table, x, theta, count)
+                assert amps.tobytes() == want.tobytes(), (cid, count, x, theta)

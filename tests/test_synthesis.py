@@ -380,7 +380,7 @@ def full_table_solve_and_apply(work, cid, occ, *, kill_upper, emit, ld):
     spec = CHANNELS[cid]
     table = _pair_table(cid, work.truncation, ld)
     src_index = index_of(Component(occ, spec.lower_level), work.truncation)
-    row = table.row_by_src.get(src_index)
+    row = table.row_of(src_index)
     if row is None:
         raise RuntimeError(
             f"channel {cid.name} has no coupled pair at occupation {tuple(occ)}"
@@ -523,3 +523,21 @@ def test_row_builders_match_full_table_on_dense_states(seed):
     for builder in (build_A, build_B, build_C):
         state = assert_matches_up_to(builder, state, (j, n_x), j, LD)
     state = assert_matches_up_to(bridge, state, (j,), j, LD)
+
+
+@pytest.mark.parametrize(
+    "j_max, ld, channel",
+    [
+        (12, LambDickeParams(0.6, 0.1, 0.2, 0.1), "H5"),  # past the first zero of L1_11
+        (4, LambDickeParams(1.3, 0.1, 0.2, 0.1), "H5"),
+        (4, LambDickeParams(0.3, 0.1, 0.2, 1.4142), "H4"),  # a carrier factor past a zero
+    ],
+)
+def test_deevolve_names_an_uncoupled_pair(j_max, ld, channel):
+    """A step whose pair the Lamb-Dicke point leaves uncoupled raises a
+    DomainError naming the channel, the occupation and the point."""
+    target = target_corr(1.0, Truncation(j_max)).state
+    with pytest.raises(DomainError, match=f"channel {channel} has no coupled pair") as info:
+        deevolve(target, ld)
+    message = str(info.value)
+    assert "at occupation (" in message and repr(ld) in message
