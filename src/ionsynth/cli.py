@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import compress
 from typing import Sequence
 
 from .channels import LambDickeParams
@@ -115,8 +116,12 @@ def _cmd_compile(args: argparse.Namespace) -> int:
 
     schedule = result.preparation if args.direction == "preparation" else result.deevolution
     if args.prune_noops:
-        kept = tuple(p for p in schedule.pulses if p.x > 0.0)
-        schedule = Schedule(kept, ld, truncation, schedule.direction, schedule.target)
+        keep = schedule.x > 0.0
+        notes = list(compress(schedule.notes, keep))
+        schedule = Schedule.from_columns(
+            schedule.channel[keep], schedule.x[keep], schedule.theta[keep], notes,
+            ld, truncation, schedule.direction, schedule.target,
+        )
     save_schedule(schedule, args.out)
 
     print(f"target: {target.description}")

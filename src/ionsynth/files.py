@@ -16,10 +16,11 @@ Schedule files are UTF-8 JSON::
 
 The bytes on disk are exactly those of ``json.dump(doc, f, indent=2)`` plus
 a trailing newline (the sketch above is compacted); ``save_schedule`` streams
-them pulse by pulse.  Floats are written with Python's shortest round-trip
-representation, so ``load_schedule(save_schedule(s)) == s`` bit for bit.  A
-pulse note must lie inside the file's cutoff ``jmax`` and on one of the two
-levels its channel couples.
+them from the schedule's columns.  Floats are written with Python's shortest
+round-trip representation, so ``load_schedule(save_schedule(s)) == s`` bit for
+bit.  A pulse note must lie inside the file's cutoff ``jmax`` and on one of the
+two levels its channel couples.  ``load_schedule`` checks each pulse field as a
+whole column; an error names the first bad entry, ``pulses[i].<field>``.
 
 Target files are a JSON array of ``{"n": [nx, ny, nz], "re": ..., "im": ...}``
 components on electronic level a.  The norm must already be 1 to within 1e-6;
@@ -38,7 +39,7 @@ import numpy as np
 from .fock import Component, DomainError, Level, Occupation, StateVector, Truncation
 from .channels import CHANNELS, ChannelId, LambDickeParams
 from .noise import SweepReport
-from .pulses import Direction, Pulse, Schedule
+from .pulses import Direction, Schedule
 from .targets import Target, _level_a_state
 
 __all__ = [
@@ -68,6 +69,8 @@ _PULSE_JSON = (
     '\n      "theta": {!r},\n      "note": {}\n    }}'
 )
 _NOTE_JSON = '[\n        {},\n        {},\n        {},\n        "{}"\n      ]'
+_CHANNEL_NAMES = {cid.value: cid.name for cid in ChannelId}
+_MISSING = object()
 
 
 def save_schedule(schedule: Schedule, path: str | os.PathLike[str]) -> None:
@@ -93,35 +96,39 @@ def save_schedule(schedule: Schedule, path: str | os.PathLike[str]) -> None:
         # The header without its closing "\n}", so the pulses array follows.
         f.write(json.dumps(head, indent=2)[:-2] + ',\n  "pulses": [')
         sep = ""
-        for i, pulse in enumerate(schedule.pulses):
+        columns = zip(
+            schedule.channel.tolist(), schedule.x.tolist(), schedule.theta.tolist(), schedule.notes
+        )
+        for i, (code, x, theta, component) in enumerate(columns):
             note = "null"
-            if pulse.note is not None:
-                occ, level = pulse.note
+            if component is not None:
+                occ, level = component
                 note = _NOTE_JSON.format(occ.nx, occ.ny, occ.nz, level.label)
-            f.write(sep + _PULSE_JSON.format(i, pulse.channel.name, pulse.x, pulse.theta, note))
+            f.write(sep + _PULSE_JSON.format(i, _CHANNEL_NAMES[code], x, theta, note))
             sep = ","
-        f.write("\n  ]\n}\n" if schedule.pulses else "]\n}\n")
+        f.write("\n  ]\n}\n" if len(schedule) else "]\n}\n")
 
 
-def _expect(doc: dict[str, Any], key: str, kinds: type | tuple[type, ...], where: str) -> Any:
-    if key not in doc:
-        raise ScheduleFormatError(f"{where}{key}: missing")
-    value = doc[key]
-    if not isinstance(value, kinds) or isinstance(value, bool):
-        raise ScheduleFormatError(f"{where}{key}: unexpected type {type(value).__name__}")
-    return value
+def _column(
+    entries: list[Any], key: str, kinds: tuple[type, ...], where: str = "pulses[{}]."
+) -> list[Any]:
+    """Field ``key`` of every entry, each value of a type in ``kinds``."""
+    values = [entry.get(key, _MISSING) for entry in entries]
+    if not set(map(type, values)) <= set(kinds):
+        i, value = next((i, v) for i, v in enumerate(values) if type(v) not in kinds)
+        problem = "missing" if value is _MISSING else f"unexpected type {type(value).__name__}"
+        raise ScheduleFormatError(f"{where.format(i)}{key}: {problem}")
+    return values
 
 
-def _finite(doc: dict[str, Any], key: str, where: str) -> float:
-    value = float(_expect(doc, key, (int, float), where))
-    if not math.isfinite(value):
-        raise ScheduleFormatError(f"{where}{key}: must be finite, got {value!r}")
-    return value
+def _expect(doc: dict[str, Any], key: str, kinds: tuple[type, ...], where: str = "") -> Any:
+    return _column([doc], key, kinds, where)[0]
 
 
-def _parse_note(raw: Any, where: str, j_max: int, channel: ChannelId) -> Component | None:
+def _parse_note(raw: Any, i: int, j_max: int, channel: ChannelId) -> Component | None:
     if raw is None:
         return None
+    where = f"pulses[{i}].note"
     if not (isinstance(raw, list) and len(raw) == 4):
         raise ScheduleFormatError(f"{where}: expected [nx, ny, nz, level] or null")
     nx, ny, nz, label = raw
@@ -149,58 +156,54 @@ def load_schedule(path: str | os.PathLike[str]) -> Schedule:
         raise ScheduleFormatError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise ScheduleFormatError("top level: expected an object")
-    version = _expect(doc, "version", int, "")
+    version = _expect(doc, "version", (int,))
     if version != 1:
         raise ScheduleFormatError(f"version: unsupported value {version!r}")
 
-    ld_doc = _expect(doc, "lamb_dicke", dict, "")
+    ld_doc = _expect(doc, "lamb_dicke", (dict,))
+    eps = [_expect(ld_doc, key, (int, float), "lamb_dicke.") for key in ("ex", "ey", "ez", "exc")]
     try:
-        ld = LambDickeParams(
-            eps_x=_finite(ld_doc, "ex", "lamb_dicke."),
-            eps_y=_finite(ld_doc, "ey", "lamb_dicke."),
-            eps_z=_finite(ld_doc, "ez", "lamb_dicke."),
-            eps_carrier=_finite(ld_doc, "exc", "lamb_dicke."),
-        )
+        ld = LambDickeParams(*map(float, eps))
     except DomainError as exc:
         raise ScheduleFormatError(f"lamb_dicke: {exc}") from exc
 
-    jmax = _expect(doc, "jmax", int, "")
+    jmax = _expect(doc, "jmax", (int,))
     try:
         truncation = Truncation(jmax)
     except DomainError as exc:
         raise ScheduleFormatError(f"jmax: {exc}") from exc
 
-    raw_direction = _expect(doc, "direction", str, "")
+    raw_direction = _expect(doc, "direction", (str,))
     try:
         direction = Direction(raw_direction)
     except ValueError as exc:
         raise ScheduleFormatError(f"direction: unknown value {raw_direction!r}") from exc
 
-    target = _expect(doc, "target", str, "")
+    target = _expect(doc, "target", (str,))
 
-    raw_pulses = _expect(doc, "pulses", list, "")
-    pulses = []
-    for i, entry in enumerate(raw_pulses):
-        where = f"pulses[{i}]."
-        if not isinstance(entry, dict):
-            raise ScheduleFormatError(f"pulses[{i}]: expected an object")
-        index = _expect(entry, "i", int, where)
-        if index != i:
-            raise ScheduleFormatError(f"{where}i: expected {i}, got {index}")
-        name = _expect(entry, "channel", str, where)
-        try:
-            channel = ChannelId[name]
-        except KeyError as exc:
-            raise ScheduleFormatError(f"{where}channel: unknown channel {name!r}") from exc
-        x = _finite(entry, "x", where)
-        theta = _finite(entry, "theta", where)
-        note = _parse_note(entry.get("note"), f"{where}note", jmax, channel)
-        try:
-            pulses.append(Pulse(channel, x, theta, note))
-        except DomainError as exc:
-            raise ScheduleFormatError(f"pulses[{i}]: {exc}") from exc
-
-    return Schedule(tuple(pulses), ld, truncation, direction, target)
+    entries = _expect(doc, "pulses", (list,))
+    if not set(map(type, entries)) <= {dict}:
+        i = next(i for i, entry in enumerate(entries) if type(entry) is not dict)
+        raise ScheduleFormatError(f"pulses[{i}]: expected an object")
+    index = _column(entries, "i", (int,))
+    if index != list(range(len(entries))):
+        i = next(i for i, k in enumerate(index) if k != i)
+        raise ScheduleFormatError(f"pulses[{i}].i: expected {i}, got {index[i]}")
+    names = _column(entries, "channel", (str,))
+    channels = list(map(ChannelId.__members__.get, names))
+    if None in channels:
+        i = channels.index(None)
+        raise ScheduleFormatError(f"pulses[{i}].channel: unknown channel {names[i]!r}")
+    x = _column(entries, "x", (int, float))
+    theta = _column(entries, "theta", (int, float))
+    notes = [
+        _parse_note(entry.get("note"), i, jmax, channel)
+        for i, (entry, channel) in enumerate(zip(entries, channels))
+    ]
+    try:
+        return Schedule.from_columns(channels, x, theta, notes, ld, truncation, direction, target)
+    except DomainError as exc:
+        raise ScheduleFormatError(str(exc)) from exc
 
 
 def save_report(report: SweepReport, path: str | os.PathLike[str]) -> None:

@@ -86,15 +86,21 @@ class Component(NamedTuple):
     level: Level
 
 
+# The largest cutoff accepted: 92,741 pulses and 49,364 basis components.
+J_MAX_CAP = 40
+
+
 @dataclass(frozen=True)
 class Truncation:
-    """Keep occupations with total quanta nx + ny + nz <= j_max."""
+    """Keep occupations with total quanta nx + ny + nz <= j_max <= J_MAX_CAP."""
 
     j_max: int
 
     def __post_init__(self) -> None:
         if not isinstance(self.j_max, int) or self.j_max < 0:
             raise DomainError(f"j_max must be a non-negative integer, got {self.j_max!r}")
+        if self.j_max > J_MAX_CAP:
+            raise DomainError(f"j_max {self.j_max} exceeds the cap of {J_MAX_CAP}")
 
     @property
     def dim(self) -> int:

@@ -10,13 +10,14 @@ Post-selection keeps only the population that returned to electronic level a:
 the conditional fidelity is the raw fidelity divided by the level-a
 probability, and that probability is the efficiency of the filter.
 
-Trials draw from independent substreams seeded by (seed, trial index), so
-results do not depend on evaluation order and are reproducible bit for bit.
-A trial draws all its length and phase offsets in one call, in slot order
-(length, then phase, for each slot), and hands them straight to the replay
-kernel of :mod:`ionsynth.pulses`.  The kernel skips pairs above the occupied-J
-frontier, which starts at 0 on the vacuum and rises only on red-sideband (H9)
-pulses, the one channel that links J to J-1.
+Trials draw from independent substreams seeded by (seed, row, trial), where
+the row is a sweep's grid row, so results do not depend on evaluation order
+and are reproducible bit for bit.  :func:`perturb` draws all length and phase
+offsets of a trial in one call, in slot order (length, then phase, for each
+slot), and adds them to the schedule's columns; a trial is
+``apply_schedule(vacuum, perturb(...))``, scored.  Replay skips pairs above
+the occupied-J frontier, which starts at 0 on the vacuum and rises only on
+red-sideband (H9) pulses, the one channel that links J to J-1.
 """
 
 from __future__ import annotations
@@ -28,8 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .fock import DomainError, Level, StateVector, fidelity_to_target, vacuum_state
-from .pulses import Pulse, Schedule, _replay, wrap_angle
-from .pulses import apply_schedule  # noqa: F401  perfbench/spans.py traces this name
+from .pulses import Schedule, apply_schedule
 
 __all__ = [
     "NoiseModel",
@@ -99,39 +99,21 @@ class SweepReport:
     target: str
 
 
-def _draw(
-    schedule: Schedule, noise: NoiseModel, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Noisy lengths (clamped at zero) and unwrapped phases of every slot.
-
-    One uniform call over interleaved bounds (length, phase, length, ...)
-    yields the same stream, order and bits as one scalar draw per bound.
-    """
-    pulses = schedule.pulses
-    half = np.tile((0.5 * noise.delta, 0.5 * noise.delta_theta), len(pulses))
-    offsets = rng.uniform(-half, half)
-    xs = np.fromiter((p.x for p in pulses), np.float64, len(pulses)) + offsets[0::2]
-    thetas = np.fromiter((p.theta for p in pulses), np.float64, len(pulses)) + offsets[1::2]
-    return np.where(xs < 0.0, 0.0, xs), thetas
-
-
 def perturb(schedule: Schedule, noise: NoiseModel, rng: np.random.Generator) -> Schedule:
     """One noisy realization of ``schedule``; a zero model returns it bit-identically.
 
     Every pulse slot is perturbed, including zero-length ones — the physical
     program drives each slot regardless of its ideal length.  Lengths that
-    would come out negative are clamped to zero.
+    would come out negative are clamped to zero.  One uniform call over
+    interleaved bounds (length, phase, length, ...) yields the same stream,
+    order and bits as one scalar draw per bound.
     """
-    xs, thetas = _draw(schedule, noise, rng)
-    return Schedule(
-        tuple(
-            Pulse(p.channel, x, theta, p.note)
-            for p, x, theta in zip(schedule.pulses, xs.tolist(), thetas.tolist())
-        ),
-        schedule.lamb_dicke,
-        schedule.truncation,
-        schedule.direction,
-        schedule.target,
+    half = np.tile((0.5 * noise.delta, 0.5 * noise.delta_theta), len(schedule))
+    offsets = rng.uniform(-half, half)
+    x = schedule.x + offsets[0::2]
+    return Schedule.from_columns(
+        schedule.channel, np.where(x < 0.0, 0.0, x), schedule.theta + offsets[1::2], schedule.notes,
+        schedule.lamb_dicke, schedule.truncation, schedule.direction, schedule.target,
     )
 
 
@@ -141,23 +123,9 @@ def simulate_trial(
     noise: NoiseModel,
     rng: np.random.Generator,
 ) -> TrialResult:
-    """Run one noisy preparation from the vacuum and score it.
-
-    Equal, bit for bit, to scoring ``apply_schedule(vacuum, perturb(...))``
-    without building the noisy :class:`Pulse` objects.
-    """
-    xs, thetas = _draw(preparation, noise, rng)
-    out = vacuum_state(preparation.truncation)
-    _replay(
-        out.amplitudes,
-        preparation.truncation,
-        preparation.lamb_dicke,
-        zip(
-            [p.channel for p in preparation.pulses],
-            xs.tolist(),
-            map(wrap_angle, thetas.tolist()),
-        ),
-    )
+    """Run one noisy preparation from the vacuum and score it."""
+    noisy = perturb(preparation, noise, rng)
+    out = apply_schedule(vacuum_state(preparation.truncation), noisy)
     fid = fidelity_to_target(out, target)
     p_a = min(1.0, max(0.0, float(out.level_probabilities()[Level.A])))
     post = min(1.0, fid / p_a) if p_a > 0.0 else 0.0

@@ -11,6 +11,9 @@ and the identity on untouched components.  Shifting theta by pi inverts a
 pulse, which is what turns a de-evolution schedule into a preparation
 schedule.
 
+A schedule holds its program as columns, which replay, inversion, noise and
+the file layer read directly; :class:`Pulse` objects are only views of them.
+
 The closed-form solvers pick (x, theta) so that a pulse sends one chosen
 amplitude of a pair exactly to zero, transferring its population to the
 partner component.
@@ -37,9 +40,10 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from .channels import (
     CHANNELS,
@@ -100,21 +104,84 @@ class Direction(str, Enum):
     PREPARATION = "preparation"
 
 
-@dataclass(frozen=True)
+def _wrap_angles(theta: np.ndarray) -> np.ndarray:
+    """:func:`wrap_angle` over an array, bit for bit: ``fmod`` is exact, and so
+    is each shift by tau, of a value between pi and tau in magnitude (Sterbenz)."""
+    w = np.fmod(theta, math.tau)
+    w = np.where(w > math.pi, w - math.tau, w)
+    return np.where(w <= -math.pi, w + math.tau, w)
+
+
 class Schedule:
-    """An ordered pulse program plus the metadata needed to replay it."""
+    """An ordered pulse program plus the metadata needed to replay it.
 
-    pulses: tuple[Pulse, ...]
-    lamb_dicke: LambDickeParams
-    truncation: Truncation
-    direction: Direction
-    target: str = ""
+    The program is held as columns, one entry per pulse: ``channel`` (uint8
+    :class:`ChannelId` codes), ``x`` and ``theta`` (float64), all read-only,
+    and ``notes`` (a tuple of :class:`Component` or ``None``).  Both
+    constructors, :meth:`from_columns` and ``Schedule(pulses, ...)`` from
+    :class:`Pulse` objects, validate the columns and wrap the phases into
+    (-pi, pi] in one place; :attr:`pulses` gives :class:`Pulse` views back.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "pulses", tuple(self.pulses))
+    def __init__(
+        self, pulses: Iterable[Pulse], lamb_dicke: LambDickeParams, truncation: Truncation,
+        direction: Direction, target: str = "",
+    ) -> None:
+        p = list(pulses)
+        columns = [q.channel for q in p], [q.x for q in p], [q.theta for q in p], [q.note for q in p]
+        self._set(*columns, lamb_dicke, truncation, direction, target)
+
+    @classmethod
+    def from_columns(
+        cls, channel: ArrayLike, x: ArrayLike, theta: ArrayLike, notes: Sequence[Component | None],
+        lamb_dicke: LambDickeParams, truncation: Truncation, direction: Direction, target: str = "",
+    ) -> Schedule:
+        """Build a schedule from its columns; arrays of the right dtype are kept,
+        not copied, and made read-only.  An error names the first bad pulse."""
+        self = cls.__new__(cls)
+        self._set(channel, x, theta, notes, lamb_dicke, truncation, direction, target)
+        return self
+
+    def _set(self, channel, x, theta, notes, lamb_dicke, truncation, direction, target) -> None:
+        channel = np.asarray(channel, dtype=np.uint8)
+        x = np.asarray(x, dtype=np.float64)
+        theta = np.asarray(theta, dtype=np.float64)
+        notes = tuple(notes)
+        if not channel.shape == x.shape == theta.shape == (len(notes),):
+            raise DomainError("schedule columns must be 1-D and of one length")
+        for name, column, bad, rule in (
+            ("channel", channel, (channel < 1) | (channel > len(ChannelId)), "unknown channel code"),
+            ("x", x, ~(np.isfinite(x) & (x >= 0.0)), "pulse length must be finite and >= 0"),
+            ("theta", theta, ~np.isfinite(theta), "pulse phase must be finite"),
+        ):
+            if bad.any():
+                i = int(np.flatnonzero(bad)[0])
+                raise DomainError(f"pulses[{i}].{name}: {rule}, got {column[i].item()!r}")
+        self.channel, self.x, self.theta, self.notes = channel, x, _wrap_angles(theta), notes
+        for column in (self.channel, self.x, self.theta):
+            column.flags.writeable = False
+        self.lamb_dicke, self.truncation = lamb_dicke, truncation
+        self.direction, self.target = direction, target
+
+    @property
+    def pulses(self) -> tuple[Pulse, ...]:
+        """The program as :class:`Pulse` views, built on each access."""
+        channels = map(ChannelId, self.channel.tolist())
+        return tuple(map(Pulse, channels, self.x.tolist(), self.theta.tolist(), self.notes))
 
     def __len__(self) -> int:
-        return len(self.pulses)
+        return len(self.notes)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Schedule):
+            return NotImplemented
+        return (
+            (self.lamb_dicke, self.truncation, self.direction, self.target, self.notes)
+            == (other.lamb_dicke, other.truncation, other.direction, other.target, other.notes)
+            and np.array_equal(self.channel, other.channel)
+            and np.array_equal(self.x, other.x)
+            and np.array_equal(self.theta, other.theta)
+        )
 
 
 @lru_cache(maxsize=256)
@@ -146,22 +213,22 @@ def _replay(
     amps: np.ndarray,
     truncation: Truncation,
     ld: LambDickeParams,
-    pulses: Iterable[tuple[ChannelId, float, float]],
+    pulses: Iterable[tuple[int, float, float]],
 ) -> None:
-    """Apply (channel, x, theta) pulses to ``amps`` in place: the replay kernel.
+    """Apply (channel code, x, theta) pulses to ``amps`` in place: the replay kernel.
 
     Each pulse rotates only the pairs that reach the occupied-J frontier; see
     the module docstring for why the skipped pairs hold exact zeros.
     """
     occupied = np.flatnonzero(amps)
     frontier = int(_total_j(occupied[-1], truncation)) if occupied.size else 0
-    tables: dict[ChannelId, _PairTable] = {}
-    for cid, x, theta in pulses:
+    tables: dict[int, PairTable] = {}
+    for code, x, theta in pulses:
         if x == 0.0:
             continue
-        table = tables.get(cid)
+        table = tables.get(code)
         if table is None:
-            table = tables[cid] = _pair_table(cid, truncation, ld)
+            table = tables[code] = _pair_table(ChannelId(code), truncation, ld)
         _rotate_inplace(amps, table, x, theta, table.prefix[frontier])
         frontier = min(frontier + table.lift, truncation.j_max)
 
@@ -187,7 +254,7 @@ def apply_schedule(state: StateVector, schedule: Schedule) -> StateVector:
         amps,
         schedule.truncation,
         schedule.lamb_dicke,
-        ((p.channel, p.x, p.theta) for p in schedule.pulses),
+        zip(schedule.channel.tolist(), schedule.x.tolist(), schedule.theta.tolist()),
     )
     return StateVector._wrap(amps, state.truncation)
 
@@ -199,15 +266,9 @@ def dagger_schedule(schedule: Schedule) -> Schedule:
         if schedule.direction is Direction.DEEVOLUTION
         else Direction.DEEVOLUTION
     )
-    return Schedule(
-        tuple(
-            Pulse(p.channel, p.x, p.theta + math.pi, p.note)
-            for p in reversed(schedule.pulses)
-        ),
-        schedule.lamb_dicke,
-        schedule.truncation,
-        flipped,
-        schedule.target,
+    return Schedule.from_columns(
+        schedule.channel[::-1], schedule.x[::-1], schedule.theta[::-1] + math.pi, schedule.notes[::-1],
+        schedule.lamb_dicke, schedule.truncation, flipped, schedule.target,
     )
 
 

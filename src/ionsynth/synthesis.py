@@ -253,9 +253,7 @@ def deevolve(
     pulses: list[Pulse] = []
     run_steps(work, plan(target.truncation.j_max), pulses.append, ld)
     residual = 1.0 - abs(work.amplitudes[0]) ** 2
-    deevolution = Schedule(
-        tuple(pulses), ld, target.truncation, Direction.DEEVOLUTION, description
-    )
+    deevolution = Schedule(pulses, ld, target.truncation, Direction.DEEVOLUTION, description)
     return CompileResult(
         deevolution=deevolution,
         preparation=dagger_schedule(deevolution),

@@ -260,3 +260,20 @@ def test_compile_rejects_uncoupled_pair_by_name(argv, channel, tmp_path, capsys)
     assert err.startswith(f"error: channel {channel} has no coupled pair at occupation (")
     assert "LambDickeParams(" in err and "unexpected" not in err
     assert not out_path.exists()
+
+
+def test_jmax_over_the_cap_exits_2_by_name(tmp_path, capsys):
+    out_path = tmp_path / "s.json"
+    code, _, err = run(capsys, "compile", "--target", "corr", "--jmax", "41", "--out", str(out_path))
+    assert code == 2
+    assert "j_max 41" in err and "40" in err
+    assert not out_path.exists()
+
+    path = tmp_path / "ok.json"
+    assert run(capsys, "compile", "--target", "ghz", "--jmax", "2", "--out", str(path))[0] == 0
+    doc = json.loads(path.read_text())
+    doc["jmax"] = 41
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", "--schedule", str(path), "--target", "ghz")
+    assert code == 2
+    assert "jmax: j_max 41 exceeds the cap of 40" in err and "status" not in out

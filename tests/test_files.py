@@ -195,6 +195,68 @@ def test_load_schedule_rejects(tmp_path, mutate, fragment):
     assert fragment in str(err.value).replace("'", "")
 
 
+def _write_three_pulse_doc(tmp_path, mutate):
+    doc = {
+        "version": 1,
+        "lamb_dicke": {"ex": 0.3, "ey": 0.1, "ez": 0.2, "exc": 0.1},
+        "jmax": 2,
+        "direction": "preparation",
+        "target": "",
+        "pulses": [
+            {"i": 0, "channel": "H2", "x": 0.5, "theta": 0.25, "note": [0, 0, 0, "b"]},
+            {"i": 1, "channel": "H9", "x": 0.0, "theta": -1.5, "note": None},
+            {"i": 2, "channel": "H1", "x": 1.5, "theta": 3.0, "note": [0, 1, 0, "a"]},
+        ],
+    }
+    mutate(doc["pulses"][2])
+    path = tmp_path / "bad3.json"
+    path.write_text(json.dumps(doc))  # a NaN is written as the NaN literal
+    return path
+
+
+def test_three_pulse_document_loads(tmp_path):
+    schedule = load_schedule(_write_three_pulse_doc(tmp_path, lambda p: None))
+    assert [p.channel for p in schedule.pulses] == [ChannelId.H2, ChannelId.H9, ChannelId.H1]
+
+
+@pytest.mark.parametrize(
+    "mutate, fragment",
+    [
+        (lambda p: p.update(x="1.5"), "pulses[2].x: unexpected type str"),
+        (lambda p: p.update(x=-1.5), "pulses[2].x: pulse length must be finite and >= 0"),
+        (lambda p: p.update(theta=float("nan")), "pulses[2].theta: pulse phase must be finite"),
+        (lambda p: p.update(channel="H0"), "pulses[2].channel: unknown channel H0"),
+        (lambda p: p.update(i=0), "pulses[2].i: expected 2, got 0"),
+        (lambda p: p.pop("i"), "pulses[2].i: missing"),
+        (lambda p: p.update(note=[2, 1, 0, "a"]), "pulses[2].note: total occupation 3 exceeds"),
+        (lambda p: p.update(note=[0, 1, 0, "c"]), "pulses[2].note: level c is not coupled"),
+    ],
+    ids=["x-string", "x-negative", "theta-nan", "channel", "index", "index-missing",
+         "note-cutoff", "note-level"],
+)
+def test_load_schedule_names_a_bad_entry_past_the_first(tmp_path, mutate, fragment):
+    path = _write_three_pulse_doc(tmp_path, mutate)
+    with pytest.raises(ScheduleFormatError) as err:
+        load_schedule(path)
+    assert fragment in str(err.value).replace("'", "")
+
+
+def test_load_schedule_rejects_a_non_object_entry_past_the_first(tmp_path):
+    path = _write_three_pulse_doc(tmp_path, lambda p: None)
+    doc = json.loads(path.read_text())
+    doc["pulses"][2] = [2, "H1", 1.5, 3.0]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ScheduleFormatError, match=r"pulses\[2\]: expected an object"):
+        load_schedule(path)
+
+
+def test_load_schedule_rejects_jmax_over_the_cap(tmp_path):
+    path = _write_doc(tmp_path, lambda d: d.update(jmax=41))
+    with pytest.raises(ScheduleFormatError) as err:
+        load_schedule(path)
+    assert str(err.value) == "jmax: j_max 41 exceeds the cap of 40"
+
+
 def test_load_schedule_rejects_garbage(tmp_path):
     path = tmp_path / "junk.json"
     path.write_text("{ not json")

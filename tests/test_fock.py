@@ -49,6 +49,12 @@ def test_truncation_validation():
         Truncation(2.5)
 
 
+def test_truncation_cap():
+    assert Truncation(40).dim == 4 * 12341
+    with pytest.raises(DomainError, match="j_max 41 exceeds the cap of 40"):
+        Truncation(41)
+
+
 def test_canonical_order():
     """Ascending total, then nx, then ny, with the electronic level innermost."""
     t = Truncation(3)

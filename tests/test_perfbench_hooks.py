@@ -13,7 +13,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ionsynth import CHANNELS, ChannelId, LambDickeParams, Truncation, deevolve, target_ghz
+from ionsynth import (
+    CHANNELS,
+    ChannelId,
+    LambDickeParams,
+    NoiseModel,
+    Truncation,
+    deevolve,
+    target_corr,
+    target_ghz,
+)
+from ionsynth import noise
 from ionsynth.channels import coupled_pairs
 from ionsynth.cli import main
 
@@ -86,3 +96,23 @@ def test_traced_compile_at_fresh_point_builds_nine_tables(tmp_path, capsys):
         pairs, _ = coupled_pairs(spec, t, ld)
         assert tracer.pair_sizes[(cid, t, ld)] == len(pairs)
         assert tracer.pair_count(cid, t, ld) == len(pairs)
+
+
+def test_traced_trials_go_through_perturb_and_apply_schedule():
+    """A noisy trial is apply_schedule(vacuum, perturb(...)), so a traced batch
+    records both spans once per trial and counts every replayed pulse."""
+    target = target_corr(1.0, Truncation(4)).state
+    preparation = deevolve(target).preparation
+    spans = load("spans")
+    tracer = spans.Tracer()
+    tracer.request = 1
+    tracer.install()
+    try:
+        noise.run_trials(target, preparation, NoiseModel(0.03, 0.01), 3, seed=5)
+    finally:
+        tracer.uninstall()
+    names = [span[spans.NAME] for span in tracer.spans]
+    assert names.count("noise.perturb") == names.count("pulses.apply_schedule") == 3
+    m = spans.summarize(tracer, 1)
+    assert m["pulses.pulses_applied"] == 3 * len(preparation)
+    assert m["noise.perturb_s"] > 0 and m["pulses.apply_schedule_s"] > 0

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ionsynth import (
     CHANNELS,
@@ -27,12 +29,14 @@ from ionsynth import (
     random_target,
     solve_kill_lower,
     solve_kill_upper,
+    NoiseModel,
+    perturb,
     target_corr,
     target_ghz,
     vacuum_state,
     wrap_angle,
 )
-from ionsynth.pulses import _pair_table, _rotate_inplace, oracle_apply
+from ionsynth.pulses import _pair_table, _rotate_inplace, _wrap_angles, oracle_apply
 
 from conftest import random_state
 
@@ -411,3 +415,139 @@ def test_rotate_matches_per_pair_kernel_bit_for_bit(j_max, ld):
                 per_pair_rotate(want, table, x, theta, count)
                 _rotate_inplace(amps, table, x, theta, count)
                 assert amps.tobytes() == want.tobytes(), (cid, count, x, theta)
+
+
+# --- columnar schedules -----------------------------------------------------
+
+WRAP_EDGES = [
+    v
+    for base in (math.pi, math.tau, 3 * math.pi, 1e300, 5e-324, 2.2250738585072014e-308, 0.0)
+    for m in (base, math.nextafter(base, math.inf), math.nextafter(base, -math.inf))
+    for v in (m, -m)
+]
+
+
+def test_vectorised_wrap_matches_wrap_angle_on_edges():
+    got = _wrap_angles(np.array(WRAP_EDGES))
+    assert [w.hex() for w in got.tolist()] == [wrap_angle(v).hex() for v in WRAP_EDGES]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.floats(-10.0, 10.0),
+            st.sampled_from(WRAP_EDGES),
+        ),
+        min_size=1,
+        max_size=50,
+    )
+)
+def test_vectorised_wrap_matches_wrap_angle_bit_for_bit(thetas):
+    got = _wrap_angles(np.array(thetas, dtype=np.float64))
+    assert [w.hex() for w in got.tolist()] == [wrap_angle(v).hex() for v in thetas]
+
+
+def columns(schedule):
+    return (
+        schedule.channel.tobytes(),
+        schedule.x.tobytes(),
+        schedule.theta.tobytes(),
+        schedule.notes,
+        schedule.lamb_dicke,
+        schedule.truncation,
+        schedule.direction,
+        schedule.target,
+    )
+
+
+def compiled_schedules():
+    for target in (target_ghz(1.0, Truncation(4)), target_corr(1.0, Truncation(6))):
+        result = deevolve(target.state, description=target.description)
+        yield result.deevolution
+        yield result.preparation
+
+
+@pytest.mark.parametrize(
+    "schedule",
+    [
+        *compiled_schedules(),
+        Schedule((), LD, Truncation(2), Direction.PREPARATION),
+        Schedule((Pulse(ChannelId.H9, 0.25, -3.0),), LD, Truncation(2), Direction.DEEVOLUTION, "one"),
+    ],
+    ids=["ghz-de", "ghz-prep", "corr-de", "corr-prep", "empty", "single"],
+)
+def test_schedule_round_trips_through_pulse_views(schedule):
+    again = Schedule(
+        schedule.pulses, schedule.lamb_dicke, schedule.truncation, schedule.direction, schedule.target
+    )
+    assert again == schedule
+    assert columns(again) == columns(schedule)
+    assert len(again) == len(schedule.pulses)
+    assert schedule.channel.dtype == np.uint8
+    assert all(isinstance(p.channel, ChannelId) for p in schedule.pulses)
+
+
+def test_schedule_columns_are_read_only_and_shared():
+    schedule = next(compiled_schedules())
+    with pytest.raises(ValueError):
+        schedule.x[0] = 1.0
+    noisy = perturb(schedule, NoiseModel(0.01, 0.01), np.random.default_rng(0))
+    assert noisy.channel is schedule.channel and noisy.notes is schedule.notes
+
+
+def test_schedule_equality_sees_every_column():
+    base = (
+        Pulse(ChannelId.H1, 0.5, 0.25, Component(Occupation(0, 1, 0), Level.A)),
+        Pulse(ChannelId.H2, 0.0, -1.0),
+    )
+    t = Truncation(2)
+    schedule = Schedule(base, LD, t, Direction.PREPARATION, "t")
+    assert schedule == Schedule(base, LD, t, Direction.PREPARATION, "t")
+    assert schedule != "not a schedule"
+    changed = [
+        (ChannelId.H3, 0.0, -1.0, None),
+        (ChannelId.H2, 1e-300, -1.0, None),
+        (ChannelId.H2, 0.0, math.nextafter(-1.0, 0.0), None),
+        (ChannelId.H2, 0.0, -1.0, Component(Occupation(0, 0, 0), Level.A)),
+    ]
+    for channel, x, theta, note in changed:
+        other = Schedule((base[0], Pulse(channel, x, theta, note)), LD, t, Direction.PREPARATION, "t")
+        assert schedule != other
+    for other in (
+        Schedule(base, LambDickeParams(0.3, 0.1, 0.2, 0.2), t, Direction.PREPARATION, "t"),
+        Schedule(base, LD, Truncation(3), Direction.PREPARATION, "t"),
+        Schedule(base, LD, t, Direction.DEEVOLUTION, "t"),
+        Schedule(base, LD, t, Direction.PREPARATION, "u"),
+        Schedule(base[:1], LD, t, Direction.PREPARATION, "t"),
+    ):
+        assert schedule != other
+
+
+@pytest.mark.parametrize(
+    "channel, x, theta, fragment",
+    [
+        ([1, 2, 0], [0.1, 0.2, 0.3], [0.0, 0.0, 0.0], "pulses[2].channel"),
+        ([1, 2, 10], [0.1, 0.2, 0.3], [0.0, 0.0, 0.0], "pulses[2].channel"),
+        ([1, 2, 3], [0.1, 0.2, -0.3], [0.0, 0.0, 0.0], "pulses[2].x"),
+        ([1, 2, 3], [0.1, math.inf, math.nan], [0.0, 0.0, 0.0], "pulses[1].x"),
+        ([1, 2, 3], [0.1, 0.2, 0.3], [0.0, 0.0, math.nan], "pulses[2].theta"),
+        ([1, 2, 3], [0.1, 0.2, 0.3], [0.0, -math.inf, 0.0], "pulses[1].theta"),
+        ([1, 2], [0.1, 0.2, 0.3], [0.0, 0.0, 0.0], "one length"),
+    ],
+)
+def test_schedule_constructor_names_the_first_bad_pulse(channel, x, theta, fragment):
+    with pytest.raises(DomainError) as err:
+        Schedule.from_columns(
+            channel, x, theta, [None] * 3, LD, Truncation(2), Direction.PREPARATION
+        )
+    assert fragment in str(err.value)
+
+
+def test_from_columns_wraps_phases_like_pulse():
+    thetas = [5 * math.pi, -math.pi, math.pi, 1e300, -7.5]
+    schedule = Schedule.from_columns(
+        [1] * 5, [0.0] * 5, thetas, [None] * 5, LD, Truncation(1), Direction.PREPARATION
+    )
+    assert schedule.theta.tolist() == [Pulse(ChannelId.H1, 0.0, v).theta for v in thetas]

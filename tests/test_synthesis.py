@@ -371,6 +371,12 @@ def test_golden_pulse_counts_small():
     assert pulse_count_model(6) == 482
 
 
+def test_pulse_count_model_is_not_capped():
+    """It counts the plan without a basis, so it sizes cutoffs Truncation refuses."""
+    assert pulse_count_model(40) == 92741
+    assert pulse_count_model(41) > 92741
+
+
 # --- Stage-frontier rotations against the full-table compiler ---------------
 
 
