@@ -52,7 +52,6 @@ from .noise import (
     SweepReport,
     SweepRow,
     TrialResult,
-    TrialStats,
     perturb,
     run_trials,
     simulate_trial,
@@ -122,7 +121,6 @@ __all__ = [
     "SweepReport",
     "SweepRow",
     "TrialResult",
-    "TrialStats",
     "perturb",
     "run_trials",
     "simulate_trial",

@@ -10,8 +10,8 @@ Subcommands:
   written as CSV.
 * ``targets`` — list the built-in target states.
 
-Exit codes: 0 on success, 2 on validation problems (bad flags, malformed
-files, below-tolerance verification), 1 on unexpected runtime errors.
+Exit codes: 0 on success, 2 on validation problems (bad flags, malformed or
+unreadable files, below-tolerance verification), 1 on unexpected runtime errors.
 """
 
 from __future__ import annotations
@@ -260,10 +260,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (DomainError, ScheduleFormatError, TargetFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (DomainError, ScheduleFormatError, TargetFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - defensive

@@ -30,7 +30,6 @@ files that are not normalized are rejected, not fixed.
 from __future__ import annotations
 
 import json
-import math
 import os
 from typing import Any
 
@@ -71,6 +70,10 @@ _PULSE_JSON = (
 _NOTE_JSON = '[\n        {},\n        {},\n        {},\n        "{}"\n      ]'
 _CHANNEL_NAMES = {cid.value: cid.name for cid in ChannelId}
 _MISSING = object()
+# The least integer that float() rounds past the largest float.  Every finite
+# float lies below it and inf and nan do not, so ``abs(v) < _FLOAT_END`` holds
+# exactly for the JSON numbers that convert to a finite float.
+_FLOAT_END = 2**1024 - 2**970
 
 
 def save_schedule(schedule: Schedule, path: str | os.PathLike[str]) -> None:
@@ -125,6 +128,17 @@ def _expect(doc: dict[str, Any], key: str, kinds: tuple[type, ...], where: str =
     return _column([doc], key, kinds, where)[0]
 
 
+def _reals(entries: list[Any], key: str, where: str = "pulses[{}].") -> np.ndarray:
+    """Numeric field ``key`` of every entry as float64; an integer past the
+    float range is a format error, not an ``OverflowError``."""
+    values = _column(entries, key, (int, float), where)
+    try:
+        return np.asarray(values, dtype=np.float64)
+    except OverflowError:
+        i = next(i for i, v in enumerate(values) if type(v) is int and abs(v) >= _FLOAT_END)
+        raise ScheduleFormatError(f"{where.format(i)}{key}: integer past the float range") from None
+
+
 def _parse_note(raw: Any, i: int, j_max: int, channel: ChannelId) -> Component | None:
     if raw is None:
         return None
@@ -152,7 +166,7 @@ def load_schedule(path: str | os.PathLike[str]) -> Schedule:
     try:
         with open(path, encoding="utf-8") as f:
             doc = json.load(f)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, bad UTF-8, or an integer past int()'s digit limit
         raise ScheduleFormatError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise ScheduleFormatError("top level: expected an object")
@@ -161,7 +175,7 @@ def load_schedule(path: str | os.PathLike[str]) -> Schedule:
         raise ScheduleFormatError(f"version: unsupported value {version!r}")
 
     ld_doc = _expect(doc, "lamb_dicke", (dict,))
-    eps = [_expect(ld_doc, key, (int, float), "lamb_dicke.") for key in ("ex", "ey", "ez", "exc")]
+    eps = [_reals([ld_doc], key, "lamb_dicke.")[0] for key in ("ex", "ey", "ez", "exc")]
     try:
         ld = LambDickeParams(*map(float, eps))
     except DomainError as exc:
@@ -194,8 +208,8 @@ def load_schedule(path: str | os.PathLike[str]) -> Schedule:
     if None in channels:
         i = channels.index(None)
         raise ScheduleFormatError(f"pulses[{i}].channel: unknown channel {names[i]!r}")
-    x = _column(entries, "x", (int, float))
-    theta = _column(entries, "theta", (int, float))
+    x = _reals(entries, "x")
+    theta = _reals(entries, "theta")
     notes = [
         _parse_note(entry.get("note"), i, jmax, channel)
         for i, (entry, channel) in enumerate(zip(entries, channels))
@@ -228,7 +242,7 @@ def load_target(path: str | os.PathLike[str], truncation: Truncation) -> Target:
     try:
         with open(path, encoding="utf-8") as f:
             doc = json.load(f)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # as in load_schedule
         raise TargetFormatError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(doc, list):
         raise TargetFormatError("top level: expected an array of components")
@@ -256,8 +270,8 @@ def load_target(path: str | os.PathLike[str], truncation: Truncation) -> Target:
                 raise TargetFormatError(f"{where}.{key}: missing")
             if not isinstance(item[key], (int, float)) or isinstance(item[key], bool):
                 raise TargetFormatError(f"{where}.{key}: expected a number")
-            if not math.isfinite(item[key]):
-                raise TargetFormatError(f"{where}.{key}: must be finite")
+            if not abs(item[key]) < _FLOAT_END:
+                raise TargetFormatError(f"{where}.{key}: must be finite and within the float range")
         entries[occ] = complex(item["re"], item["im"])
 
     if not entries:

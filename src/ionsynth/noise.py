@@ -34,7 +34,6 @@ from .pulses import Schedule, apply_schedule
 __all__ = [
     "NoiseModel",
     "TrialResult",
-    "TrialStats",
     "SweepRow",
     "SweepReport",
     "perturb",
@@ -71,18 +70,9 @@ class TrialResult:
 
 
 @dataclass(frozen=True)
-class TrialStats:
-    """Aggregates over one batch of noisy trials."""
-
-    fid_mean: float
-    fid_std: float
-    fid_post_mean: float
-    efficiency_mean: float
-    trials: int
-
-
-@dataclass(frozen=True)
 class SweepRow:
+    """Aggregates over one batch of noisy trials under one noise model."""
+
     delta: float
     delta_theta: float
     trials: int
@@ -143,7 +133,7 @@ def run_trials(
     n: int,
     seed: int,
     substream: tuple[int, ...] = (),
-) -> TrialStats:
+) -> SweepRow:
     """Average fidelity, post-selected fidelity, and efficiency over ``n`` trials.
 
     ``substream`` namespaces the per-trial random streams; sweeps use it so
@@ -160,12 +150,14 @@ def run_trials(
     fids = np.array([r.fidelity for r in results])
     posts = np.array([r.postselect_fidelity for r in results])
     probs = np.array([r.level_a_probability for r in results])
-    return TrialStats(
+    return SweepRow(
+        delta=noise.delta,
+        delta_theta=noise.delta_theta,
+        trials=n,
         fid_mean=float(fids.mean()),
         fid_std=float(fids.std()),
         fid_post_mean=float(posts.mean()),
         efficiency_mean=float(probs.mean()),
-        trials=n,
     )
 
 
@@ -177,18 +169,8 @@ def sweep(
     seed: int,
 ) -> SweepReport:
     """Run :func:`run_trials` for every noise model in ``grid``."""
-    rows = []
-    for row_index, noise in enumerate(grid):
-        stats = run_trials(target, preparation, noise, n, seed, substream=(row_index,))
-        rows.append(
-            SweepRow(
-                delta=noise.delta,
-                delta_theta=noise.delta_theta,
-                trials=n,
-                fid_mean=stats.fid_mean,
-                fid_std=stats.fid_std,
-                fid_post_mean=stats.fid_post_mean,
-                efficiency_mean=stats.efficiency_mean,
-            )
-        )
-    return SweepReport(rows=tuple(rows), seed=seed, target=preparation.target)
+    rows = tuple(
+        run_trials(target, preparation, noise, n, seed, substream=(row_index,))
+        for row_index, noise in enumerate(grid)
+    )
+    return SweepReport(rows=rows, seed=seed, target=preparation.target)

@@ -20,8 +20,10 @@ The program's shape is data: each builder takes only ``(J[, nx])`` and yields
 steps ``(channel, occupation, kill_upper)``, and ``plan(j_max)`` chains them
 into the whole de-evolution, fixed by the cutoff alone as a hardware sequence
 is fixed before the state is known.  One numeric pass, ``run_steps``, solves
-each step against the working amplitudes, emits the pulse and applies it; a
-step on zero amplitudes still emits an explicit x=0 pulse.
+each step against the working amplitudes, applies it and returns the pulses
+as ``(channel, x, theta, note)`` rows, which ``deevolve`` hands to
+``Schedule.from_columns``; a step on zero amplitudes still yields an explicit
+x=0 pulse.
 
 Applying a pulse solved at an occupation of total J rotates only the pairs of
 its channel whose lower-J end is <= J (the stage frontier).  Amplitudes the
@@ -49,7 +51,7 @@ unrotated: amplitudes at or below it match a full-table rotation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .channels import CHANNELS, ChannelId, LambDickeParams, rabi
 from .fock import (
@@ -63,7 +65,6 @@ from .fock import (
 )
 from .pulses import (
     Direction,
-    Pulse,
     Schedule,
     _pair_table,
     _rotate_inplace,
@@ -107,11 +108,10 @@ def _solve_and_apply(
     occ: Occupation,
     *,
     kill_upper: bool,
-    emit: Callable[[Pulse], None],
     ld: LambDickeParams,
-) -> None:
-    """Solve one transfer against current amplitudes, emit it, and apply it
-    up to the stage frontier ``occ.total`` (see the module docstring)."""
+) -> tuple[ChannelId, float, float, Component]:
+    """Solve one transfer against current amplitudes, apply it up to the
+    stage frontier ``occ.total`` (see the module docstring), and return it."""
     table = _pair_table(cid, work.truncation, ld)
     src_index = index_of(Component(occ, CHANNELS[cid].lower_level), work.truncation)
     row = table.row_of(src_index)
@@ -129,20 +129,20 @@ def _solve_and_apply(
     solve = solve_kill_upper if kill_upper else solve_kill_lower
     x, theta = solve(q_lower, q_upper, omega)
     note = component_of(dst_index if kill_upper else src_index, work.truncation)
-    pulse = Pulse(cid, x, theta, note)
-    emit(pulse)
-    _rotate_inplace(work.amplitudes, table, pulse.x, pulse.theta, table.prefix[occ.total])
+    _rotate_inplace(work.amplitudes, table, x, theta, table.prefix[occ.total])
+    return cid, x, theta, note
 
 
 def run_steps(
-    work: StateVector,
-    steps: Iterable[Step],
-    emit: Callable[[Pulse], None],
-    ld: LambDickeParams,
-) -> None:
-    """The numeric pass: solve, emit and apply each step in order on ``work``."""
-    for cid, occ, kill_upper in steps:
-        _solve_and_apply(work, cid, occ, kill_upper=kill_upper, emit=emit, ld=ld)
+    work: StateVector, steps: Iterable[Step], ld: LambDickeParams
+) -> list[tuple[ChannelId, float, float, Component]]:
+    """The numeric pass: solve and apply each step in order on ``work``; returns
+    the pulses as (channel, x, theta, note) rows.  The solvers return Python
+    floats with theta already in (-pi, pi], so the rows need no conversion."""
+    return [
+        _solve_and_apply(work, cid, occ, kill_upper=kill_upper, ld=ld)
+        for cid, occ, kill_upper in steps
+    ]
 
 
 def _collect_row(j: int, n_x: int, exchange: ChannelId, carrier: ChannelId, lead: bool) -> Iterator[Step]:
@@ -250,15 +250,16 @@ def deevolve(
     if not abs(norm - 1.0) <= 1e-6:  # written so that a NaN norm fails too
         raise DomainError(f"target must be normalized, got norm {norm!r}")
     work = StateVector._wrap(target.amplitudes / norm, target.truncation)
-    pulses: list[Pulse] = []
-    run_steps(work, plan(target.truncation.j_max), pulses.append, ld)
+    rows = run_steps(work, plan(target.truncation.j_max), ld)  # never empty
     residual = 1.0 - abs(work.amplitudes[0]) ** 2
-    deevolution = Schedule(pulses, ld, target.truncation, Direction.DEEVOLUTION, description)
+    deevolution = Schedule.from_columns(
+        *zip(*rows), ld, target.truncation, Direction.DEEVOLUTION, description
+    )
     return CompileResult(
         deevolution=deevolution,
         preparation=dagger_schedule(deevolution),
         final_residual=max(0.0, float(residual)),
-        pulse_count=len(pulses),
+        pulse_count=len(rows),
     )
 
 

@@ -277,3 +277,88 @@ def test_jmax_over_the_cap_exits_2_by_name(tmp_path, capsys):
     code, out, err = run(capsys, "verify", "--schedule", str(path), "--target", "ghz")
     assert code == 2
     assert "jmax: j_max 41 exceeds the cap of 40" in err and "status" not in out
+
+
+HUGE = 10**400  # a JSON integer past the float range
+
+
+def edit_schedule(edit):
+    def prepare(schedule, target):
+        doc = json.loads(schedule.read_text())
+        edit(doc)
+        schedule.write_text(json.dumps(doc))
+
+    return prepare
+
+
+def write_target(data: bytes):
+    return lambda schedule, target: target.write_bytes(data)
+
+
+def not_utf8_schedule(schedule, target):
+    schedule.write_bytes(b"\xff" + schedule.read_bytes())
+
+
+def long_int_schedule(schedule, target):
+    """A 5001-digit version number, past the digit limit of int()."""
+    schedule.write_text(schedule.read_text().replace('"version": 1', '"version": 1' + "0" * 5000))
+
+
+def untouched(schedule, target):
+    pass
+
+
+VERIFY = ["verify", "--schedule", "{schedule}", "--target", "ghz"]
+COMPILE_FILE = ["compile", "--target", "file:{target}", "--jmax", "2", "--out", "{dir}/o.json"]
+
+
+@pytest.mark.parametrize(
+    "prepare, argv, named",
+    [
+        pytest.param(
+            edit_schedule(lambda d: d["pulses"][1].update(x=HUGE)), VERIFY, "pulses[1].x", id="huge-x"
+        ),
+        pytest.param(
+            edit_schedule(lambda d: d["pulses"][1].update(theta=-HUGE)),
+            VERIFY, "pulses[1].theta", id="huge-theta",
+        ),
+        pytest.param(
+            edit_schedule(lambda d: d["lamb_dicke"].update(ex=HUGE)), VERIFY, "lamb_dicke.ex", id="huge-ex"
+        ),
+        pytest.param(long_int_schedule, VERIFY, "{schedule}", id="int-past-digit-limit"),
+        pytest.param(not_utf8_schedule, VERIFY, "{schedule}", id="schedule-not-utf8"),
+        pytest.param(
+            write_target(json.dumps([{"n": [0, 0, 0], "re": HUGE, "im": 0}]).encode()),
+            COMPILE_FILE, "[0].re", id="huge-re",
+        ),
+        pytest.param(
+            write_target(json.dumps([{"n": [0, 0, 0], "re": 1, "im": -HUGE}]).encode()),
+            COMPILE_FILE, "[0].im", id="huge-im",
+        ),
+        pytest.param(
+            write_target(b'[{"n": [0, 0, 0], "re": 1, "im": 0, "tag": "\xe9"}]'),
+            COMPILE_FILE, "{target}", id="target-not-utf8",
+        ),
+        pytest.param(
+            untouched, ["verify", "--schedule", "{dir}", "--target", "ghz"], "{dir}", id="schedule-is-dir"
+        ),
+        pytest.param(
+            untouched, ["compile", "--target", "ghz", "--jmax", "2", "--out", "{dir}"], "{dir}",
+            id="compile-out-is-dir",
+        ),
+        pytest.param(
+            untouched,
+            ["sweep", "--schedule", "{schedule}", "--target", "ghz", "--trials", "1", "--out", "{dir}"],
+            "{dir}", id="sweep-out-is-dir",
+        ),
+    ],
+)
+def test_bad_input_exits_2_naming_it(prepare, argv, named, ghz_schedule, tmp_path, capsys):
+    """Files and paths the loaders or writers cannot use exit 2 by name, not 1."""
+    paths = {"schedule": ghz_schedule, "target": tmp_path / "target.json", "dir": tmp_path / "dir"}
+    paths["dir"].mkdir()
+    prepare(paths["schedule"], paths["target"])
+    code, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
+    assert code == 2
+    assert err.startswith("error: ") and named.format(**paths) in err
+    assert "status" not in out

@@ -165,6 +165,10 @@ def test_run_trials_reproducible(preparation):
     assert a == b
     c = run_trials(target, prep, nm, 10, seed=43)
     assert c != a
+    # a batch is a sweep row: the same type, values and substream
+    row = run_trials(target, prep, nm, 10, seed=42, substream=(0,))
+    assert row == sweep(target, prep, [nm], n=10, seed=42).rows[0]
+    assert (row.delta, row.delta_theta, row.trials) == (0.03, 0.01, 10)
 
 
 def test_run_trials_matches_manual_stream(preparation):

@@ -12,7 +12,6 @@ from ionsynth import (
     LambDickeParams,
     Level,
     Occupation,
-    Pulse,
     StateVector,
     Truncation,
     apply_schedule,
@@ -86,14 +85,13 @@ def test_build_A_two_forced_transfers():
     """|0,0,1;a> walks to |0,1,0;a> through one exchange and one carrier pulse."""
     t = Truncation(1)
     work = basis_state(cell(0, 0, 1, Level.A), t)
-    emitted = []
-    run_steps(work, build_A(1, 0), emitted.append, LD)
-    assert [p.channel for p in emitted] == [ChannelId.H1, ChannelId.H2]
+    emitted = run_steps(work, build_A(1, 0), LD)
+    assert [channel for channel, *_ in emitted] == [ChannelId.H1, ChannelId.H2]
 
     omega_exchange = nonlinearity(LD.eps_y, 0) * nonlinearity(LD.eps_z, 0)
     omega_carrier = nonlinearity(LD.eps_carrier, 0)
-    assert emitted[0].x * omega_exchange == pytest.approx(math.pi / 2, abs=1e-12)
-    assert emitted[1].x * omega_carrier == pytest.approx(math.pi / 2, abs=1e-12)
+    assert emitted[0][1] * omega_exchange == pytest.approx(math.pi / 2, abs=1e-12)
+    assert emitted[1][1] * omega_carrier == pytest.approx(math.pi / 2, abs=1e-12)
     assert abs(work.amplitude(cell(0, 1, 0, Level.A))) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -114,7 +112,7 @@ def test_build_A_clears_row():
         put(work, c, complex(rng.normal(), rng.normal()))
     work = work.normalized()
 
-    run_steps(work, build_A(3, 1), [].append, LD)
+    run_steps(work, build_A(3, 1), LD)
 
     cleared = [
         cell(1, 0, 2, Level.A),
@@ -131,10 +129,9 @@ def test_build_A_clears_row():
 def test_build_B_collects_levels_b_and_c():
     t = Truncation(1)
     work = basis_state(cell(0, 0, 1, Level.C), t)
-    emitted = []
-    run_steps(work, build_B(1, 0), emitted.append, LD)
-    assert [p.channel for p in emitted] == [ChannelId.H4, ChannelId.H3, ChannelId.H4]
-    assert emitted[0].x * nonlinearity(LD.eps_carrier, 0) == pytest.approx(
+    emitted = run_steps(work, build_B(1, 0), LD)
+    assert [channel for channel, *_ in emitted] == [ChannelId.H4, ChannelId.H3, ChannelId.H4]
+    assert emitted[0][1] * nonlinearity(LD.eps_carrier, 0) == pytest.approx(
         math.pi / 2, abs=1e-12
     )
     assert abs(work.amplitude(cell(0, 1, 0, Level.B))) == pytest.approx(1.0, abs=1e-12)
@@ -150,7 +147,7 @@ def test_build_B_clears_full_row():
             put(work, Component(occ, level), complex(rng.normal(), rng.normal()))
     work = work.normalized()
 
-    run_steps(work, build_B(3, 0), [].append, LD)
+    run_steps(work, build_B(3, 0), LD)
 
     top = cell(0, 3, 0, Level.B)
     assert abs(work.amplitude(top)) == pytest.approx(1.0, abs=1e-12)
@@ -162,11 +159,9 @@ def test_build_B_clears_full_row():
 def test_build_C_single_merge():
     t = Truncation(1)
     work = basis_state(cell(0, 1, 0, Level.A), t)
-    emitted = []
-    run_steps(work, build_C(1, 0), emitted.append, LD0)
-    (p,) = emitted
-    assert p.channel is ChannelId.H5
-    assert p.x == pytest.approx(math.pi / 2, abs=1e-12)  # omega = sqrt(1*1) = 1
+    ((channel, x, _, _),) = run_steps(work, build_C(1, 0), LD0)
+    assert channel is ChannelId.H5
+    assert x == pytest.approx(math.pi / 2, abs=1e-12)  # omega = sqrt(1*1) = 1
     assert abs(work.amplitude(cell(0, 1, 0, Level.A))) <= 1e-12
     assert abs(work.amplitude(cell(1, 0, 0, Level.B))) == pytest.approx(1.0, abs=1e-12)
 
@@ -174,9 +169,8 @@ def test_build_C_single_merge():
 def test_build_U_abc_degenerate():
     t = Truncation(0)
     work = basis_state(cell(0, 0, 0, Level.B), t)
-    emitted = []
-    run_steps(work, build_U_abc(0), emitted.append, LD)
-    assert [p.channel for p in emitted] == [ChannelId.H2]
+    emitted = run_steps(work, build_U_abc(0), LD)
+    assert [channel for channel, *_ in emitted] == [ChannelId.H2]
     assert abs(work.amplitude(cell(0, 0, 0, Level.A))) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -185,7 +179,7 @@ def test_build_U_abc_concentrates_subspace():
     work = StateVector(np.zeros(t.dim), t)
     for c in (cell(1, 0, 0, Level.A), cell(0, 1, 0, Level.B), cell(0, 0, 1, Level.C)):
         put(work, c, 1 / math.sqrt(3))
-    run_steps(work, build_U_abc(1), [].append, LD)
+    run_steps(work, build_U_abc(1), LD)
     target = cell(1, 0, 0, Level.A)
     assert abs(work.amplitude(target)) == pytest.approx(1.0, abs=1e-12)
     for k in range(t.dim):
@@ -196,8 +190,7 @@ def test_build_U_abc_concentrates_subspace():
 def test_build_U_bcd_degenerate():
     t = Truncation(0)
     work = basis_state(cell(0, 0, 0, Level.C), t)
-    emitted = []
-    run_steps(work, build_U_bcd(0), emitted.append, LD)
+    emitted = run_steps(work, build_U_bcd(0), LD)
     assert len(emitted) == 2
     assert abs(work.amplitude(cell(0, 0, 0, Level.B))) == pytest.approx(1.0, abs=1e-12)
 
@@ -205,29 +198,25 @@ def test_build_U_bcd_degenerate():
 def test_build_U_bcd_from_level_d():
     t = Truncation(1)
     work = basis_state(cell(0, 0, 1, Level.D), t)
-    run_steps(work, build_U_bcd(1), [].append, LD)
+    run_steps(work, build_U_bcd(1), LD)
     assert abs(work.amplitude(cell(1, 0, 0, Level.B))) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_bridge_forced_transfer():
     t = Truncation(1)
     work = basis_state(cell(1, 0, 0, Level.A), t)
-    emitted = []
-    run_steps(work, bridge(1), emitted.append, LD0)
-    (p,) = emitted
-    assert p.channel is ChannelId.H9
-    assert p.x == pytest.approx(math.pi / 2, abs=1e-12)
+    ((channel, x, _, _),) = run_steps(work, bridge(1), LD0)
+    assert channel is ChannelId.H9
+    assert x == pytest.approx(math.pi / 2, abs=1e-12)
     assert abs(work.amplitude(cell(0, 0, 0, Level.B))) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_bridge_rabi_at_higher_rung():
     t = Truncation(4)
     work = basis_state(cell(4, 0, 0, Level.A), t)
-    emitted = []
-    run_steps(work, bridge(4), emitted.append, LD)
-    (p,) = emitted
+    ((_, x, _, _),) = run_steps(work, bridge(4), LD)
     omega = 2.0 * nonlinearity(0.1, 3)
-    assert p.x * omega == pytest.approx(math.pi / 2, abs=1e-12)
+    assert x * omega == pytest.approx(math.pi / 2, abs=1e-12)
     assert abs(work.amplitude(cell(4, 0, 0, Level.A))) <= 1e-12
 
 
@@ -380,7 +369,7 @@ def test_pulse_count_model_is_not_capped():
 # --- Stage-frontier rotations against the full-table compiler ---------------
 
 
-def full_table_solve_and_apply(work, cid, occ, *, kill_upper, emit, ld):
+def full_table_solve_and_apply(work, cid, occ, *, kill_upper, ld):
     """Reference compiler step: every coupled pair of the channel rotates on
     every pulse, whatever the solved J (the loop before stage frontiers)."""
     spec = CHANNELS[cid]
@@ -401,9 +390,8 @@ def full_table_solve_and_apply(work, cid, occ, *, kill_upper, emit, ld):
     else:
         x, theta = solve_kill_lower(q_lower, q_upper, omega)
         note = Component(occ, spec.lower_level)
-    pulse = Pulse(cid, x, theta, note)
-    emit(pulse)
-    _rotate_inplace(work.amplitudes, table, pulse.x, pulse.theta)
+    _rotate_inplace(work.amplitudes, table, x, theta)
+    return cid, x, theta, note
 
 
 def full_table(fn, *args):
@@ -413,7 +401,7 @@ def full_table(fn, *args):
 
     def step(*a, **kw):
         calls.append(1)
-        full_table_solve_and_apply(*a, **kw)
+        return full_table_solve_and_apply(*a, **kw)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(synthesis, "_solve_and_apply", step)
@@ -424,6 +412,10 @@ def full_table(fn, *args):
 
 def fingerprint(pulses):
     return [(p.channel, p.x.hex(), p.theta.hex(), p.note) for p in pulses]
+
+
+def row_fingerprint(rows):
+    return [(channel, x.hex(), theta.hex(), note) for channel, x, theta, note in rows]
 
 
 def sparse_random(t: Truncation, seed: int) -> StateVector:
@@ -478,14 +470,13 @@ def builder_calls(j_max: int):
 
 
 def run_builder(builder, state: StateVector, args, ld, *, reference: bool):
-    """Apply one builder to a copy of ``state``; returns (pulses, amplitudes)."""
+    """Apply one builder to a copy of ``state``; returns (rows, amplitudes)."""
     work = StateVector(state.amplitudes.copy(), state.truncation)
-    pulses = []
     if reference:
-        full_table(run_steps, work, builder(*args), pulses.append, ld)
+        rows = full_table(run_steps, work, builder(*args), ld)
     else:
-        run_steps(work, builder(*args), pulses.append, ld)
-    return pulses, work.amplitudes
+        rows = run_steps(work, builder(*args), ld)
+    return rows, work.amplitudes
 
 
 def assert_matches_up_to(builder, state, args, solved_j, ld):
@@ -495,7 +486,7 @@ def assert_matches_up_to(builder, state, args, solved_j, ld):
     t = state.truncation
     got, amps = run_builder(builder, state, args, ld, reference=False)
     want, ref = run_builder(builder, state, args, ld, reference=True)
-    assert fingerprint(got) == fingerprint(want)
+    assert row_fingerprint(got) == row_fingerprint(want)
     total = _total_j(np.arange(t.dim), t)
     low = total <= solved_j
     assert np.array_equal(amps[low], ref[low])
