@@ -18,13 +18,8 @@ with ``L1_n`` the generalized Laguerre polynomial of order 1; it tends to 1 in
 the small-eps limit, recovering the familiar sqrt factors.
 
 A channel's coupled pairs are built as arrays, by arithmetic on the canonical
-basis order (``fock``): the occupation (nx, ny, nz) of total J = nx + ny + nz
-has vibrational index
-
-    C(J + 2, 3) + nx*(J + 1) - nx*(nx - 1)/2 + ny
-
-and its component on electronic level l has index 4*vib + l.  The partner of
-a lower-level component adds one quantum to the channel's raised mode and
+basis order, whose closed-form index the ``fock`` docstring gives.  The partner
+of a lower-level component adds one quantum to the channel's raised mode and
 takes one from its lowered mode, and every Lamb-Dicke factor comes from one
 Laguerre evaluation per eps over n = 0..j_max.  :func:`rabi` and
 :func:`partner_occupation` compute the same numbers one component at a time.
@@ -37,7 +32,6 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
-from functools import lru_cache
 
 import numpy as np
 from scipy.special import eval_genlaguerre
@@ -48,7 +42,9 @@ from .fock import (
     Level,
     Occupation,
     Truncation,
-    enumerate_basis,
+    _layout,
+    _vib_index,
+    enumerate_basis,  # noqa: F401  perfbench/spans.py patches this name
 )
 
 __all__ = [
@@ -258,27 +254,6 @@ class PairTable(Sequence[CoupledPair]):
         return row if row >= 0 and self.src_index[row] == src else None
 
 
-def _vib_index(nx: np.ndarray, ny: np.ndarray, nz: np.ndarray) -> np.ndarray:
-    """Canonical vibrational index of each occupation (module docstring)."""
-    j = nx + ny + nz
-    return (j + 2) * (j + 1) * j // 6 + nx * (j + 1) - nx * (nx - 1) // 2 + ny
-
-
-@lru_cache(maxsize=32)
-def _layout(j_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rows nx, ny, nz of every vibrational index below the cutoff, and the
-    basis components as an object array; both read-only."""
-    cube = np.indices((j_max + 1,) * 3).reshape(3, -1)
-    cube = cube[:, cube.sum(axis=0) <= j_max]
-    occ = np.empty_like(cube)
-    occ[:, _vib_index(*cube)] = cube
-    basis = enumerate_basis(Truncation(j_max))
-    components = np.fromiter(basis, dtype=object, count=len(basis))
-    for array in (occ, components):
-        array.setflags(write=False)
-    return occ, components
-
-
 def _nonlinearities(eps: float, j_max: int) -> np.ndarray:
     """``nonlinearity(eps, n)`` for n = 0..j_max, by the same operations."""
     x = eps * eps
@@ -298,7 +273,7 @@ def coupled_pairs(
     Omega is bit for bit what :func:`rabi` gives the same lower occupation.
     """
     j_max = truncation.j_max
-    occ, components = _layout(j_max)
+    occ, _, components, _ = _layout(j_max)
     vib = np.arange(occ.shape[1])
     if spec.lowered is not None:
         vib = vib[occ[spec.lowered] >= 1]

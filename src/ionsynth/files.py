@@ -162,12 +162,17 @@ def _parse_note(raw: Any, i: int, j_max: int, channel: ChannelId) -> Component |
     return Component(Occupation(nx, ny, nz), level)
 
 
-def load_schedule(path: str | os.PathLike[str]) -> Schedule:
+def _read_json(path: str | os.PathLike[str], error: type[ValueError]) -> Any:
+    """The JSON document in ``path``; a file json cannot decode raises ``error``."""
     try:
         with open(path, encoding="utf-8") as f:
-            doc = json.load(f)
-    except ValueError as exc:  # bad JSON, bad UTF-8, or an integer past int()'s digit limit
-        raise ScheduleFormatError(f"{path}: invalid JSON ({exc})") from exc
+            return json.load(f)
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, huge ints, deep nesting
+        raise error(f"{path}: invalid JSON ({exc})") from exc
+
+
+def load_schedule(path: str | os.PathLike[str]) -> Schedule:
+    doc = _read_json(path, ScheduleFormatError)
     if not isinstance(doc, dict):
         raise ScheduleFormatError("top level: expected an object")
     version = _expect(doc, "version", (int,))
@@ -239,11 +244,7 @@ def save_report(report: SweepReport, path: str | os.PathLike[str]) -> None:
 
 def load_target(path: str | os.PathLike[str], truncation: Truncation) -> Target:
     """Read a component-list target file and validate it against ``truncation``."""
-    try:
-        with open(path, encoding="utf-8") as f:
-            doc = json.load(f)
-    except ValueError as exc:  # as in load_schedule
-        raise TargetFormatError(f"{path}: invalid JSON ({exc})") from exc
+    doc = _read_json(path, TargetFormatError)
     if not isinstance(doc, list):
         raise TargetFormatError("top level: expected an array of components")
 

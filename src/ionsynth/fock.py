@@ -7,7 +7,15 @@ the truncated space is exactly closed under the dynamics.
 
 Basis components are ordered by ascending total J, then nx, then ny, with the
 four electronic levels innermost.  Grouping by J keeps each synthesis stage in
-a contiguous index range.
+a contiguous index range.  In closed form, the occupation (nx, ny, nz) of total
+J = nx + ny + nz has vibrational index
+
+    C(J + 2, 3) + nx*(J + 1) - nx*(nx - 1)/2 + ny
+
+(the C(J + 2, 3) occupations of lower total come first, then the rows of
+smaller nx, each J - nx + 1 long), and its component on electronic level l has
+index 4*vib + l.  This module owns that order; every other module reads it
+from here.
 """
 
 from __future__ import annotations
@@ -112,28 +120,46 @@ class Truncation:
         return math.comb(self.j_max + 3, 3)
 
 
+def _vib_index(nx: np.ndarray, ny: np.ndarray, nz: np.ndarray) -> np.ndarray:
+    """Canonical vibrational index of each occupation (module docstring)."""
+    j = nx + ny + nz
+    return (j + 2) * (j + 1) * j // 6 + nx * (j + 1) - nx * (nx - 1) // 2 + ny
+
+
+class _Layout(NamedTuple):
+    """The canonical order below one cutoff; both arrays are read-only."""
+
+    occ: np.ndarray  # occ[:, v] is the (nx, ny, nz) of vibrational index v
+    basis: tuple[Component, ...]
+    components: np.ndarray  # the basis as an object array
+    index: dict[Component, int]
+
+
 @lru_cache(maxsize=32)
-def _basis_table(j_max: int) -> tuple[tuple[Component, ...], dict[Component, int]]:
-    components: list[Component] = []
-    for j in range(j_max + 1):
-        for nx in range(j + 1):
-            for ny in range(j - nx + 1):
-                occ = Occupation(nx, ny, j - nx - ny)
-                for level in Level:
-                    components.append(Component(occ, level))
-    table = tuple(components)
-    return table, {comp: k for k, comp in enumerate(table)}
+def _layout(j_max: int) -> _Layout:
+    cube = np.indices((j_max + 1,) * 3).reshape(3, -1)
+    cube = cube[:, cube.sum(axis=0) <= j_max]
+    occ = np.empty_like(cube)
+    occ[:, _vib_index(*cube)] = cube
+    levels = tuple(Level)
+    basis = tuple(
+        Component(o, level) for o in map(Occupation._make, occ.T.tolist()) for level in levels
+    )
+    components = np.fromiter(basis, dtype=object, count=len(basis))
+    for array in (occ, components):
+        array.setflags(write=False)
+    return _Layout(occ, basis, components, {comp: k for k, comp in enumerate(basis)})
 
 
 def enumerate_basis(truncation: Truncation) -> tuple[Component, ...]:
     """All basis components in canonical order."""
-    return _basis_table(truncation.j_max)[0]
+    return _layout(truncation.j_max).basis
 
 
 def index_of(component: Component, truncation: Truncation) -> int:
     """Position of ``component`` in the canonical order."""
     try:
-        return _basis_table(truncation.j_max)[1][component]
+        return _layout(truncation.j_max).index[component]
     except KeyError:
         raise DomainError(
             f"component {component!r} is not inside the truncation j_max={truncation.j_max}"
@@ -141,21 +167,16 @@ def index_of(component: Component, truncation: Truncation) -> int:
 
 
 def _total_j(indices: np.ndarray, truncation: Truncation) -> np.ndarray:
-    """Total quanta J of each basis index, by arithmetic on the canonical order.
-
-    C(J + 3, 3) occupations have total <= J, so an index's J is the number of
-    those counts its vibrational position reaches.
-    """
-    below = np.array([math.comb(j + 3, 3) for j in range(truncation.j_max + 1)])
-    return np.searchsorted(below, np.asarray(indices) // len(Level), side="right")
+    """Total quanta J of each basis index."""
+    return _layout(truncation.j_max).occ[:, np.asarray(indices) // len(Level)].sum(axis=0)
 
 
 def component_of(index: int, truncation: Truncation) -> Component:
     """Inverse of :func:`index_of`."""
-    table = _basis_table(truncation.j_max)[0]
-    if not 0 <= index < len(table):
-        raise DomainError(f"basis index {index} out of range [0, {len(table)})")
-    return table[index]
+    basis = _layout(truncation.j_max).basis
+    if not 0 <= index < len(basis):
+        raise DomainError(f"basis index {index} out of range [0, {len(basis)})")
+    return basis[index]
 
 
 class StateVector:

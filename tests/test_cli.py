@@ -1,6 +1,11 @@
+import contextlib
+import copy
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ionsynth import load_schedule
 from ionsynth.cli import main
@@ -304,12 +309,18 @@ def long_int_schedule(schedule, target):
     schedule.write_text(schedule.read_text().replace('"version": 1', '"version": 1' + "0" * 5000))
 
 
+DEEP = b"[" * 100_000 + b"]" * 100_000  # nested past the JSON decoder's recursion limit
+
+
 def untouched(schedule, target):
     pass
 
 
 VERIFY = ["verify", "--schedule", "{schedule}", "--target", "ghz"]
 COMPILE_FILE = ["compile", "--target", "file:{target}", "--jmax", "2", "--out", "{dir}/o.json"]
+SWEEP = [
+    "sweep", "--schedule", "{schedule}", "--target", "ghz", "--trials", "1", "--out", "{dir}/o.csv"
+]
 
 
 @pytest.mark.parametrize(
@@ -340,6 +351,15 @@ COMPILE_FILE = ["compile", "--target", "file:{target}", "--jmax", "2", "--out", 
             COMPILE_FILE, "{target}", id="target-not-utf8",
         ),
         pytest.param(
+            lambda schedule, target: schedule.write_bytes(DEEP), VERIFY, "{schedule}",
+            id="verify-deep-nesting",
+        ),
+        pytest.param(
+            lambda schedule, target: schedule.write_bytes(DEEP), SWEEP, "{schedule}",
+            id="sweep-deep-nesting",
+        ),
+        pytest.param(write_target(DEEP), COMPILE_FILE, "{target}", id="compile-deep-nesting"),
+        pytest.param(
             untouched, ["verify", "--schedule", "{dir}", "--target", "ghz"], "{dir}", id="schedule-is-dir"
         ),
         pytest.param(
@@ -362,3 +382,92 @@ def test_bad_input_exits_2_naming_it(prepare, argv, named, ghz_schedule, tmp_pat
     assert code == 2
     assert err.startswith("error: ") and named.format(**paths) in err
     assert "status" not in out
+
+
+# Any JSON value: null, bools, ints (two of them past the float range), floats
+# with NaN and the infinities (json writes them as NaN/Infinity, which it
+# reads), short strings, and small nested lists and objects.
+SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from([HUGE, -HUGE])
+    | st.floats()
+    | st.text(max_size=4)
+)
+JSON_VALUES = st.recursive(
+    SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=8,
+)
+# Target entries that get past the shape checks often enough to reach the later ones.
+TARGET_ENTRIES = st.fixed_dictionaries(
+    {
+        "n": st.lists(st.integers(0, 1), min_size=3, max_size=3) | JSON_VALUES,
+        "re": st.floats(-1, 1) | SCALARS,
+        "im": st.floats(-1, 1) | SCALARS,
+    },
+    optional={"tag": JSON_VALUES},
+)
+
+
+def quiet_main(*argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(list(argv))
+
+
+def key_paths(node, path=()):
+    """Every path of keys and list positions in a JSON document, the root first."""
+    yield path
+    if isinstance(node, dict):
+        children = node.items()
+    else:
+        children = enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from key_paths(child, path + (key,))
+
+
+@pytest.fixture(scope="module")
+def ghz2(tmp_path_factory):
+    """A compiled ghz J_max 2 schedule, as a path and as its parsed document."""
+    path = tmp_path_factory.mktemp("ghz2") / "ghz.json"
+    assert quiet_main("compile", "--target", "ghz", "--jmax", "2", "--out", str(path)) == 0
+    return path, json.loads(path.read_text())
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), value=SCALARS | JSON_VALUES)
+def test_no_schedule_file_reaches_exit_1(ghz2, data, value):
+    """A compiled schedule with any JSON value spliced in at any key path is
+    either accepted or refused by name: verify and sweep return 0 or 2."""
+    path, doc = ghz2
+    # Paths are drawn with the pulse list cut to one entry, so that each
+    # field is as likely as any other, and then aimed at a drawn pulse.
+    where = data.draw(st.sampled_from(list(key_paths({**doc, "pulses": doc["pulses"][:1]}))))
+    if where[:2] == ("pulses", 0):
+        where = ("pulses", data.draw(st.integers(0, len(doc["pulses"]) - 1))) + where[2:]
+    if where:
+        doc = copy.deepcopy(doc)
+        node = doc
+        for key in where[:-1]:
+            node = node[key]
+        node[where[-1]] = value
+    else:
+        doc = value
+    edited = path.with_name("edited.json")
+    edited.write_text(json.dumps(doc))
+    assert quiet_main("verify", "--schedule", str(edited), "--target", "ghz") in (0, 2)
+    csv = str(path.with_name("sweep.csv"))
+    argv = ["--target", "ghz", "--trials", "1", "--delta-grid", "0:0.01:1", "--out", csv]
+    assert quiet_main("sweep", "--schedule", str(edited), *argv) in (0, 2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(doc=JSON_VALUES | st.lists(TARGET_ENTRIES | JSON_VALUES, max_size=4))
+def test_no_target_file_reaches_exit_1(ghz2, doc):
+    """compile --target file: returns 0 or 2 for any JSON target document."""
+    target = ghz2[0].with_name("target.json")
+    target.write_text(json.dumps(doc))
+    argv = ["--target", f"file:{target}", "--jmax", "2", "--out", str(target.with_name("out.json"))]
+    assert quiet_main("compile", *argv) in (0, 2)

@@ -20,6 +20,8 @@ from ionsynth import (
     vacuum_state,
 )
 
+from ionsynth.fock import _total_j
+
 from conftest import random_state
 
 
@@ -55,21 +57,40 @@ def test_truncation_cap():
         Truncation(41)
 
 
-def test_canonical_order():
+def loop_basis(j_max):
+    """The canonical order by explicit loops: the reference for the closed form."""
+    return [
+        Component(Occupation(nx, ny, j - nx - ny), level)
+        for j in range(j_max + 1)
+        for nx in range(j + 1)
+        for ny in range(j - nx + 1)
+        for level in Level
+    ]
+
+
+CUTOFFS = [*range(17), 40]
+
+
+@pytest.mark.parametrize("j_max", CUTOFFS)
+def test_canonical_order(j_max):
     """Ascending total, then nx, then ny, with the electronic level innermost."""
-    t = Truncation(3)
+    t = Truncation(j_max)
     comps = enumerate_basis(t)
+    assert isinstance(comps, tuple) and list(comps) == loop_basis(j_max)
+    assert all(type(n) is int for c in comps for n in c.occ)
     assert comps[0] == Component(Occupation(0, 0, 0), Level.A)
     assert [c.level for c in comps[:4]] == [Level.A, Level.B, Level.C, Level.D]
     keys = [(c.occ.total, c.occ.nx, c.occ.ny, int(c.level)) for c in comps]
     assert keys == sorted(keys)
 
 
-def test_basis_bijection():
-    t = Truncation(3)
+@pytest.mark.parametrize("j_max", CUTOFFS)
+def test_basis_bijection(j_max):
+    t = Truncation(j_max)
     for k, comp in enumerate(enumerate_basis(t)):
         assert index_of(comp, t) == k
         assert component_of(k, t) == comp
+        assert _total_j(k, t) == comp.occ.total
 
 
 def test_index_of_by_exhaustive_search():
