@@ -150,14 +150,18 @@ def nonlinearity(eps: float, n: int) -> float:
 
     Equals exp(-eps**2/2) * L1_n(eps**2) / (n+1), which is also the closed form
     of the finite series sum_k (-1)**k eps**(2k) n! / ((k+1)! k! (n-k)!) times
-    exp(-eps**2/2).  At eps=0 the factor is exactly 1.
+    exp(-eps**2/2).  At eps=0 the factor is exactly 1; once exp(-eps**2/2)
+    underflows it is 0, its limit, even where L1_n(eps**2) overflows.
     """
     if eps < 0 or not math.isfinite(eps):
         raise DomainError(f"eps must be a finite non-negative real, got {eps!r}")
     if n < 0:
         raise DomainError(f"occupation must be non-negative, got {n!r}")
     x = eps * eps
-    return math.exp(-0.5 * x) * float(eval_genlaguerre(n, 1, x)) / (n + 1)
+    damping = math.exp(-0.5 * x)
+    if damping == 0.0:
+        return 0.0
+    return damping * float(eval_genlaguerre(n, 1, x)) / (n + 1)
 
 
 def rabi(spec: ChannelSpec, occ: Occupation, ld: LambDickeParams) -> float:
@@ -258,7 +262,10 @@ def _nonlinearities(eps: float, j_max: int) -> np.ndarray:
     """``nonlinearity(eps, n)`` for n = 0..j_max, by the same operations."""
     x = eps * eps
     n = np.arange(j_max + 1)
-    return math.exp(-0.5 * x) * eval_genlaguerre(n, 1, x) / (n + 1)
+    damping = math.exp(-0.5 * x)
+    if damping == 0.0:
+        return np.zeros(j_max + 1)  # as in nonlinearity
+    return damping * eval_genlaguerre(n, 1, x) / (n + 1)
 
 
 def coupled_pairs(

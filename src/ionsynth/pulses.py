@@ -20,9 +20,10 @@ partner component.
 
 A pair table holds few distinct Rabi frequencies (13 among the 455 carrier
 pairs at J_max 12), so a rotation takes cos and sin of x*Omega once per
-distinct Omega and gathers them onto the pairs.  The gathered values are bit
-for bit those of evaluating every pair, since the same inputs pass through the
-same contiguous ufunc.
+distinct Omega, casts them to complex and gathers them onto the pairs.  The
+gathered values are bit for bit those of evaluating every pair, since the
+same inputs pass through the same contiguous ufunc, and NumPy casts a real
+factor to complex before any complex product, so casting first changes no bit.
 
 Replay tracks the occupied-J frontier: the highest total quantum number J
 that may hold a nonzero amplitude.  Every channel preserves J except the red
@@ -31,6 +32,18 @@ one, and only on H9.  Pairs whose lower-J end lies above the frontier hold two
 exact zeros, which a rotation leaves at zero; replay skips them, and the
 amplitudes it returns are value-identical to rotating every pair.  A
 preparation from the vacuum starts at frontier 0.
+
+Replay runs one state, of shape (dim,) with pulse columns x and theta of
+shape (n,), or K states, of shape (K, dim) with columns of shape (n, K) whose
+column k drives state k.  Both go through one rotation body; the K states sit
+in one flat array, gathered and scattered through (K, count) index arrays
+offset by k*dim.  Each state of a batch gets the values of its own serial
+replay: each pair value is the same elementwise operation on the same
+inputs (cos and sin of the same x_k*Omega, the same ``cmath`` phase factors).
+A batch runs a pulse unless every state's length is zero, and its frontier is
+the highest of the states' frontiers.  A state with length zero gets cos 1
+and sin 0, and pairs above its own frontier hold exact zeros, so those
+rotations leave its values unchanged up to the sign of a zero.
 """
 
 from __future__ import annotations
@@ -112,6 +125,18 @@ def _wrap_angles(theta: np.ndarray) -> np.ndarray:
     return np.where(w <= -math.pi, w + math.tau, w)
 
 
+_CHANNEL_OF_CODE = {int(cid): cid for cid in ChannelId}
+
+
+def _pulse_view(channel: ChannelId, x: float, theta: float, note: Component | None) -> Pulse:
+    """A :class:`Pulse` of values that already passed its checks and wrap:
+    the fields are set directly, so ``__post_init__`` does not run again."""
+    pulse = object.__new__(Pulse)
+    fields = pulse.__dict__
+    fields["channel"], fields["x"], fields["theta"], fields["note"] = channel, x, theta, note
+    return pulse
+
+
 class Schedule:
     """An ordered pulse program plus the metadata needed to replay it.
 
@@ -165,9 +190,10 @@ class Schedule:
 
     @property
     def pulses(self) -> tuple[Pulse, ...]:
-        """The program as :class:`Pulse` views, built on each access."""
-        channels = map(ChannelId, self.channel.tolist())
-        return tuple(map(Pulse, channels, self.x.tolist(), self.theta.tolist(), self.notes))
+        """The program as :class:`Pulse` views, built on each access from the
+        checked columns without checking them again."""
+        channels = map(_CHANNEL_OF_CODE.__getitem__, self.channel.tolist())
+        return tuple(map(_pulse_view, channels, self.x.tolist(), self.theta.tolist(), self.notes))
 
     def __len__(self) -> int:
         return len(self.notes)
@@ -189,6 +215,27 @@ def _pair_table(cid: ChannelId, truncation: Truncation, ld: LambDickeParams) -> 
     return coupled_pairs(CHANNELS[cid], truncation, ld)[0]
 
 
+def _rotate(
+    flat: np.ndarray, src: np.ndarray, dst: np.ndarray, omega: np.ndarray,
+    inverse: np.ndarray, x, plus, minus,
+) -> None:
+    """The rotation body: rotate the pairs (``flat[src]``, ``flat[dst]``) in place.
+
+    ``omega`` holds the distinct Rabi frequencies and ``inverse`` indexes the
+    flattened cos and sin of ``x * omega`` once per pair.  ``x`` and the phase
+    factors ``plus`` = -i*exp(+i*theta), ``minus`` = -i*exp(-i*theta) are
+    scalars for one state, or (K, 1) columns for K states whose index arrays
+    are (K, count).
+    """
+    ang = x * omega
+    c = np.cos(ang).astype(np.complex128).take(inverse)
+    s = np.sin(ang).astype(np.complex128).take(inverse)
+    u = flat[src]
+    v = flat[dst]
+    flat[src] = c * u + plus * (s * v)
+    flat[dst] = c * v + minus * (s * u)
+
+
 def _rotate_inplace(
     amps: np.ndarray, table: PairTable, x: float, theta: float, count: int | None = None
 ) -> None:
@@ -197,40 +244,68 @@ def _rotate_inplace(
         count = len(table)
     if x == 0.0 or count == 0:
         return
-    src = table.src_index[:count]
-    dst = table.dst_index[:count]
-    u = amps[src]
-    v = amps[dst]
-    ang = x * table.omega_distinct[: table.distinct_count[count]]
-    inverse = table.omega_inverse[:count]
-    c = np.cos(ang)[inverse]
-    s = np.sin(ang)[inverse]
-    amps[src] = c * u + (-1j * cmath.exp(1j * theta)) * (s * v)
-    amps[dst] = c * v + (-1j * cmath.exp(-1j * theta)) * (s * u)
+    _rotate(
+        amps, table.src_index[:count], table.dst_index[:count],
+        table.omega_distinct[: table.distinct_count[count]], table.omega_inverse[:count],
+        x, -1j * cmath.exp(1j * theta), -1j * cmath.exp(-1j * theta),
+    )
 
 
 def _replay(
     amps: np.ndarray,
     truncation: Truncation,
     ld: LambDickeParams,
-    pulses: Iterable[tuple[int, float, float]],
+    channel: np.ndarray,
+    x: np.ndarray,
+    theta: np.ndarray,
 ) -> None:
-    """Apply (channel code, x, theta) pulses to ``amps`` in place: the replay kernel.
+    """Apply the pulses (channel code, x, theta) to ``amps`` in place: the replay kernel.
 
-    Each pulse rotates only the pairs that reach the occupied-J frontier; see
-    the module docstring for why the skipped pairs hold exact zeros.
+    ``amps`` is one state of shape (dim,) with ``x`` and ``theta`` of shape
+    (n,), or K states of shape (K, dim) with columns of shape (n, K), column k
+    driving state k.  A pulse runs unless its length is zero for every state,
+    and it rotates only the pairs that reach the occupied-J frontier of the
+    whole batch; see the module docstring for why both give the serial values.
     """
-    occupied = np.flatnonzero(amps)
+    dim = truncation.dim
+    flat = amps.reshape(-1)
+    k = flat.size // dim
+    live = np.flatnonzero(x.reshape(len(channel), k).any(axis=1))
+    phases = theta[live].ravel().tolist()
+    plus = [-1j * cmath.exp(1j * t) for t in phases]
+    minus = [-1j * cmath.exp(-1j * t) for t in phases]
+    if k == 1:  # Python scalars broadcast faster than (1, 1) columns
+        lengths = x[live].ravel().tolist()
+    else:
+        lengths = x[live][..., np.newaxis]  # one (K, 1) column per pulse
+        plus = np.array(plus).reshape(lengths.shape)
+        minus = np.array(minus).reshape(lengths.shape)
+    occupied = np.flatnonzero(flat.reshape(k, dim).any(axis=0))
     frontier = int(_total_j(occupied[-1], truncation)) if occupied.size else 0
+    trial = np.arange(k)[:, np.newaxis]
     tables: dict[int, PairTable] = {}
-    for code, x, theta in pulses:
-        if x == 0.0:
-            continue
+    # Per channel, the (K, count) index arrays of the current frontier: pair
+    # ends into ``flat``, and the distinct omegas with their inverse into the
+    # flattened (K, distinct) trig.  Dropped whenever the frontier moves.
+    slices: dict[int, tuple[np.ndarray, ...]] = {}
+    for code, length, p, m in zip(channel[live].tolist(), lengths, plus, minus):
         table = tables.get(code)
         if table is None:
             table = tables[code] = _pair_table(ChannelId(code), truncation, ld)
-        _rotate_inplace(amps, table, x, theta, table.prefix[frontier])
-        frontier = min(frontier + table.lift, truncation.j_max)
+        rotation = slices.get(code)
+        if rotation is None:
+            count = table.prefix[frontier]
+            distinct = table.distinct_count[count]
+            rotation = slices[code] = (
+                table.src_index[:count] + dim * trial,
+                table.dst_index[:count] + dim * trial,
+                table.omega_distinct[:distinct],
+                table.omega_inverse[:count] + distinct * trial,
+            )
+        _rotate(flat, *rotation, length, p, m)
+        if table.lift and frontier < truncation.j_max:
+            frontier += 1
+            slices.clear()
 
 
 def apply_pulse(
@@ -238,7 +313,8 @@ def apply_pulse(
 ) -> StateVector:
     """Apply one pulse exactly; returns a new state, norm preserved."""
     amps = state.amplitudes.copy()
-    _replay(amps, state.truncation, ld, [(pulse.channel, pulse.x, pulse.theta)])
+    columns = np.array([pulse.channel]), np.array([pulse.x]), np.array([pulse.theta])
+    _replay(amps, state.truncation, ld, *columns)
     return StateVector._wrap(amps, state.truncation)
 
 
@@ -250,12 +326,8 @@ def apply_schedule(state: StateVector, schedule: Schedule) -> StateVector:
             f"state truncation j_max={state.truncation.j_max}"
         )
     amps = state.amplitudes.copy()
-    _replay(
-        amps,
-        schedule.truncation,
-        schedule.lamb_dicke,
-        zip(schedule.channel.tolist(), schedule.x.tolist(), schedule.theta.tolist()),
-    )
+    columns = schedule.channel, schedule.x, schedule.theta
+    _replay(amps, schedule.truncation, schedule.lamb_dicke, *columns)
     return StateVector._wrap(amps, state.truncation)
 
 

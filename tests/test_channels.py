@@ -22,7 +22,13 @@ from ionsynth import (
     nonlinearity,
     rabi,
 )
-from ionsynth.channels import CoupledPair, coupled_pairs, dense_hamiltonian, partner_occupation
+from ionsynth.channels import (
+    CoupledPair,
+    _nonlinearities,
+    coupled_pairs,
+    dense_hamiltonian,
+    partner_occupation,
+)
 
 LD = LambDickeParams()
 LD0 = LambDickeParams(0.0, 0.0, 0.0, 0.0)
@@ -70,6 +76,20 @@ def test_nonlinearity_range_and_validation():
         nonlinearity(-0.1, 0)
     with pytest.raises(DomainError):
         nonlinearity(0.1, -1)
+
+
+@pytest.mark.parametrize("eps", [38.6, 38.61, 40.0, 1e10, 1e100, 1e200])
+def test_nonlinearity_past_the_damping_underflow(eps):
+    """Once exp(-eps**2/2) underflows the factor is 0, its limit, in the scalar
+    and the array form alike, even where L1_n(eps**2) or eps**2 overflows.
+    Just before (eps 38.6) the damping is subnormal and both forms agree."""
+    values = [nonlinearity(eps, n) for n in range(13)]
+    assert _nonlinearities(eps, 12).tolist() == values
+    assert all(math.isfinite(v) for v in values)
+    if math.exp(-0.5 * eps * eps) == 0.0:
+        assert values == [0.0] * 13
+    else:
+        assert any(v != 0.0 for v in values)
 
 
 def test_channel_table():
@@ -286,6 +306,7 @@ def test_tables_match_loop_at_default_point(j_max):
         (12, LambDickeParams(0, 0, 0, 0)),
         (12, LambDickeParams(0.6, 0.1, 0.2, 0.1)),  # past the first zero of L1_11
         (4, LambDickeParams(0.3, 0.1, 0.2, 1.4142)),  # carrier factor past a zero
+        (4, LambDickeParams(1e200, 0.1, 1e100, 38.6)),  # eps**2 or L1_n overflows
     ],
 )
 def test_tables_match_loop_at_edge_points(j_max, ld):

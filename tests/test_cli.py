@@ -255,6 +255,7 @@ def test_verify_rejects_note_on_uncoupled_level(tmp_path, capsys):
         (["--eps", "0.6,0.1,0.2", "--jmax", "12"], "H5"),
         (["--eps", "1.3,0.1,0.2", "--jmax", "4"], "H5"),
         (["--eps-carrier", "1.4142", "--jmax", "4"], "H4"),
+        (["--eps", "1e200,0.1,0.2", "--jmax", "3"], "H5"),  # eps_x**2 overflows
     ],
 )
 def test_compile_rejects_uncoupled_pair_by_name(argv, channel, tmp_path, capsys):
@@ -265,6 +266,22 @@ def test_compile_rejects_uncoupled_pair_by_name(argv, channel, tmp_path, capsys)
     assert err.startswith(f"error: channel {channel} has no coupled pair at occupation (")
     assert "LambDickeParams(" in err and "unexpected" not in err
     assert not out_path.exists()
+
+
+def test_overflowing_lamb_dicke_point_replays_without_nan(ghz_schedule, tmp_path, capsys):
+    """A schedule file at eps_x 1e200 loads; its exchange channels on x couple
+    nothing there, so verify reports a finite fidelity and sweep finite rows."""
+    doc = json.loads(ghz_schedule.read_text())
+    doc["lamb_dicke"]["ex"] = 1e200
+    ghz_schedule.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", "--schedule", str(ghz_schedule), "--target", "ghz")
+    assert code == 2 and err == ""
+    assert "status: below tolerance" in out and "nan" not in out
+    csv = tmp_path / "rows.csv"
+    argv = ["--target", "ghz", "--trials", "2", "--delta-grid", "0:0.01:2", "--out", str(csv)]
+    code, out, err = run(capsys, "sweep", "--schedule", str(ghz_schedule), *argv)
+    assert code == 0 and err == ""
+    assert "nan" not in csv.read_text() and "nan" not in out
 
 
 def test_jmax_over_the_cap_exits_2_by_name(tmp_path, capsys):

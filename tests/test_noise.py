@@ -1,5 +1,10 @@
+import functools
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ionsynth import (
     DomainError,
@@ -7,6 +12,8 @@ from ionsynth import (
     NoiseModel,
     Pulse,
     Schedule,
+    SweepRow,
+    TrialResult,
     Truncation,
     apply_schedule,
     deevolve,
@@ -20,6 +27,8 @@ from ionsynth import (
     vacuum_state,
     wrap_angle,
 )
+from ionsynth import noise as noise_module
+from ionsynth.pulses import _replay
 
 
 @pytest.fixture(scope="module")
@@ -224,3 +233,81 @@ def test_sweep_degrades_with_noise(preparation):
     assert fids[0] > fids[1] > fids[2]
     for row in report.rows[1:]:
         assert row.fid_post_mean >= row.fid_mean
+
+
+# --- batched trials against serial replay -------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def compiled(j_max, seed):
+    """A random level-a target and its preparation, compiled once per key."""
+    target = random_target(Truncation(j_max), np.random.default_rng(seed)).state
+    return target, deevolve(target).preparation
+
+
+def serial_trial(target, prep, noise, rng):
+    """One trial replayed alone: apply_schedule(vacuum, perturb(...)), scored."""
+    out = apply_schedule(vacuum_state(prep.truncation), perturb(prep, noise, rng))
+    fid = fidelity_to_target(out, target)
+    p_a = min(1.0, max(0.0, float(out.level_probabilities()[Level.A])))
+    post = min(1.0, fid / p_a) if p_a > 0.0 else 0.0
+    return out.amplitudes, TrialResult(fid, post, p_a)
+
+
+def aggregate(noise, results):
+    """The sweep row of ``results``, in their order."""
+    fids = np.array([r.fidelity for r in results])
+    posts = np.array([r.postselect_fidelity for r in results])
+    probs = np.array([r.level_a_probability for r in results])
+    return SweepRow(
+        noise.delta, noise.delta_theta, len(results), float(fids.mean()), float(fids.std()),
+        float(posts.mean()), float(probs.mean()),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    j_max=st.integers(1, 6),
+    target_seed=st.integers(0, 3),
+    trials=st.integers(1, 9),
+    delta=st.sampled_from([0.0, 0.004, 1.5]),  # 1.5 clamps many lengths to zero
+    delta_theta=st.sampled_from([0.0, 0.01, 2.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batched_trials_equal_serial_replay(j_max, target_seed, trials, delta, delta_theta, seed):
+    """Every trial of a batch gets the amplitudes and the result of its own
+    serial replay, and ``run_trials`` in chunks of 4 aggregates the same row.
+    A batch rotates a pulse that only some of its trials skip, so the signs
+    of zeros may differ; ``np.array_equal`` does not see them."""
+    target, prep = compiled(j_max, target_seed)
+    noise = NoiseModel(delta, delta_theta)
+
+    def rngs():
+        return [np.random.default_rng([seed, k]) for k in range(trials)]
+
+    serial = [serial_trial(target, prep, noise, rng) for rng in rngs()]
+    results = [result for _, result in serial]
+    assert simulate_trial(target, prep, noise, rngs()) == tuple(results)
+
+    noisy = [perturb(prep, noise, rng) for rng in rngs()]
+    amps = np.repeat(vacuum_state(prep.truncation).amplitudes[np.newaxis], trials, axis=0)
+    x = np.stack([s.x for s in noisy], axis=1)
+    theta = np.stack([s.theta for s in noisy], axis=1)
+    _replay(amps, prep.truncation, prep.lamb_dicke, prep.channel, x, theta)
+    for got, (want, _) in zip(amps, serial):
+        assert np.array_equal(got, want)
+
+    with mock.patch.object(noise_module, "_BATCH_AMPLITUDES", 4 * prep.truncation.dim):
+        assert run_trials(target, prep, noise, trials, seed) == aggregate(noise, results)
+
+
+@pytest.mark.parametrize("n", [1, 2, "chunk+1"])
+def test_run_trials_aggregates_single_trials(preparation, n):
+    """``run_trials(n)`` is the aggregate of n single ``simulate_trial`` calls
+    on the (seed, row, trial) streams, also one trial past a whole chunk."""
+    target, prep = preparation
+    nm = NoiseModel(0.03, 0.01)
+    if n == "chunk+1":
+        n = noise_module._BATCH_AMPLITUDES // prep.truncation.dim + 1
+    singles = [simulate_trial(target, prep, nm, np.random.default_rng([11, 3, k])) for k in range(n)]
+    assert run_trials(target, prep, nm, n, seed=11, substream=(3,)) == aggregate(nm, singles)
+    assert simulate_trial(target, prep, nm, []) == ()

@@ -22,8 +22,9 @@ from ionsynth import (
     deevolve,
     target_corr,
     target_ghz,
+    vacuum_state,
 )
-from ionsynth import noise
+from ionsynth import noise, pulses
 from ionsynth.channels import coupled_pairs
 from ionsynth.cli import main
 
@@ -98,9 +99,11 @@ def test_traced_compile_at_fresh_point_builds_nine_tables(tmp_path, capsys):
         assert tracer.pair_count(cid, t, ld) == len(pairs)
 
 
-def test_traced_trials_go_through_perturb_and_apply_schedule():
-    """A noisy trial is apply_schedule(vacuum, perturb(...)), so a traced batch
-    records both spans once per trial and counts every replayed pulse."""
+def test_traced_trials_perturb_each_trial_inside_one_batched_simulate_trial():
+    """``run_trials`` perturbs every trial through ``perturb`` and replays the
+    batch inside one ``simulate_trial`` call, so a traced batch of 3 trials
+    records one simulate_trial span holding 3 perturb spans; a directly traced
+    ``apply_schedule`` still counts every replayed pulse."""
     target = target_corr(1.0, Truncation(4)).state
     preparation = deevolve(target).preparation
     spans = load("spans")
@@ -112,7 +115,20 @@ def test_traced_trials_go_through_perturb_and_apply_schedule():
     finally:
         tracer.uninstall()
     names = [span[spans.NAME] for span in tracer.spans]
-    assert names.count("noise.perturb") == names.count("pulses.apply_schedule") == 3
+    assert names.count("noise.simulate_trial") == 1
+    trial = names.index("noise.simulate_trial")
+    perturbs = [span for span in tracer.spans if span[spans.NAME] == "noise.perturb"]
+    assert len(perturbs) == 3 and all(span[spans.PARENT] == trial for span in perturbs)
     m = spans.summarize(tracer, 1)
-    assert m["pulses.pulses_applied"] == 3 * len(preparation)
-    assert m["noise.perturb_s"] > 0 and m["pulses.apply_schedule_s"] > 0
+    assert m["noise.perturb_s"] > 0 and m["noise.simulate_trial_s"] > 0
+
+    tracer = spans.Tracer()
+    tracer.request = 1
+    tracer.install()
+    try:
+        pulses.apply_schedule(vacuum_state(preparation.truncation), preparation)
+    finally:
+        tracer.uninstall()
+    m = spans.summarize(tracer, 1)
+    assert m["pulses.pulses_applied"] == len(preparation)
+    assert m["pulses.apply_schedule_s"] > 0

@@ -489,6 +489,32 @@ def test_schedule_round_trips_through_pulse_views(schedule):
     assert all(isinstance(p.channel, ChannelId) for p in schedule.pulses)
 
 
+def test_pulse_views_equal_validated_pulses():
+    """``Schedule.pulses`` skips Pulse's checks on the checked columns; each view
+    still equals the validated Pulse field for field, bit for bit, including
+    phases at pi, at -pi (wrapped to pi) and at -0.0, and is frozen."""
+    note = Component(Occupation(1, 0, 0), Level.A)
+    given_pulses = [
+        Pulse(ChannelId.H1, 0.5, math.pi),
+        Pulse(ChannelId.H9, 0.0, -0.0, note),
+        Pulse(ChannelId.H2, 1e-300, -math.pi),
+        Pulse(ChannelId.H5, 2.0, 7.0),
+    ]
+    schedule = Schedule(given_pulses, LD, Truncation(3), Direction.PREPARATION)
+    for s in (schedule, next(compiled_schedules())):
+        for view in s.pulses:
+            validated = Pulse(view.channel, view.x, view.theta, view.note)
+            assert view == validated and hash(view) == hash(validated)
+            assert type(view.channel) is ChannelId
+            assert (view.x.hex(), view.theta.hex()) == (validated.x.hex(), validated.theta.hex())
+    views = schedule.pulses
+    assert views == tuple(given_pulses)
+    assert [v.theta.hex() for v in views] == [p.theta.hex() for p in given_pulses]
+    assert views[1].theta.hex() == "-0x0.0p+0" and views[2].theta == math.pi
+    with pytest.raises(AttributeError):
+        views[0].x = 1.0
+
+
 def test_schedule_columns_are_read_only_and_shared():
     schedule = next(compiled_schedules())
     with pytest.raises(ValueError):
