@@ -35,7 +35,16 @@ from typing import Any
 
 import numpy as np
 
-from .fock import Component, DomainError, Level, Occupation, StateVector, Truncation
+from .fock import (
+    Component,
+    DomainError,
+    Level,
+    Occupation,
+    StateVector,
+    Truncation,
+    _layout,
+    _vib_index,
+)
 from .channels import CHANNELS, ChannelId, LambDickeParams
 from .noise import SweepReport
 from .pulses import Direction, Schedule
@@ -69,6 +78,7 @@ _PULSE_JSON = (
 )
 _NOTE_JSON = '[\n        {},\n        {},\n        {},\n        "{}"\n      ]'
 _CHANNEL_NAMES = {cid.value: cid.name for cid in ChannelId}
+_CHANNEL_CODES = {cid.name: cid.value for cid in ChannelId}
 _MISSING = object()
 # The least integer that float() rounds past the largest float.  Every finite
 # float lies below it and inf and nan do not, so ``abs(v) < _FLOAT_END`` holds
@@ -162,6 +172,44 @@ def _parse_note(raw: Any, i: int, j_max: int, channel: ChannelId) -> Component |
     return Component(Occupation(nx, ny, nz), level)
 
 
+# Level code of each label Level.from_label accepts, and whether channel code
+# c couples level l, as _COUPLES[c, l].
+_LEVEL_CODE = {label: int(level) for level in Level for label in (level.name, level.label)}
+_COUPLES = np.zeros((len(ChannelId) + 1, len(Level)), dtype=bool)
+for _spec in CHANNELS.values():
+    _COUPLES[_spec.cid, [_spec.lower_level, _spec.upper_level]] = True
+
+
+def _notes(raw: list[Any], channel: np.ndarray, j_max: int) -> list[Component | None]:
+    """The note column: each ``null`` gives None, each valid note the canonical
+    basis component.  The checks of :func:`_parse_note` run on whole columns;
+    the first failing note is parsed by it, so its error names that note."""
+    notes: list[Component | None] = [None] * len(raw)
+    given = [i for i, note in enumerate(raw) if note is not None]
+    # A note that is not a four-element list stands in as an entry that fails.
+    rows = [raw[i] if type(raw[i]) is list and len(raw[i]) == 4 else (-1, 0, 0, "") for i in given]
+    nx, ny, nz, labels = zip(*rows) if rows else ((), (), (), ())
+    # Occupations outside 0..j_max, and any that are not int (bool, float), become -1.
+    occ = np.array(
+        [n if type(n) is int and 0 <= n <= j_max else -1 for n in nx + ny + nz], dtype=np.intp
+    ).reshape(3, -1)
+    level = np.array(
+        [_LEVEL_CODE.get(label, -1) if type(label) is str else -1 for label in labels],
+        dtype=np.intp,
+    )
+    code = channel[given]
+    bad = (occ < 0).any(axis=0) | (occ.sum(axis=0) > j_max) | (level < 0)
+    bad |= ~_COUPLES[code, level]
+    if bad.any():
+        i = given[int(np.flatnonzero(bad)[0])]
+        _parse_note(raw[i], i, j_max, ChannelId(int(channel[i])))  # raises
+    basis = _layout(j_max).basis
+    index = len(Level) * _vib_index(*occ) + level
+    for i, k in zip(given, index.tolist()):
+        notes[i] = basis[k]
+    return notes
+
+
 def _read_json(path: str | os.PathLike[str], error: type[ValueError]) -> Any:
     """The JSON document in ``path``; a file json cannot decode raises ``error``."""
     try:
@@ -209,18 +257,16 @@ def load_schedule(path: str | os.PathLike[str]) -> Schedule:
         i = next(i for i, k in enumerate(index) if k != i)
         raise ScheduleFormatError(f"pulses[{i}].i: expected {i}, got {index[i]}")
     names = _column(entries, "channel", (str,))
-    channels = list(map(ChannelId.__members__.get, names))
-    if None in channels:
-        i = channels.index(None)
+    codes = list(map(_CHANNEL_CODES.get, names))
+    if None in codes:
+        i = codes.index(None)
         raise ScheduleFormatError(f"pulses[{i}].channel: unknown channel {names[i]!r}")
     x = _reals(entries, "x")
     theta = _reals(entries, "theta")
-    notes = [
-        _parse_note(entry.get("note"), i, jmax, channel)
-        for i, (entry, channel) in enumerate(zip(entries, channels))
-    ]
+    channel = np.array(codes, dtype=np.uint8)
+    notes = _notes([entry.get("note") for entry in entries], channel, jmax)
     try:
-        return Schedule.from_columns(channels, x, theta, notes, ld, truncation, direction, target)
+        return Schedule.from_columns(channel, x, theta, notes, ld, truncation, direction, target)
     except DomainError as exc:
         raise ScheduleFormatError(str(exc)) from exc
 
@@ -278,7 +324,8 @@ def load_target(path: str | os.PathLike[str], truncation: Truncation) -> Target:
     if not entries:
         raise TargetFormatError("target file holds no components")
     amps = _level_a_state(entries, truncation)
-    norm = float(np.linalg.norm(amps))
+    with np.errstate(over="ignore"):  # |amplitude| past sqrt(max float) squares to inf
+        norm = float(np.linalg.norm(amps))
     if abs(norm - 1.0) > 1e-6:
         raise TargetFormatError(f"target norm {norm:.9f} differs from 1 by more than 1e-6")
     return Target(

@@ -19,11 +19,18 @@ fixed nx:
 The program's shape is data: each builder takes only ``(J[, nx])`` and yields
 steps ``(channel, occupation, kill_upper)``, and ``plan(j_max)`` chains them
 into the whole de-evolution, fixed by the cutoff alone as a hardware sequence
-is fixed before the state is known.  One numeric pass, ``run_steps``, solves
-each step against the working amplitudes, applies it and returns the pulses
-as ``(channel, x, theta, note)`` rows, which ``deevolve`` hands to
-``Schedule.from_columns``; a step on zero amplitudes still yields an explicit
-x=0 pulse.
+is fixed before the state is known.  ``_plan_columns(j_max)`` turns the plan,
+once per cutoff, into read-only index columns: the channel code, the basis
+index of each step's lower-level component, the stage J it rotates up to, and
+``kill_upper``.  The one numeric pass over such columns, ``_solve_columns``,
+depends on the Lamb-Dicke point and the amplitudes only.  Per channel it
+gathers each step's partner index and Rabi frequency from the pair table,
+refusing an uncoupled pair before any rotation; then it loops over plain
+Python lists, solving each step against the working amplitudes, applying it,
+and collecting the x, theta and note columns, which ``deevolve`` hands to
+``Schedule.from_columns``.  A step on zero amplitudes still yields an explicit
+x=0 pulse.  ``run_steps`` runs a builder's steps through the same columns and
+pass.
 
 Applying a pulse solved at an occupation of total J rotates only the pairs of
 its channel whose lower-J end is <= J (the stage frontier).  Amplitudes the
@@ -50,24 +57,31 @@ unrotated: amplitudes at or below it match a full-table rotation.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from functools import lru_cache
+from typing import Iterable, Iterator, NamedTuple
 
-from .channels import CHANNELS, ChannelId, LambDickeParams, rabi
+import numpy as np
+
+from .channels import CHANNELS, ChannelId, LambDickeParams, PairTable, rabi
 from .fock import (
     Component,
     DomainError,
+    Level,
     Occupation,
     StateVector,
+    Truncation,
+    _layout,
     _require_level_a_support,
-    component_of,
+    _vib_index,
     index_of,
 )
 from .pulses import (
     Direction,
     Schedule,
     _pair_table,
-    _rotate_inplace,
+    _rotate,
     dagger_schedule,
     solve_kill_lower,
     solve_kill_upper,
@@ -102,47 +116,143 @@ class CompileResult:
     pulse_count: int
 
 
-def _solve_and_apply(
-    work: StateVector,
-    cid: ChannelId,
-    occ: Occupation,
-    *,
-    kill_upper: bool,
-    ld: LambDickeParams,
-) -> tuple[ChannelId, float, float, Component]:
-    """Solve one transfer against current amplitudes, apply it up to the
-    stage frontier ``occ.total`` (see the module docstring), and return it."""
-    table = _pair_table(cid, work.truncation, ld)
-    src_index = index_of(Component(occ, CHANNELS[cid].lower_level), work.truncation)
-    row = table.row_of(src_index)
-    if row is None:
-        omega = rabi(CHANNELS[cid], occ, ld)
+class _StepColumns(NamedTuple):
+    """Steps as read-only columns, one entry per step, none depending on the
+    Lamb-Dicke point.  ``groups`` pairs each channel code present, ascending,
+    with the positions of its steps."""
+
+    channel: np.ndarray  # uint8 ChannelId codes
+    src: np.ndarray  # basis index of the solved occupation on the channel's lower level
+    stage: np.ndarray  # its total J: the stage frontier the step rotates up to
+    kill_upper: np.ndarray  # bool
+    groups: tuple[tuple[int, np.ndarray], ...]
+
+
+# Lower electronic level of each channel, indexed by channel code.
+_LOWER_LEVEL = np.array([0] + [CHANNELS[cid].lower_level for cid in ChannelId], dtype=np.intp)
+
+
+def _step_columns(steps: Iterable[Step], truncation: Truncation) -> _StepColumns:
+    """Index columns of ``steps``; an occupation outside the truncation raises
+    :class:`DomainError` as :func:`index_of` words it."""
+    codes: list[int] = []
+    quanta: list[int] = []
+    kills: list[bool] = []
+    for cid, occupation, kill_upper in steps:  # one step object alive at a time
+        codes.append(cid)
+        quanta.extend(occupation)
+        kills.append(kill_upper)
+    channel = np.array(codes, dtype=np.uint8)
+    occ = np.array(quanta, dtype=np.intp).reshape(-1, 3).T
+    stage = occ.sum(axis=0)
+    outside = np.flatnonzero((occ < 0).any(axis=0) | (stage > truncation.j_max))
+    if outside.size:
+        k = int(outside[0])
+        component = Component(Occupation._make(occ[:, k].tolist()), CHANNELS[codes[k]].lower_level)
+        index_of(component, truncation)  # raises
+    src = len(Level) * _vib_index(*occ) + _LOWER_LEVEL[channel]
+    kill_upper = np.array(kills, dtype=bool)
+    groups = tuple(
+        (code, np.flatnonzero(channel == code)) for code in sorted(set(channel.tolist()))
+    )
+    for column in (channel, src, stage, kill_upper, *(where for _, where in groups)):
+        column.flags.writeable = False
+    return _StepColumns(channel, src, stage, kill_upper, groups)
+
+
+@lru_cache(maxsize=32)
+def _plan_columns(j_max: int) -> _StepColumns:
+    """:func:`plan` as step columns, built once per cutoff."""
+    return _step_columns(plan(j_max), Truncation(j_max))
+
+
+def _solve_columns(
+    work: StateVector, steps: _StepColumns, ld: LambDickeParams
+) -> tuple[list[float], list[float], list[Component]]:
+    """The numeric pass: solve and apply each step in order on ``work``.
+
+    Returns the x, theta and note columns.  Each step's pair is looked up once
+    per channel, before any rotation, so a step whose pair the Lamb-Dicke point
+    leaves uncoupled raises :class:`DomainError` (the first one in step order)
+    with ``work`` untouched.  A pulse of nonzero length rotates its channel's
+    pairs up to the step's stage frontier (see the module docstring).
+    """
+    truncation = work.truncation
+    tables: dict[int, PairTable] = {}
+    dst = np.empty(steps.src.size, dtype=np.intp)
+    omega = np.empty(steps.src.size)
+    uncoupled = []
+    for code, where in steps.groups:
+        table = tables[code] = _pair_table(ChannelId(code), truncation, ld)
+        src = steps.src[where]
+        row = table.row_by_vib[src // len(Level)]
+        coupled = row >= 0
+        coupled[coupled] = table.src_index[row[coupled]] == src[coupled]
+        if not coupled.all():
+            uncoupled.append(int(where[np.flatnonzero(~coupled)[0]]))
+            continue
+        dst[where] = table.dst_index[row]
+        omega[where] = table.omega[row]
+    if uncoupled:
+        step = min(uncoupled)
+        cid = ChannelId(int(steps.channel[step]))
+        vib = int(steps.src[step]) // len(Level)
+        occ = Occupation._make(_layout(truncation.j_max).occ[:, vib].tolist())
         raise DomainError(
             f"channel {cid.name} has no coupled pair at occupation {tuple(occ)} "
-            f"for {ld!r}: its Rabi frequency {omega:.6g} is not positive (the "
-            "Lamb-Dicke point is at or past a zero of its Laguerre factor)"
+            f"for {ld!r}: its Rabi frequency {rabi(CHANNELS[cid], occ, ld):.6g} is not "
+            "positive (the Lamb-Dicke point is at or past a zero of its Laguerre factor)"
         )
-    dst_index = int(table.dst_index[row])
-    omega = float(table.omega[row])
-    q_lower = complex(work.amplitudes[src_index])
-    q_upper = complex(work.amplitudes[dst_index])
-    solve = solve_kill_upper if kill_upper else solve_kill_lower
-    x, theta = solve(q_lower, q_upper, omega)
-    note = component_of(dst_index if kill_upper else src_index, work.truncation)
-    _rotate_inplace(work.amplitudes, table, x, theta, table.prefix[occ.total])
-    return cid, x, theta, note
+    amps = work.amplitudes
+    amplitude = amps.item  # a Python complex, as complex(amps[i]) gives
+    basis = _layout(truncation.j_max).basis
+    xs: list[float] = []
+    thetas: list[float] = []
+    notes: list[Component] = []
+    # Per (channel, stage J): the pair and distinct-omega slices up to the frontier.
+    rotations: dict[tuple[int, int], tuple[np.ndarray, ...]] = {}
+    columns = (
+        steps.channel.tolist(), steps.src.tolist(), dst.tolist(), omega.tolist(),
+        steps.stage.tolist(), steps.kill_upper.tolist(),
+    )
+    for code, src, dst_, w, stage, kill_upper in zip(*columns):
+        q_lower = amplitude(src)
+        q_upper = amplitude(dst_)
+        if kill_upper:
+            x, theta = solve_kill_upper(q_lower, q_upper, w)
+            notes.append(basis[dst_])
+        else:
+            x, theta = solve_kill_lower(q_lower, q_upper, w)
+            notes.append(basis[src])
+        xs.append(x)
+        thetas.append(theta)
+        if x != 0.0:
+            rotation = rotations.get((code, stage))
+            if rotation is None:
+                table = tables[code]
+                count = table.prefix[stage]
+                rotation = rotations[code, stage] = (
+                    table.src_index[:count], table.dst_index[:count],
+                    table.omega_distinct[: table.distinct_count[count]],
+                    table.omega_inverse[:count],
+                )
+            _rotate(amps, *rotation, x, -1j * cmath.exp(1j * theta), -1j * cmath.exp(-1j * theta))
+    return xs, thetas, notes
 
 
 def run_steps(
     work: StateVector, steps: Iterable[Step], ld: LambDickeParams
 ) -> list[tuple[ChannelId, float, float, Component]]:
-    """The numeric pass: solve and apply each step in order on ``work``; returns
-    the pulses as (channel, x, theta, note) rows.  The solvers return Python
-    floats with theta already in (-pi, pi], so the rows need no conversion."""
-    return [
-        _solve_and_apply(work, cid, occ, kill_upper=kill_upper, ld=ld)
-        for cid, occ, kill_upper in steps
-    ]
+    """Solve and apply builder steps in order on ``work``; returns the pulses
+    as (channel, x, theta, note) rows.
+
+    The steps go through the same step columns and numeric pass as
+    :func:`deevolve`'s cached plan.  The solvers return Python floats with
+    theta already in (-pi, pi], so the rows need no conversion.
+    """
+    columns = _step_columns(steps, work.truncation)
+    xs, thetas, notes = _solve_columns(work, columns, ld)
+    return list(zip(map(ChannelId, columns.channel.tolist()), xs, thetas, notes))
 
 
 def _collect_row(j: int, n_x: int, exchange: ChannelId, carrier: ChannelId, lead: bool) -> Iterator[Step]:
@@ -250,16 +360,18 @@ def deevolve(
     if not abs(norm - 1.0) <= 1e-6:  # written so that a NaN norm fails too
         raise DomainError(f"target must be normalized, got norm {norm!r}")
     work = StateVector._wrap(target.amplitudes / norm, target.truncation)
-    rows = run_steps(work, plan(target.truncation.j_max), ld)  # never empty
+    steps = _plan_columns(target.truncation.j_max)
+    xs, thetas, notes = _solve_columns(work, steps, ld)
     residual = 1.0 - abs(work.amplitudes[0]) ** 2
     deevolution = Schedule.from_columns(
-        *zip(*rows), ld, target.truncation, Direction.DEEVOLUTION, description
+        steps.channel, xs, thetas, notes, ld, target.truncation, Direction.DEEVOLUTION,
+        description,
     )
     return CompileResult(
         deevolution=deevolution,
         preparation=dagger_schedule(deevolution),
         final_residual=max(0.0, float(residual)),
-        pulse_count=len(rows),
+        pulse_count=len(notes),
     )
 
 

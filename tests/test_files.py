@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ionsynth import (
     CHANNELS,
@@ -20,6 +22,8 @@ from ionsynth import (
     TargetFormatError,
     Truncation,
     deevolve,
+    enumerate_basis,
+    index_of,
     load_schedule,
     load_target,
     random_target,
@@ -30,6 +34,7 @@ from ionsynth import (
     target_ghz,
 )
 from ionsynth.cli import main
+from ionsynth.files import _notes, _parse_note
 
 
 @pytest.fixture(scope="module")
@@ -345,6 +350,18 @@ def test_load_target_rejects(tmp_path, doc, fragment):
     assert fragment in str(err.value)
 
 
+def test_load_target_names_a_norm_past_the_float_range(tmp_path, capsys):
+    """An amplitude whose square overflows gives an infinite norm, refused by
+    name without a NumPy overflow warning; the CLI exits 2."""
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps([{"n": [0, 0, 0], "re": 0.0, "im": 1.3407807929942597e154}]))
+    with pytest.raises(TargetFormatError, match="target norm inf differs from 1"):
+        load_target(path, Truncation(2))
+    argv = ["compile", "--target", f"file:{path}", "--jmax", "2", "--out", str(tmp_path / "s.json")]
+    assert main(argv) == 2
+    assert "norm inf" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("cid", list(ChannelId))
 def test_load_schedule_note_must_sit_on_a_coupled_level(tmp_path, cid):
     """A note names the component its pulse nulled, which lies on one of the
@@ -361,3 +378,49 @@ def test_load_schedule_note_must_sit_on_a_coupled_level(tmp_path, cid):
         else:
             with pytest.raises(ScheduleFormatError, match=r"pulses\[0\]\.note: level"):
                 load_schedule(path)
+
+
+NOTE_NUMBERS = st.sampled_from([0, 1, 2, 3, 7, -1, True, False, 1.0, 2**64, -(2**70), "1", None])
+NOTE_LABELS = st.sampled_from(["a", "b", "c", "d", "A", "B", "D", "e", "", "ab", 0, None, ["a"]])
+ANY_NOTE = st.tuples(
+    st.one_of(
+        st.none(),
+        st.tuples(NOTE_NUMBERS, NOTE_NUMBERS, NOTE_NUMBERS, NOTE_LABELS).map(list),
+        st.lists(NOTE_NUMBERS, max_size=5),
+        st.sampled_from([0, "a", {"nx": 0}, [[0, 0, 0, "a"]]]),
+    ),
+    st.sampled_from(list(ChannelId)),
+)
+# A note on a level its channel couples, with at most three quanta.
+COUPLED_NOTE = st.sampled_from(list(ChannelId)).flatmap(
+    lambda cid: st.tuples(
+        st.tuples(
+            *[st.integers(0, 1)] * 3,
+            st.sampled_from([CHANNELS[cid].lower_level.label, CHANNELS[cid].upper_level.label]),
+        ).map(list),
+        st.just(cid),
+    )
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    notes=st.lists(st.one_of(COUPLED_NOTE, COUPLED_NOTE, COUPLED_NOTE, ANY_NOTE), max_size=6),
+    j_max=st.integers(0, 3),
+)
+def test_note_column_matches_the_per_note_parser(notes, j_max):
+    """The column check accepts exactly what ``_parse_note`` accepts, note by
+    note, gives equal components, and raises the first failing note's error."""
+    raw = [note for note, _ in notes]
+    channel = np.array([cid for _, cid in notes], dtype=np.uint8)
+    try:
+        want = [_parse_note(note, i, j_max, cid) for i, (note, cid) in enumerate(notes)]
+    except ScheduleFormatError as exc:
+        with pytest.raises(ScheduleFormatError) as info:
+            _notes(raw, channel, j_max)
+        assert str(info.value) == str(exc)
+    else:
+        got = _notes(raw, channel, j_max)
+        assert got == want
+        basis = enumerate_basis(Truncation(j_max))  # the canonical objects
+        assert all(g is None or g is basis[index_of(g, Truncation(j_max))] for g in got)

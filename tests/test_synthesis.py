@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import roots_genlaguerre
 
 from ionsynth import (
     CHANNELS,
@@ -21,6 +24,7 @@ from ionsynth import (
     index_of,
     nonlinearity,
     pulse_count_model,
+    rabi,
     solve_kill_lower,
     solve_kill_upper,
     target_corr,
@@ -39,6 +43,7 @@ from ionsynth.synthesis import (
     build_U_abc,
     build_U_bcd,
     bridge,
+    plan,
     run_steps,
 )
 
@@ -394,20 +399,20 @@ def full_table_solve_and_apply(work, cid, occ, *, kill_upper, ld):
     return cid, x, theta, note
 
 
-def full_table(fn, *args):
-    """Run ``fn`` with the full-table compiler step patched in; check that the
-    patch was really used, so a refactor cannot turn this into a self-compare."""
-    calls = []
+def full_table_rows(work, steps, ld):
+    """Run ``steps`` through the full-table step on ``work``; never routes
+    through ``synthesis``, so the comparison cannot become a self-compare."""
+    return [
+        full_table_solve_and_apply(work, cid, occ, kill_upper=kill_upper, ld=ld)
+        for cid, occ, kill_upper in steps
+    ]
 
-    def step(*a, **kw):
-        calls.append(1)
-        return full_table_solve_and_apply(*a, **kw)
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(synthesis, "_solve_and_apply", step)
-        out = fn(*args)
-    assert calls
-    return out
+def full_table_deevolve(target, ld):
+    """Reference compile over ``plan``: the rows and the final residual."""
+    work = StateVector(target.amplitudes / target.norm(), target.truncation)
+    rows = full_table_rows(work, plan(target.truncation.j_max), ld)
+    return rows, max(0.0, float(1.0 - abs(work.amplitudes[0]) ** 2))
 
 
 def fingerprint(pulses):
@@ -454,10 +459,10 @@ def test_deevolve_matches_full_table_compiler(j_max, ld_name):
     t = Truncation(j_max)
     for name, target in frontier_targets(t).items():
         got = deevolve(target, ld)
-        want = full_table(deevolve, target, ld)
-        assert fingerprint(got.deevolution.pulses) == fingerprint(want.deevolution.pulses), name
-        assert got.final_residual.hex() == want.final_residual.hex(), name
-        assert got.pulse_count == want.pulse_count
+        want, residual = full_table_deevolve(target, ld)
+        assert fingerprint(got.deevolution.pulses) == row_fingerprint(want), name
+        assert got.final_residual.hex() == residual.hex(), name
+        assert got.pulse_count == len(want)
 
 
 def builder_calls(j_max: int):
@@ -473,7 +478,7 @@ def run_builder(builder, state: StateVector, args, ld, *, reference: bool):
     """Apply one builder to a copy of ``state``; returns (rows, amplitudes)."""
     work = StateVector(state.amplitudes.copy(), state.truncation)
     if reference:
-        rows = full_table(run_steps, work, builder(*args), ld)
+        rows = full_table_rows(work, builder(*args), ld)
     else:
         rows = run_steps(work, builder(*args), ld)
     return rows, work.amplitudes
@@ -538,3 +543,128 @@ def test_deevolve_names_an_uncoupled_pair(j_max, ld, channel):
         deevolve(target, ld)
     message = str(info.value)
     assert "at occupation (" in message and repr(ld) in message
+
+
+UNCOUPLED = [
+    # (j_max, Lamb-Dicke point, channel, first uncoupled occupation, a builder holding it)
+    (12, LambDickeParams(0.6, 0.1, 0.2, 0.1), "H5", (10, 2, 0), (build_C, (12, 10))),
+    (4, LambDickeParams(1.3, 0.1, 0.2, 0.1), "H5", (2, 2, 0), (build_C, (4, 2))),
+    (4, LambDickeParams(0.3, 0.1, 0.2, 1.4142), "H4", (2, 0, 2), (build_B, (4, 2))),
+    # exp(-eps_x**2/2) underflows, so the x-exchange channels have no pair at all
+    (3, LambDickeParams(1e200, 0.1, 0.2, 0.1), "H5", (0, 3, 0), (build_C, (3, 0))),
+]
+
+
+def uncoupled_message(channel: str, occ: tuple, ld: LambDickeParams) -> str:
+    omega = rabi(CHANNELS[ChannelId[channel]], Occupation(*occ), ld)
+    return (
+        f"channel {channel} has no coupled pair at occupation {occ} for {ld!r}: its Rabi "
+        f"frequency {omega:.6g} is not positive (the Lamb-Dicke point is at or past a zero "
+        "of its Laguerre factor)"
+    )
+
+
+@pytest.mark.parametrize("j_max, ld, channel, occ, builder", UNCOUPLED)
+def test_deevolve_raises_the_uncoupled_pair_message_before_any_rotation(
+    j_max, ld, channel, occ, builder
+):
+    """The first uncoupled step in plan order is named word for word, and the
+    target is left as it came in."""
+    target = target_corr(1.0, Truncation(j_max)).state
+    before = target.amplitudes.copy()
+    with pytest.raises(DomainError) as info:
+        deevolve(target, ld)
+    assert str(info.value) == uncoupled_message(channel, occ, ld)
+    assert np.array_equal(target.amplitudes, before)
+
+
+@pytest.mark.parametrize("j_max, ld, channel, occ, builder", UNCOUPLED)
+def test_run_steps_raises_the_uncoupled_pair_message_before_any_rotation(
+    j_max, ld, channel, occ, builder
+):
+    """Builder steps go through the same step columns and check: same
+    message, and the coupled build_A ladder run ahead of the uncoupled step
+    has not rotated ``work``."""
+    t = Truncation(j_max)
+    work = random_state(t, np.random.default_rng(j_max))
+    before = work.amplitudes.copy()
+    build, args = builder
+    with pytest.raises(DomainError) as info:
+        run_steps(work, [*build_A(j_max, 0), *build(*args)], ld)
+    assert str(info.value) == uncoupled_message(channel, occ, ld)
+    assert np.array_equal(work.amplitudes, before)
+
+
+def test_run_steps_names_a_step_outside_the_truncation():
+    work = vacuum_state(Truncation(2))
+    with pytest.raises(DomainError, match="is not inside the truncation j_max=2"):
+        run_steps(work, build_A(3, 0), LD)
+    assert run_steps(work, [], LD) == []
+
+
+@pytest.mark.parametrize("j_max", [*range(17), 40])
+def test_plan_columns_match_the_plan(j_max):
+    """The cached columns hold, step by step, the plan's channel, the basis
+    index of its occupation on the lower level, its J and kill_upper."""
+    t = Truncation(j_max)
+    columns = synthesis._plan_columns(j_max)
+    steps = list(plan(j_max))
+    assert columns.channel.tolist() == [int(cid) for cid, _, _ in steps]
+    assert columns.src.tolist() == [
+        index_of(Component(occ, CHANNELS[cid].lower_level), t) for cid, occ, _ in steps
+    ]
+    assert columns.stage.tolist() == [occ.total for _, occ, _ in steps]
+    assert columns.kill_upper.tolist() == [kill_upper for _, _, kill_upper in steps]
+    for code, where in columns.groups:
+        assert where.tolist() == [k for k, (cid, _, _) in enumerate(steps) if cid == code]
+    assert sum(where.size for _, where in columns.groups) == len(steps)
+    assert not any(a.flags.writeable for a in columns[:4])
+
+
+def schedule_bytes(schedule) -> bytes:
+    return b"".join(
+        [schedule.channel.tobytes(), schedule.x.tobytes(), schedule.theta.tobytes(),
+         repr(schedule.notes).encode()]
+    )
+
+
+def test_compiles_at_alternating_cutoffs_give_the_same_bytes():
+    """Compiling at J_max 12, then 8, then 12 again: the cached plan columns
+    of one cutoff are not disturbed by another's."""
+    def compile_at(j_max):
+        result = deevolve(target_corr(1.0, Truncation(j_max)).state)
+        return schedule_bytes(result.deevolution), schedule_bytes(result.preparation), (
+            result.final_residual.hex()
+        )
+
+    first = compile_at(12)
+    compile_at(8)
+    assert compile_at(12) == first
+
+
+def first_laguerre_zero(j_max: int) -> float:
+    """eps**2 at the smallest zero of L1_n over n <= j_max (L1_0 has none)."""
+    return float(roots_genlaguerre(j_max, 1)[0].min()) if j_max else 4.0
+
+
+@st.composite
+def below_first_zero(draw):
+    j_max = draw(st.integers(0, 8))
+    bound = 0.95 * math.sqrt(first_laguerre_zero(j_max))
+    eps = draw(st.lists(st.floats(0.0, bound), min_size=4, max_size=4))
+    return j_max, LambDickeParams(*eps)
+
+
+@settings(max_examples=30, deadline=None)
+@given(point=below_first_zero(), sparse=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_deevolve_matches_full_table_compiler_below_the_first_zero(point, sparse, seed):
+    """Random dense and 70%-sparse level-a targets at Lamb-Dicke points below
+    every Laguerre zero: the columnar pass emits the full-table program bit
+    for bit (channels, x and theta hex, notes and residual hex)."""
+    j_max, ld = point
+    t = Truncation(j_max)
+    target = sparse_random(t, seed) if sparse else random_level_a(t, np.random.default_rng(seed))
+    got = deevolve(target, ld)
+    want, residual = full_table_deevolve(target, ld)
+    assert fingerprint(got.deevolution.pulses) == row_fingerprint(want)
+    assert got.final_residual.hex() == residual.hex()
