@@ -29,9 +29,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections.abc import Sequence
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
+from itertools import compress
 
 import numpy as np
 from scipy.special import eval_genlaguerre
@@ -209,53 +210,48 @@ class CoupledPair:
 
 
 @dataclass(frozen=True, eq=False)
-class PairTable(Sequence[CoupledPair]):
+class PairTable:
     """A channel's coupled pairs under one truncation and Lamb-Dicke point.
 
     Row k rotates basis index ``src_index[k]`` (lower level) with
-    ``dst_index[k]`` (upper level) at Rabi frequency ``omega[k] > 0``.  Rows
-    run in basis order of their lower-level end, so the total J of a row's
-    lower-J end never decreases along the table.  ``prefix[f]`` is the number
-    of leading rows whose lower-J end is <= f, and ``lift`` the J gap between
-    a row's two ends (1 for the red sideband, 0 for every other channel).
+    ``dst_index[k]`` (upper level) at Rabi frequency
+    ``omega_distinct[omega_inverse[k]] > 0``.  Omega depends on a row only
+    through nx (carriers, red sideband) or the raised and lowered occupations
+    (exchange), so ``omega_distinct`` holds one Rabi frequency per such key,
+    numbered in order of first appearance.  ``lift`` is the J gap between a
+    row's two ends (1 for the red sideband, 0 for every other channel) and
+    ``basis`` the canonical basis the indices point into.
 
-    Omega depends on a row only through nx (carriers, red sideband) or the
-    raised and lowered occupations (exchange), so ``omega_distinct`` holds one
-    Rabi frequency per such key, numbered in order of first appearance, and
-    ``omega == omega_distinct[omega_inverse]`` bit for bit; the first c rows
-    use only the first ``distinct_count[c]`` entries.
+    Rows run in basis order of their lower-level end, so ``src_index`` is
+    strictly increasing and the total J of a row's lower-J end never
+    decreases along the table.  ``upto[j]`` holds the rotation operands
+    ``(src, dst, omega, inverse)`` of the leading rows whose lower-J end is
+    <= j, with ``omega`` cut to the distinct entries those rows use.
 
-    Indexing, slicing and iteration give :class:`CoupledPair` views.
+    Iteration gives :class:`CoupledPair` views.
     """
 
     src_index: np.ndarray
     dst_index: np.ndarray
-    omega: np.ndarray
     omega_distinct: np.ndarray = field(repr=False)
     omega_inverse: np.ndarray = field(repr=False)
-    distinct_count: np.ndarray = field(repr=False)
-    prefix: tuple[int, ...] = field(repr=False)
     lift: int
-    # row_by_vib[v]: the row whose lower-level end has vibrational index v, or -1
-    row_by_vib: np.ndarray = field(repr=False)
-    components: np.ndarray = field(repr=False)  # the basis as an object array
+    basis: tuple[Component, ...] = field(repr=False)
+    upto: tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...] = field(repr=False)
 
     def __len__(self) -> int:
         return self.src_index.size
 
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return [self[i] for i in range(*k.indices(len(self)))]
-        return CoupledPair(
-            self.components[self.src_index[k]],
-            self.components[self.dst_index[k]],
-            float(self.omega[k]),
-        )
+    def __iter__(self) -> Iterator[CoupledPair]:
+        pick = self.basis.__getitem__
+        src = map(pick, self.src_index.tolist())
+        dst = map(pick, self.dst_index.tolist())
+        return map(CoupledPair, src, dst, self.omega_distinct[self.omega_inverse].tolist())
 
-    def row_of(self, src: int) -> int | None:
-        """Row whose lower-level end is basis index ``src``, or None."""
-        row = int(self.row_by_vib[src // len(Level)])
-        return row if row >= 0 and self.src_index[row] == src else None
+    def rows(self, src: np.ndarray) -> np.ndarray:
+        """Row whose lower-level end is each basis index in ``src``, or -1."""
+        row = np.searchsorted(self.src_index, src)
+        return np.where(np.append(self.src_index, -1)[row] == src, row, -1)
 
 
 def _nonlinearities(eps: float, j_max: int) -> np.ndarray:
@@ -275,12 +271,14 @@ def coupled_pairs(
 
     Every component appears exactly once: either in one pair or in the
     untouched list.  Pairs never leave the truncation because each channel
-    preserves or lowers the total quantum number.  Zero-Rabi combinations are
-    classified as untouched so later pulse solving never divides by zero.
-    Omega is bit for bit what :func:`rabi` gives the same lower occupation.
+    preserves or lowers the total quantum number.  A combination whose Rabi
+    frequency is not positive (zero, or negative past a zero of a Laguerre
+    factor) is classified as untouched, so later pulse solving never divides
+    by zero.  Omega is bit for bit what :func:`rabi` gives the same lower
+    occupation.
     """
     j_max = truncation.j_max
-    occ, _, components, _ = _layout(j_max)
+    occ, basis, _ = _layout(j_max)
     vib = np.arange(occ.shape[1])
     if spec.lowered is not None:
         vib = vib[occ[spec.lowered] >= 1]
@@ -317,23 +315,20 @@ def coupled_pairs(
     j_dst = upper.sum(axis=0)  # every channel keeps or lowers J
     distinct = np.zeros(int(rank.max(initial=-1)) + 1)
     distinct[rank] = omega  # the rows of one rank hold the same bits
-    row_by_vib = np.full(truncation.vibrational_dim, -1, dtype=np.intp)
-    row_by_vib[vib] = np.arange(vib.size)
+    ends = np.searchsorted(j_dst, np.arange(j_max + 1), side="right").tolist()
+    used = np.concatenate(([0], np.maximum.accumulate(rank) + 1)).tolist()  # by the first c rows
     table = PairTable(
         src_index=src,
         dst_index=dst,
-        omega=omega,
         omega_distinct=distinct,
         omega_inverse=rank,
-        distinct_count=np.concatenate(([0], np.maximum.accumulate(rank) + 1)),
-        prefix=tuple(np.searchsorted(j_dst, np.arange(j_max + 1), side="right").tolist()),
         lift=1 if spec.kind is ChannelKind.RED_SIDEBAND and vib.size else 0,
-        row_by_vib=row_by_vib,
-        components=components,
+        basis=basis,
+        upto=tuple((src[:c], dst[:c], distinct[: used[c]], rank[:c]) for c in ends),
     )
     claimed = np.zeros(truncation.dim, dtype=bool)
     claimed[src] = claimed[dst] = True
-    return table, components[~claimed].tolist()
+    return table, list(compress(basis, (~claimed).tolist()))
 
 
 def dense_hamiltonian(
@@ -349,6 +344,7 @@ def dense_hamiltonian(
     h = np.zeros((dim, dim), dtype=np.complex128)
     raising = cmath.exp(-1j * theta)
     pairs, _ = coupled_pairs(spec, truncation, ld)
-    h[pairs.dst_index, pairs.src_index] = pairs.omega * raising
-    h[pairs.src_index, pairs.dst_index] = pairs.omega * raising.conjugate()
+    omega = pairs.omega_distinct[pairs.omega_inverse]
+    h[pairs.dst_index, pairs.src_index] = omega * raising
+    h[pairs.src_index, pairs.dst_index] = omega * raising.conjugate()
     return h

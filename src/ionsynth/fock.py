@@ -127,11 +127,10 @@ def _vib_index(nx: np.ndarray, ny: np.ndarray, nz: np.ndarray) -> np.ndarray:
 
 
 class _Layout(NamedTuple):
-    """The canonical order below one cutoff; both arrays are read-only."""
+    """The canonical order below one cutoff; the ``occ`` array is read-only."""
 
     occ: np.ndarray  # occ[:, v] is the (nx, ny, nz) of vibrational index v
     basis: tuple[Component, ...]
-    components: np.ndarray  # the basis as an object array
     index: dict[Component, int]
 
 
@@ -145,10 +144,8 @@ def _layout(j_max: int) -> _Layout:
     basis = tuple(
         Component(o, level) for o in map(Occupation._make, occ.T.tolist()) for level in levels
     )
-    components = np.fromiter(basis, dtype=object, count=len(basis))
-    for array in (occ, components):
-        array.setflags(write=False)
-    return _Layout(occ, basis, components, {comp: k for k, comp in enumerate(basis)})
+    occ.setflags(write=False)
+    return _Layout(occ, basis, {comp: k for k, comp in enumerate(basis)})
 
 
 def enumerate_basis(truncation: Truncation) -> tuple[Component, ...]:

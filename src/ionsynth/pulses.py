@@ -29,9 +29,10 @@ Replay tracks the occupied-J frontier: the highest total quantum number J
 that may hold a nonzero amplitude.  Every channel preserves J except the red
 sideband H9, which links J to J-1, so a pulse can lift the frontier by at most
 one, and only on H9.  Pairs whose lower-J end lies above the frontier hold two
-exact zeros, which a rotation leaves at zero; replay skips them, and the
-amplitudes it returns are value-identical to rotating every pair.  A
-preparation from the vacuum starts at frontier 0.
+exact zeros, which a rotation leaves at zero; replay rotates only the pair
+table's ``upto[frontier]`` operands, and the amplitudes it returns are
+value-identical to rotating every pair.  A preparation from the vacuum starts
+at frontier 0.
 
 Replay runs one state, of shape (dim,) with pulse columns x and theta of
 shape (n,), or K states, of shape (K, dim) with columns of shape (n, K) whose
@@ -236,21 +237,6 @@ def _rotate(
     flat[dst] = c * v + minus * (s * u)
 
 
-def _rotate_inplace(
-    amps: np.ndarray, table: PairTable, x: float, theta: float, count: int | None = None
-) -> None:
-    """Rotate the first ``count`` pairs of ``table`` (all of them by default)."""
-    if count is None:
-        count = len(table)
-    if x == 0.0 or count == 0:
-        return
-    _rotate(
-        amps, table.src_index[:count], table.dst_index[:count],
-        table.omega_distinct[: table.distinct_count[count]], table.omega_inverse[:count],
-        x, -1j * cmath.exp(1j * theta), -1j * cmath.exp(-1j * theta),
-    )
-
-
 def _replay(
     amps: np.ndarray,
     truncation: Truncation,
@@ -284,9 +270,9 @@ def _replay(
     frontier = int(_total_j(occupied[-1], truncation)) if occupied.size else 0
     trial = np.arange(k)[:, np.newaxis]
     tables: dict[int, PairTable] = {}
-    # Per channel, the (K, count) index arrays of the current frontier: pair
-    # ends into ``flat``, and the distinct omegas with their inverse into the
-    # flattened (K, distinct) trig.  Dropped whenever the frontier moves.
+    # Per channel, ``table.upto[frontier]`` as (K, count) index arrays: pair
+    # ends into ``flat``, and the inverse into the flattened (K, distinct)
+    # trig.  Dropped whenever the frontier moves.
     slices: dict[int, tuple[np.ndarray, ...]] = {}
     for code, length, p, m in zip(channel[live].tolist(), lengths, plus, minus):
         table = tables.get(code)
@@ -294,13 +280,9 @@ def _replay(
             table = tables[code] = _pair_table(ChannelId(code), truncation, ld)
         rotation = slices.get(code)
         if rotation is None:
-            count = table.prefix[frontier]
-            distinct = table.distinct_count[count]
+            src, dst, omega, inverse = table.upto[frontier]
             rotation = slices[code] = (
-                table.src_index[:count] + dim * trial,
-                table.dst_index[:count] + dim * trial,
-                table.omega_distinct[:distinct],
-                table.omega_inverse[:count] + distinct * trial,
+                src + dim * trial, dst + dim * trial, omega, inverse + omega.size * trial,
             )
         _rotate(flat, *rotation, length, p, m)
         if table.lift and frontier < truncation.j_max:

@@ -24,19 +24,20 @@ once per cutoff, into read-only index columns: the channel code, the basis
 index of each step's lower-level component, the stage J it rotates up to, and
 ``kill_upper``.  The one numeric pass over such columns, ``_solve_columns``,
 depends on the Lamb-Dicke point and the amplitudes only.  Per channel it
-gathers each step's partner index and Rabi frequency from the pair table,
-refusing an uncoupled pair before any rotation; then it loops over plain
-Python lists, solving each step against the working amplitudes, applying it,
-and collecting the x, theta and note columns, which ``deevolve`` hands to
-``Schedule.from_columns``.  A step on zero amplitudes still yields an explicit
-x=0 pulse.  ``run_steps`` runs a builder's steps through the same columns and
-pass.
+looks up each step's row in the pair table and gathers its partner index and
+Rabi frequency, refusing an uncoupled pair before any rotation; then it loops
+over plain Python lists, solving each step against the working amplitudes,
+applying it, and collecting the x, theta and note columns, which ``deevolve``
+hands to ``Schedule.from_columns``.  A step on zero amplitudes still yields
+an explicit x=0 pulse.  ``run_steps`` runs a builder's steps through the same
+columns and pass.
 
 Applying a pulse solved at an occupation of total J rotates only the pairs of
-its channel whose lower-J end is <= J (the stage frontier).  Amplitudes the
-skipped pairs hold go stale (they differ from a full-table rotation), but no
-later solve reads them.  The invariant is: when stage J starts, every
-amplitude at total J or below is exact.
+its channel whose lower-J end is <= J (the stage frontier): the operands its
+pair table keeps in ``upto[J]``.  Amplitudes the skipped pairs hold go stale
+(they differ from a full-table rotation), but no later solve reads them.  The
+invariant is: when stage J starts, every amplitude at total J or below is
+exact.
 
 * ``build_U_abc(J)`` and ``build_U_bcd(J-1)`` use J-preserving channels and
   solve at J and J-1, rotating every pair at or below the solved J, so what
@@ -184,15 +185,12 @@ def _solve_columns(
     uncoupled = []
     for code, where in steps.groups:
         table = tables[code] = _pair_table(ChannelId(code), truncation, ld)
-        src = steps.src[where]
-        row = table.row_by_vib[src // len(Level)]
-        coupled = row >= 0
-        coupled[coupled] = table.src_index[row[coupled]] == src[coupled]
-        if not coupled.all():
-            uncoupled.append(int(where[np.flatnonzero(~coupled)[0]]))
+        row = table.rows(steps.src[where])
+        if (row < 0).any():
+            uncoupled.append(int(where[np.argmax(row < 0)]))
             continue
         dst[where] = table.dst_index[row]
-        omega[where] = table.omega[row]
+        omega[where] = table.omega_distinct[table.omega_inverse[row]]
     if uncoupled:
         step = min(uncoupled)
         cid = ChannelId(int(steps.channel[step]))
@@ -209,8 +207,6 @@ def _solve_columns(
     xs: list[float] = []
     thetas: list[float] = []
     notes: list[Component] = []
-    # Per (channel, stage J): the pair and distinct-omega slices up to the frontier.
-    rotations: dict[tuple[int, int], tuple[np.ndarray, ...]] = {}
     columns = (
         steps.channel.tolist(), steps.src.tolist(), dst.tolist(), omega.tolist(),
         steps.stage.tolist(), steps.kill_upper.tolist(),
@@ -227,16 +223,8 @@ def _solve_columns(
         xs.append(x)
         thetas.append(theta)
         if x != 0.0:
-            rotation = rotations.get((code, stage))
-            if rotation is None:
-                table = tables[code]
-                count = table.prefix[stage]
-                rotation = rotations[code, stage] = (
-                    table.src_index[:count], table.dst_index[:count],
-                    table.omega_distinct[: table.distinct_count[count]],
-                    table.omega_inverse[:count],
-                )
-            _rotate(amps, *rotation, x, -1j * cmath.exp(1j * theta), -1j * cmath.exp(-1j * theta))
+            upto = tables[code].upto[stage]
+            _rotate(amps, *upto, x, -1j * cmath.exp(1j * theta), -1j * cmath.exp(-1j * theta))
     return xs, thetas, notes
 
 

@@ -1,3 +1,5 @@
+import cmath
+
 import numpy as np
 
 from ionsynth import StateVector, Truncation, random_target
@@ -12,3 +14,20 @@ def random_state(truncation: Truncation, rng: np.random.Generator) -> StateVecto
 def random_level_a(truncation: Truncation, rng: np.random.Generator) -> StateVector:
     """Random unit state supported only on electronic level a."""
     return random_target(truncation, rng).state
+
+
+def per_pair_rotate(amps: np.ndarray, table, x: float, theta: float, count: int | None = None):
+    """Reference kernel: rotate the first ``count`` pairs of ``table`` (all of
+    them by default) in place, with cos and sin of x*omega evaluated on every
+    pair."""
+    if x == 0.0 or count == 0 or table.src_index.size == 0:
+        return
+    src = table.src_index[:count]
+    dst = table.dst_index[:count]
+    u = amps[src]
+    v = amps[dst]
+    ang = x * table.omega_distinct[table.omega_inverse[:count]]
+    c = np.cos(ang)
+    s = np.sin(ang)
+    amps[src] = c * u + (-1j * cmath.exp(1j * theta)) * (s * v)
+    amps[dst] = c * v + (-1j * cmath.exp(-1j * theta)) * (s * u)

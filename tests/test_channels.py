@@ -238,7 +238,7 @@ def test_dense_hamiltonian_is_hermitian_with_pair_eigenvalues():
         h = dense_hamiltonian(CHANNELS[cid], theta, t, LD)
         assert np.allclose(h, h.conj().T)
         pairs, untouched = coupled_pairs(CHANNELS[cid], t, LD)
-        for p in pairs[:10]:
+        for p in list(pairs)[:10]:
             i, j = index_of(p.src, t), index_of(p.dst, t)
             block = h[np.ix_([i, j], [i, j])]
             eig = np.linalg.eigvalsh(block)
@@ -285,10 +285,9 @@ def assert_tables_match_loop(t, ld):
         table, untouched = coupled_pairs(spec, t, ld)
         src, dst, omega, want_untouched = loop_coupled_pairs(spec, t, ld)
         assert table.src_index.dtype == np.intp and table.dst_index.dtype == np.intp
-        assert table.omega.dtype == np.float64
+        assert table.omega_distinct.dtype == np.float64
         assert table.src_index.tobytes() == src.tobytes(), cid
         assert table.dst_index.tobytes() == dst.tobytes(), cid
-        assert table.omega.tobytes() == omega.tobytes(), cid
         assert table.omega_distinct[table.omega_inverse].tobytes() == omega.tobytes(), cid
         assert untouched == want_untouched, cid
 
@@ -322,47 +321,65 @@ def test_tables_match_loop_over_random_points(j_max, eps):
     assert_tables_match_loop(Truncation(j_max), LambDickeParams(*eps))
 
 
-def test_pair_views_index_slice_and_iterate():
+def test_pair_views_iterate():
     t = Truncation(3)
     table, _ = coupled_pairs(CHANNELS[ChannelId.H5], t, LD)
     views = list(table)
     assert len(views) == len(table) == table.src_index.size > 2
+    omega = table.omega_distinct[table.omega_inverse]
     for k, pair in enumerate(views):
-        assert pair == table[k] == CoupledPair(
+        assert pair == CoupledPair(
             component_of(int(table.src_index[k]), t),
             component_of(int(table.dst_index[k]), t),
-            float(table.omega[k]),
+            float(omega[k]),
         )
         assert pair.omega == rabi(CHANNELS[ChannelId.H5], pair.src.occ, LD)
-    assert table[-1] == views[-1]
-    assert table[1:3] == views[1:3] and table[::-2] == views[::-2]
-    with pytest.raises(IndexError):
-        table[len(table)]
 
 
-@pytest.mark.parametrize("ld", [LD, LD0, LambDickeParams(0.6, 0.1, 0.2, 0.1)])
+@pytest.mark.parametrize(
+    "ld",
+    [
+        LD,
+        LD0,
+        LambDickeParams(0.6, 0.1, 0.2, 0.1),  # H5 drops pairs past a zero
+        LambDickeParams(1e200, 0.1, 1e100, 38.6),  # exchange tables empty
+    ],
+)
 def test_pair_table_row_lookup_and_distinct_omega(ld):
-    t = Truncation(6)
-    for spec in CHANNELS.values():
-        table, _ = coupled_pairs(spec, t, ld)
-        rows = {int(s): k for k, s in enumerate(table.src_index)}
-        for index in range(t.dim):
-            assert table.row_of(index) == rows.get(index)
-        assert table.omega_distinct[table.omega_inverse].tobytes() == table.omega.tobytes()
-        inverse = table.omega_inverse.tolist()
-        # one entry per occupation key that Omega depends on
-        keys = {}
-        for pair, entry in zip(table, inverse):
-            occ = pair.src.occ
-            key = (occ.nx,) if spec.raised is None else (occ[spec.raised], occ[spec.lowered])
-            assert keys.setdefault(entry, key) == key
-        assert len(set(keys.values())) == len(keys)
-        # entries are numbered in order of first appearance, and a prefix of
-        # rows needs only a prefix of them
-        firsts = list(dict.fromkeys(inverse))
-        assert firsts == sorted(firsts)
-        assert table.distinct_count.tolist() == [
-            max(inverse[:c], default=-1) + 1 for c in range(len(table) + 1)
-        ]
-        if ld != LambDickeParams(0.6, 0.1, 0.2, 0.1):  # no pair dropped: no gaps
-            assert firsts == list(range(len(table.omega_distinct)))
+    """``rows`` against a dict over ``src_index`` for every basis index, and
+    ``upto`` against the lower-J ends read from the basis itself."""
+    for j_max in [*range(17), 40]:
+        t = Truncation(j_max)
+        basis = enumerate_basis(t)
+        j_of = np.array([c.occ.total for c in basis])
+        every = np.arange(t.dim)
+        for spec in CHANNELS.values():
+            table, _ = coupled_pairs(spec, t, ld)
+            by_src = {s: k for k, s in enumerate(table.src_index.tolist())}
+            assert table.rows(every).tolist() == [by_src.get(k, -1) for k in range(t.dim)]
+            low = np.minimum(j_of[table.src_index], j_of[table.dst_index])
+            inverse = table.omega_inverse
+            assert len(table.upto) == j_max + 1
+            for j, (src, dst, omega, inv) in enumerate(table.upto):
+                count = int(np.sum(low <= j))
+                assert np.all(low[:count] <= j) and np.all(low[count:] > j)  # a leading block
+                assert src.tobytes() == table.src_index[:count].tobytes()
+                assert dst.tobytes() == table.dst_index[:count].tobytes()
+                assert inv.tobytes() == inverse[:count].tobytes()
+                used = int(inverse[:count].max(initial=-1)) + 1
+                assert omega.tobytes() == table.omega_distinct[:used].tobytes()
+            assert table.upto[j_max][0].size == len(table), (j_max, spec.cid)
+            if j_max != 6:
+                continue
+            # one distinct entry per occupation key that Omega depends on
+            keys = {}
+            for pair, entry in zip(table, inverse.tolist()):
+                occ = pair.src.occ
+                key = (occ.nx,) if spec.raised is None else (occ[spec.raised], occ[spec.lowered])
+                assert keys.setdefault(entry, key) == key
+            assert len(set(keys.values())) == len(keys)
+            # entries are numbered in order of first appearance
+            firsts = list(dict.fromkeys(inverse.tolist()))
+            assert firsts == sorted(firsts)
+            if ld in (LD, LD0):  # no pair dropped: no gaps
+                assert firsts == list(range(len(table.omega_distinct)))

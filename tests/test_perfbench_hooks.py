@@ -99,6 +99,21 @@ def test_traced_compile_at_fresh_point_builds_nine_tables(tmp_path, capsys):
         assert tracer.pair_count(cid, t, ld) == len(pairs)
 
 
+def test_reference_replay_matches_apply_schedule_off_the_default_point():
+    """The reference reads the pair views' ``.src/.dst/.omega``; at a
+    non-default Lamb-Dicke point it must still agree with the package's replay.
+    The point is the fresh one above, so the table cache is cleared afterwards."""
+    reference = load("reference")
+    t = Truncation(5)
+    ld = LambDickeParams(0.2718, 0.1414, 0.1732, 0.1123)
+    try:
+        preparation = deevolve(target_corr(1.0, t).state, ld).preparation
+        want = pulses.apply_schedule(vacuum_state(t), preparation).amplitudes
+        assert np.max(np.abs(reference.reference_replay(preparation) - want)) <= 1e-12
+    finally:
+        pulses._pair_table.cache_clear()
+
+
 def test_traced_trials_perturb_each_trial_inside_one_batched_simulate_trial():
     """``run_trials`` perturbs every trial through ``perturb`` and replays the
     batch inside one ``simulate_trial`` call, so a traced batch of 3 trials

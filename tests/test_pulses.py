@@ -36,9 +36,9 @@ from ionsynth import (
     vacuum_state,
     wrap_angle,
 )
-from ionsynth.pulses import _pair_table, _rotate_inplace, _wrap_angles, oracle_apply
+from ionsynth.pulses import _pair_table, _rotate, _wrap_angles, oracle_apply
 
-from conftest import random_state
+from conftest import per_pair_rotate, random_state
 
 LD = LambDickeParams()
 
@@ -275,7 +275,7 @@ def full_table_replay(state: StateVector, schedule: Schedule) -> np.ndarray:
     amps = state.amplitudes.copy()
     for p in schedule.pulses:
         table = _pair_table(p.channel, schedule.truncation, schedule.lamb_dicke)
-        _rotate_inplace(amps, table, p.x, p.theta)
+        per_pair_rotate(amps, table, p.x, p.theta)
     return amps
 
 
@@ -348,8 +348,8 @@ def test_replay_of_compiled_schedules_matches_full_table():
 @pytest.mark.parametrize("j_max", [0, 1, 4, 7])
 @pytest.mark.parametrize("ld", [LD, LambDickeParams(0.0, 0.0, 0.0, 0.0)])
 def test_pair_table_frontier_invariants(j_max, ld):
-    """The lower-end J never decreases along a table, prefix[f] counts the pairs
-    with lower-end J <= f, and only H9 lifts J (by exactly one)."""
+    """The lower-end J never decreases along a table, upto[f] holds the leading
+    pairs with lower-end J <= f, and only H9 lifts J (by exactly one)."""
     t = Truncation(j_max)
     for cid in ChannelId:
         table = _pair_table(cid, t, ld)
@@ -357,29 +357,15 @@ def test_pair_table_frontier_invariants(j_max, ld):
         j_dst = np.array([component_of(int(k), t).occ.total for k in table.dst_index], dtype=int)
         low = np.minimum(j_src, j_dst)
         assert np.all(np.diff(low) >= 0)
-        assert table.prefix == tuple(int(np.sum(low <= f)) for f in range(j_max + 1))
-        assert table.prefix[-1] == table.src_index.size
+        counts = [upto[0].size for upto in table.upto]
+        assert counts == [int(np.sum(low <= f)) for f in range(j_max + 1)]
+        assert counts[-1] == table.src_index.size
         expected_lift = 1 if cid is ChannelId.H9 else 0
         assert np.all(j_src - j_dst == expected_lift)
         assert table.lift == (expected_lift if j_max >= 1 else 0)
 
 
 # --- Distinct-omega rotations against the per-pair kernel --------------------
-
-
-def per_pair_rotate(amps, table, x, theta, count=None):
-    """Reference kernel: cos and sin of x*omega evaluated on every pair."""
-    if x == 0.0 or count == 0 or table.src_index.size == 0:
-        return
-    src = table.src_index[:count]
-    dst = table.dst_index[:count]
-    u = amps[src]
-    v = amps[dst]
-    ang = x * table.omega[:count]
-    c = np.cos(ang)
-    s = np.sin(ang)
-    amps[src] = c * u + (-1j * cmath.exp(1j * theta)) * (s * v)
-    amps[dst] = c * v + (-1j * cmath.exp(-1j * theta)) * (s * u)
 
 
 def signed_zero_state(t: Truncation, rng: np.random.Generator) -> np.ndarray:
@@ -406,15 +392,15 @@ def test_rotate_matches_per_pair_kernel_bit_for_bit(j_max, ld):
     rng = np.random.default_rng(1000 + j_max)
     for cid in ChannelId:
         table = _pair_table(cid, t, ld)
-        for count in [None, *table.prefix]:
+        for upto in table.upto:
             xs = (float(rng.uniform(0, 3)), float(rng.uniform(0, 1e3)), 1e-300)
             thetas = (float(rng.uniform(-math.pi, math.pi)), 0.0, math.pi / 2, math.pi)
             for x, theta in zip(xs * 4, thetas * 3):
                 amps = signed_zero_state(t, rng)
                 want = amps.copy()
-                per_pair_rotate(want, table, x, theta, count)
-                _rotate_inplace(amps, table, x, theta, count)
-                assert amps.tobytes() == want.tobytes(), (cid, count, x, theta)
+                per_pair_rotate(want, table, x, theta, upto[0].size)
+                _rotate(amps, *upto, x, -1j * cmath.exp(1j * theta), -1j * cmath.exp(-1j * theta))
+                assert amps.tobytes() == want.tobytes(), (cid, upto[0].size, x, theta)
 
 
 # --- columnar schedules -----------------------------------------------------

@@ -35,7 +35,7 @@ from ionsynth import (
 from ionsynth import synthesis
 from ionsynth.channels import partner_occupation
 from ionsynth.fock import _total_j
-from ionsynth.pulses import _pair_table, _rotate_inplace
+from ionsynth.pulses import _pair_table
 from ionsynth.synthesis import (
     build_A,
     build_B,
@@ -47,7 +47,7 @@ from ionsynth.synthesis import (
     run_steps,
 )
 
-from conftest import random_level_a, random_state
+from conftest import per_pair_rotate, random_level_a, random_state
 
 LD = LambDickeParams()
 LD0 = LambDickeParams(0.0, 0.0, 0.0, 0.0)
@@ -82,7 +82,7 @@ def replay(schedule, state: StateVector, upto: int | None = None) -> StateVector
     pulses = schedule.pulses if upto is None else schedule.pulses[:upto]
     for p in pulses:
         table = _pair_table(p.channel, schedule.truncation, schedule.lamb_dicke)
-        _rotate_inplace(amps, table, p.x, p.theta)
+        per_pair_rotate(amps, table, p.x, p.theta)
     return StateVector(amps, schedule.truncation)
 
 
@@ -380,13 +380,14 @@ def full_table_solve_and_apply(work, cid, occ, *, kill_upper, ld):
     spec = CHANNELS[cid]
     table = _pair_table(cid, work.truncation, ld)
     src_index = index_of(Component(occ, spec.lower_level), work.truncation)
-    row = table.row_of(src_index)
-    if row is None:
+    (rows,) = np.nonzero(table.src_index == src_index)
+    if rows.size == 0:
         raise RuntimeError(
             f"channel {cid.name} has no coupled pair at occupation {tuple(occ)}"
         )
+    row = int(rows[0])
     dst_index = int(table.dst_index[row])
-    omega = float(table.omega[row])
+    omega = float(table.omega_distinct[table.omega_inverse[row]])
     q_lower = complex(work.amplitudes[src_index])
     q_upper = complex(work.amplitudes[dst_index])
     if kill_upper:
@@ -395,7 +396,7 @@ def full_table_solve_and_apply(work, cid, occ, *, kill_upper, ld):
     else:
         x, theta = solve_kill_lower(q_lower, q_upper, omega)
         note = Component(occ, spec.lower_level)
-    _rotate_inplace(work.amplitudes, table, x, theta)
+    per_pair_rotate(work.amplitudes, table, x, theta)
     return cid, x, theta, note
 
 
