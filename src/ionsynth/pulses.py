@@ -20,10 +20,11 @@ partner component.
 
 A pair table holds few distinct Rabi frequencies (13 among the 455 carrier
 pairs at J_max 12), so a rotation takes cos and sin of x*Omega once per
-distinct Omega, casts them to complex and gathers them onto the pairs.  The
-gathered values are bit for bit those of evaluating every pair, since the
-same inputs pass through the same contiguous ufunc, and NumPy casts a real
-factor to complex before any complex product, so casting first changes no bit.
+distinct Omega (:func:`_trig`), casts them to complex and gathers them onto
+the pairs (:func:`_rotate`).  The gathered values are bit for bit those of
+evaluating every pair, since the same inputs pass through the same contiguous
+ufunc, and NumPy casts a real factor to complex before any complex product, so
+casting first changes no bit.
 
 Replay tracks the occupied-J frontier: the highest total quantum number J
 that may hold a nonzero amplitude.  Every channel preserves J except the red
@@ -40,11 +41,25 @@ column k drives state k.  Both go through one rotation body; the K states sit
 in one flat array, gathered and scattered through (K, count) index arrays
 offset by k*dim.  Each state of a batch gets the values of its own serial
 replay: each pair value is the same elementwise operation on the same
-inputs (cos and sin of the same x_k*Omega, the same ``cmath`` phase factors).
+inputs (cos and sin of the same x_k*Omega, the same phase factors).
 A batch runs a pulse unless every state's length is zero, and its frontier is
 the highest of the states' frontiers.  A state with length zero gets cos 1
 and sin 0, and pairs above its own frontier hold exact zeros, so those
 rotations leave its values unchanged up to the sign of a zero.
+
+Replay knows every pulse before it starts, so it evaluates trig ahead of the
+rotations rather than once per pulse.  The frontier of each pulse follows
+from the positions of the lifting H9 pulses, which cut the program into
+segments of one frontier; each segment runs in blocks of at most
+``_TRIG_ENTRIES`` trig entries, and a block evaluates cos and sin once per
+channel present, as one (m, K, distinct) array over its m pulses of that
+channel.  Each pulse then gathers its own (K, distinct) row.  The bits are
+those of evaluating per pulse: x*Omega is the same IEEE product whether
+formed per pulse or as an outer product, and NumPy's cos and sin give every
+element the value ``math.cos`` and ``math.sin`` give it, whatever array holds
+it (the replay tests pin both against a per-pulse copy, byte for byte).  The
+block's phase factors -i*exp(+-i*theta) come from one vectorised ``np.exp``
+each, which gives the bits of ``cmath.exp`` on the same product.
 """
 
 from __future__ import annotations
@@ -216,21 +231,38 @@ def _pair_table(cid: ChannelId, truncation: Truncation, ld: LambDickeParams) -> 
     return coupled_pairs(CHANNELS[cid], truncation, ld)[0]
 
 
-def _rotate(
-    flat: np.ndarray, src: np.ndarray, dst: np.ndarray, omega: np.ndarray,
-    inverse: np.ndarray, x, plus, minus,
-) -> None:
-    """The rotation body: rotate the pairs (``flat[src]``, ``flat[dst]``) in place.
+# Trig entries that one replay block holds at most, in each of its cos and sin
+# arrays: the block's pulses times K states times the widest distinct-Omega
+# slice at its frontier (26 pulses for K = 2 at J_max 12).  Twice this, or
+# phase factors held for the whole replay rather than per block, raised the
+# peak resident memory of a J_max 12 Monte Carlo worker by 0.2-0.25 MB.
+_TRIG_ENTRIES = 1 << 12
 
-    ``omega`` holds the distinct Rabi frequencies and ``inverse`` indexes the
-    flattened cos and sin of ``x * omega`` once per pair.  ``x`` and the phase
-    factors ``plus`` = -i*exp(+i*theta), ``minus`` = -i*exp(-i*theta) are
-    scalars for one state, or (K, 1) columns for K states whose index arrays
-    are (K, count).
+
+def _trig(x, omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of ``x * omega``, cast to complex for :func:`_rotate`.
+
+    ``x`` is a scalar, or an array whose last axis has length 1, one pulse
+    length per leading index.
     """
     ang = x * omega
-    c = np.cos(ang).astype(np.complex128).take(inverse)
-    s = np.sin(ang).astype(np.complex128).take(inverse)
+    return np.cos(ang).astype(np.complex128), np.sin(ang).astype(np.complex128)
+
+
+def _phase_factors(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """-i*exp(+i*theta) and -i*exp(-i*theta) elementwise, with the bits of the
+    same ``cmath`` expression on each element."""
+    return -1j * np.exp(1j * theta), -1j * np.exp(-1j * theta)
+
+
+def _rotate(flat: np.ndarray, src: np.ndarray, dst: np.ndarray, c, s, plus, minus) -> None:
+    """The rotation body: rotate the pairs (``flat[src]``, ``flat[dst]``) in place.
+
+    ``c`` and ``s`` are :func:`_trig`'s cos and sin gathered onto the pairs by
+    the table's inverse.  The phase factors ``plus`` = -i*exp(+i*theta) and
+    ``minus`` = -i*exp(-i*theta) are scalars for one state, or (K, 1) columns
+    for K states whose index arrays are (K, count).
+    """
     u = flat[src]
     v = flat[dst]
     flat[src] = c * u + plus * (s * v)
@@ -251,43 +283,54 @@ def _replay(
     (n,), or K states of shape (K, dim) with columns of shape (n, K), column k
     driving state k.  A pulse runs unless its length is zero for every state,
     and it rotates only the pairs that reach the occupied-J frontier of the
-    whole batch; see the module docstring for why both give the serial values.
+    whole batch.  Trig is evaluated once per block of pulses and channel; see
+    the module docstring for why all of this gives the serial values.
     """
     dim = truncation.dim
     flat = amps.reshape(-1)
     k = flat.size // dim
     live = np.flatnonzero(x.reshape(len(channel), k).any(axis=1))
-    phases = theta[live].ravel().tolist()
-    plus = [-1j * cmath.exp(1j * t) for t in phases]
-    minus = [-1j * cmath.exp(-1j * t) for t in phases]
-    if k == 1:  # Python scalars broadcast faster than (1, 1) columns
-        lengths = x[live].ravel().tolist()
-    else:
-        lengths = x[live][..., np.newaxis]  # one (K, 1) column per pulse
-        plus = np.array(plus).reshape(lengths.shape)
-        minus = np.array(minus).reshape(lengths.shape)
+    live_channel = channel[live]
+    codes = live_channel.tolist()
+    lengths = x[live].reshape(-1, k, 1)  # one (K, 1) column per pulse
+    phases = theta[live].reshape(-1, k, 1)
     occupied = np.flatnonzero(flat.reshape(k, dim).any(axis=0))
     frontier = int(_total_j(occupied[-1], truncation)) if occupied.size else 0
+    tables = {code: _pair_table(ChannelId(code), truncation, ld) for code in set(codes)}
+    # The frontier rises after each lifting pulse until it reaches j_max, so
+    # the segments of one frontier end after those pulses.
+    lifts = sorted(
+        i + 1 for code, table in tables.items() if table.lift
+        for i in np.flatnonzero(live_channel == code).tolist()
+    )
     trial = np.arange(k)[:, np.newaxis]
-    tables: dict[int, PairTable] = {}
-    # Per channel, ``table.upto[frontier]`` as (K, count) index arrays: pair
-    # ends into ``flat``, and the inverse into the flattened (K, distinct)
-    # trig.  Dropped whenever the frontier moves.
-    slices: dict[int, tuple[np.ndarray, ...]] = {}
-    for code, length, p, m in zip(channel[live].tolist(), lengths, plus, minus):
-        table = tables.get(code)
-        if table is None:
-            table = tables[code] = _pair_table(ChannelId(code), truncation, ld)
-        rotation = slices.get(code)
-        if rotation is None:
+    start = 0
+    for end in lifts[: truncation.j_max - frontier] + [len(codes)]:
+        # Per channel, ``table.upto[frontier]`` as (K, count) index arrays:
+        # pair ends into ``flat``, and the inverse into a pulse's (K, distinct) trig.
+        operands = {}
+        for code, table in tables.items():
             src, dst, omega, inverse = table.upto[frontier]
-            rotation = slices[code] = (
-                src + dim * trial, dst + dim * trial, omega, inverse + omega.size * trial,
-            )
-        _rotate(flat, *rotation, length, p, m)
-        if table.lift and frontier < truncation.j_max:
-            frontier += 1
-            slices.clear()
+            operands[code] = src + dim * trial, dst + dim * trial, omega, inverse + omega.size * trial
+        width = max((omega.size for _, _, omega, _ in operands.values()), default=0)
+        size = max(1, _TRIG_ENTRIES // max(1, k * width))
+        for first in range(start, end, size):
+            last = min(first + size, end)
+            rows: dict[int, list[int]] = {}
+            for i in range(first, last):
+                rows.setdefault(codes[i], []).append(i)
+            # One (m, K, distinct) cos and sin per channel in the block,
+            # handed out a (K, distinct) row per pulse in pulse order.
+            trig = {code: zip(*_trig(lengths[r], operands[code][2])) for code, r in rows.items()}
+            plus, minus = _phase_factors(phases[first:last])
+            if k == 1:  # Python scalars broadcast faster than (1, 1) columns
+                plus, minus = plus.ravel().tolist(), minus.ravel().tolist()
+            for code, p, m in zip(codes[first:last], plus, minus):
+                c, s = next(trig[code])
+                src, dst, _, inverse = operands[code]
+                _rotate(flat, src, dst, c.take(inverse), s.take(inverse), p, m)
+        start = end
+        frontier += 1
 
 
 def apply_pulse(

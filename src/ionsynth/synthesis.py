@@ -83,6 +83,7 @@ from .pulses import (
     Schedule,
     _pair_table,
     _rotate,
+    _trig,
     dagger_schedule,
     solve_kill_lower,
     solve_kill_upper,
@@ -223,8 +224,10 @@ def _solve_columns(
         xs.append(x)
         thetas.append(theta)
         if x != 0.0:
-            upto = tables[code].upto[stage]
-            _rotate(amps, *upto, x, -1j * cmath.exp(1j * theta), -1j * cmath.exp(-1j * theta))
+            ends_lower, ends_upper, distinct, inverse = tables[code].upto[stage]
+            c, s = _trig(x, distinct)
+            plus, minus = -1j * cmath.exp(1j * theta), -1j * cmath.exp(-1j * theta)
+            _rotate(amps, ends_lower, ends_upper, c.take(inverse), s.take(inverse), plus, minus)
     return xs, thetas, notes
 
 

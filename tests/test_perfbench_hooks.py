@@ -78,6 +78,7 @@ def test_reference_replay_closes_ghz_preparation():
 def test_traced_compile_at_fresh_point_builds_nine_tables(tmp_path, capsys):
     """At a Lamb-Dicke point no other test uses, the compile misses the pair
     table cache once per channel, through the patched ``pulses.coupled_pairs``."""
+    pulses._pair_table.cache_clear()  # an earlier test may have compiled at this point
     spans = load("spans")
     tracer = spans.Tracer()
     tracer.request = 1
@@ -101,17 +102,13 @@ def test_traced_compile_at_fresh_point_builds_nine_tables(tmp_path, capsys):
 
 def test_reference_replay_matches_apply_schedule_off_the_default_point():
     """The reference reads the pair views' ``.src/.dst/.omega``; at a
-    non-default Lamb-Dicke point it must still agree with the package's replay.
-    The point is the fresh one above, so the table cache is cleared afterwards."""
+    non-default Lamb-Dicke point it must still agree with the package's replay."""
     reference = load("reference")
     t = Truncation(5)
     ld = LambDickeParams(0.2718, 0.1414, 0.1732, 0.1123)
-    try:
-        preparation = deevolve(target_corr(1.0, t).state, ld).preparation
-        want = pulses.apply_schedule(vacuum_state(t), preparation).amplitudes
-        assert np.max(np.abs(reference.reference_replay(preparation) - want)) <= 1e-12
-    finally:
-        pulses._pair_table.cache_clear()
+    preparation = deevolve(target_corr(1.0, t).state, ld).preparation
+    want = pulses.apply_schedule(vacuum_state(t), preparation).amplitudes
+    assert np.max(np.abs(reference.reference_replay(preparation) - want)) <= 1e-12
 
 
 def test_traced_trials_perturb_each_trial_inside_one_batched_simulate_trial():

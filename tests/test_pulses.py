@@ -36,7 +36,11 @@ from ionsynth import (
     vacuum_state,
     wrap_angle,
 )
-from ionsynth.pulses import _pair_table, _rotate, _wrap_angles, oracle_apply
+from ionsynth import pulses
+from ionsynth.fock import _total_j
+from ionsynth.pulses import (
+    _pair_table, _phase_factors, _replay, _rotate, _trig, _wrap_angles, oracle_apply,
+)
 
 from conftest import per_pair_rotate, random_state
 
@@ -399,8 +403,161 @@ def test_rotate_matches_per_pair_kernel_bit_for_bit(j_max, ld):
                 amps = signed_zero_state(t, rng)
                 want = amps.copy()
                 per_pair_rotate(want, table, x, theta, upto[0].size)
-                _rotate(amps, *upto, x, -1j * cmath.exp(1j * theta), -1j * cmath.exp(-1j * theta))
+                src, dst, omega, inverse = upto
+                c, s = _trig(x, omega)
+                plus, minus = -1j * cmath.exp(1j * theta), -1j * cmath.exp(-1j * theta)
+                _rotate(amps, src, dst, c.take(inverse), s.take(inverse), plus, minus)
                 assert amps.tobytes() == want.tobytes(), (cid, upto[0].size, x, theta)
+
+
+
+# --- Block-wise replay trig against the per-pulse loop -----------------------
+
+
+def per_pulse_replay(amps, truncation, ld, channel, x, theta) -> None:
+    """Replay with cos and sin of x*Omega and the ``cmath`` phase factors
+    evaluated once per pulse: an inline copy of the loop that block-wise trig
+    replaced, kept as its byte-level reference."""
+    dim = truncation.dim
+    flat = amps.reshape(-1)
+    k = flat.size // dim
+    live = np.flatnonzero(x.reshape(len(channel), k).any(axis=1))
+    phases = theta[live].ravel().tolist()
+    plus = [-1j * cmath.exp(1j * t) for t in phases]
+    minus = [-1j * cmath.exp(-1j * t) for t in phases]
+    if k == 1:
+        lengths = x[live].ravel().tolist()
+    else:
+        lengths = x[live][..., np.newaxis]
+        plus = np.array(plus).reshape(lengths.shape)
+        minus = np.array(minus).reshape(lengths.shape)
+    occupied = np.flatnonzero(flat.reshape(k, dim).any(axis=0))
+    frontier = int(_total_j(occupied[-1], truncation)) if occupied.size else 0
+    trial = np.arange(k)[:, np.newaxis]
+    for code, length, p, m in zip(channel[live].tolist(), lengths, plus, minus):
+        table = _pair_table(ChannelId(code), truncation, ld)
+        src, dst, omega, inverse = table.upto[frontier]
+        src, dst, inverse = src + dim * trial, dst + dim * trial, inverse + omega.size * trial
+        ang = length * omega
+        c = np.cos(ang).astype(np.complex128).take(inverse)
+        s = np.sin(ang).astype(np.complex128).take(inverse)
+        u = flat[src]
+        v = flat[dst]
+        flat[src] = c * u + p * (s * v)
+        flat[dst] = c * v + m * (s * u)
+        if table.lift and frontier < truncation.j_max:
+            frontier += 1
+
+
+def batch_columns(schedule: Schedule, k: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    """(n, K) columns around the schedule's own: perturbed lengths and phases,
+    one pulse in four zero for some trials, one in ten zero for all of them,
+    and trial 0 idle throughout when K > 1."""
+    n = len(schedule)
+    x = schedule.x[:, np.newaxis] * rng.uniform(0.5, 1.5, size=(n, k))
+    theta = schedule.theta[:, np.newaxis] + rng.normal(size=(n, k))
+    x[rng.random((n, k)) < 0.25] = 0.0
+    x[rng.random(n) < 0.1] = 0.0
+    if k > 1:
+        x[:, 0] = 0.0
+    return x, theta
+
+
+def replay_cases():
+    """(name, truncation, start state, schedule) covering frontier segments
+    from the vacuum, H9 pulses past the j_max cap, and non-vacuum starts."""
+    rng = np.random.default_rng(12)
+    t = Truncation(6)
+    corr = target_corr(1.0, t)
+    result = deevolve(corr.state)
+    yield "prep-from-vacuum", t, vacuum_state(t), result.preparation
+    yield "deevolution-on-target", t, corr.state, result.deevolution
+    t = Truncation(3)
+    capped = random_schedule(t, rng, 200, h9_slots=set(range(0, 200, 9)))
+    yield "h9-past-cap-from-vacuum", t, vacuum_state(t), capped
+    yield "h9-from-low-j", t, low_j_state(t, 1, rng), capped
+    yield "h9-from-dense", t, random_state(t, rng), capped
+
+
+@pytest.mark.parametrize("entries", [None, 1, 37, 1 << 20], ids=["default", "1", "37", "segment"])
+@pytest.mark.parametrize("k", [1, 2, 9])
+def test_replay_matches_per_pulse_trig_bit_for_bit(k, entries, monkeypatch):
+    """Whatever the block size, from one pulse per block to whole segments,
+    replay gives the bytes of per-pulse trig, for one state and for batches
+    in which some trials idle."""
+    if entries is not None:
+        monkeypatch.setattr(pulses, "_TRIG_ENTRIES", entries)
+    rng = np.random.default_rng(k)
+    for name, t, start, schedule in replay_cases():
+        if k == 1:
+            x, theta = schedule.x, schedule.theta
+            amps = start.amplitudes.copy()
+        else:
+            x, theta = batch_columns(schedule, k, rng)
+            amps = np.repeat(start.amplitudes[np.newaxis], k, axis=0)
+        want = amps.copy()
+        per_pulse_replay(want, t, LD, schedule.channel, x, theta)
+        _replay(amps, t, LD, schedule.channel, x, theta)
+        assert amps.tobytes() == want.tobytes(), name
+        if k > 1:  # trial 0 idled: its start state, up to the sign of zeros
+            assert np.array_equal(amps[0], start.amplitudes), name
+
+
+@pytest.mark.parametrize("k", [1, 2, 9])
+def test_replay_of_empty_and_idle_schedules_leaves_the_bytes(k):
+    t = Truncation(4)
+    rng = np.random.default_rng(5)
+    start = np.stack([random_state(t, rng).amplitudes for _ in range(k)])
+    if k == 1:
+        start = start[0]
+    idle = np.array([int(cid) for cid in ChannelId] * 3, dtype=np.uint8)
+    for channel in (np.zeros(0, dtype=np.uint8), idle):
+        shape = (channel.size,) if k == 1 else (channel.size, k)
+        x, theta = np.zeros(shape), rng.uniform(-math.pi, math.pi, size=shape)
+        amps = start.copy()
+        _replay(amps, t, LD, channel, x, theta)
+        assert amps.tobytes() == start.tobytes()
+
+
+PHASE_EDGES = [
+    v
+    for base in (0.0, math.pi, 1e-300, 5e-324, 1.0, 1e6, 123456.789)
+    for m in (base, math.nextafter(base, math.inf))
+    for v in (m, -m)
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.floats(-1e6, 1e6), st.sampled_from(PHASE_EDGES)), max_size=40))
+def test_phase_factors_match_cmath_bit_for_bit(thetas):
+    plus, minus = _phase_factors(np.array(PHASE_EDGES + thetas, dtype=np.float64))
+    want_plus = np.array([-1j * cmath.exp(1j * t) for t in PHASE_EDGES + thetas], dtype=np.complex128)
+    want_minus = np.array([-1j * cmath.exp(-1j * t) for t in PHASE_EDGES + thetas], dtype=np.complex128)
+    assert plus.tobytes() == want_plus.tobytes()
+    assert minus.tobytes() == want_minus.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.one_of(st.floats(0.0, 1e3), st.sampled_from([0.0, 1e-300, 5e-324, 0.5, 1e6])),
+        min_size=1,
+        max_size=24,
+    ),
+    st.sampled_from([1, 2, 3]),
+)
+def test_block_trig_rows_equal_per_pulse_trig(lengths, k):
+    """One (m, K, distinct) evaluation gives each pulse the bytes of its own."""
+    omega = _pair_table(ChannelId.H1, Truncation(12), LD).omega_distinct
+    m = len(lengths) // k
+    x = np.array(lengths[: m * k]).reshape(m, k, 1)
+    c, s = _trig(x, omega)
+    for i in range(m):
+        if k == 1:
+            row = _trig(float(x[i, 0, 0]), omega)
+        else:
+            row = _trig(x[i], omega)
+        assert c[i].tobytes() == row[0].tobytes() and s[i].tobytes() == row[1].tobytes()
 
 
 # --- columnar schedules -----------------------------------------------------
