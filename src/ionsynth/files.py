@@ -18,20 +18,28 @@ The bytes on disk are exactly those of ``json.dump(doc, f, indent=2)`` plus
 a trailing newline (the sketch above is compacted); ``save_schedule`` streams
 them from the schedule's columns.  Floats are written with Python's shortest
 round-trip representation, so ``load_schedule(save_schedule(s)) == s`` bit for
-bit.  A pulse note must lie inside the file's cutoff ``jmax`` and on one of the
-two levels its channel couples.  ``load_schedule`` checks each pulse field as a
+bit.  The header goes through ``json.dumps``; each pulse is one f-string, and
+the pulses are joined and written :data:`_PULSES_PER_WRITE` at a time, so the
+document is never held whole.  The floor is ``repr`` of the two floats per
+pulse, about half of the writer's time at J_max 12 and 16.
+
+A pulse note must lie inside the file's cutoff ``jmax`` and on one of the two
+levels its channel couples.  ``load_schedule`` checks each pulse field as a
 whole column; an error names the first bad entry, ``pulses[i].<field>``.
 
 Target files are a JSON array of ``{"n": [nx, ny, nz], "re": ..., "im": ...}``
-components on electronic level a.  The norm must already be 1 to within 1e-6;
-files that are not normalized are rejected, not fixed.
+components on electronic level a, checked as columns in the same way.  The
+norm must already be 1 to within 1e-6; files that are not normalized are
+rejected, not fixed.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import Any
+from itertools import chain, count, islice, repeat
+from operator import itemgetter
+from typing import Any, Iterator
 
 import numpy as np
 
@@ -48,7 +56,7 @@ from .fock import (
 from .channels import CHANNELS, ChannelId, LambDickeParams
 from .noise import SweepReport
 from .pulses import Direction, Schedule
-from .targets import Target, _level_a_state
+from .targets import Target
 
 __all__ = [
     "ScheduleFormatError",
@@ -70,13 +78,9 @@ class TargetFormatError(ValueError):
     """A target file could not be parsed or failed validation."""
 
 
-# One pulse object and one note list, laid out as json.dump(indent=2) lays
-# them out inside the top-level "pulses" array.
-_PULSE_JSON = (
-    '\n    {{\n      "i": {},\n      "channel": "{}",\n      "x": {!r},'
-    '\n      "theta": {!r},\n      "note": {}\n    }}'
-)
-_NOTE_JSON = '[\n        {},\n        {},\n        {},\n        "{}"\n      ]'
+# Level labels by level code, and pulses joined per write while streaming.
+_LABELS = tuple(level.label for level in Level)
+_PULSES_PER_WRITE = 256
 _CHANNEL_NAMES = {cid.value: cid.name for cid in ChannelId}
 _CHANNEL_CODES = {cid.name: cid.value for cid in ChannelId}
 _MISSING = object()
@@ -86,12 +90,33 @@ _MISSING = object()
 _FLOAT_END = 2**1024 - 2**970
 
 
+def _pulses_json(schedule: Schedule) -> Iterator[str]:
+    """Each pulse object as json.dump(indent=2) lays it out inside the
+    top-level "pulses" array: one f-string per pulse, floats through ``repr``."""
+    names = map(_CHANNEL_NAMES.__getitem__, schedule.channel.tolist())
+    columns = zip(count(), names, schedule.x.tolist(), schedule.theta.tolist(), schedule.notes)
+    for i, name, x, theta, note in columns:
+        if note is None:
+            yield (
+                f'\n    {{\n      "i": {i},\n      "channel": "{name}",\n      "x": {x!r},'
+                f'\n      "theta": {theta!r},\n      "note": null\n    }}'
+            )
+        else:
+            (nx, ny, nz), level = note
+            yield (
+                f'\n    {{\n      "i": {i},\n      "channel": "{name}",\n      "x": {x!r},'
+                f'\n      "theta": {theta!r},\n      "note": [\n        {nx},\n        {ny},'
+                f'\n        {nz},\n        "{_LABELS[level]}"\n      ]\n    }}'
+            )
+
+
 def save_schedule(schedule: Schedule, path: str | os.PathLike[str]) -> None:
-    """Write ``schedule`` as JSON, streaming one pulse at a time.
+    """Write ``schedule`` as JSON, streaming :data:`_PULSES_PER_WRITE` pulses
+    per write.
 
     The bytes equal ``json.dump(doc, f, indent=2)`` of the whole document plus
     a trailing newline: the header goes through ``json.dumps``, each pulse
-    through a fixed format string with ``repr`` floats.
+    through :func:`_pulses_json`.
     """
     head = {
         "version": 1,
@@ -105,28 +130,30 @@ def save_schedule(schedule: Schedule, path: str | os.PathLike[str]) -> None:
         "direction": schedule.direction.value,
         "target": schedule.target,
     }
+    pulses = _pulses_json(schedule)
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         # The header without its closing "\n}", so the pulses array follows.
         f.write(json.dumps(head, indent=2)[:-2] + ',\n  "pulses": [')
         sep = ""
-        columns = zip(
-            schedule.channel.tolist(), schedule.x.tolist(), schedule.theta.tolist(), schedule.notes
-        )
-        for i, (code, x, theta, component) in enumerate(columns):
-            note = "null"
-            if component is not None:
-                occ, level = component
-                note = _NOTE_JSON.format(occ.nx, occ.ny, occ.nz, level.label)
-            f.write(sep + _PULSE_JSON.format(i, _CHANNEL_NAMES[code], x, theta, note))
+        while chunk := ",".join(islice(pulses, _PULSES_PER_WRITE)):
+            f.write(sep + chunk)
             sep = ","
         f.write("\n  ]\n}\n" if len(schedule) else "]\n}\n")
+
+
+def _field(entries: list[dict[str, Any]], key: str, default: Any) -> list[Any]:
+    """Field ``key`` of every entry, ``default`` where an entry lacks it."""
+    try:
+        return list(map(itemgetter(key), entries))
+    except KeyError:
+        return [entry.get(key, default) for entry in entries]
 
 
 def _column(
     entries: list[Any], key: str, kinds: tuple[type, ...], where: str = "pulses[{}]."
 ) -> list[Any]:
     """Field ``key`` of every entry, each value of a type in ``kinds``."""
-    values = [entry.get(key, _MISSING) for entry in entries]
+    values = _field(entries, key, _MISSING)
     if not set(map(type, values)) <= set(kinds):
         i, value = next((i, v) for i, v in enumerate(values) if type(v) not in kinds)
         problem = "missing" if value is _MISSING else f"unexpected type {type(value).__name__}"
@@ -180,33 +207,60 @@ for _spec in CHANNELS.values():
     _COUPLES[_spec.cid, [_spec.lower_level, _spec.upper_level]] = True
 
 
+def _occupations(values: list[Any], j_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """``values``, (nx, ny, nz) after (nx, ny, nz), as a (3, n) intp array, and
+    which triples are not occupations inside the cutoff: a value that is not
+    an int (bool, float) or is past intp counts as -1."""
+    if not set(map(type, values)) <= {int}:
+        values = [n if type(n) is int else -1 for n in values]
+    try:
+        occ = np.array(values, dtype=np.intp)
+    except OverflowError:
+        occ = np.array([n if 0 <= n <= j_max else -1 for n in values], dtype=np.intp)
+    occ = occ.reshape(-1, 3).T
+    # Each of 0..j_max first, so that the total cannot wrap.
+    return occ, ((occ < 0) | (occ > j_max)).any(axis=0) | (occ.sum(axis=0) > j_max)
+
+
+def _flat_rows(rows: list[Any], filler: tuple[Any, ...]) -> list[Any]:
+    """The items of ``rows``, row after row; a row that is not a list as long
+    as ``filler`` stands in as ``filler``, an entry that fails."""
+    width = len(filler)
+    if not (set(map(type, rows)) <= {list} and set(map(len, rows)) <= {width}):
+        rows = [row if type(row) is list and len(row) == width else filler for row in rows]
+    return list(chain.from_iterable(rows))
+
+
 def _notes(raw: list[Any], channel: np.ndarray, j_max: int) -> list[Component | None]:
     """The note column: each ``null`` gives None, each valid note the canonical
     basis component.  The checks of :func:`_parse_note` run on whole columns;
     the first failing note is parsed by it, so its error names that note."""
-    notes: list[Component | None] = [None] * len(raw)
-    given = [i for i, note in enumerate(raw) if note is not None]
-    # A note that is not a four-element list stands in as an entry that fails.
-    rows = [raw[i] if type(raw[i]) is list and len(raw[i]) == 4 else (-1, 0, 0, "") for i in given]
-    nx, ny, nz, labels = zip(*rows) if rows else ((), (), (), ())
-    # Occupations outside 0..j_max, and any that are not int (bool, float), become -1.
-    occ = np.array(
-        [n if type(n) is int and 0 <= n <= j_max else -1 for n in nx + ny + nz], dtype=np.intp
-    ).reshape(3, -1)
-    level = np.array(
-        [_LEVEL_CODE.get(label, -1) if type(label) is str else -1 for label in labels],
-        dtype=np.intp,
-    )
-    code = channel[given]
-    bad = (occ < 0).any(axis=0) | (occ.sum(axis=0) > j_max) | (level < 0)
-    bad |= ~_COUPLES[code, level]
+    given = None  # positions of the notes that are not null, when some are
+    rows = raw
+    if None in raw:
+        given = [i for i, note in enumerate(raw) if note is not None]
+        rows = list(map(raw.__getitem__, given))
+        channel = channel[given]
+    occupations = _flat_rows(rows, (-1, 0, 0, ""))
+    labels = occupations[3::4]
+    del occupations[3::4]
+    # Labels that are not str (some unhashable) stand in as unknown ones.
+    if not set(map(type, labels)) <= {str}:
+        labels = [label if type(label) is str else "" for label in labels]
+    level = np.array(list(map(_LEVEL_CODE.get, labels, repeat(-1))), dtype=np.intp)
+    occ, bad = _occupations(occupations, j_max)
+    bad |= (level < 0) | ~_COUPLES[channel, level]
     if bad.any():
-        i = given[int(np.flatnonzero(bad)[0])]
-        _parse_note(raw[i], i, j_max, ChannelId(int(channel[i])))  # raises
-    basis = _layout(j_max).basis
+        k = int(np.flatnonzero(bad)[0])
+        i = k if given is None else given[k]
+        _parse_note(raw[i], i, j_max, ChannelId(int(channel[k])))  # raises
     index = len(Level) * _vib_index(*occ) + level
-    for i, k in zip(given, index.tolist()):
-        notes[i] = basis[k]
+    components = list(map(_layout(j_max).basis.__getitem__, index.tolist()))
+    if given is None:
+        return components
+    notes: list[Component | None] = [None] * len(raw)
+    for i, component in zip(given, components):
+        notes[i] = component
     return notes
 
 
@@ -257,14 +311,13 @@ def load_schedule(path: str | os.PathLike[str]) -> Schedule:
         i = next(i for i, k in enumerate(index) if k != i)
         raise ScheduleFormatError(f"pulses[{i}].i: expected {i}, got {index[i]}")
     names = _column(entries, "channel", (str,))
-    codes = list(map(_CHANNEL_CODES.get, names))
-    if None in codes:
-        i = codes.index(None)
+    if not set(names) <= _CHANNEL_CODES.keys():
+        i = next(i for i, name in enumerate(names) if name not in _CHANNEL_CODES)
         raise ScheduleFormatError(f"pulses[{i}].channel: unknown channel {names[i]!r}")
     x = _reals(entries, "x")
     theta = _reals(entries, "theta")
-    channel = np.array(codes, dtype=np.uint8)
-    notes = _notes([entry.get("note") for entry in entries], channel, jmax)
+    channel = np.array(list(map(_CHANNEL_CODES.__getitem__, names)), dtype=np.uint8)
+    notes = _notes(_field(entries, "note", None), channel, jmax)
     try:
         return Schedule.from_columns(channel, x, theta, notes, ld, truncation, direction, target)
     except DomainError as exc:
@@ -288,13 +341,25 @@ def save_report(report: SweepReport, path: str | os.PathLike[str]) -> None:
             f.write(",".join(cells) + "\n")
 
 
-def load_target(path: str | os.PathLike[str], truncation: Truncation) -> Target:
-    """Read a component-list target file and validate it against ``truncation``."""
-    doc = _read_json(path, TargetFormatError)
-    if not isinstance(doc, list):
-        raise TargetFormatError("top level: expected an array of components")
+def _finite(entries: list[dict[str, Any]], key: str) -> np.ndarray:
+    """Field ``key`` of every entry as float64, each bad value not finite: a
+    value that is missing, not a number (bool, str) or past the float range
+    reads as NaN."""
+    values = _field(entries, key, _MISSING)
+    if set(map(type, values)) <= {int, float}:
+        try:
+            return np.array(values, dtype=np.float64)
+        except OverflowError:
+            pass
+    return np.array(
+        [v if type(v) in (int, float) and abs(v) < _FLOAT_END else np.nan for v in values],
+        dtype=np.float64,
+    )
 
-    entries: dict[Occupation, complex] = {}
+
+def _check_components(doc: list[Any], j_max: int) -> None:
+    """Check the target entries one by one; raise the first bad entry's error."""
+    seen: set[Occupation] = set()
     for i, item in enumerate(doc):
         where = f"[{i}]"
         if not isinstance(item, dict):
@@ -306,12 +371,13 @@ def load_target(path: str | os.PathLike[str], truncation: Truncation) -> Target:
             if not isinstance(value, int) or isinstance(value, bool) or value < 0:
                 raise TargetFormatError(f"{where}.n: occupation numbers must be integers >= 0")
         occ = Occupation(*raw_n)
-        if occ.total > truncation.j_max:
+        if occ.total > j_max:
             raise TargetFormatError(
-                f"{where}.n: total occupation {occ.total} exceeds the cutoff {truncation.j_max}"
+                f"{where}.n: total occupation {occ.total} exceeds the cutoff {j_max}"
             )
-        if occ in entries:
+        if occ in seen:
             raise TargetFormatError(f"{where}.n: duplicate component {tuple(occ)}")
+        seen.add(occ)
         for key in ("re", "im"):
             if key not in item:
                 raise TargetFormatError(f"{where}.{key}: missing")
@@ -319,11 +385,32 @@ def load_target(path: str | os.PathLike[str], truncation: Truncation) -> Target:
                 raise TargetFormatError(f"{where}.{key}: expected a number")
             if not abs(item[key]) < _FLOAT_END:
                 raise TargetFormatError(f"{where}.{key}: must be finite and within the float range")
-        entries[occ] = complex(item["re"], item["im"])
 
-    if not entries:
+
+def load_target(path: str | os.PathLike[str], truncation: Truncation) -> Target:
+    """Read a component-list target file and validate it against ``truncation``.
+
+    The checks of :func:`_check_components` run on whole columns; when one
+    fails, it runs entry by entry, so its error names the first bad entry."""
+    doc = _read_json(path, TargetFormatError)
+    if not isinstance(doc, list):
+        raise TargetFormatError("top level: expected an array of components")
+    if not doc:
         raise TargetFormatError("target file holds no components")
-    amps = _level_a_state(entries, truncation)
+
+    j_max = truncation.j_max
+    items = doc
+    if not set(map(type, doc)) <= {dict}:
+        items = [item if type(item) is dict else {} for item in doc]
+    occ, bad = _occupations(_flat_rows(_field(items, "n", None), (-1, 0, 0)), j_max)
+    vib = _vib_index(*np.where(bad, 0, occ))
+    values = np.empty(len(doc), dtype=np.complex128)
+    values.real = _finite(items, "re")
+    values.imag = _finite(items, "im")
+    if bad.any() or len(set(vib.tolist())) < len(doc) or not np.isfinite(values).all():
+        _check_components(doc, j_max)  # raises
+    amps = np.zeros(truncation.dim, dtype=np.complex128)
+    amps[len(Level) * vib + Level.A] = values
     with np.errstate(over="ignore"):  # |amplitude| past sqrt(max float) squares to inf
         norm = float(np.linalg.norm(amps))
     if abs(norm - 1.0) > 1e-6:

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -424,3 +425,231 @@ def test_note_column_matches_the_per_note_parser(notes, j_max):
         assert got == want
         basis = enumerate_basis(Truncation(j_max))  # the canonical objects
         assert all(g is None or g is basis[index_of(g, Truncation(j_max))] for g in got)
+
+
+@pytest.fixture(scope="module")
+def scratch_dir(tmp_path_factory):
+    """One directory for the hypothesis tests below, which rewrite their files."""
+    return tmp_path_factory.mktemp("files")
+
+
+LENGTHS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 1e16, 1e300]),
+    st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+)
+PHASES = st.floats(allow_nan=False, allow_infinity=False)
+ANY_COMPONENT = st.builds(
+    Component,
+    st.builds(Occupation, *[st.one_of(st.integers(0, 3), st.integers(0, 999))] * 3),
+    st.sampled_from(list(Level)),
+)
+
+
+@st.composite
+def valid_note(draw, cid, j_max):
+    """A component inside the cutoff, on a level that channel ``cid`` couples."""
+    nx = draw(st.integers(0, j_max))
+    ny = draw(st.integers(0, j_max - nx))
+    nz = draw(st.integers(0, j_max - nx - ny))
+    level = draw(st.sampled_from([CHANNELS[cid].lower_level, CHANNELS[cid].upper_level]))
+    return Component(Occupation(nx, ny, nz), level)
+
+
+@st.composite
+def written_schedules(draw):
+    """A schedule from random columns; its notes are valid (inside the cutoff,
+    on a coupled level) exactly when the second item says so."""
+    j_max = draw(st.integers(0, 40))
+    valid = draw(st.booleans())
+    channels = draw(st.lists(st.sampled_from(list(ChannelId)), max_size=30))
+    notes = [
+        draw(st.none() | (valid_note(cid, j_max) if valid else ANY_COMPONENT)) for cid in channels
+    ]
+    schedule = Schedule.from_columns(
+        np.array(channels, dtype=np.uint8),
+        draw(st.lists(LENGTHS, min_size=len(channels), max_size=len(channels))),
+        draw(st.lists(PHASES, min_size=len(channels), max_size=len(channels))),
+        notes,
+        draw(st.sampled_from([LambDickeParams(), LambDickeParams(0.45, 1, 0.25, 2)])),
+        Truncation(j_max),
+        draw(st.sampled_from(list(Direction))),
+        draw(st.text(max_size=5)),
+    )
+    return schedule, valid
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn=written_schedules())
+def test_writer_matches_json_dump_on_random_columns(drawn, scratch_dir):
+    """Any lengths and phases, all nine channels, null notes and notes with up
+    to three-digit occupations past the cutoff: the bytes are json.dump's, and
+    a schedule with valid notes loads back equal."""
+    schedule, valid = drawn
+    streamed, reference = scratch_dir / "streamed.json", scratch_dir / "reference.json"
+    save_schedule(schedule, streamed)
+    json_dump_schedule(schedule, reference)
+    assert streamed.read_bytes() == reference.read_bytes()
+    if valid:
+        assert load_schedule(streamed) == schedule
+
+
+def test_writer_streams_a_file_larger_than_its_peak_memory(tmp_path):
+    """The J_max 16 corr preparation (6697 pulses, 1.23 MB) is written without
+    holding the document: the traced allocation peak stays below 1 MiB."""
+    schedule = deevolve(target_corr(1.0, Truncation(16)).state).preparation
+    path = tmp_path / "corr16.json"
+    save_schedule(schedule, path)
+    tracemalloc.start()
+    try:
+        save_schedule(schedule, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.stat().st_size > 1 << 20
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("n", [[2**63 - 1, 1, 0], [2**62, 2**62, 0], [0, 2**63 - 1, 2**63 - 1]])
+def test_occupations_whose_sum_wraps_intp_are_named(tmp_path, n):
+    """Each occupation fits intp but their sum does not: still refused by name."""
+    total = sum(n)
+    path = _write_doc(tmp_path, lambda d: d["pulses"][0].update(note=[*n, "b"]))
+    with pytest.raises(ScheduleFormatError) as err:
+        load_schedule(path)
+    assert str(err.value) == f"pulses[0].note: total occupation {total} exceeds the cutoff 1"
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps([{"n": n, "re": 1.0, "im": 0.0}]))
+    with pytest.raises(TargetFormatError) as err:
+        load_target(path, Truncation(1))
+    assert str(err.value) == f"[0].n: total occupation {total} exceeds the cutoff 1"
+
+
+def per_entry_load_target(doc, truncation):
+    """load_target's checks as the entry-by-entry loop they were first written
+    as, on a decoded document; returns the normalized amplitudes."""
+    if not isinstance(doc, list):
+        raise TargetFormatError("top level: expected an array of components")
+    entries = {}
+    for i, item in enumerate(doc):
+        where = f"[{i}]"
+        if not isinstance(item, dict):
+            raise TargetFormatError(f"{where}: expected an object")
+        raw_n = item.get("n")
+        if not (isinstance(raw_n, list) and len(raw_n) == 3):
+            raise TargetFormatError(f"{where}.n: expected [nx, ny, nz]")
+        for value in raw_n:
+            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+                raise TargetFormatError(f"{where}.n: occupation numbers must be integers >= 0")
+        occ = Occupation(*raw_n)
+        if occ.total > truncation.j_max:
+            raise TargetFormatError(
+                f"{where}.n: total occupation {occ.total} exceeds the cutoff {truncation.j_max}"
+            )
+        if occ in entries:
+            raise TargetFormatError(f"{where}.n: duplicate component {tuple(occ)}")
+        for key in ("re", "im"):
+            if key not in item:
+                raise TargetFormatError(f"{where}.{key}: missing")
+            if not isinstance(item[key], (int, float)) or isinstance(item[key], bool):
+                raise TargetFormatError(f"{where}.{key}: expected a number")
+            if not abs(item[key]) < 2**1024 - 2**970:
+                raise TargetFormatError(f"{where}.{key}: must be finite and within the float range")
+        entries[occ] = complex(item["re"], item["im"])
+    if not entries:
+        raise TargetFormatError("target file holds no components")
+    amps = np.zeros(truncation.dim, dtype=np.complex128)
+    for occ, value in entries.items():
+        amps[index_of(Component(occ, Level.A), truncation)] = value
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(amps))
+    if abs(norm - 1.0) > 1e-6:
+        raise TargetFormatError(f"target norm {norm:.9f} differs from 1 by more than 1e-6")
+    return amps / norm
+
+
+def _edit_n(edit):
+    """A mutation that edits an entry's n while it is still three items long."""
+    def mutate(item, doc):
+        if type(item.get("n")) is list and len(item["n"]) == 3:
+            item["n"] = edit(item["n"])
+    return mutate
+
+
+def _set(key, value):
+    def mutate(item, doc):
+        item[key] = value
+    return mutate
+
+
+def _pop(key):
+    def mutate(item, doc):
+        item.pop(key, None)
+    return mutate
+
+
+def _at(k, value):
+    def mutate(n):
+        n = list(n)
+        n[k] = value
+        return n
+    return mutate
+
+
+TARGET_MUTATIONS = st.sampled_from([
+    *[_edit_n(_at(k, v)) for k in range(3)
+      for v in (True, False, 1.0, 2**1024, 2**64, 2**63 - 1, 2**62, -(2**70), -1)],
+    _edit_n(lambda n: n[:2]),
+    _edit_n(lambda n: [*n, 0]),
+    _edit_n(lambda n: [n[0] + 4, n[1], n[2]]),
+    _edit_n(lambda n: [n[0] + 1, n[1], n[2]]),
+    _set("n", None),
+    _set("n", "000"),
+    _pop("n"),
+    lambda item, doc: item.update(n=json.loads(json.dumps(doc[0].get("n")))
+                                  if isinstance(doc[0], dict) else [0, 0, 0]),
+    lambda item, doc: doc.append(json.loads(json.dumps(item))),
+    *[_pop(key) for key in ("re", "im")],
+    *[_set(key, v) for key in ("re", "im")
+      for v in (True, "1", None, 2**1024, 2**1023, float("inf"), float("nan"), 1e200)],
+    lambda item, doc: doc.__setitem__(doc.index(item), [0, 0, 0]),
+    lambda item, doc: doc.__setitem__(doc.index(item), None),
+])
+
+
+@st.composite
+def target_docs(draw):
+    """A valid level-a target document at a small cutoff, then up to three
+    mutations on random entries."""
+    j_max = draw(st.integers(0, 3))
+    occs = [list(occ) for occ in np.ndindex(j_max + 1, j_max + 1, j_max + 1) if sum(occ) <= j_max]
+    chosen = draw(st.lists(st.sampled_from(occs), min_size=1, max_size=6, unique_by=tuple))
+    a = 1.0 / math.sqrt(len(chosen))
+    doc = [
+        {"n": n, "re": a, "im": 0.0} if draw(st.booleans()) else {"n": n, "re": -0.0, "im": -a}
+        for n in chosen
+    ]
+    for _ in range(draw(st.integers(0, 3))):
+        mutate = draw(TARGET_MUTATIONS)
+        item = doc[draw(st.integers(0, len(doc) - 1))]
+        if isinstance(item, dict):
+            mutate(item, doc)
+    return doc, j_max
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn=target_docs())
+def test_target_columns_match_the_per_entry_loop(drawn, scratch_dir):
+    """load_target's column checks accept exactly the documents the per-entry
+    loop accepts, with equal amplitude bits, and otherwise raise its error."""
+    doc, j_max = drawn
+    path = scratch_dir / "target.json"
+    path.write_text(json.dumps(doc))
+    truncation = Truncation(j_max)
+    try:
+        want = per_entry_load_target(json.loads(path.read_text()), truncation)
+    except TargetFormatError as exc:
+        with pytest.raises(TargetFormatError) as info:
+            load_target(path, truncation)
+        assert str(info.value) == str(exc)
+    else:
+        assert load_target(path, truncation).state.amplitudes.tobytes() == want.tobytes()

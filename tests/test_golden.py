@@ -25,6 +25,11 @@ EXTRA_SCHEDULES = {
         ["--target", "corr", "--jmax", "8", "--prune-noops"],
         "7e7ad087d457f5430b70791287e688336c6ff70bd171642605e68c58d626bfa9",
     ),
+    # The one pin whose notes hold two-digit occupations.
+    "corr12": (
+        ["--target", "corr", "--jmax", "12"],
+        "a5e1ef96bb9bb8b14390dff243f71102768d1c54897cd3396495cb587174da2d",
+    ),
     "corr8-eps": (
         ["--target", "corr", "--jmax", "8", "--eps", "0.45,0.15,0.25", "--eps-carrier", "0.15"],
         "c3452d084fa52263dcaae2b75e9812cd39c88516715aee1ce9666875c216e623",
