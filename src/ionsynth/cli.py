@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from itertools import compress
 from typing import Sequence
 
 from .channels import LambDickeParams
@@ -117,9 +116,8 @@ def _cmd_compile(args: argparse.Namespace) -> int:
     schedule = result.preparation if args.direction == "preparation" else result.deevolution
     if args.prune_noops:
         keep = schedule.x > 0.0
-        notes = list(compress(schedule.notes, keep))
         schedule = Schedule.from_columns(
-            schedule.channel[keep], schedule.x[keep], schedule.theta[keep], notes,
+            schedule.channel[keep], schedule.x[keep], schedule.theta[keep], schedule.note[keep],
             ld, truncation, schedule.direction, schedule.target,
         )
     save_schedule(schedule, args.out)

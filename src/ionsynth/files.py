@@ -23,9 +23,9 @@ the pulses are joined and written :data:`_PULSES_PER_WRITE` at a time, so the
 document is never held whole.  The floor is ``repr`` of the two floats per
 pulse, about half of the writer's time at J_max 12 and 16.
 
-A pulse note must lie inside the file's cutoff ``jmax`` and on one of the two
-levels its channel couples.  ``load_schedule`` checks each pulse field as a
-whole column; an error names the first bad entry, ``pulses[i].<field>``.
+A note is written as the component its basis index names, or ``null``.  The
+loader checks each field as a whole column, and ``Schedule`` checks a note's
+level; an error names the first bad entry, ``pulses[i].<field>``.
 
 Target files are a JSON array of ``{"n": [nx, ny, nz], "re": ..., "im": ...}``
 components on electronic level a, checked as columns in the same way.  The
@@ -50,12 +50,11 @@ from .fock import (
     Occupation,
     StateVector,
     Truncation,
-    _layout,
     _vib_index,
 )
-from .channels import CHANNELS, ChannelId, LambDickeParams
+from .channels import ChannelId, LambDickeParams
 from .noise import SweepReport
-from .pulses import Direction, Schedule
+from .pulses import Direction, Schedule, _note_components
 from .targets import Target
 
 __all__ = [
@@ -94,7 +93,9 @@ def _pulses_json(schedule: Schedule) -> Iterator[str]:
     """Each pulse object as json.dump(indent=2) lays it out inside the
     top-level "pulses" array: one f-string per pulse, floats through ``repr``."""
     names = map(_CHANNEL_NAMES.__getitem__, schedule.channel.tolist())
-    columns = zip(count(), names, schedule.x.tolist(), schedule.theta.tolist(), schedule.notes)
+    # Notes one NumPy scalar at a time: a list adds 0.25 MiB to the peak at J_max 16.
+    notes = _note_components(schedule.note, schedule.truncation.j_max)
+    columns = zip(count(), names, schedule.x.tolist(), schedule.theta.tolist(), notes)
     for i, name, x, theta, note in columns:
         if note is None:
             yield (
@@ -176,7 +177,7 @@ def _reals(entries: list[Any], key: str, where: str = "pulses[{}].") -> np.ndarr
         raise ScheduleFormatError(f"{where.format(i)}{key}: integer past the float range") from None
 
 
-def _parse_note(raw: Any, i: int, j_max: int, channel: ChannelId) -> Component | None:
+def _parse_note(raw: Any, i: int, j_max: int) -> Component | None:
     if raw is None:
         return None
     where = f"pulses[{i}].note"
@@ -194,17 +195,11 @@ def _parse_note(raw: Any, i: int, j_max: int, channel: ChannelId) -> Component |
         level = Level.from_label(label)
     except DomainError as exc:
         raise ScheduleFormatError(f"{where}: {exc}") from exc
-    if level not in (CHANNELS[channel].lower_level, CHANNELS[channel].upper_level):
-        raise ScheduleFormatError(f"{where}: level {label} is not coupled by channel {channel.name}")
     return Component(Occupation(nx, ny, nz), level)
 
 
-# Level code of each label Level.from_label accepts, and whether channel code
-# c couples level l, as _COUPLES[c, l].
+# Level code of each label Level.from_label accepts.
 _LEVEL_CODE = {label: int(level) for level in Level for label in (level.name, level.label)}
-_COUPLES = np.zeros((len(ChannelId) + 1, len(Level)), dtype=bool)
-for _spec in CHANNELS.values():
-    _COUPLES[_spec.cid, [_spec.lower_level, _spec.upper_level]] = True
 
 
 def _occupations(values: list[Any], j_max: int) -> tuple[np.ndarray, np.ndarray]:
@@ -231,17 +226,13 @@ def _flat_rows(rows: list[Any], filler: tuple[Any, ...]) -> list[Any]:
     return list(chain.from_iterable(rows))
 
 
-def _notes(raw: list[Any], channel: np.ndarray, j_max: int) -> list[Component | None]:
-    """The note column: each ``null`` gives None, each valid note the canonical
-    basis component.  The checks of :func:`_parse_note` run on whole columns;
-    the first failing note is parsed by it, so its error names that note."""
-    given = None  # positions of the notes that are not null, when some are
-    rows = raw
-    if None in raw:
-        given = [i for i, note in enumerate(raw) if note is not None]
-        rows = list(map(raw.__getitem__, given))
-        channel = channel[given]
-    occupations = _flat_rows(rows, (-1, 0, 0, ""))
+def _notes(raw: list[Any], j_max: int) -> np.ndarray:
+    """The note column as basis indices, -1 for each ``null``.  The checks of
+    :func:`_parse_note` run on whole columns; the first failing note is parsed
+    by it, so its error names that note."""
+    # A null note stands in as the failing filler row, let through as index -1.
+    null = [i for i, note in enumerate(raw) if note is None] if None in raw else []
+    occupations = _flat_rows(raw, (-1, 0, 0, ""))
     labels = occupations[3::4]
     del occupations[3::4]
     # Labels that are not str (some unhashable) stand in as unknown ones.
@@ -249,19 +240,14 @@ def _notes(raw: list[Any], channel: np.ndarray, j_max: int) -> list[Component | 
         labels = [label if type(label) is str else "" for label in labels]
     level = np.array(list(map(_LEVEL_CODE.get, labels, repeat(-1))), dtype=np.intp)
     occ, bad = _occupations(occupations, j_max)
-    bad |= (level < 0) | ~_COUPLES[channel, level]
+    bad |= level < 0
+    bad[null] = False
     if bad.any():
-        k = int(np.flatnonzero(bad)[0])
-        i = k if given is None else given[k]
-        _parse_note(raw[i], i, j_max, ChannelId(int(channel[k])))  # raises
+        i = int(np.flatnonzero(bad)[0])
+        _parse_note(raw[i], i, j_max)  # raises
     index = len(Level) * _vib_index(*occ) + level
-    components = list(map(_layout(j_max).basis.__getitem__, index.tolist()))
-    if given is None:
-        return components
-    notes: list[Component | None] = [None] * len(raw)
-    for i, component in zip(given, components):
-        notes[i] = component
-    return notes
+    index[null] = -1
+    return index
 
 
 def _read_json(path: str | os.PathLike[str], error: type[ValueError]) -> Any:
@@ -317,9 +303,9 @@ def load_schedule(path: str | os.PathLike[str]) -> Schedule:
     x = _reals(entries, "x")
     theta = _reals(entries, "theta")
     channel = np.array(list(map(_CHANNEL_CODES.__getitem__, names)), dtype=np.uint8)
-    notes = _notes(_field(entries, "note", None), channel, jmax)
+    note = _notes(_field(entries, "note", None), jmax)
     try:
-        return Schedule.from_columns(channel, x, theta, notes, ld, truncation, direction, target)
+        return Schedule.from_columns(channel, x, theta, note, ld, truncation, direction, target)
     except DomainError as exc:
         raise ScheduleFormatError(str(exc)) from exc
 

@@ -110,7 +110,7 @@ def perturb(schedule: Schedule, noise: NoiseModel, rng: np.random.Generator) -> 
     offsets = rng.uniform(-half, half)
     x = schedule.x + offsets[0::2]
     return Schedule.from_columns(
-        schedule.channel, np.where(x < 0.0, 0.0, x), schedule.theta + offsets[1::2], schedule.notes,
+        schedule.channel, np.where(x < 0.0, 0.0, x), schedule.theta + offsets[1::2], schedule.note,
         schedule.lamb_dicke, schedule.truncation, schedule.direction, schedule.target,
     )
 

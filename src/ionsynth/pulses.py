@@ -69,7 +69,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -82,7 +82,7 @@ from .channels import (
     coupled_pairs,
     dense_hamiltonian,
 )
-from .fock import Component, DomainError, StateVector, Truncation, _total_j
+from .fock import Component, DomainError, Level, StateVector, Truncation, _layout, _total_j
 
 __all__ = [
     "Pulse",
@@ -142,6 +142,15 @@ def _wrap_angles(theta: np.ndarray) -> np.ndarray:
 
 
 _CHANNEL_OF_CODE = {int(cid): cid for cid in ChannelId}
+# Whether channel code c couples level l, as _COUPLES[c, l].
+_COUPLES = np.zeros((len(ChannelId) + 1, len(Level)), dtype=bool)
+for _spec in CHANNELS.values():
+    _COUPLES[_spec.cid, [_spec.lower_level, _spec.upper_level]] = True
+
+
+def _note_components(note: Iterable[int], j_max: int) -> Iterator[Component | None]:
+    """The basis component of each note index below cutoff ``j_max``, None for -1."""
+    return map((*_layout(j_max).basis, None).__getitem__, note)
 
 
 def _pulse_view(channel: ChannelId, x: float, theta: float, note: Component | None) -> Pulse:
@@ -156,12 +165,12 @@ def _pulse_view(channel: ChannelId, x: float, theta: float, note: Component | No
 class Schedule:
     """An ordered pulse program plus the metadata needed to replay it.
 
-    The program is held as columns, one entry per pulse: ``channel`` (uint8
-    :class:`ChannelId` codes), ``x`` and ``theta`` (float64), all read-only,
-    and ``notes`` (a tuple of :class:`Component` or ``None``).  Both
-    constructors, :meth:`from_columns` and ``Schedule(pulses, ...)`` from
-    :class:`Pulse` objects, validate the columns and wrap the phases into
-    (-pi, pi] in one place; :attr:`pulses` gives :class:`Pulse` views back.
+    The program is held as read-only columns, one entry per pulse: ``channel``
+    (uint8 :class:`ChannelId` codes), ``x``, ``theta`` (float64) and ``note``
+    (int32 basis index of the component the pulse nulls, -1 for none).  Both
+    constructors validate the columns, a note against the cutoff and the levels
+    its channel couples, and wrap the phases into (-pi, pi] in one place;
+    :attr:`pulses` gives :class:`Pulse` views back.
     """
 
     def __init__(
@@ -169,37 +178,47 @@ class Schedule:
         direction: Direction, target: str = "",
     ) -> None:
         p = list(pulses)
-        columns = [q.channel for q in p], [q.x for q in p], [q.theta for q in p], [q.note for q in p]
+        index = _layout(truncation.j_max).index  # a note outside gets dim, refused by _set
+        note = [-1 if q.note is None else index.get(q.note, truncation.dim) for q in p]
+        columns = [q.channel for q in p], [q.x for q in p], [q.theta for q in p], note
         self._set(*columns, lamb_dicke, truncation, direction, target)
 
     @classmethod
     def from_columns(
-        cls, channel: ArrayLike, x: ArrayLike, theta: ArrayLike, notes: Sequence[Component | None],
+        cls, channel: ArrayLike, x: ArrayLike, theta: ArrayLike, note: ArrayLike,
         lamb_dicke: LambDickeParams, truncation: Truncation, direction: Direction, target: str = "",
     ) -> Schedule:
         """Build a schedule from its columns; arrays of the right dtype are kept,
         not copied, and made read-only.  An error names the first bad pulse."""
         self = cls.__new__(cls)
-        self._set(channel, x, theta, notes, lamb_dicke, truncation, direction, target)
+        self._set(channel, x, theta, note, lamb_dicke, truncation, direction, target)
         return self
 
-    def _set(self, channel, x, theta, notes, lamb_dicke, truncation, direction, target) -> None:
+    def _set(self, channel, x, theta, note, lamb_dicke, truncation, direction, target) -> None:
         channel = np.asarray(channel, dtype=np.uint8)
         x = np.asarray(x, dtype=np.float64)
         theta = np.asarray(theta, dtype=np.float64)
-        notes = tuple(notes)
-        if not channel.shape == x.shape == theta.shape == (len(notes),):
+        note = np.asarray(note, dtype=np.int32)
+        if channel.ndim != 1 or not channel.shape == x.shape == theta.shape == note.shape:
             raise DomainError("schedule columns must be 1-D and of one length")
+        dim = truncation.dim
         for name, column, bad, rule in (
             ("channel", channel, (channel < 1) | (channel > len(ChannelId)), "unknown channel code"),
             ("x", x, ~(np.isfinite(x) & (x >= 0.0)), "pulse length must be finite and >= 0"),
             ("theta", theta, ~np.isfinite(theta), "pulse phase must be finite"),
+            ("note", note, (note < -1) | (note >= dim), f"basis index must be -1 or in [0, {dim})"),
         ):
             if bad.any():
                 i = int(np.flatnonzero(bad)[0])
                 raise DomainError(f"pulses[{i}].{name}: {rule}, got {column[i].item()!r}")
-        self.channel, self.x, self.theta, self.notes = channel, x, _wrap_angles(theta), notes
-        for column in (self.channel, self.x, self.theta):
+        # _COUPLES[channel, level of note] as one flat lookup, faster than 2-D.
+        coupled = _COUPLES.take(len(Level) * channel + (note & 3)) | (note == -1)
+        if not coupled.all():
+            i = int(np.argmin(coupled))
+            level, name = Level(note[i] & 3).label, ChannelId(channel[i]).name
+            raise DomainError(f"pulses[{i}].note: level {level} is not coupled by channel {name}")
+        self.channel, self.x, self.theta, self.note = channel, x, _wrap_angles(theta), note
+        for column in (self.channel, self.x, self.theta, self.note):
             column.flags.writeable = False
         self.lamb_dicke, self.truncation = lamb_dicke, truncation
         self.direction, self.target = direction, target
@@ -209,20 +228,22 @@ class Schedule:
         """The program as :class:`Pulse` views, built on each access from the
         checked columns without checking them again."""
         channels = map(_CHANNEL_OF_CODE.__getitem__, self.channel.tolist())
-        return tuple(map(_pulse_view, channels, self.x.tolist(), self.theta.tolist(), self.notes))
+        notes = _note_components(self.note.tolist(), self.truncation.j_max)
+        return tuple(map(_pulse_view, channels, self.x.tolist(), self.theta.tolist(), notes))
 
     def __len__(self) -> int:
-        return len(self.notes)
+        return len(self.note)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Schedule):
             return NotImplemented
         return (
-            (self.lamb_dicke, self.truncation, self.direction, self.target, self.notes)
-            == (other.lamb_dicke, other.truncation, other.direction, other.target, other.notes)
+            (self.lamb_dicke, self.truncation, self.direction, self.target)
+            == (other.lamb_dicke, other.truncation, other.direction, other.target)
             and np.array_equal(self.channel, other.channel)
             and np.array_equal(self.x, other.x)
             and np.array_equal(self.theta, other.theta)
+            and np.array_equal(self.note, other.note)
         )
 
 
@@ -364,7 +385,7 @@ def dagger_schedule(schedule: Schedule) -> Schedule:
         else Direction.DEEVOLUTION
     )
     return Schedule.from_columns(
-        schedule.channel[::-1], schedule.x[::-1], schedule.theta[::-1] + math.pi, schedule.notes[::-1],
+        schedule.channel[::-1], schedule.x[::-1], schedule.theta[::-1] + math.pi, schedule.note[::-1],
         schedule.lamb_dicke, schedule.truncation, flipped, schedule.target,
     )
 

@@ -26,11 +26,11 @@ index of each step's lower-level component, the stage J it rotates up to, and
 depends on the Lamb-Dicke point and the amplitudes only.  Per channel it
 looks up each step's row in the pair table and gathers its partner index and
 Rabi frequency, refusing an uncoupled pair before any rotation; then it loops
-over plain Python lists, solving each step against the working amplitudes,
-applying it, and collecting the x, theta and note columns, which ``deevolve``
-hands to ``Schedule.from_columns``.  A step on zero amplitudes still yields
-an explicit x=0 pulse.  ``run_steps`` runs a builder's steps through the same
-columns and pass.
+over plain Python lists, solving and applying each step against the working
+amplitudes to collect the x and theta columns; the note column is one array
+operation.  ``deevolve`` hands them to ``Schedule.from_columns``.  A step on
+zero amplitudes still yields an explicit x=0 pulse.  ``run_steps`` runs a
+builder's steps through the same columns and pass.
 
 Applying a pulse solved at an occupation of total J rotates only the pairs of
 its channel whose lower-J end is <= J (the stage frontier): the operands its
@@ -81,6 +81,7 @@ from .fock import (
 from .pulses import (
     Direction,
     Schedule,
+    _note_components,
     _pair_table,
     _rotate,
     _trig,
@@ -170,7 +171,7 @@ def _plan_columns(j_max: int) -> _StepColumns:
 
 def _solve_columns(
     work: StateVector, steps: _StepColumns, ld: LambDickeParams
-) -> tuple[list[float], list[float], list[Component]]:
+) -> tuple[list[float], list[float], np.ndarray]:
     """The numeric pass: solve and apply each step in order on ``work``.
 
     Returns the x, theta and note columns.  Each step's pair is looked up once
@@ -204,23 +205,15 @@ def _solve_columns(
         )
     amps = work.amplitudes
     amplitude = amps.item  # a Python complex, as complex(amps[i]) gives
-    basis = _layout(truncation.j_max).basis
     xs: list[float] = []
     thetas: list[float] = []
-    notes: list[Component] = []
     columns = (
         steps.channel.tolist(), steps.src.tolist(), dst.tolist(), omega.tolist(),
         steps.stage.tolist(), steps.kill_upper.tolist(),
     )
     for code, src, dst_, w, stage, kill_upper in zip(*columns):
-        q_lower = amplitude(src)
-        q_upper = amplitude(dst_)
-        if kill_upper:
-            x, theta = solve_kill_upper(q_lower, q_upper, w)
-            notes.append(basis[dst_])
-        else:
-            x, theta = solve_kill_lower(q_lower, q_upper, w)
-            notes.append(basis[src])
+        solve = solve_kill_upper if kill_upper else solve_kill_lower
+        x, theta = solve(amplitude(src), amplitude(dst_), w)
         xs.append(x)
         thetas.append(theta)
         if x != 0.0:
@@ -228,7 +221,7 @@ def _solve_columns(
             c, s = _trig(x, distinct)
             plus, minus = -1j * cmath.exp(1j * theta), -1j * cmath.exp(-1j * theta)
             _rotate(amps, ends_lower, ends_upper, c.take(inverse), s.take(inverse), plus, minus)
-    return xs, thetas, notes
+    return xs, thetas, np.where(steps.kill_upper, dst, steps.src)
 
 
 def run_steps(
@@ -242,7 +235,8 @@ def run_steps(
     theta already in (-pi, pi], so the rows need no conversion.
     """
     columns = _step_columns(steps, work.truncation)
-    xs, thetas, notes = _solve_columns(work, columns, ld)
+    xs, thetas, note = _solve_columns(work, columns, ld)
+    notes = _note_components(note.tolist(), work.truncation.j_max)
     return list(zip(map(ChannelId, columns.channel.tolist()), xs, thetas, notes))
 
 
@@ -352,17 +346,17 @@ def deevolve(
         raise DomainError(f"target must be normalized, got norm {norm!r}")
     work = StateVector._wrap(target.amplitudes / norm, target.truncation)
     steps = _plan_columns(target.truncation.j_max)
-    xs, thetas, notes = _solve_columns(work, steps, ld)
+    xs, thetas, note = _solve_columns(work, steps, ld)
     residual = 1.0 - abs(work.amplitudes[0]) ** 2
     deevolution = Schedule.from_columns(
-        steps.channel, xs, thetas, notes, ld, target.truncation, Direction.DEEVOLUTION,
+        steps.channel, xs, thetas, note, ld, target.truncation, Direction.DEEVOLUTION,
         description,
     )
     return CompileResult(
         deevolution=deevolution,
         preparation=dagger_schedule(deevolution),
         final_residual=max(0.0, float(residual)),
-        pulse_count=len(notes),
+        pulse_count=len(xs),
     )
 
 

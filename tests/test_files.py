@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from ionsynth import (
@@ -12,6 +12,7 @@ from ionsynth import (
     ChannelId,
     Component,
     Direction,
+    DomainError,
     LambDickeParams,
     Level,
     NoiseModel,
@@ -23,7 +24,6 @@ from ionsynth import (
     TargetFormatError,
     Truncation,
     deevolve,
-    enumerate_basis,
     index_of,
     load_schedule,
     load_target,
@@ -247,6 +247,24 @@ def test_load_schedule_names_a_bad_entry_past_the_first(tmp_path, mutate, fragme
     assert fragment in str(err.value).replace("'", "")
 
 
+def test_load_schedule_checks_note_levels_after_lengths_and_phases(tmp_path):
+    """``Schedule.from_columns`` refuses a note on a level its channel does not
+    couple, after it checks every pulse's length and phase, so a later pulse's
+    bad length is named first.  The level is named by its lower-case label."""
+    path = _write_three_pulse_doc(tmp_path, lambda p: p.update(x=-1.5))
+    doc = json.loads(path.read_text())
+    doc["pulses"][0]["note"] = [0, 0, 0, "D"]
+    for x, message in (
+        (-1.5, "pulses[2].x: pulse length must be finite and >= 0, got -1.5"),
+        (1.5, "pulses[0].note: level d is not coupled by channel H2"),
+    ):
+        doc["pulses"][2]["x"] = x
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ScheduleFormatError) as err:
+            load_schedule(path)
+        assert str(err.value) == message
+
+
 def test_load_schedule_rejects_a_non_object_entry_past_the_first(tmp_path):
     path = _write_three_pulse_doc(tmp_path, lambda p: None)
     doc = json.loads(path.read_text())
@@ -383,48 +401,35 @@ def test_load_schedule_note_must_sit_on_a_coupled_level(tmp_path, cid):
 
 NOTE_NUMBERS = st.sampled_from([0, 1, 2, 3, 7, -1, True, False, 1.0, 2**64, -(2**70), "1", None])
 NOTE_LABELS = st.sampled_from(["a", "b", "c", "d", "A", "B", "D", "e", "", "ab", 0, None, ["a"]])
-ANY_NOTE = st.tuples(
-    st.one_of(
-        st.none(),
-        st.tuples(NOTE_NUMBERS, NOTE_NUMBERS, NOTE_NUMBERS, NOTE_LABELS).map(list),
-        st.lists(NOTE_NUMBERS, max_size=5),
-        st.sampled_from([0, "a", {"nx": 0}, [[0, 0, 0, "a"]]]),
-    ),
-    st.sampled_from(list(ChannelId)),
+ANY_NOTE = st.one_of(
+    st.none(),
+    st.tuples(NOTE_NUMBERS, NOTE_NUMBERS, NOTE_NUMBERS, NOTE_LABELS).map(list),
+    st.lists(NOTE_NUMBERS, max_size=5),
+    st.sampled_from([0, "a", {"nx": 0}, [[0, 0, 0, "a"]]]),
 )
-# A note on a level its channel couples, with at most three quanta.
-COUPLED_NOTE = st.sampled_from(list(ChannelId)).flatmap(
-    lambda cid: st.tuples(
-        st.tuples(
-            *[st.integers(0, 1)] * 3,
-            st.sampled_from([CHANNELS[cid].lower_level.label, CHANNELS[cid].upper_level.label]),
-        ).map(list),
-        st.just(cid),
-    )
-)
+# A note with at most three quanta, on any level.
+SMALL_NOTE = st.tuples(*[st.integers(0, 1)] * 3, st.sampled_from("abcd")).map(list)
 
 
 @settings(max_examples=150, deadline=None)
 @given(
-    notes=st.lists(st.one_of(COUPLED_NOTE, COUPLED_NOTE, COUPLED_NOTE, ANY_NOTE), max_size=6),
+    notes=st.lists(st.one_of(SMALL_NOTE, SMALL_NOTE, SMALL_NOTE, ANY_NOTE), max_size=6),
     j_max=st.integers(0, 3),
 )
 def test_note_column_matches_the_per_note_parser(notes, j_max):
     """The column check accepts exactly what ``_parse_note`` accepts, note by
-    note, gives equal components, and raises the first failing note's error."""
-    raw = [note for note, _ in notes]
-    channel = np.array([cid for _, cid in notes], dtype=np.uint8)
+    note, gives the basis index of its component (-1 for null), and raises the
+    first failing note's error."""
+    t = Truncation(j_max)
     try:
-        want = [_parse_note(note, i, j_max, cid) for i, (note, cid) in enumerate(notes)]
+        want = [_parse_note(note, i, j_max) for i, note in enumerate(notes)]
     except ScheduleFormatError as exc:
         with pytest.raises(ScheduleFormatError) as info:
-            _notes(raw, channel, j_max)
+            _notes(notes, j_max)
         assert str(info.value) == str(exc)
     else:
-        got = _notes(raw, channel, j_max)
-        assert got == want
-        basis = enumerate_basis(Truncation(j_max))  # the canonical objects
-        assert all(g is None or g is basis[index_of(g, Truncation(j_max))] for g in got)
+        got = _notes(notes, j_max)
+        assert got.tolist() == [-1 if c is None else index_of(c, t) for c in want]
 
 
 @pytest.fixture(scope="module")
@@ -457,40 +462,50 @@ def valid_note(draw, cid, j_max):
 
 @st.composite
 def written_schedules(draw):
-    """A schedule from random columns; its notes are valid (inside the cutoff,
-    on a coupled level) exactly when the second item says so."""
-    j_max = draw(st.integers(0, 40))
-    valid = draw(st.booleans())
+    """A schedule from random columns, through either constructor.  Its notes
+    are null or valid (inside the cutoff, on a coupled level) but for at most
+    one arbitrary note: a component with up to three-digit occupations, or the
+    basis index -2, dim or one inside the range.  Columns the constructor
+    refuses are drawn again."""
+    t = Truncation(draw(st.integers(0, 40)))
     channels = draw(st.lists(st.sampled_from(list(ChannelId)), max_size=30))
-    notes = [
-        draw(st.none() | (valid_note(cid, j_max) if valid else ANY_COMPONENT)) for cid in channels
-    ]
-    schedule = Schedule.from_columns(
-        np.array(channels, dtype=np.uint8),
+    columns = (
+        channels,
         draw(st.lists(LENGTHS, min_size=len(channels), max_size=len(channels))),
         draw(st.lists(PHASES, min_size=len(channels), max_size=len(channels))),
-        notes,
+    )
+    meta = (
         draw(st.sampled_from([LambDickeParams(), LambDickeParams(0.45, 1, 0.25, 2)])),
-        Truncation(j_max),
+        t,
         draw(st.sampled_from(list(Direction))),
         draw(st.text(max_size=5)),
     )
-    return schedule, valid
+    notes = [draw(st.none() | valid_note(cid, t.j_max)) for cid in channels]
+    odd = draw(st.integers(0, len(channels) - 1)) if channels and draw(st.booleans()) else None
+    try:
+        if draw(st.booleans()):
+            if odd is not None:
+                notes[odd] = draw(ANY_COMPONENT)
+            return Schedule(map(Pulse, *columns, notes), *meta)
+        index = [-1 if note is None else index_of(note, t) for note in notes]
+        if odd is not None:
+            index[odd] = draw(st.sampled_from([-2, t.dim]) | st.integers(0, t.dim - 1))
+        return Schedule.from_columns(*columns, index, *meta)
+    except DomainError:
+        reject()
 
 
 @settings(max_examples=150, deadline=None)
-@given(drawn=written_schedules())
-def test_writer_matches_json_dump_on_random_columns(drawn, scratch_dir):
-    """Any lengths and phases, all nine channels, null notes and notes with up
-    to three-digit occupations past the cutoff: the bytes are json.dump's, and
-    a schedule with valid notes loads back equal."""
-    schedule, valid = drawn
+@given(schedule=written_schedules())
+def test_writer_matches_json_dump_on_random_columns(schedule, scratch_dir):
+    """Any lengths and phases, all nine channels, null notes and notes on every
+    level up to the cutoff: the bytes are json.dump's, and every schedule that
+    constructs loads back equal."""
     streamed, reference = scratch_dir / "streamed.json", scratch_dir / "reference.json"
     save_schedule(schedule, streamed)
     json_dump_schedule(schedule, reference)
     assert streamed.read_bytes() == reference.read_bytes()
-    if valid:
-        assert load_schedule(streamed) == schedule
+    assert load_schedule(streamed) == schedule
 
 
 def test_writer_streams_a_file_larger_than_its_peak_memory(tmp_path):

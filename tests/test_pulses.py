@@ -597,7 +597,7 @@ def columns(schedule):
         schedule.channel.tobytes(),
         schedule.x.tobytes(),
         schedule.theta.tobytes(),
-        schedule.notes,
+        schedule.note.tobytes(),
         schedule.lamb_dicke,
         schedule.truncation,
         schedule.direction,
@@ -628,7 +628,7 @@ def test_schedule_round_trips_through_pulse_views(schedule):
     assert again == schedule
     assert columns(again) == columns(schedule)
     assert len(again) == len(schedule.pulses)
-    assert schedule.channel.dtype == np.uint8
+    assert (schedule.channel.dtype, schedule.note.dtype) == (np.uint8, np.int32)
     assert all(isinstance(p.channel, ChannelId) for p in schedule.pulses)
 
 
@@ -662,8 +662,10 @@ def test_schedule_columns_are_read_only_and_shared():
     schedule = next(compiled_schedules())
     with pytest.raises(ValueError):
         schedule.x[0] = 1.0
+    with pytest.raises(ValueError):
+        schedule.note[0] = -1
     noisy = perturb(schedule, NoiseModel(0.01, 0.01), np.random.default_rng(0))
-    assert noisy.channel is schedule.channel and noisy.notes is schedule.notes
+    assert noisy.channel is schedule.channel and noisy.note is schedule.note
 
 
 def test_schedule_equality_sees_every_column():
@@ -694,29 +696,45 @@ def test_schedule_equality_sees_every_column():
         assert schedule != other
 
 
+BAD_COLUMNS = [
+    ([1, 2, 0], [0.1, 0.2, 0.3], [0.0, 0.0, 0.0], [-1] * 3, "pulses[2].channel"),
+    ([1, 2, 10], [0.1, 0.2, 0.3], [0.0, 0.0, 0.0], [-1] * 3, "pulses[2].channel"),
+    ([1, 2, 3], [0.1, 0.2, -0.3], [0.0, 0.0, 0.0], [-1] * 3, "pulses[2].x"),
+    ([1, 2, 3], [0.1, math.inf, math.nan], [0.0, 0.0, 0.0], [-1] * 3, "pulses[1].x"),
+    ([1, 2, 3], [0.1, 0.2, 0.3], [0.0, 0.0, math.nan], [-1] * 3, "pulses[2].theta"),
+    ([1, 2, 3], [0.1, 0.2, 0.3], [0.0, -math.inf, 0.0], [-1] * 3, "pulses[1].theta"),
+    ([1, 2], [0.1, 0.2, 0.3], [0.0, 0.0, 0.0], [-1] * 3, "one length"),
+    ([1], [0.0], [0.0], [4 * 999 + 0], "pulses[0].note: basis index must be -1 or in [0, 80)"),
+    ([3], [0.0], [0.0], [-2], "pulses[0].note: basis index must be -1 or in [0, 80), got -2"),
+    ([1, 1], [0.0, 0.0], [0.0, 0.0], [-1, 3], "pulses[1].note: level d is not coupled by channel H1"),
+    ([1, 1], [0.0, -1.0], [0.0, 0.0], [3, -1], "pulses[1].x"),
+    ([1], [0.0], [0.0], [Component(Occupation(0, 0, 999), Level.A)], "pulses[0].note"),
+    ([1], [0.0], [0.0], [Component(Occupation(0, 0, 0), Level.D)],
+     "pulses[0].note: level d is not coupled by channel H1"),
+]
+
+
 @pytest.mark.parametrize(
-    "channel, x, theta, fragment",
-    [
-        ([1, 2, 0], [0.1, 0.2, 0.3], [0.0, 0.0, 0.0], "pulses[2].channel"),
-        ([1, 2, 10], [0.1, 0.2, 0.3], [0.0, 0.0, 0.0], "pulses[2].channel"),
-        ([1, 2, 3], [0.1, 0.2, -0.3], [0.0, 0.0, 0.0], "pulses[2].x"),
-        ([1, 2, 3], [0.1, math.inf, math.nan], [0.0, 0.0, 0.0], "pulses[1].x"),
-        ([1, 2, 3], [0.1, 0.2, 0.3], [0.0, 0.0, math.nan], "pulses[2].theta"),
-        ([1, 2, 3], [0.1, 0.2, 0.3], [0.0, -math.inf, 0.0], "pulses[1].theta"),
-        ([1, 2], [0.1, 0.2, 0.3], [0.0, 0.0, 0.0], "one length"),
-    ],
+    "channel, x, theta, note, fragment",
+    BAD_COLUMNS,
+    # The ids leave the note column out, so each case keeps a stable name.
+    ids=[f"channel{k}-x{k}-theta{k}-{case[-1]}" for k, case in enumerate(BAD_COLUMNS)],
 )
-def test_schedule_constructor_names_the_first_bad_pulse(channel, x, theta, fragment):
+def test_schedule_constructor_names_the_first_bad_pulse(channel, x, theta, note, fragment):
+    """Columns go through ``from_columns``; notes given as components go
+    through ``Schedule(pulses, ...)``."""
+    meta = LD, Truncation(3), Direction.PREPARATION
     with pytest.raises(DomainError) as err:
-        Schedule.from_columns(
-            channel, x, theta, [None] * 3, LD, Truncation(2), Direction.PREPARATION
-        )
+        if any(isinstance(n, Component) for n in note):
+            Schedule(map(Pulse, channel, x, theta, note), *meta)
+        else:
+            Schedule.from_columns(channel, x, theta, note, *meta)
     assert fragment in str(err.value)
 
 
 def test_from_columns_wraps_phases_like_pulse():
     thetas = [5 * math.pi, -math.pi, math.pi, 1e300, -7.5]
     schedule = Schedule.from_columns(
-        [1] * 5, [0.0] * 5, thetas, [None] * 5, LD, Truncation(1), Direction.PREPARATION
+        [1] * 5, [0.0] * 5, thetas, [-1] * 5, LD, Truncation(1), Direction.PREPARATION
     )
     assert schedule.theta.tolist() == [Pulse(ChannelId.H1, 0.0, v).theta for v in thetas]

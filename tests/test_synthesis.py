@@ -625,7 +625,7 @@ def test_plan_columns_match_the_plan(j_max):
 def schedule_bytes(schedule) -> bytes:
     return b"".join(
         [schedule.channel.tobytes(), schedule.x.tobytes(), schedule.theta.tobytes(),
-         repr(schedule.notes).encode()]
+         schedule.note.tobytes()]
     )
 
 
