@@ -23,21 +23,22 @@ the pulses are joined and written :data:`_PULSES_PER_WRITE` at a time, so the
 document is never held whole.  The floor is ``repr`` of the two floats per
 pulse, about half of the writer's time at J_max 12 and 16.
 
-A note is written as the component its basis index names, or ``null``.  The
-loader checks each field as a whole column, and ``Schedule`` checks a note's
-level; an error names the first bad entry, ``pulses[i].<field>``.
+A note is written as the component its basis index names, or ``null``;
+``Schedule`` checks a note's level.  Target files are a JSON array of
+``{"n": [nx, ny, nz], "re": ..., "im": ...}`` components on electronic level a,
+normalized to 1 within 1e-6; files that are not are rejected, not fixed.
 
-Target files are a JSON array of ``{"n": [nx, ny, nz], "re": ..., "im": ...}``
-components on electronic level a, checked as columns in the same way.  The
-norm must already be 1 to within 1e-6; files that are not normalized are
-rejected, not fixed.
+The loaders check clean notes and target components as whole columns, and any
+others entry by entry through :func:`_parse_note` or :func:`_check_components`,
+which word every fault.  An error names the first bad entry: ``pulses[i].<field>``
+in a schedule, ``[i].<field>`` in a target.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from itertools import chain, count, islice, repeat
+from itertools import chain, count, islice
 from operator import itemgetter
 from typing import Any, Iterator
 
@@ -50,7 +51,9 @@ from .fock import (
     Occupation,
     StateVector,
     Truncation,
+    _layout,
     _vib_index,
+    index_of,
 )
 from .channels import ChannelId, LambDickeParams
 from .noise import SweepReport
@@ -198,54 +201,53 @@ def _parse_note(raw: Any, i: int, j_max: int) -> Component | None:
     return Component(Occupation(nx, ny, nz), level)
 
 
+def _parse_notes(raw: list[Any], j_max: int) -> np.ndarray:
+    """The note column parsed note by note by :func:`_parse_note`, -1 for ``null``."""
+    index = _layout(j_max).index  # a null note parses as None, which is not a key
+    return np.array([index.get(_parse_note(n, i, j_max), -1) for i, n in enumerate(raw)], np.intp)
+
+
 # Level code of each label Level.from_label accepts.
 _LEVEL_CODE = {label: int(level) for level in Level for label in (level.name, level.label)}
 
 
-def _occupations(values: list[Any], j_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """``values``, (nx, ny, nz) after (nx, ny, nz), as a (3, n) intp array, and
-    which triples are not occupations inside the cutoff: a value that is not
-    an int (bool, float) or is past intp counts as -1."""
+class _Unclean(Exception):
+    """Input that the column checks leave to the per-entry checkers."""
+
+
+def _occupations(values: list[Any], j_max: int) -> np.ndarray:
+    """``values``, nx, ny, nz after nx, ny, nz, as (3, n) occupations inside the cutoff."""
     if not set(map(type, values)) <= {int}:
-        values = [n if type(n) is int else -1 for n in values]
-    try:
-        occ = np.array(values, dtype=np.intp)
-    except OverflowError:
-        occ = np.array([n if 0 <= n <= j_max else -1 for n in values], dtype=np.intp)
-    occ = occ.reshape(-1, 3).T
+        raise _Unclean
+    occ = np.array(values, dtype=np.intp).reshape(-1, 3).T
     # Each of 0..j_max first, so that the total cannot wrap.
-    return occ, ((occ < 0) | (occ > j_max)).any(axis=0) | (occ.sum(axis=0) > j_max)
+    if ((occ < 0) | (occ > j_max)).any() or (occ.sum(axis=0) > j_max).any():
+        raise _Unclean
+    return occ
 
 
-def _flat_rows(rows: list[Any], filler: tuple[Any, ...]) -> list[Any]:
-    """The items of ``rows``, row after row; a row that is not a list as long
-    as ``filler`` stands in as ``filler``, an entry that fails."""
-    width = len(filler)
+def _rows(rows: list[Any], width: int) -> list[Any]:
+    """The items of ``rows``, row after row, each row a list of ``width``."""
     if not (set(map(type, rows)) <= {list} and set(map(len, rows)) <= {width}):
-        rows = [row if type(row) is list and len(row) == width else filler for row in rows]
+        raise _Unclean
     return list(chain.from_iterable(rows))
 
 
 def _notes(raw: list[Any], j_max: int) -> np.ndarray:
-    """The note column as basis indices, -1 for each ``null``.  The checks of
-    :func:`_parse_note` run on whole columns; the first failing note is parsed
-    by it, so its error names that note."""
-    # A null note stands in as the failing filler row, let through as index -1.
+    """The note column as basis indices, -1 for each ``null``, checked whole if clean."""
+    # A null note stands in as the note [0, 0, 0, "a"], set to -1 afterwards.
     null = [i for i, note in enumerate(raw) if note is None] if None in raw else []
-    occupations = _flat_rows(raw, (-1, 0, 0, ""))
-    labels = occupations[3::4]
-    del occupations[3::4]
-    # Labels that are not str (some unhashable) stand in as unknown ones.
-    if not set(map(type, labels)) <= {str}:
-        labels = [label if type(label) is str else "" for label in labels]
-    level = np.array(list(map(_LEVEL_CODE.get, labels, repeat(-1))), dtype=np.intp)
-    occ, bad = _occupations(occupations, j_max)
-    bad |= level < 0
-    bad[null] = False
-    if bad.any():
-        i = int(np.flatnonzero(bad)[0])
-        _parse_note(raw[i], i, j_max)  # raises
-    index = len(Level) * _vib_index(*occ) + level
+    rows = [[0, 0, 0, "a"] if note is None else note for note in raw] if null else raw
+    try:
+        occupations = _rows(rows, 4)
+        labels = occupations[3::4]
+        del occupations[3::4]
+        if not (set(map(type, labels)) <= {str} and set(labels) <= _LEVEL_CODE.keys()):
+            raise _Unclean
+        index = len(Level) * _vib_index(*_occupations(occupations, j_max))
+    except (_Unclean, OverflowError):
+        return _parse_notes(raw, j_max)
+    index += np.array(list(map(_LEVEL_CODE.__getitem__, labels)), dtype=np.intp)
     index[null] = -1
     return index
 
@@ -327,25 +329,10 @@ def save_report(report: SweepReport, path: str | os.PathLike[str]) -> None:
             f.write(",".join(cells) + "\n")
 
 
-def _finite(entries: list[dict[str, Any]], key: str) -> np.ndarray:
-    """Field ``key`` of every entry as float64, each bad value not finite: a
-    value that is missing, not a number (bool, str) or past the float range
-    reads as NaN."""
-    values = _field(entries, key, _MISSING)
-    if set(map(type, values)) <= {int, float}:
-        try:
-            return np.array(values, dtype=np.float64)
-        except OverflowError:
-            pass
-    return np.array(
-        [v if type(v) in (int, float) and abs(v) < _FLOAT_END else np.nan for v in values],
-        dtype=np.float64,
-    )
-
-
-def _check_components(doc: list[Any], j_max: int) -> None:
-    """Check the target entries one by one; raise the first bad entry's error."""
-    seen: set[Occupation] = set()
+def _check_components(doc: list[Any], truncation: Truncation) -> tuple[np.ndarray, np.ndarray]:
+    """Check the target entries one by one and raise the first bad entry's
+    error; otherwise return each entry's basis index and amplitude."""
+    entries: dict[Occupation, complex] = {}
     for i, item in enumerate(doc):
         where = f"[{i}]"
         if not isinstance(item, dict):
@@ -357,13 +344,12 @@ def _check_components(doc: list[Any], j_max: int) -> None:
             if not isinstance(value, int) or isinstance(value, bool) or value < 0:
                 raise TargetFormatError(f"{where}.n: occupation numbers must be integers >= 0")
         occ = Occupation(*raw_n)
-        if occ.total > j_max:
+        if occ.total > truncation.j_max:
             raise TargetFormatError(
-                f"{where}.n: total occupation {occ.total} exceeds the cutoff {j_max}"
+                f"{where}.n: total occupation {occ.total} exceeds the cutoff {truncation.j_max}"
             )
-        if occ in seen:
+        if occ in entries:
             raise TargetFormatError(f"{where}.n: duplicate component {tuple(occ)}")
-        seen.add(occ)
         for key in ("re", "im"):
             if key not in item:
                 raise TargetFormatError(f"{where}.{key}: missing")
@@ -371,32 +357,38 @@ def _check_components(doc: list[Any], j_max: int) -> None:
                 raise TargetFormatError(f"{where}.{key}: expected a number")
             if not abs(item[key]) < _FLOAT_END:
                 raise TargetFormatError(f"{where}.{key}: must be finite and within the float range")
+        entries[occ] = complex(item["re"], item["im"])
+    index = [index_of(Component(occ, Level.A), truncation) for occ in entries]
+    return np.array(index, dtype=np.intp), np.array(list(entries.values()), dtype=np.complex128)
+
+
+def _components(doc: list[Any], truncation: Truncation) -> tuple[np.ndarray, np.ndarray]:
+    """Each target entry's basis index and amplitude, checked whole if clean."""
+    try:
+        if not set(map(type, doc)) <= {dict}:
+            raise _Unclean
+        vib = _vib_index(*_occupations(_rows(_field(doc, "n", None), 3), truncation.j_max))
+        parts = [part for item in doc for part in (item.get("re"), item.get("im"))]
+        if not set(map(type, parts)) <= {int, float}:
+            raise _Unclean
+        values = np.array(parts, dtype=np.float64).view(np.complex128)  # re, im pairs
+        if not np.isfinite(values).all() or len(set(vib.tolist())) < len(doc):
+            raise _Unclean
+    except (_Unclean, OverflowError):  # OverflowError: an int past intp or the float range
+        return _check_components(doc, truncation)
+    return len(Level) * vib + Level.A, values
 
 
 def load_target(path: str | os.PathLike[str], truncation: Truncation) -> Target:
-    """Read a component-list target file and validate it against ``truncation``.
-
-    The checks of :func:`_check_components` run on whole columns; when one
-    fails, it runs entry by entry, so its error names the first bad entry."""
+    """Read a component-list target file and validate it against ``truncation``."""
     doc = _read_json(path, TargetFormatError)
     if not isinstance(doc, list):
         raise TargetFormatError("top level: expected an array of components")
     if not doc:
         raise TargetFormatError("target file holds no components")
-
-    j_max = truncation.j_max
-    items = doc
-    if not set(map(type, doc)) <= {dict}:
-        items = [item if type(item) is dict else {} for item in doc]
-    occ, bad = _occupations(_flat_rows(_field(items, "n", None), (-1, 0, 0)), j_max)
-    vib = _vib_index(*np.where(bad, 0, occ))
-    values = np.empty(len(doc), dtype=np.complex128)
-    values.real = _finite(items, "re")
-    values.imag = _finite(items, "im")
-    if bad.any() or len(set(vib.tolist())) < len(doc) or not np.isfinite(values).all():
-        _check_components(doc, j_max)  # raises
+    index, values = _components(doc, truncation)
     amps = np.zeros(truncation.dim, dtype=np.complex128)
-    amps[len(Level) * vib + Level.A] = values
+    amps[index] = values
     with np.errstate(over="ignore"):  # |amplitude| past sqrt(max float) squares to inf
         norm = float(np.linalg.norm(amps))
     if abs(norm - 1.0) > 1e-6:

@@ -148,6 +148,13 @@ for _spec in CHANNELS.values():
     _COUPLES[_spec.cid, [_spec.lower_level, _spec.upper_level]] = True
 
 
+def _outside(column: np.ndarray, low: int, high: int) -> np.ndarray:
+    """Which entries are not integers in [low, high], found before narrowing."""
+    if column.dtype.kind not in "iu":  # float, bool or object: entry by entry
+        return np.array([type(v) is not int or not low <= v <= high for v in column.tolist()], bool)
+    return (column < low) | (column > high)
+
+
 def _note_components(note: Iterable[int], j_max: int) -> Iterator[Component | None]:
     """The basis component of each note index below cutoff ``j_max``, None for -1."""
     return map((*_layout(j_max).basis, None).__getitem__, note)
@@ -195,22 +202,22 @@ class Schedule:
         return self
 
     def _set(self, channel, x, theta, note, lamb_dicke, truncation, direction, target) -> None:
-        channel = np.asarray(channel, dtype=np.uint8)
+        channel, note = np.asarray(channel), np.asarray(note)
         x = np.asarray(x, dtype=np.float64)
         theta = np.asarray(theta, dtype=np.float64)
-        note = np.asarray(note, dtype=np.int32)
         if channel.ndim != 1 or not channel.shape == x.shape == theta.shape == note.shape:
             raise DomainError("schedule columns must be 1-D and of one length")
         dim = truncation.dim
         for name, column, bad, rule in (
-            ("channel", channel, (channel < 1) | (channel > len(ChannelId)), "unknown channel code"),
+            ("channel", channel, _outside(channel, 1, len(ChannelId)), "unknown channel code"),
             ("x", x, ~(np.isfinite(x) & (x >= 0.0)), "pulse length must be finite and >= 0"),
             ("theta", theta, ~np.isfinite(theta), "pulse phase must be finite"),
-            ("note", note, (note < -1) | (note >= dim), f"basis index must be -1 or in [0, {dim})"),
+            ("note", note, _outside(note, -1, dim - 1), f"basis index must be -1 or in [0, {dim})"),
         ):
             if bad.any():
                 i = int(np.flatnonzero(bad)[0])
-                raise DomainError(f"pulses[{i}].{name}: {rule}, got {column[i].item()!r}")
+                raise DomainError(f"pulses[{i}].{name}: {rule}, got {column.tolist()[i]!r}")
+        channel, note = channel.astype(np.uint8, copy=False), note.astype(np.int32, copy=False)
         # _COUPLES[channel, level of note] as one flat lookup, faster than 2-D.
         coupled = _COUPLES.take(len(Level) * channel + (note & 3)) | (note == -1)
         if not coupled.all():

@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -34,8 +35,9 @@ from ionsynth import (
     target_corr,
     target_ghz,
 )
+from ionsynth import files
 from ionsynth.cli import main
-from ionsynth.files import _notes, _parse_note
+from ionsynth.files import _check_components, _components, _notes, _parse_note, _parse_notes
 
 
 @pytest.fixture(scope="module")
@@ -432,6 +434,31 @@ def test_note_column_matches_the_per_note_parser(notes, j_max):
         assert got.tolist() == [-1 if c is None else index_of(c, t) for c in want]
 
 
+def occupations_up_to(j_max):
+    return [list(occ) for occ in np.ndindex(j_max + 1, j_max + 1, j_max + 1) if sum(occ) <= j_max]
+
+
+@st.composite
+def clean_notes(draw):
+    """Null notes and notes inside a small cutoff, labels in either case."""
+    j_max = draw(st.integers(0, 4))
+    note = st.tuples(st.sampled_from(occupations_up_to(j_max)), st.sampled_from("abcdABCD"))
+    notes = draw(st.lists(st.none() | note.map(lambda drawn: [*drawn[0], drawn[1]]), max_size=8))
+    return notes, j_max
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn=clean_notes())
+def test_clean_notes_stay_on_the_column_path_and_both_paths_agree(drawn):
+    """Clean notes, nulls among them, never reach the per-note path, and that
+    path, called directly, gives the same index bytes."""
+    notes, j_max = drawn
+    with mock.patch.object(files, "_parse_notes", side_effect=AssertionError("per-note path")):
+        got = _notes(notes, j_max)
+    want = _parse_notes(notes, j_max)
+    assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes())
+
+
 @pytest.fixture(scope="module")
 def scratch_dir(tmp_path_factory):
     """One directory for the hypothesis tests below, which rewrite their files."""
@@ -668,3 +695,34 @@ def test_target_columns_match_the_per_entry_loop(drawn, scratch_dir):
         assert str(info.value) == str(exc)
     else:
         assert load_target(path, truncation).state.amplitudes.tobytes() == want.tobytes()
+
+
+# Finite JSON numbers, among them ints that only just round to the largest float.
+AMPLITUDE_PARTS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-(2**80), 2**80),
+    st.sampled_from([0, -0.0, 2**1023, -(2**1024 - 2**971), 2**1024 - 2**970 - 1]),
+)
+
+
+@st.composite
+def clean_targets(draw):
+    """A target document of clean components at a small cutoff; any finite
+    amplitudes, so not normalized."""
+    j_max = draw(st.integers(0, 3))
+    chosen = draw(st.lists(st.sampled_from(occupations_up_to(j_max)), min_size=1, max_size=6,
+                           unique_by=tuple))
+    doc = [{"n": n, "re": draw(AMPLITUDE_PARTS), "im": draw(AMPLITUDE_PARTS)} for n in chosen]
+    return doc, Truncation(j_max)
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn=clean_targets())
+def test_clean_targets_stay_on_the_column_path_and_both_paths_agree(drawn):
+    """A clean document never reaches the per-entry checker, and that checker,
+    called directly, gives the same index and amplitude bytes."""
+    doc, truncation = drawn
+    with mock.patch.object(files, "_check_components", side_effect=AssertionError("per entry")):
+        got = _components(doc, truncation)
+    want = _check_components(doc, truncation)
+    assert [(a.dtype, a.tobytes()) for a in got] == [(a.dtype, a.tobytes()) for a in want]

@@ -711,6 +711,17 @@ BAD_COLUMNS = [
     ([1], [0.0], [0.0], [Component(Occupation(0, 0, 999), Level.A)], "pulses[0].note"),
     ([1], [0.0], [0.0], [Component(Occupation(0, 0, 0), Level.D)],
      "pulses[0].note: level d is not coupled by channel H1"),
+    # Wide or non-integer columns are checked before they are narrowed.
+    (np.array([257]), [0.0], [0.0], np.array([2**32]),
+     "pulses[0].channel: unknown channel code, got 257"),
+    ([1], [0.0], [0.0], np.array([2**32]),
+     "pulses[0].note: basis index must be -1 or in [0, 80), got 4294967296"),
+    (np.array([1.7]), [0.0], [0.0], [-1], "pulses[0].channel: unknown channel code, got 1.7"),
+    ([1], [0.0], [0.0], np.array([4.0]), "pulses[0].note: basis index must be -1 or in [0, 80)"),
+    ([257], [0.0], [0.0], [-1], "pulses[0].channel: unknown channel code, got 257"),
+    ([2**40], [0.0], [0.0], [-1], "pulses[0].channel"),
+    ([1], [0.0], [0.0], [2**40], "pulses[0].note"),
+    ([1, 2**70], [0.0, 0.0], [0.0, 0.0], [-1, -1], "pulses[1].channel"),
 ]
 
 
