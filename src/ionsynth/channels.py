@@ -45,7 +45,8 @@ from .fock import (
     Truncation,
     _layout,
     _vib_index,
-    enumerate_basis,  # noqa: F401  perfbench/spans.py patches this name
+    enumerate_basis,
+    index_of,
 )
 
 __all__ = [
@@ -202,7 +203,7 @@ def partner_occupation(spec: ChannelSpec, occ: Occupation) -> Occupation | None:
 @dataclass(frozen=True)
 class CoupledPair:
     """One two-component block the channel rotates: src on the lower level,
-    dst on the upper level, with Rabi frequency omega > 0."""
+    dst on the upper level, with Rabi frequency omega of either sign, or 0."""
 
     src: Component
     dst: Component
@@ -215,12 +216,12 @@ class PairTable:
 
     Row k rotates basis index ``src_index[k]`` (lower level) with
     ``dst_index[k]`` (upper level) at Rabi frequency
-    ``omega_distinct[omega_inverse[k]] > 0``.  Omega depends on a row only
-    through nx (carriers, red sideband) or the raised and lowered occupations
-    (exchange), so ``omega_distinct`` holds one Rabi frequency per such key,
-    numbered in order of first appearance.  ``lift`` is the J gap between a
-    row's two ends (1 for the red sideband, 0 for every other channel) and
-    ``basis`` the canonical basis the indices point into.
+    ``omega_distinct[omega_inverse[k]]``, which is negative past a zero of a
+    Laguerre factor and 0 where one underflows: the rows depend on the cutoff
+    alone.  Omega depends on a row only through nx (carriers, red sideband) or
+    the raised and lowered occupations (exchange), so ``omega_distinct`` holds
+    one Rabi frequency per such key, numbered in order of first appearance,
+    and ``basis`` is the canonical basis the indices point into.
 
     Rows run in basis order of their lower-level end, so ``src_index`` is
     strictly increasing and the total J of a row's lower-J end never
@@ -235,7 +236,6 @@ class PairTable:
     dst_index: np.ndarray
     omega_distinct: np.ndarray = field(repr=False)
     omega_inverse: np.ndarray = field(repr=False)
-    lift: int
     basis: tuple[Component, ...] = field(repr=False)
     upto: tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...] = field(repr=False)
 
@@ -249,7 +249,7 @@ class PairTable:
         return map(CoupledPair, src, dst, self.omega_distinct[self.omega_inverse].tolist())
 
     def rows(self, src: np.ndarray) -> np.ndarray:
-        """Row whose lower-level end is each basis index in ``src``, or -1."""
+        """Row whose lower-level end is each basis index in ``src``, or -1 if none."""
         row = np.searchsorted(self.src_index, src)
         return np.where(np.append(self.src_index, -1)[row] == src, row, -1)
 
@@ -271,11 +271,10 @@ def coupled_pairs(
 
     Every component appears exactly once: either in one pair or in the
     untouched list.  Pairs never leave the truncation because each channel
-    preserves or lowers the total quantum number.  A combination whose Rabi
-    frequency is not positive (zero, or negative past a zero of a Laguerre
-    factor) is classified as untouched, so later pulse solving never divides
-    by zero.  Omega is bit for bit what :func:`rabi` gives the same lower
-    occupation.
+    preserves or lowers the total quantum number.  The pairs depend on the
+    channel and the cutoff alone: a pair whose Omega is zero or negative keeps
+    its row, and only the compiler refuses it.  Omega is bit for bit what
+    :func:`rabi` gives the same lower occupation.
     """
     j_max = truncation.j_max
     occ, basis, _ = _layout(j_max)
@@ -302,8 +301,6 @@ def coupled_pairs(
             * _nonlinearities(ld.mode_eps(spec.raised), j_max)[n_up]
             * _nonlinearities(ld.mode_eps(spec.lowered), j_max)[n_down - 1]
         )
-    keep = omega > 0.0
-    vib, rank, omega = vib[keep], rank[keep], omega[keep]
     upper = occ[:, vib]
     if spec.raised is not None:
         upper[spec.raised] += 1
@@ -322,7 +319,6 @@ def coupled_pairs(
         dst_index=dst,
         omega_distinct=distinct,
         omega_inverse=rank,
-        lift=1 if spec.kind is ChannelKind.RED_SIDEBAND and vib.size else 0,
         basis=basis,
         upto=tuple((src[:c], dst[:c], distinct[: used[c]], rank[:c]) for c in ends),
     )
@@ -338,13 +334,14 @@ def dense_hamiltonian(
 
     The part that raises the electronic state carries the conjugated coupling:
     <dst|H|src> = omega * exp(-i*theta) for every coupled pair, and the matrix
-    is Hermitian by construction.
+    is Hermitian by construction.  It is built from :func:`rabi` one component
+    at a time, never from a pair table, so that it can check the tables.
     """
-    dim = truncation.dim
-    h = np.zeros((dim, dim), dtype=np.complex128)
+    h = np.zeros((truncation.dim, truncation.dim), dtype=np.complex128)
     raising = cmath.exp(-1j * theta)
-    pairs, _ = coupled_pairs(spec, truncation, ld)
-    omega = pairs.omega_distinct[pairs.omega_inverse]
-    h[pairs.dst_index, pairs.src_index] = omega * raising
-    h[pairs.src_index, pairs.dst_index] = omega * raising.conjugate()
-    return h
+    for src, (occ, level) in enumerate(enumerate_basis(truncation)):
+        upper = partner_occupation(spec, occ)
+        if level is spec.lower_level and upper is not None:
+            dst = index_of(Component(upper, spec.upper_level), truncation)
+            h[dst, src] = rabi(spec, occ, ld) * raising
+    return h + h.conj().T

@@ -64,6 +64,10 @@ def _tolerance(text: str) -> float:
     return tol
 
 
+# Far above any sweep that could finish, below one that would exhaust memory (README).
+_GRID_ROWS_CAP, _TRIALS_CAP = 10_000, 1_000_000
+
+
 def _grid_spec(text: str) -> tuple[float, float, int]:
     parts = text.split(":")
     if len(parts) != 3:
@@ -73,8 +77,8 @@ def _grid_spec(text: str) -> tuple[float, float, int]:
         count = int(parts[2])
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad grid spec {text!r}") from exc
-    if count < 1:
-        raise argparse.ArgumentTypeError("grid count must be >= 1")
+    if not 1 <= count <= _GRID_ROWS_CAP:
+        raise argparse.ArgumentTypeError(f"grid count must lie in [1, {_GRID_ROWS_CAP}], got {count}")
     if start < 0 or step < 0:
         raise argparse.ArgumentTypeError("grid start and step must be >= 0")
     return start, step, count
@@ -156,6 +160,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    if args.trials > _TRIALS_CAP:
+        raise DomainError(f"--trials {args.trials} exceeds the cap of {_TRIALS_CAP}")
     schedule = load_schedule(args.schedule)
     if schedule.direction is not Direction.PREPARATION:
         raise DomainError(

@@ -9,7 +9,8 @@ with Rabi frequency Omega the evolution is the exact two-level rotation
 
 and the identity on untouched components.  Shifting theta by pi inverts a
 pulse, which is what turns a de-evolution schedule into a preparation
-schedule.
+schedule.  Past a zero of a Laguerre factor Omega is negative, which needs no
+special case: cos is even and sin odd, so it rotates as |Omega| at theta + pi.
 
 A schedule holds its program as columns, which replay, inversion, noise and
 the file layer read directly; :class:`Pulse` objects are only views of them.
@@ -325,12 +326,9 @@ def _replay(
     occupied = np.flatnonzero(flat.reshape(k, dim).any(axis=0))
     frontier = int(_total_j(occupied[-1], truncation)) if occupied.size else 0
     tables = {code: _pair_table(ChannelId(code), truncation, ld) for code in set(codes)}
-    # The frontier rises after each lifting pulse until it reaches j_max, so
-    # the segments of one frontier end after those pulses.
-    lifts = sorted(
-        i + 1 for code, table in tables.items() if table.lift
-        for i in np.flatnonzero(live_channel == code).tolist()
-    )
+    # The frontier rises after each lifting (H9) pulse until it reaches j_max,
+    # so the segments of one frontier end after those pulses.
+    lifts = (np.flatnonzero(live_channel == ChannelId.H9) + 1).tolist()
     trial = np.arange(k)[:, np.newaxis]
     start = 0
     for end in lifts[: truncation.j_max - frontier] + [len(codes)]:

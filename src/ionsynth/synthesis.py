@@ -25,11 +25,12 @@ index of each step's lower-level component, the stage J it rotates up to, and
 ``kill_upper``.  The one numeric pass over such columns, ``_solve_columns``,
 depends on the Lamb-Dicke point and the amplitudes only.  Per channel it
 looks up each step's row in the pair table and gathers its partner index and
-Rabi frequency, refusing an uncoupled pair before any rotation; then it loops
-over plain Python lists, solving and applying each step against the working
-amplitudes to collect the x and theta columns; the note column is one array
-operation.  ``deevolve`` hands them to ``Schedule.from_columns``.  A step on
-zero amplitudes still yields an explicit x=0 pulse.  ``run_steps`` runs a
+Rabi frequency, refusing before any rotation a step whose Omega is not
+positive (the one place a pair is refused); then it loops over plain Python
+lists, solving and applying each step against the working amplitudes to
+collect the x and theta columns; the note column is one array operation.
+``deevolve`` hands them to ``Schedule.from_columns``.  A step on zero
+amplitudes still yields an explicit x=0 pulse.  ``run_steps`` runs a
 builder's steps through the same columns and pass.
 
 Applying a pulse solved at an occupation of total J rotates only the pairs of
@@ -65,7 +66,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .channels import CHANNELS, ChannelId, LambDickeParams, PairTable, rabi
+from .channels import CHANNELS, ChannelId, LambDickeParams, PairTable
 from .fock import (
     Component,
     DomainError,
@@ -175,32 +176,28 @@ def _solve_columns(
     """The numeric pass: solve and apply each step in order on ``work``.
 
     Returns the x, theta and note columns.  Each step's pair is looked up once
-    per channel, before any rotation, so a step whose pair the Lamb-Dicke point
-    leaves uncoupled raises :class:`DomainError` (the first one in step order)
-    with ``work`` untouched.  A pulse of nonzero length rotates its channel's
+    per channel, before any rotation, so the first step whose Omega is not
+    positive (0 where the step has no pair) raises :class:`DomainError` with
+    ``work`` untouched.  A pulse of nonzero length rotates its channel's
     pairs up to the step's stage frontier (see the module docstring).
     """
     truncation = work.truncation
     tables: dict[int, PairTable] = {}
     dst = np.empty(steps.src.size, dtype=np.intp)
     omega = np.empty(steps.src.size)
-    uncoupled = []
     for code, where in steps.groups:
         table = tables[code] = _pair_table(ChannelId(code), truncation, ld)
-        row = table.rows(steps.src[where])
-        if (row < 0).any():
-            uncoupled.append(int(where[np.argmax(row < 0)]))
-            continue
-        dst[where] = table.dst_index[row]
-        omega[where] = table.omega_distinct[table.omega_inverse[row]]
-    if uncoupled:
-        step = min(uncoupled)
-        cid = ChannelId(int(steps.channel[step]))
+        row = table.rows(steps.src[where])  # -1 reads the appended entry
+        dst[where] = np.append(table.dst_index, -1)[row]
+        omega[where] = np.append(table.omega_distinct[table.omega_inverse], 0.0)[row]
+    refused = ~(omega > 0.0)
+    if refused.any():
+        step = int(np.argmax(refused))
         vib = int(steps.src[step]) // len(Level)
-        occ = Occupation._make(_layout(truncation.j_max).occ[:, vib].tolist())
+        occ = tuple(_layout(truncation.j_max).occ[:, vib].tolist())
         raise DomainError(
-            f"channel {cid.name} has no coupled pair at occupation {tuple(occ)} "
-            f"for {ld!r}: its Rabi frequency {rabi(CHANNELS[cid], occ, ld):.6g} is not "
+            f"channel {ChannelId(int(steps.channel[step])).name} has no coupled pair at "
+            f"occupation {occ} for {ld!r}: its Rabi frequency {omega[step]:.6g} is not "
             "positive (the Lamb-Dicke point is at or past a zero of its Laguerre factor)"
         )
     amps = work.amplitudes

@@ -253,7 +253,8 @@ def test_dense_hamiltonian_is_hermitian_with_pair_eigenvalues():
 
 def loop_coupled_pairs(spec, t, ld):
     """Reference build: the per-component loop over the basis, one ``rabi`` and
-    ``partner_occupation`` call and one ``index_of`` lookup per pair."""
+    ``partner_occupation`` call and one ``index_of`` lookup per pair.  Every
+    pair the cutoff allows is kept, whatever the sign of its Omega."""
     basis = enumerate_basis(t)
     claimed = np.zeros(len(basis), dtype=bool)
     src, dst, omega = [], [], []
@@ -264,8 +265,6 @@ def loop_coupled_pairs(spec, t, ld):
         if pocc is None:
             continue
         w = rabi(spec, comp.occ, ld)
-        if w <= 0.0:
-            continue
         d = index_of(Component(pocc, spec.upper_level), t)
         src.append(k)
         dst.append(d)
@@ -321,6 +320,36 @@ def test_tables_match_loop_over_random_points(j_max, eps):
     assert_tables_match_loop(Truncation(j_max), LambDickeParams(*eps))
 
 
+@pytest.mark.parametrize("j_max", [0, 1, 4, 12])
+def test_table_rows_depend_only_on_the_channel_and_the_cutoff(j_max):
+    """Past a zero, where Omega underflows to 0 and where every eps is 1e200,
+    a table keeps the rows, partners, Omega ranks, frontier slices and
+    untouched list of the default point: the point sets only Omega."""
+    t = Truncation(j_max)
+    points = [
+        LD0,
+        LambDickeParams(0.6, 0.1, 0.2, 0.1),
+        LambDickeParams(1.3, 0.1, 0.2, 0.1),
+        LambDickeParams(0.3, 0.1, 0.2, 1.4142),
+        LambDickeParams(1e200, 0.1, 1e100, 38.6),
+        LambDickeParams(1e200, 1e200, 1e200, 1e200),
+    ]
+    for spec in CHANNELS.values():
+        want, want_untouched = coupled_pairs(spec, t, LD)
+        for ld in points:
+            table, untouched = coupled_pairs(spec, t, ld)
+            assert table.src_index.tobytes() == want.src_index.tobytes(), (spec.cid, ld)
+            assert table.dst_index.tobytes() == want.dst_index.tobytes(), (spec.cid, ld)
+            assert table.omega_inverse.tobytes() == want.omega_inverse.tobytes(), (spec.cid, ld)
+            assert table.omega_distinct.size == want.omega_distinct.size
+            for got, expect in zip(table.upto, want.upto, strict=True):
+                src, dst, omega, inverse = got
+                w_src, w_dst, w_omega, w_inverse = expect
+                assert src.tobytes() == w_src.tobytes() and dst.tobytes() == w_dst.tobytes()
+                assert inverse.tobytes() == w_inverse.tobytes() and omega.size == w_omega.size
+            assert untouched == want_untouched, (spec.cid, ld)
+
+
 def test_pair_views_iterate():
     t = Truncation(3)
     table, _ = coupled_pairs(CHANNELS[ChannelId.H5], t, LD)
@@ -341,8 +370,8 @@ def test_pair_views_iterate():
     [
         LD,
         LD0,
-        LambDickeParams(0.6, 0.1, 0.2, 0.1),  # H5 drops pairs past a zero
-        LambDickeParams(1e200, 0.1, 1e100, 38.6),  # exchange tables empty
+        LambDickeParams(0.6, 0.1, 0.2, 0.1),  # H5 has negative Omega past a zero
+        LambDickeParams(1e200, 0.1, 1e100, 38.6),  # x- and z-exchange Omega all 0
     ],
 )
 def test_pair_table_row_lookup_and_distinct_omega(ld):

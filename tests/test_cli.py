@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ionsynth import load_schedule
+from ionsynth import cli, load_schedule
 from ionsynth.cli import main
 
 
@@ -269,8 +269,8 @@ def test_compile_rejects_uncoupled_pair_by_name(argv, channel, tmp_path, capsys)
 
 
 def test_overflowing_lamb_dicke_point_replays_without_nan(ghz_schedule, tmp_path, capsys):
-    """A schedule file at eps_x 1e200 loads; its exchange channels on x couple
-    nothing there, so verify reports a finite fidelity and sweep finite rows."""
+    """A schedule file at eps_x 1e200 loads; its exchange pairs on x have
+    Omega 0 there, so verify reports a finite fidelity and sweep finite rows."""
     doc = json.loads(ghz_schedule.read_text())
     doc["lamb_dicke"]["ex"] = 1e200
     ghz_schedule.write_text(json.dumps(doc))
@@ -282,6 +282,41 @@ def test_overflowing_lamb_dicke_point_replays_without_nan(ghz_schedule, tmp_path
     code, out, err = run(capsys, "sweep", "--schedule", str(ghz_schedule), *argv)
     assert code == 0 and err == ""
     assert "nan" not in csv.read_text() and "nan" not in out
+
+
+def test_verify_replays_exactly_past_a_zero(ghz_schedule, capsys):
+    """The ghz J_max 4 preparation with its header moved to eps_x 1.3, where
+    x-exchange pairs have negative Omega: the fidelity of the exact dynamics
+    (the one-component-at-a-time propagator agrees to 1e-12 in test_pulses)."""
+    doc = json.loads(ghz_schedule.read_text())
+    doc["lamb_dicke"]["ex"] = 1.3
+    ghz_schedule.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", "--schedule", str(ghz_schedule), "--target", "ghz")
+    assert code == 2 and err == ""
+    assert "fidelity: 0.013605835747" in out.splitlines()
+
+
+@pytest.mark.parametrize("count", ["0", "10001", "99999999999"])
+def test_sweep_refuses_a_grid_past_the_cap_at_the_parser(count, tmp_path, capsys):
+    """The count is refused while parsing, before any grid row is built; the
+    cap itself is admitted."""
+    csv = tmp_path / "rows.csv"
+    argv = ["--schedule", str(tmp_path / "absent.json"), "--target", "ghz", "--out", str(csv)]
+    code, out, err = run(capsys, "sweep", *argv, "--delta-grid", f"0:0.01:{count}")
+    assert code == 2 and out == ""
+    assert f"argument --delta-grid: grid count must lie in [1, 10000], got {count}" in err
+    assert not csv.exists()
+    assert cli._grid_spec("0:0.01:10000") == (0.0, 0.01, 10000)
+
+
+def test_sweep_refuses_trials_past_the_cap_by_name(tmp_path, capsys):
+    """Refused before the schedule is read, so no trial runs."""
+    csv = tmp_path / "rows.csv"
+    argv = ["--schedule", str(tmp_path / "absent.json"), "--target", "ghz", "--out", str(csv)]
+    code, out, err = run(capsys, "sweep", *argv, "--trials", "1000001")
+    assert code == 2 and out == ""
+    assert err == "error: --trials 1000001 exceeds the cap of 1000000\n"
+    assert not csv.exists()
 
 
 def test_jmax_over_the_cap_exits_2_by_name(tmp_path, capsys):

@@ -551,7 +551,7 @@ UNCOUPLED = [
     (12, LambDickeParams(0.6, 0.1, 0.2, 0.1), "H5", (10, 2, 0), (build_C, (12, 10))),
     (4, LambDickeParams(1.3, 0.1, 0.2, 0.1), "H5", (2, 2, 0), (build_C, (4, 2))),
     (4, LambDickeParams(0.3, 0.1, 0.2, 1.4142), "H4", (2, 0, 2), (build_B, (4, 2))),
-    # exp(-eps_x**2/2) underflows, so the x-exchange channels have no pair at all
+    # exp(-eps_x**2/2) underflows, so every x-exchange pair has Omega 0
     (3, LambDickeParams(1e200, 0.1, 0.2, 0.1), "H5", (0, 3, 0), (build_C, (3, 0))),
 ]
 
@@ -593,6 +593,19 @@ def test_run_steps_raises_the_uncoupled_pair_message_before_any_rotation(
     with pytest.raises(DomainError) as info:
         run_steps(work, [*build_A(j_max, 0), *build(*args)], ld)
     assert str(info.value) == uncoupled_message(channel, occ, ld)
+    assert np.array_equal(work.amplitudes, before)
+
+
+@pytest.mark.parametrize("j_max", [0, 2])
+def test_run_steps_refuses_a_step_with_no_pair(j_max):
+    """H5 lowers y, so it has no pair from (0, 0, 0): the step counts as
+    Omega 0 and gets the uncoupled-pair message, also where the H5 table is
+    empty (J_max 0), with ``work`` untouched."""
+    work = random_state(Truncation(j_max), np.random.default_rng(j_max))
+    before = work.amplitudes.copy()
+    with pytest.raises(DomainError) as info:
+        run_steps(work, [(ChannelId.H5, Occupation(0, 0, 0), False)], LD)
+    assert str(info.value) == uncoupled_message("H5", (0, 0, 0), LD)
     assert np.array_equal(work.amplitudes, before)
 
 
