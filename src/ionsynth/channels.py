@@ -23,6 +23,11 @@ of a lower-level component adds one quantum to the channel's raised mode and
 takes one from its lowered mode, and every Lamb-Dicke factor comes from one
 Laguerre evaluation per eps over n = 0..j_max.  :func:`rabi` and
 :func:`partner_occupation` compute the same numbers one component at a time.
+
+Only the Rabi frequencies depend on the Lamb-Dicke point.  The rows, their
+Omega ranks and the frontier operands are built once per channel and cutoff
+and shared, read-only, by the tables at every point; a new point adds one
+Omega per rank, so a scan over points keeps one copy of the index arrays.
 """
 
 from __future__ import annotations
@@ -32,7 +37,9 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
+from functools import lru_cache
 from itertools import compress
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import eval_genlaguerre
@@ -217,17 +224,22 @@ class PairTable:
     Row k rotates basis index ``src_index[k]`` (lower level) with
     ``dst_index[k]`` (upper level) at Rabi frequency
     ``omega_distinct[omega_inverse[k]]``, which is negative past a zero of a
-    Laguerre factor and 0 where one underflows: the rows depend on the cutoff
-    alone.  Omega depends on a row only through nx (carriers, red sideband) or
-    the raised and lowered occupations (exchange), so ``omega_distinct`` holds
-    one Rabi frequency per such key, numbered in order of first appearance,
-    and ``basis`` is the canonical basis the indices point into.
+    Laguerre factor and 0 where one underflows.  Omega depends on a row only
+    through nx (carriers, red sideband) or the raised and lowered occupations
+    (exchange), so ``omega_distinct`` holds one Rabi frequency per such key,
+    numbered in order of first appearance, and ``basis`` is the canonical basis
+    the indices point into.
+
+    Only ``omega_distinct`` depends on the Lamb-Dicke point.  The rows, the
+    inverse and ``upto`` depend on the channel and the cutoff alone, and every
+    table of one channel and cutoff shares them as the same read-only arrays.
 
     Rows run in basis order of their lower-level end, so ``src_index`` is
     strictly increasing and the total J of a row's lower-J end never
     decreases along the table.  ``upto[j]`` holds the rotation operands
-    ``(src, dst, omega, inverse)`` of the leading rows whose lower-J end is
-    <= j, with ``omega`` cut to the distinct entries those rows use.
+    ``(src, dst, inverse, used)`` of the leading rows whose lower-J end is
+    <= j: those rows read only the first ``used`` entries of
+    ``omega_distinct``, which is where a rotation cuts it.
 
     Iteration gives :class:`CoupledPair` views.
     """
@@ -237,7 +249,7 @@ class PairTable:
     omega_distinct: np.ndarray = field(repr=False)
     omega_inverse: np.ndarray = field(repr=False)
     basis: tuple[Component, ...] = field(repr=False)
-    upto: tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...] = field(repr=False)
+    upto: tuple[tuple[np.ndarray, np.ndarray, np.ndarray, int], ...] = field(repr=False)
 
     def __len__(self) -> int:
         return self.src_index.size
@@ -252,6 +264,58 @@ class PairTable:
         """Row whose lower-level end is each basis index in ``src``, or -1 if none."""
         row = np.searchsorted(self.src_index, src)
         return np.where(np.append(self.src_index, -1)[row] == src, row, -1)
+
+
+class _Rows(NamedTuple):
+    """The part of a channel's pair tables that the cutoff alone fixes."""
+
+    src_index: np.ndarray
+    dst_index: np.ndarray
+    omega_inverse: np.ndarray
+    keys: tuple[np.ndarray, ...]  # per Omega rank: its nx, or its raised and lowered occupations
+    upto: tuple[tuple[np.ndarray, np.ndarray, np.ndarray, int], ...]
+
+
+@lru_cache(maxsize=32 * len(ChannelId))
+def _rows(spec: ChannelSpec, j_max: int) -> _Rows:
+    """Rows, Omega ranks and frontier operands of ``spec`` at cutoff ``j_max``,
+    built once and kept as read-only arrays."""
+    occ = _layout(j_max).occ
+    vib = np.arange(occ.shape[1])
+    if spec.lowered is not None:
+        vib = vib[occ[spec.lowered] >= 1]
+    # Omega depends on a row only through nx (carriers, red sideband) or the
+    # raised and lowered occupations (exchange).  ``rank`` numbers those keys
+    # in the order they first appear along the basis.
+    if spec.raised is None:
+        nx = occ[Mode.X, vib]
+        rank = nx if spec.kind is ChannelKind.CARRIER else nx - 1
+        row_keys = (nx,)
+    else:
+        n_up = occ[spec.raised, vib]
+        n_down = occ[spec.lowered, vib]
+        total = n_up + n_down
+        rank = total * (total - 1) // 2 + n_up
+        row_keys = (n_up, n_down)
+    size = int(rank.max(initial=-1)) + 1
+    keys = tuple(np.zeros(size, dtype=key.dtype) for key in row_keys)
+    for key, row_key in zip(keys, row_keys):
+        key[rank] = row_key  # every rank up to the largest has rows, all of one key
+    upper = occ[:, vib]
+    if spec.raised is not None:
+        upper[spec.raised] += 1
+    if spec.lowered is not None:
+        upper[spec.lowered] -= 1
+    levels = len(Level)
+    src = levels * vib + spec.lower_level
+    dst = levels * _vib_index(*upper) + spec.upper_level
+    for column in (src, dst, rank, *keys):
+        column.flags.writeable = False
+    j_dst = upper.sum(axis=0)  # every channel keeps or lowers J
+    ends = np.searchsorted(j_dst, np.arange(j_max + 1), side="right").tolist()
+    used = np.concatenate(([0], np.maximum.accumulate(rank) + 1)).tolist()  # by the first c rows
+    upto = tuple((src[:c], dst[:c], rank[:c], used[c]) for c in ends)
+    return _Rows(src, dst, rank, keys, upto)
 
 
 def _nonlinearities(eps: float, j_max: int) -> np.ndarray:
@@ -273,57 +337,31 @@ def coupled_pairs(
     untouched list.  Pairs never leave the truncation because each channel
     preserves or lowers the total quantum number.  The pairs depend on the
     channel and the cutoff alone: a pair whose Omega is zero or negative keeps
-    its row, and only the compiler refuses it.  Omega is bit for bit what
-    :func:`rabi` gives the same lower occupation.
+    its row, and only the compiler refuses it.  The table shares the rows
+    built once per cutoff and adds its own Omega, evaluated once per rank by
+    the operations :func:`rabi` applies to a row, so bit for bit what it gives
+    the same lower occupation.
     """
     j_max = truncation.j_max
-    occ, basis, _ = _layout(j_max)
-    vib = np.arange(occ.shape[1])
-    if spec.lowered is not None:
-        vib = vib[occ[spec.lowered] >= 1]
-    # Omega depends on a row only through nx (carriers, red sideband) or the
-    # raised and lowered occupations (exchange).  ``rank`` numbers those keys
-    # in the order they first appear along the basis.
+    rows = _rows(spec, j_max)
     if spec.kind is ChannelKind.CARRIER:
-        rank = occ[Mode.X, vib]
-        omega = _nonlinearities(ld.eps_carrier, j_max)[rank]
+        (nx,) = rows.keys
+        omega = _nonlinearities(ld.eps_carrier, j_max)[nx]
     elif spec.kind is ChannelKind.RED_SIDEBAND:
-        nx = occ[Mode.X, vib]
-        rank = nx - 1
+        (nx,) = rows.keys
         omega = np.sqrt(nx) * _nonlinearities(ld.eps_carrier, j_max)[nx - 1]
     else:
-        n_up = occ[spec.raised, vib]
-        n_down = occ[spec.lowered, vib]
-        total = n_up + n_down
-        rank = total * (total - 1) // 2 + n_up
+        n_up, n_down = rows.keys
         omega = (
             np.sqrt((n_up + 1) * n_down)
             * _nonlinearities(ld.mode_eps(spec.raised), j_max)[n_up]
             * _nonlinearities(ld.mode_eps(spec.lowered), j_max)[n_down - 1]
         )
-    upper = occ[:, vib]
-    if spec.raised is not None:
-        upper[spec.raised] += 1
-    if spec.lowered is not None:
-        upper[spec.lowered] -= 1
-    levels = len(Level)
-    src = levels * vib + spec.lower_level
-    dst = levels * _vib_index(*upper) + spec.upper_level
-    j_dst = upper.sum(axis=0)  # every channel keeps or lowers J
-    distinct = np.zeros(int(rank.max(initial=-1)) + 1)
-    distinct[rank] = omega  # the rows of one rank hold the same bits
-    ends = np.searchsorted(j_dst, np.arange(j_max + 1), side="right").tolist()
-    used = np.concatenate(([0], np.maximum.accumulate(rank) + 1)).tolist()  # by the first c rows
-    table = PairTable(
-        src_index=src,
-        dst_index=dst,
-        omega_distinct=distinct,
-        omega_inverse=rank,
-        basis=basis,
-        upto=tuple((src[:c], dst[:c], distinct[: used[c]], rank[:c]) for c in ends),
-    )
+    omega.flags.writeable = False
+    basis = _layout(j_max).basis
+    table = PairTable(rows.src_index, rows.dst_index, omega, rows.omega_inverse, basis, rows.upto)
     claimed = np.zeros(truncation.dim, dtype=bool)
-    claimed[src] = claimed[dst] = True
+    claimed[rows.src_index] = claimed[rows.dst_index] = True
     return table, list(compress(basis, (~claimed).tolist()))
 
 

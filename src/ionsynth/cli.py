@@ -17,6 +17,7 @@ unreadable files, below-tolerance verification), 1 on unexpected runtime errors.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Sequence
 
@@ -79,8 +80,12 @@ def _grid_spec(text: str) -> tuple[float, float, int]:
         raise argparse.ArgumentTypeError(f"bad grid spec {text!r}") from exc
     if not 1 <= count <= _GRID_ROWS_CAP:
         raise argparse.ArgumentTypeError(f"grid count must lie in [1, {_GRID_ROWS_CAP}], got {count}")
-    if start < 0 or step < 0:
-        raise argparse.ArgumentTypeError("grid start and step must be >= 0")
+    if not (0 <= start < math.inf and 0 <= step < math.inf):  # NaN fails too
+        raise argparse.ArgumentTypeError("grid start and step must be finite and >= 0")
+    if start + step * (count - 1) == math.inf:  # the grid's last value
+        raise argparse.ArgumentTypeError(
+            f"grid's last value {start:g} + {step:g} * {count - 1} overflows"
+        )
     return start, step, count
 
 

@@ -23,8 +23,9 @@ red-sideband (H9) pulses, the one channel that links J to J-1.
 as many trials as fit a fixed number of amplitudes, so it shrinks as the
 cutoff grows.  :func:`simulate_trial` perturbs each trial of a chunk from its
 own stream and replays the chunk as one batched state (see :mod:`.pulses`),
-which gives every trial the result of its own serial replay; the row
-aggregates the results in trial order, so it does not depend on the chunks.
+which gives every trial the result of its own serial replay; the row writes
+each chunk's results into three float columns in trial order and aggregates
+those, so it does not depend on the chunks and holds 24 bytes per trial.
 """
 
 from __future__ import annotations
@@ -176,17 +177,14 @@ def run_trials(
     if seed < 0:
         raise DomainError(f"seed must be a non-negative integer, got {seed}")
     chunk = max(1, _BATCH_AMPLITUDES // preparation.truncation.dim)
-    results = [
-        result
-        for start in range(0, n, chunk)
-        for result in simulate_trial(
-            target, preparation, noise,
-            [_trial_rng(seed, substream, k) for k in range(start, min(n, start + chunk))],
-        )
-    ]
-    fids = np.array([r.fidelity for r in results])
-    posts = np.array([r.postselect_fidelity for r in results])
-    probs = np.array([r.level_a_probability for r in results])
+    fids, posts, probs = np.empty(n), np.empty(n), np.empty(n)
+    for start in range(0, n, chunk):
+        stop = min(n, start + chunk)
+        rngs = [_trial_rng(seed, substream, k) for k in range(start, stop)]
+        results = simulate_trial(target, preparation, noise, rngs)
+        fids[start:stop] = [r.fidelity for r in results]
+        posts[start:stop] = [r.postselect_fidelity for r in results]
+        probs[start:stop] = [r.level_a_probability for r in results]
     return SweepRow(
         delta=noise.delta,
         delta_theta=noise.delta_theta,

@@ -33,8 +33,9 @@ sideband H9, which links J to J-1, so a pulse can lift the frontier by at most
 one, and only on H9.  Pairs whose lower-J end lies above the frontier hold two
 exact zeros, which a rotation leaves at zero; replay rotates only the pair
 table's ``upto[frontier]`` operands, and the amplitudes it returns are
-value-identical to rotating every pair.  A preparation from the vacuum starts
-at frontier 0.
+value-identical to rotating every pair.  Those operands depend on the cutoff
+alone, so each segment cuts the table's Omega column to the ``used`` entries
+they name.  A preparation from the vacuum starts at frontier 0.
 
 Replay runs one state, of shape (dim,) with pulse columns x and theta of
 shape (n,), or K states, of shape (K, dim) with columns of shape (n, K) whose
@@ -336,8 +337,9 @@ def _replay(
         # pair ends into ``flat``, and the inverse into a pulse's (K, distinct) trig.
         operands = {}
         for code, table in tables.items():
-            src, dst, omega, inverse = table.upto[frontier]
-            operands[code] = src + dim * trial, dst + dim * trial, omega, inverse + omega.size * trial
+            src, dst, inverse, used = table.upto[frontier]
+            omega = table.omega_distinct[:used]
+            operands[code] = src + dim * trial, dst + dim * trial, omega, inverse + used * trial
         width = max((omega.size for _, _, omega, _ in operands.values()), default=0)
         size = max(1, _TRIG_ENTRIES // max(1, k * width))
         for first in range(start, end, size):

@@ -35,10 +35,12 @@ builder's steps through the same columns and pass.
 
 Applying a pulse solved at an occupation of total J rotates only the pairs of
 its channel whose lower-J end is <= J (the stage frontier): the operands its
-pair table keeps in ``upto[J]``.  Amplitudes the skipped pairs hold go stale
-(they differ from a full-table rotation), but no later solve reads them.  The
-invariant is: when stage J starts, every amplitude at total J or below is
-exact.
+pair table keeps in ``upto[J]``, which depend on the cutoff alone.  A pass
+cuts the table's Omega column to the entries those operands use once per
+channel and stage, before its first step.  Amplitudes the skipped pairs hold
+go stale (they differ from a full-table rotation), but no later solve reads
+them.  The invariant is: when stage J starts, every amplitude at total J or
+below is exact.
 
 * ``build_U_abc(J)`` and ``build_U_bcd(J-1)`` use J-preserving channels and
   solve at J and J-1, rotating every pair at or below the solved J, so what
@@ -200,6 +202,11 @@ def _solve_columns(
             f"occupation {occ} for {ld!r}: its Rabi frequency {omega[step]:.6g} is not "
             "positive (the Lamb-Dicke point is at or past a zero of its Laguerre factor)"
         )
+    # Per channel and stage J, the rotation operands cut to the stage frontier.
+    operands = {
+        code: [(src, dst, table.omega_distinct[:used], inv) for src, dst, inv, used in table.upto]
+        for code, table in tables.items()
+    }
     amps = work.amplitudes
     amplitude = amps.item  # a Python complex, as complex(amps[i]) gives
     xs: list[float] = []
@@ -214,10 +221,11 @@ def _solve_columns(
         xs.append(x)
         thetas.append(theta)
         if x != 0.0:
-            ends_lower, ends_upper, distinct, inverse = tables[code].upto[stage]
+            ends_lower, ends_upper, distinct, inverse = operands[code][stage]
             c, s = _trig(x, distinct)
             plus, minus = -1j * cmath.exp(1j * theta), -1j * cmath.exp(-1j * theta)
-            _rotate(amps, ends_lower, ends_upper, c.take(inverse), s.take(inverse), plus, minus)
+            # Indexing, not ``take``: take copies an index array that is read-only.
+            _rotate(amps, ends_lower, ends_upper, c[inverse], s[inverse], plus, minus)
     return xs, thetas, np.where(steps.kill_upper, dst, steps.src)
 
 

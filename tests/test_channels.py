@@ -1,8 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ionsynth import (
@@ -29,6 +30,7 @@ from ionsynth.channels import (
     dense_hamiltonian,
     partner_occupation,
 )
+from ionsynth.pulses import _pair_table
 
 LD = LambDickeParams()
 LD0 = LambDickeParams(0.0, 0.0, 0.0, 0.0)
@@ -343,11 +345,61 @@ def test_table_rows_depend_only_on_the_channel_and_the_cutoff(j_max):
             assert table.omega_inverse.tobytes() == want.omega_inverse.tobytes(), (spec.cid, ld)
             assert table.omega_distinct.size == want.omega_distinct.size
             for got, expect in zip(table.upto, want.upto, strict=True):
-                src, dst, omega, inverse = got
-                w_src, w_dst, w_omega, w_inverse = expect
+                src, dst, inverse, used = got
+                w_src, w_dst, w_inverse, w_used = expect
                 assert src.tobytes() == w_src.tobytes() and dst.tobytes() == w_dst.tobytes()
-                assert inverse.tobytes() == w_inverse.tobytes() and omega.size == w_omega.size
+                assert inverse.tobytes() == w_inverse.tobytes() and used == w_used
             assert untouched == want_untouched, (spec.cid, ld)
+
+
+@settings(max_examples=40, deadline=None)
+@given(j_max=st.integers(0, 12), eps=st.tuples(*[st.floats(0.0, 3.0)] * 4))
+@example(j_max=12, eps=(0.0, 0.0, 0.0, 0.0))
+@example(j_max=12, eps=(1e200, 1e200, 1e200, 1e200))
+@example(j_max=12, eps=(0.6, 0.1, 0.2, 0.1))  # past the first zero of L1_11
+@example(j_max=4, eps=(0.3, 0.1, 0.2, 1.4142))  # carrier factor past the zero of L1_1
+def test_a_point_adds_only_omega_to_the_shared_rows(j_max, eps):
+    """Omega is ``rabi`` row by row, bit for bit, and every other array of a
+    table is the read-only array of the same channel and cutoff at another
+    point, not a copy."""
+    t = Truncation(j_max)
+    ld = LambDickeParams(*eps)
+    basis = enumerate_basis(t)
+    for spec in CHANNELS.values():
+        table, _ = coupled_pairs(spec, t, ld)
+        other, _ = coupled_pairs(spec, t, LD)
+        want = np.array([rabi(spec, basis[k].occ, ld) for k in table.src_index.tolist()])
+        assert table.omega_distinct[table.omega_inverse].tobytes() == want.tobytes(), spec.cid
+        assert table.src_index is other.src_index and table.dst_index is other.dst_index
+        assert table.omega_inverse is other.omega_inverse and table.upto is other.upto
+        operands = [array for src, dst, inverse, _ in table.upto for array in (src, dst, inverse)]
+        columns = table.src_index, table.dst_index, table.omega_inverse, table.omega_distinct
+        for array in (*columns, *operands):
+            assert not array.flags.writeable, spec.cid
+
+
+@pytest.mark.parametrize("j_max", [12, 16])
+def test_a_table_cached_at_a_new_point_holds_at_most_2_kib(j_max):
+    """Once a cutoff's rows exist, each further cached table holds its Omega
+    column, not a copy of the index arrays (17.1 KiB at J_max 12 and 30.5 KiB
+    at 16 when every table held its own), measured with ``tracemalloc``."""
+    t = Truncation(j_max)
+    rng = np.random.default_rng(j_max)
+    points = [LambDickeParams(*rng.uniform(0.05, 0.6, 4).tolist()) for _ in range(20)]
+    _pair_table.cache_clear()
+    for cid in ChannelId:
+        _pair_table(cid, t, LD)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for ld in points:
+            for cid in ChannelId:
+                _pair_table(cid, t, ld)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+        _pair_table.cache_clear()
+    assert held / (len(points) * len(ChannelId)) <= 2048
 
 
 def test_pair_views_iterate():
@@ -389,14 +441,13 @@ def test_pair_table_row_lookup_and_distinct_omega(ld):
             low = np.minimum(j_of[table.src_index], j_of[table.dst_index])
             inverse = table.omega_inverse
             assert len(table.upto) == j_max + 1
-            for j, (src, dst, omega, inv) in enumerate(table.upto):
+            for j, (src, dst, inv, used) in enumerate(table.upto):
                 count = int(np.sum(low <= j))
                 assert np.all(low[:count] <= j) and np.all(low[count:] > j)  # a leading block
                 assert src.tobytes() == table.src_index[:count].tobytes()
                 assert dst.tobytes() == table.dst_index[:count].tobytes()
                 assert inv.tobytes() == inverse[:count].tobytes()
-                used = int(inverse[:count].max(initial=-1)) + 1
-                assert omega.tobytes() == table.omega_distinct[:used].tobytes()
+                assert type(used) is int and used == int(inverse[:count].max(initial=-1)) + 1
             assert table.upto[j_max][0].size == len(table), (j_max, spec.cid)
             if j_max != 6:
                 continue

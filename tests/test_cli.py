@@ -309,6 +309,31 @@ def test_sweep_refuses_a_grid_past_the_cap_at_the_parser(count, tmp_path, capsys
     assert cli._grid_spec("0:0.01:10000") == (0.0, 0.01, 10000)
 
 
+@pytest.mark.parametrize(
+    "grid, rule",
+    [
+        ("0:inf:2", "grid start and step must be finite and >= 0"),
+        ("inf:0:1", "grid start and step must be finite and >= 0"),
+        ("nan:0.01:2", "grid start and step must be finite and >= 0"),
+        ("0:nan:3", "grid start and step must be finite and >= 0"),
+        ("-1:0.01:2", "grid start and step must be finite and >= 0"),
+        ("1e308:1e308:3", "grid's last value 1e+308 + 1e+308 * 2 overflows"),
+        ("0:1e308:3", "grid's last value 0 + 1e+308 * 2 overflows"),
+    ],
+)
+def test_sweep_refuses_a_grid_past_the_float_range_at_the_parser(grid, rule, tmp_path, capsys):
+    """A start or step of inf or NaN, or a last value that overflows, is
+    named with --delta-grid, not as a NaN delta the user never typed."""
+    csv = tmp_path / "rows.csv"
+    argv = ["--schedule", str(tmp_path / "absent.json"), "--target", "ghz", "--out", str(csv)]
+    code, out, err = run(capsys, "sweep", *argv, f"--delta-grid={grid}")
+    assert code == 2 and out == ""
+    assert f"argument --delta-grid: {rule}" in err
+    assert not csv.exists()
+    assert cli._grid_spec("1e308:0:10000") == (1e308, 0.0, 10000)
+    assert cli._grid_spec("0:8e307:2") == (0.0, 8e307, 2)
+
+
 def test_sweep_refuses_trials_past_the_cap_by_name(tmp_path, capsys):
     """Refused before the schedule is read, so no trial runs."""
     csv = tmp_path / "rows.csv"

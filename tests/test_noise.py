@@ -300,14 +300,27 @@ def test_batched_trials_equal_serial_replay(j_max, target_seed, trials, delta, d
         assert run_trials(target, prep, noise, trials, seed) == aggregate(noise, results)
 
 
-@pytest.mark.parametrize("n", [1, 2, "chunk+1"])
-def test_run_trials_aggregates_single_trials(preparation, n):
-    """``run_trials(n)`` is the aggregate of n single ``simulate_trial`` calls
-    on the (seed, row, trial) streams, also one trial past a whole chunk."""
-    target, prep = preparation
+@pytest.mark.parametrize(
+    "chunks, extra",
+    [
+        pytest.param(0, 1, id="1"),
+        pytest.param(0, 2, id="2"),
+        pytest.param(1, 0, id="chunk"),
+        pytest.param(1, 1, id="chunk+1"),
+        pytest.param(3, 2, id="3*chunk+2"),
+    ],
+)
+def test_run_trials_aggregates_single_trials(preparation, chunks, extra):
+    """``run_trials(n)`` is, bit for bit, the aggregate of n single
+    ``simulate_trial`` calls on the (seed, row, trial) streams, at J_max 3 and
+    2: rows of whole chunks, one trial past one, and three chunks and two."""
     nm = NoiseModel(0.03, 0.01)
-    if n == "chunk+1":
-        n = noise_module._BATCH_AMPLITUDES // prep.truncation.dim + 1
-    singles = [simulate_trial(target, prep, nm, np.random.default_rng([11, 3, k])) for k in range(n)]
-    assert run_trials(target, prep, nm, n, seed=11, substream=(3,)) == aggregate(nm, singles)
+    for target, prep in (preparation, compiled(2, 1)):
+        trials = chunks * (noise_module._BATCH_AMPLITUDES // prep.truncation.dim) + extra
+        rngs = [np.random.default_rng([11, 3, k]) for k in range(trials)]
+        want = aggregate(nm, [simulate_trial(target, prep, nm, rng) for rng in rngs])
+        got = run_trials(target, prep, nm, trials, seed=11, substream=(3,))
+        assert (got.delta, got.delta_theta, got.trials) == (want.delta, want.delta_theta, trials)
+        for name in ("fid_mean", "fid_std", "fid_post_mean", "efficiency_mean"):
+            assert getattr(got, name).hex() == getattr(want, name).hex(), (trials, name)
     assert simulate_trial(target, prep, nm, []) == ()

@@ -401,7 +401,7 @@ def test_pair_table_frontier_invariants(j_max, ld):
         j_dst = np.array([component_of(int(k), t).occ.total for k in table.dst_index], dtype=int)
         low = np.minimum(j_src, j_dst)
         assert np.all(np.diff(low) >= 0)
-        counts = [upto[0].size for upto in table.upto]
+        counts = [src.size for src, _, _, _ in table.upto]
         assert counts == [int(np.sum(low <= f)) for f in range(j_max + 1)]
         assert counts[-1] == table.src_index.size
         expected_lift = 1 if cid is ChannelId.H9 else 0
@@ -437,18 +437,17 @@ def test_rotate_matches_per_pair_kernel_bit_for_bit(j_max, ld):
     rng = np.random.default_rng(1000 + j_max)
     for cid in ChannelId:
         table = _pair_table(cid, t, ld)
-        for upto in table.upto:
+        for src, dst, inverse, used in table.upto:
             xs = (float(rng.uniform(0, 3)), float(rng.uniform(0, 1e3)), 1e-300)
             thetas = (float(rng.uniform(-math.pi, math.pi)), 0.0, math.pi / 2, math.pi)
             for x, theta in zip(xs * 4, thetas * 3):
                 amps = signed_zero_state(t, rng)
                 want = amps.copy()
-                per_pair_rotate(want, table, x, theta, upto[0].size)
-                src, dst, omega, inverse = upto
-                c, s = _trig(x, omega)
+                per_pair_rotate(want, table, x, theta, src.size)
+                c, s = _trig(x, table.omega_distinct[:used])
                 plus, minus = -1j * cmath.exp(1j * theta), -1j * cmath.exp(-1j * theta)
                 _rotate(amps, src, dst, c.take(inverse), s.take(inverse), plus, minus)
-                assert amps.tobytes() == want.tobytes(), (cid, upto[0].size, x, theta)
+                assert amps.tobytes() == want.tobytes(), (cid, src.size, x, theta)
 
 
 
@@ -477,8 +476,9 @@ def per_pulse_replay(amps, truncation, ld, channel, x, theta) -> None:
     trial = np.arange(k)[:, np.newaxis]
     for code, length, p, m in zip(channel[live].tolist(), lengths, plus, minus):
         table = _pair_table(ChannelId(code), truncation, ld)
-        src, dst, omega, inverse = table.upto[frontier]
-        src, dst, inverse = src + dim * trial, dst + dim * trial, inverse + omega.size * trial
+        src, dst, inverse, used = table.upto[frontier]
+        omega = table.omega_distinct[:used]
+        src, dst, inverse = src + dim * trial, dst + dim * trial, inverse + used * trial
         ang = length * omega
         c = np.cos(ang).astype(np.complex128).take(inverse)
         s = np.sin(ang).astype(np.complex128).take(inverse)
