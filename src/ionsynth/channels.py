@@ -27,7 +27,8 @@ Laguerre evaluation per eps over n = 0..j_max.  :func:`rabi` and
 Only the Rabi frequencies depend on the Lamb-Dicke point.  The rows, their
 Omega ranks and the frontier operands are built once per channel and cutoff
 and shared, read-only, by the tables at every point; a new point adds one
-Omega per rank, so a scan over points keeps one copy of the index arrays.
+Omega per rank, so a scan over points keeps one copy of the index arrays,
+and the compiler's plan looks each step up in those rows once per cutoff.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from functools import lru_cache
-from itertools import compress
 from typing import NamedTuple
 
 import numpy as np
@@ -260,11 +260,6 @@ class PairTable:
         dst = map(pick, self.dst_index.tolist())
         return map(CoupledPair, src, dst, self.omega_distinct[self.omega_inverse].tolist())
 
-    def rows(self, src: np.ndarray) -> np.ndarray:
-        """Row whose lower-level end is each basis index in ``src``, or -1 if none."""
-        row = np.searchsorted(self.src_index, src)
-        return np.where(np.append(self.src_index, -1)[row] == src, row, -1)
-
 
 class _Rows(NamedTuple):
     """The part of a channel's pair tables that the cutoff alone fixes."""
@@ -330,17 +325,17 @@ def _nonlinearities(eps: float, j_max: int) -> np.ndarray:
 
 def coupled_pairs(
     spec: ChannelSpec, truncation: Truncation, ld: LambDickeParams
-) -> tuple[PairTable, list[Component]]:
+) -> tuple[PairTable, np.ndarray]:
     """Partition the basis into coupled pairs and untouched components.
 
-    Every component appears exactly once: either in one pair or in the
-    untouched list.  Pairs never leave the truncation because each channel
-    preserves or lowers the total quantum number.  The pairs depend on the
-    channel and the cutoff alone: a pair whose Omega is zero or negative keeps
-    its row, and only the compiler refuses it.  The table shares the rows
-    built once per cutoff and adds its own Omega, evaluated once per rank by
-    the operations :func:`rabi` applies to a row, so bit for bit what it gives
-    the same lower occupation.
+    Every basis index appears exactly once: in ``src_index``, ``dst_index`` or
+    the ascending untouched indices returned with the table.  Pairs never
+    leave the truncation because each channel preserves or lowers the total
+    quantum number.  The pairs depend on the channel and the cutoff alone: a
+    pair whose Omega is zero or negative keeps its row, and only the compiler
+    refuses it.  The table shares the rows built once per cutoff and adds its
+    own Omega, evaluated once per rank by the operations :func:`rabi` applies
+    to a row, so bit for bit what it gives the same lower occupation.
     """
     j_max = truncation.j_max
     rows = _rows(spec, j_max)
@@ -362,7 +357,7 @@ def coupled_pairs(
     table = PairTable(rows.src_index, rows.dst_index, omega, rows.omega_inverse, basis, rows.upto)
     claimed = np.zeros(truncation.dim, dtype=bool)
     claimed[rows.src_index] = claimed[rows.dst_index] = True
-    return table, list(compress(basis, (~claimed).tolist()))
+    return table, np.flatnonzero(~claimed)
 
 
 def dense_hamiltonian(

@@ -22,17 +22,19 @@ red-sideband (H9) pulses, the one channel that links J to J-1.
 :func:`run_trials` runs its trials in chunks, in trial order.  A chunk holds
 as many trials as fit a fixed number of amplitudes, so it shrinks as the
 cutoff grows.  :func:`simulate_trial` perturbs each trial of a chunk from its
-own stream and replays the chunk as one batched state (see :mod:`.pulses`),
-which gives every trial the result of its own serial replay; the row writes
-each chunk's results into three float columns in trial order and aggregates
-those, so it does not depend on the chunks and holds 24 bytes per trial.
+own stream, made in turn, keeps only its x and theta columns, and replays the
+chunk as one batched state (see :mod:`.pulses`), which gives every trial the
+result of its own serial replay; the row writes each chunk's results into
+three float columns in trial order and aggregates those.  So a row does not
+depend on the chunks and holds 24 bytes per trial, and no per-trial generator
+or schedule outlives its perturbation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -120,23 +122,23 @@ def simulate_trial(
     target: StateVector,
     preparation: Schedule,
     noise: NoiseModel,
-    rng: np.random.Generator | Sequence[np.random.Generator],
+    rng: np.random.Generator | Iterable[np.random.Generator],
 ) -> TrialResult | tuple[TrialResult, ...]:
     """Run noisy preparations from the vacuum and score them.
 
-    One generator runs one trial and returns its :class:`TrialResult`.  A
-    sequence of generators runs one trial per generator, perturbed through
+    One generator runs one trial and returns its :class:`TrialResult`.  An
+    iterable of generators runs one trial per generator, perturbed through
     :func:`perturb` in order and replayed as one batch, and returns their
     results in the same order; each equals the result of that generator alone.
     """
     single = isinstance(rng, np.random.Generator)
-    noisy = [perturb(preparation, noise, r) for r in ([rng] if single else rng)]
-    if not noisy:
+    noisy = (perturb(preparation, noise, r) for r in ([rng] if single else rng))
+    columns = [(s.x, s.theta) for s in noisy]  # no schedule outlives its own trial
+    if not columns:
         return ()
     t = preparation.truncation
-    amps = np.repeat(vacuum_state(t).amplitudes[np.newaxis], len(noisy), axis=0)
-    x = np.stack([s.x for s in noisy], axis=1)
-    theta = np.stack([s.theta for s in noisy], axis=1)
+    amps = np.repeat(vacuum_state(t).amplitudes[np.newaxis], len(columns), axis=0)
+    x, theta = (np.stack(column, axis=1) for column in zip(*columns))
     _replay(amps, t, preparation.lamb_dicke, preparation.channel, x, theta)
     results = tuple(_score(StateVector._wrap(out, t), target) for out in amps)
     return results[0] if single else results
@@ -155,10 +157,6 @@ def _score(out: StateVector, target: StateVector) -> TrialResult:
 _BATCH_AMPLITUDES = 1 << 14
 
 
-def _trial_rng(seed: int, substream: tuple[int, ...], trial: int) -> np.random.Generator:
-    return np.random.default_rng([seed, *substream, trial])
-
-
 def run_trials(
     target: StateVector,
     preparation: Schedule,
@@ -171,16 +169,21 @@ def run_trials(
 
     ``substream`` namespaces the per-trial random streams; sweeps use it so
     every grid row sees independent draws under the one user-facing seed.
+    Checked before any trial runs: ``n``, ``seed`` and ``substream`` entries are
+    integers, not bool, >= 1, 0 and 0, and ``target`` has the preparation's truncation.
     """
-    if n < 1:
-        raise DomainError(f"trial count must be >= 1, got {n}")
-    if seed < 0:
-        raise DomainError(f"seed must be a non-negative integer, got {seed}")
-    chunk = max(1, _BATCH_AMPLITUDES // preparation.truncation.dim)
+    t = preparation.truncation
+    checks = [("n", n, 1), ("seed", seed, 0), *(("substream entry", k, 0) for k in substream)]
+    for name, value, low in checks:
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+            raise DomainError(f"{name} must be an integer >= {low}, got {value!r}")
+    if target.truncation != t:
+        raise DomainError(f"target has j_max {target.truncation.j_max}, the preparation {t.j_max}")
+    chunk = max(1, _BATCH_AMPLITUDES // t.dim)
     fids, posts, probs = np.empty(n), np.empty(n), np.empty(n)
     for start in range(0, n, chunk):
         stop = min(n, start + chunk)
-        rngs = [_trial_rng(seed, substream, k) for k in range(start, stop)]
+        rngs = (np.random.default_rng([seed, *substream, k]) for k in range(start, stop))
         results = simulate_trial(target, preparation, noise, rngs)
         fids[start:stop] = [r.fidelity for r in results]
         posts[start:stop] = [r.postselect_fidelity for r in results]

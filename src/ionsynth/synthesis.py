@@ -21,16 +21,16 @@ steps ``(channel, occupation, kill_upper)``, and ``plan(j_max)`` chains them
 into the whole de-evolution, fixed by the cutoff alone as a hardware sequence
 is fixed before the state is known.  ``_plan_columns(j_max)`` turns the plan,
 once per cutoff, into read-only index columns: the channel code, the basis
-index of each step's lower-level component, the stage J it rotates up to, and
-``kill_upper``.  The one numeric pass over such columns, ``_solve_columns``,
-depends on the Lamb-Dicke point and the amplitudes only.  Per channel it
-looks up each step's row in the pair table and gathers its partner index and
-Rabi frequency, refusing before any rotation a step whose Omega is not
-positive (the one place a pair is refused); then it loops over plain Python
-lists, solving and applying each step against the working amplitudes to
-collect the x and theta columns; the note column is one array operation.
-``deevolve`` hands them to ``Schedule.from_columns``.  A step on zero
-amplitudes still yields an explicit x=0 pulse.  ``run_steps`` runs a
+index of each step's lower-level component, its partner and Omega rank in the
+channel's pair rows (-1 for no pair), its note, the stage J it rotates up to,
+and ``kill_upper``.  The one numeric pass over such columns,
+``_solve_columns``, reads only the point's Omega and the amplitudes.  Per
+channel it gathers each step's Rabi frequency by rank, refusing before any
+rotation a step whose Omega is not positive (the one place a pair is
+refused); then it loops over plain Python lists, solving and applying each
+step against the working amplitudes to collect the x and theta columns.
+``deevolve`` hands them and the notes to ``Schedule.from_columns``.  A step
+on zero amplitudes still yields an explicit x=0 pulse.  ``run_steps`` runs a
 builder's steps through the same columns and pass.
 
 Applying a pulse solved at an occupation of total J rotates only the pairs of
@@ -68,7 +68,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .channels import CHANNELS, ChannelId, LambDickeParams, PairTable
+from .channels import CHANNELS, ChannelId, LambDickeParams, _rows
 from .fock import (
     Component,
     DomainError,
@@ -129,6 +129,9 @@ class _StepColumns(NamedTuple):
 
     channel: np.ndarray  # uint8 ChannelId codes
     src: np.ndarray  # basis index of the solved occupation on the channel's lower level
+    dst: np.ndarray  # int32 basis index of its partner on the upper level, -1 for no pair
+    rank: np.ndarray  # int32 index of its Omega in the table's omega_distinct, -1 for no pair
+    note: np.ndarray  # int32 basis index the step nulls: dst if kill_upper, else src
     stage: np.ndarray  # its total J: the stage frontier the step rotates up to
     kill_upper: np.ndarray  # bool
     groups: tuple[tuple[int, np.ndarray], ...]
@@ -161,9 +164,17 @@ def _step_columns(steps: Iterable[Step], truncation: Truncation) -> _StepColumns
     groups = tuple(
         (code, np.flatnonzero(channel == code)) for code in sorted(set(channel.tolist()))
     )
-    for column in (channel, src, stage, kill_upper, *(where for _, where in groups)):
+    dst, rank = np.empty((2, src.size), dtype=np.int32)
+    for code, where in groups:
+        rows = _rows(CHANNELS[ChannelId(code)], truncation.j_max)
+        row = np.searchsorted(rows.src_index, src[where])
+        row[np.append(rows.src_index, -1)[row] != src[where]] = -1  # no pair: read the -1s
+        dst[where] = np.append(rows.dst_index, -1)[row]
+        rank[where] = np.append(rows.omega_inverse, -1)[row]
+    note = np.where(kill_upper, dst, src).astype(np.int32)
+    for column in (channel, src, dst, rank, note, stage, kill_upper, *(w for _, w in groups)):
         column.flags.writeable = False
-    return _StepColumns(channel, src, stage, kill_upper, groups)
+    return _StepColumns(channel, src, dst, rank, note, stage, kill_upper, groups)
 
 
 @lru_cache(maxsize=32)
@@ -174,24 +185,23 @@ def _plan_columns(j_max: int) -> _StepColumns:
 
 def _solve_columns(
     work: StateVector, steps: _StepColumns, ld: LambDickeParams
-) -> tuple[list[float], list[float], np.ndarray]:
+) -> tuple[list[float], list[float]]:
     """The numeric pass: solve and apply each step in order on ``work``.
 
-    Returns the x, theta and note columns.  Each step's pair is looked up once
-    per channel, before any rotation, so the first step whose Omega is not
+    Returns the x and theta columns.  Omega is gathered by rank once per
+    channel, before any rotation, so the first step whose Omega is not
     positive (0 where the step has no pair) raises :class:`DomainError` with
     ``work`` untouched.  A pulse of nonzero length rotates its channel's
     pairs up to the step's stage frontier (see the module docstring).
     """
     truncation = work.truncation
-    tables: dict[int, PairTable] = {}
-    dst = np.empty(steps.src.size, dtype=np.intp)
     omega = np.empty(steps.src.size)
+    operands = {}  # per channel and stage J, the rotation operands cut to the stage frontier
     for code, where in steps.groups:
-        table = tables[code] = _pair_table(ChannelId(code), truncation, ld)
-        row = table.rows(steps.src[where])  # -1 reads the appended entry
-        dst[where] = np.append(table.dst_index, -1)[row]
-        omega[where] = np.append(table.omega_distinct[table.omega_inverse], 0.0)[row]
+        table = _pair_table(ChannelId(code), truncation, ld)
+        distinct = table.omega_distinct
+        omega[where] = np.append(distinct, 0.0)[steps.rank[where]]  # -1 reads the 0
+        operands[code] = [(src, dst, distinct[:used], inv) for src, dst, inv, used in table.upto]
     refused = ~(omega > 0.0)
     if refused.any():
         step = int(np.argmax(refused))
@@ -202,22 +212,17 @@ def _solve_columns(
             f"occupation {occ} for {ld!r}: its Rabi frequency {omega[step]:.6g} is not "
             "positive (the Lamb-Dicke point is at or past a zero of its Laguerre factor)"
         )
-    # Per channel and stage J, the rotation operands cut to the stage frontier.
-    operands = {
-        code: [(src, dst, table.omega_distinct[:used], inv) for src, dst, inv, used in table.upto]
-        for code, table in tables.items()
-    }
     amps = work.amplitudes
     amplitude = amps.item  # a Python complex, as complex(amps[i]) gives
     xs: list[float] = []
     thetas: list[float] = []
     columns = (
-        steps.channel.tolist(), steps.src.tolist(), dst.tolist(), omega.tolist(),
+        steps.channel.tolist(), steps.src.tolist(), steps.dst.tolist(), omega.tolist(),
         steps.stage.tolist(), steps.kill_upper.tolist(),
     )
-    for code, src, dst_, w, stage, kill_upper in zip(*columns):
+    for code, src, dst, w, stage, kill_upper in zip(*columns):
         solve = solve_kill_upper if kill_upper else solve_kill_lower
-        x, theta = solve(amplitude(src), amplitude(dst_), w)
+        x, theta = solve(amplitude(src), amplitude(dst), w)
         xs.append(x)
         thetas.append(theta)
         if x != 0.0:
@@ -226,7 +231,7 @@ def _solve_columns(
             plus, minus = -1j * cmath.exp(1j * theta), -1j * cmath.exp(-1j * theta)
             # Indexing, not ``take``: take copies an index array that is read-only.
             _rotate(amps, ends_lower, ends_upper, c[inverse], s[inverse], plus, minus)
-    return xs, thetas, np.where(steps.kill_upper, dst, steps.src)
+    return xs, thetas
 
 
 def run_steps(
@@ -240,8 +245,8 @@ def run_steps(
     theta already in (-pi, pi], so the rows need no conversion.
     """
     columns = _step_columns(steps, work.truncation)
-    xs, thetas, note = _solve_columns(work, columns, ld)
-    notes = _note_components(note.tolist(), work.truncation.j_max)
+    xs, thetas = _solve_columns(work, columns, ld)
+    notes = _note_components(columns.note.tolist(), work.truncation.j_max)
     return list(zip(map(ChannelId, columns.channel.tolist()), xs, thetas, notes))
 
 
@@ -351,10 +356,10 @@ def deevolve(
         raise DomainError(f"target must be normalized, got norm {norm!r}")
     work = StateVector._wrap(target.amplitudes / norm, target.truncation)
     steps = _plan_columns(target.truncation.j_max)
-    xs, thetas, note = _solve_columns(work, steps, ld)
+    xs, thetas = _solve_columns(work, steps, ld)
     residual = 1.0 - abs(work.amplitudes[0]) ** 2
     deevolution = Schedule.from_columns(
-        steps.channel, xs, thetas, note, ld, target.truncation, Direction.DEEVOLUTION,
+        steps.channel, xs, thetas, steps.note, ld, target.truncation, Direction.DEEVOLUTION,
         description,
     )
     return CompileResult(

@@ -177,38 +177,44 @@ def test_partner_occupation():
 
 
 def test_coupled_pairs_carrier_at_jmax0():
-    pairs, untouched = coupled_pairs(CHANNELS[ChannelId.H2], Truncation(0), LD)
+    t = Truncation(0)
+    pairs, untouched = coupled_pairs(CHANNELS[ChannelId.H2], t, LD)
     assert len(pairs) == 1
     (pair,) = pairs
     assert pair.src == (Occupation(0, 0, 0), Level.A)
     assert pair.dst == (Occupation(0, 0, 0), Level.B)
-    assert {c.level for c in untouched} == {Level.C, Level.D}
+    assert [component_of(k, t).level for k in untouched.tolist()] == [Level.C, Level.D]
 
 
 def test_coupled_pairs_red_sideband_at_jmax1():
-    pairs, untouched = coupled_pairs(CHANNELS[ChannelId.H9], Truncation(1), LD)
+    t = Truncation(1)
+    pairs, untouched = coupled_pairs(CHANNELS[ChannelId.H9], t, LD)
     assert len(pairs) == 1
     (pair,) = pairs
     assert pair.src == (Occupation(1, 0, 0), Level.A)
     assert pair.dst == (Occupation(0, 0, 0), Level.B)
     assert pair.omega == pytest.approx(nonlinearity(0.1, 0), abs=1e-15)
-    untouched_a = [c for c in untouched if c.level is Level.A]
-    assert all(c.occ.nx == 0 for c in untouched_a)
+    components = [component_of(k, t) for k in untouched.tolist()]
+    untouched_a = [c for c in components if c.level is Level.A]
+    assert untouched_a and all(c.occ.nx == 0 for c in untouched_a)
 
 
 @pytest.mark.parametrize("cid", list(ChannelId))
 def test_coupled_pairs_partition(cid):
-    """Every basis component sits in exactly one pair or the untouched list."""
+    """At J_max 0-16, ``src_index``, ``dst_index`` and the untouched indices
+    are pairwise disjoint and cover ``range(dim)`` exactly once; at J_max 4
+    every pair joins the channel's two levels."""
+    for j_max in range(17):
+        t = Truncation(j_max)
+        table, untouched = coupled_pairs(CHANNELS[cid], t, LD)
+        assert untouched.dtype == np.intp and np.all(np.diff(untouched) > 0)
+        seen = np.concatenate([table.src_index, table.dst_index, untouched])
+        assert np.sort(seen).tolist() == list(range(t.dim)), j_max
     t = Truncation(4)
-    pairs, untouched = coupled_pairs(CHANNELS[cid], t, LD)
-    seen = [index_of(c, t) for c in untouched]
-    for p in pairs:
+    for p in coupled_pairs(CHANNELS[cid], t, LD)[0]:
         assert p.omega > 0
         assert p.src.level is CHANNELS[cid].lower_level
         assert p.dst.level is CHANNELS[cid].upper_level
-        seen.append(index_of(p.src, t))
-        seen.append(index_of(p.dst, t))
-    assert sorted(seen) == list(range(t.dim))
 
 
 @pytest.mark.parametrize("cid", list(ChannelId))
@@ -245,8 +251,7 @@ def test_dense_hamiltonian_is_hermitian_with_pair_eigenvalues():
             block = h[np.ix_([i, j], [i, j])]
             eig = np.linalg.eigvalsh(block)
             assert np.allclose(sorted(eig), [-p.omega, p.omega], atol=1e-12)
-        for c in untouched[:10]:
-            k = index_of(c, t)
+        for k in untouched[:10].tolist():
             assert np.count_nonzero(h[k]) == 0
 
 
@@ -272,12 +277,11 @@ def loop_coupled_pairs(spec, t, ld):
         dst.append(d)
         omega.append(w)
         claimed[k] = claimed[d] = True
-    untouched = [comp for k, comp in enumerate(basis) if not claimed[k]]
     return (
         np.array(src, dtype=np.intp),
         np.array(dst, dtype=np.intp),
         np.array(omega, dtype=np.float64),
-        untouched,
+        np.array([k for k in range(len(basis)) if not claimed[k]], dtype=np.intp),
     )
 
 
@@ -290,7 +294,7 @@ def assert_tables_match_loop(t, ld):
         assert table.src_index.tobytes() == src.tobytes(), cid
         assert table.dst_index.tobytes() == dst.tobytes(), cid
         assert table.omega_distinct[table.omega_inverse].tobytes() == omega.tobytes(), cid
-        assert untouched == want_untouched, cid
+        assert untouched.dtype == np.intp and untouched.tobytes() == want_untouched.tobytes(), cid
 
 
 @pytest.mark.parametrize("j_max", range(17))
@@ -349,7 +353,7 @@ def test_table_rows_depend_only_on_the_channel_and_the_cutoff(j_max):
                 w_src, w_dst, w_inverse, w_used = expect
                 assert src.tobytes() == w_src.tobytes() and dst.tobytes() == w_dst.tobytes()
                 assert inverse.tobytes() == w_inverse.tobytes() and used == w_used
-            assert untouched == want_untouched, (spec.cid, ld)
+            assert untouched.tobytes() == want_untouched.tobytes(), (spec.cid, ld)
 
 
 @settings(max_examples=40, deadline=None)
@@ -427,17 +431,16 @@ def test_pair_views_iterate():
     ],
 )
 def test_pair_table_row_lookup_and_distinct_omega(ld):
-    """``rows`` against a dict over ``src_index`` for every basis index, and
-    ``upto`` against the lower-J ends read from the basis itself."""
+    """``src_index`` strictly increasing, so a row is found by its lower-level
+    end (the plan's lookup, tested in ``test_synthesis``), and ``upto``
+    against the lower-J ends read from the basis itself."""
     for j_max in [*range(17), 40]:
         t = Truncation(j_max)
         basis = enumerate_basis(t)
         j_of = np.array([c.occ.total for c in basis])
-        every = np.arange(t.dim)
         for spec in CHANNELS.values():
             table, _ = coupled_pairs(spec, t, ld)
-            by_src = {s: k for k, s in enumerate(table.src_index.tolist())}
-            assert table.rows(every).tolist() == [by_src.get(k, -1) for k in range(t.dim)]
+            assert np.all(np.diff(table.src_index) > 0)
             low = np.minimum(j_of[table.src_index], j_of[table.dst_index])
             inverse = table.omega_inverse
             assert len(table.upto) == j_max + 1

@@ -9,6 +9,7 @@ import hashlib
 
 import pytest
 
+from ionsynth import Truncation, deevolve, target_corr, target_ghz
 from ionsynth.cli import main
 
 GHZ4_SCHEDULE = "97dba55b0584ca11df1d8c9e0479deb0add3feb03c8a923bde8d04430d497f90"
@@ -74,3 +75,19 @@ def test_extra_schedule_bytes(name, tmp_path, capsys):
     assert main(["compile", *flags, "--out", str(out)]) == 0
     capsys.readouterr()
     assert sha256(out) == digest
+
+
+# channel, x, theta and note bytes of corr(1) and ghz(1), both directions, at
+# every J_max 0-12 and the default point, in that nesting order.
+SCHEDULE_COLUMNS_0_TO_12 = "66a702b96b422e97115329a4109383944208e87d7001b7816266a68fdd691d75"
+
+
+def test_schedule_column_bytes_at_every_cutoff_to_12():
+    digest = hashlib.sha256()
+    for j_max in range(13):
+        for make in (target_corr, target_ghz):
+            result = deevolve(make(1, Truncation(j_max)).state)
+            for schedule in (result.deevolution, result.preparation):
+                for column in (schedule.channel, schedule.x, schedule.theta, schedule.note):
+                    digest.update(column.tobytes())
+    assert digest.hexdigest() == SCHEDULE_COLUMNS_0_TO_12

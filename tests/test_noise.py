@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -203,6 +204,65 @@ def test_negative_seed_is_rejected(preparation):
         run_trials(target, prep, NoiseModel(), 2, seed=-1)
     with pytest.raises(DomainError, match="seed"):
         sweep(target, prep, [NoiseModel()], n=2, seed=-1)
+
+
+@pytest.mark.parametrize(
+    "n, seed, substream, name",
+    [
+        pytest.param(2.5, 1, (), "n", id="float-n"),
+        pytest.param(True, 1, (), "n", id="bool-n"),
+        pytest.param(2, 1.5, (), "seed", id="float-seed"),
+        pytest.param(2, True, (), "seed", id="bool-seed"),
+        pytest.param(2, np.int64(-1), (), "seed", id="negative-numpy-seed"),
+        pytest.param(2, 1, (-1,), "substream entry", id="negative-substream"),
+        pytest.param(2, 1, (0, 0.5), "substream entry", id="float-substream"),
+        pytest.param(2, 1, (np.int32(-2),), "substream entry", id="negative-numpy-substream"),
+    ],
+)
+def test_run_trials_names_a_bad_argument_before_any_trial(preparation, n, seed, substream, name):
+    """A bool, non-integer or negative argument raises a DomainError naming
+    it before any trial is perturbed."""
+    target, prep = preparation
+    with mock.patch.object(noise_module, "perturb", side_effect=AssertionError("a trial ran")):
+        with pytest.raises(DomainError, match=f"^{name} must be an integer >= "):
+            run_trials(target, prep, NoiseModel(0.01), n, seed, substream)
+
+
+def test_run_trials_takes_numpy_integers(preparation):
+    target, prep = preparation
+    nm = NoiseModel(0.03, 0.01)
+    want = run_trials(target, prep, nm, 3, 7, (2,))
+    assert run_trials(target, prep, nm, np.int64(3), np.uint32(7), (np.int8(2),)) == want
+
+
+def test_run_trials_refuses_a_target_of_another_truncation_before_any_trial():
+    """A J_max 4 target against a J_max 3 preparation is refused up front,
+    not after a chunk has replayed."""
+    prep = deevolve(target_corr(1.0, Truncation(3)).state).preparation
+    target = target_corr(1.0, Truncation(4)).state
+    with mock.patch.object(noise_module, "perturb", side_effect=AssertionError("a trial ran")):
+        with pytest.raises(DomainError, match="^target has j_max 4, the preparation 3$"):
+            run_trials(target, prep, NoiseModel(0.01), 2, 1)
+
+
+def test_a_4096_trial_chunk_holds_no_per_trial_generator_or_schedule():
+    """A J_max 0 row of 4,096 trials is one chunk; its traced peak stays at or
+    below 3 MB (7.0 MB while each trial's generator and perturbed schedule
+    were kept until the chunk replayed)."""
+    t = Truncation(0)
+    target = target_corr(1.0, t).state
+    prep = deevolve(target).preparation
+    nm = NoiseModel(0.03, 0.01)
+    assert noise_module._BATCH_AMPLITUDES // t.dim == 4096
+    run_trials(target, prep, nm, 1, seed=3)  # warm caches and lazy imports
+    tracemalloc.start()
+    try:
+        row = run_trials(target, prep, nm, 4096, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert row.trials == 4096
+    assert peak <= 3_000_000, peak
 
 
 def test_noise_model_validation():

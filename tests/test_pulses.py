@@ -172,10 +172,9 @@ def test_apply_pulse_unitarity_and_untouched(cid):
     t = Truncation(3)
     rng = np.random.default_rng(int(cid))
     from ionsynth.channels import coupled_pairs
-    from ionsynth import index_of
 
-    _, untouched = coupled_pairs(CHANNELS[cid], t, LD)
-    idx = [index_of(c, t) for c in untouched]
+    _, idx = coupled_pairs(CHANNELS[cid], t, LD)
+    assert idx.size > 0
     for _ in range(5):
         s = random_state(t, rng)
         p = Pulse(cid, float(rng.uniform(0, 3)), float(rng.uniform(-math.pi, math.pi)))

@@ -609,6 +609,23 @@ def test_run_steps_refuses_a_step_with_no_pair(j_max):
     assert np.array_equal(work.amplitudes, before)
 
 
+def test_run_steps_refuses_an_exchange_step_with_no_pair():
+    """H1 lowers z, so it has no pair from (0, 1, 0): its step columns hold
+    partner and rank -1, and after a coupled H1/H2 ladder it still gets the
+    uncoupled-pair message, with ``work`` untouched."""
+    t = Truncation(2)
+    work = random_state(t, np.random.default_rng(5))
+    before = work.amplitudes.copy()
+    step = (ChannelId.H1, Occupation(0, 1, 0), False)
+    columns = synthesis._step_columns([*build_A(2, 0), step], t)
+    assert columns.dst[-1] == columns.rank[-1] == -1
+    assert np.all(columns.dst[:-1] >= 0) and np.all(columns.rank[:-1] >= 0)
+    with pytest.raises(DomainError) as info:
+        run_steps(work, [*build_A(2, 0), step], LD)
+    assert str(info.value) == uncoupled_message("H1", (0, 1, 0), LD)
+    assert np.array_equal(work.amplitudes, before)
+
+
 def test_run_steps_names_a_step_outside_the_truncation():
     work = vacuum_state(Truncation(2))
     with pytest.raises(DomainError, match="is not inside the truncation j_max=2"):
@@ -633,6 +650,41 @@ def test_plan_columns_match_the_plan(j_max):
         assert where.tolist() == [k for k, (cid, _, _) in enumerate(steps) if cid == code]
     assert sum(where.size for _, where in columns.groups) == len(steps)
     assert not any(a.flags.writeable for a in columns[:4])
+
+
+PLAN_POINTS = [
+    LD,
+    LambDickeParams(0.6, 0.1, 0.2, 0.1),  # past the first zero of L1_11, at J_max 12
+    LambDickeParams(1e200, 1e200, 1e200, 1e200),  # every factor underflows to 0
+]
+
+
+@pytest.mark.parametrize("j_max", range(17))
+def test_plan_columns_hold_each_steps_partner_omega_rank_and_note(j_max):
+    """Step by step, the plan's partner is the basis index of
+    ``partner_occupation`` on the upper level, its Omega rank reads ``rabi``
+    bit for bit from ``omega_distinct`` at three points, and its note is the
+    partner where kill_upper, else the solved component; all three columns
+    are read-only int32."""
+    t = Truncation(j_max)
+    columns = synthesis._plan_columns(j_max)
+    for column in (columns.dst, columns.rank, columns.note):
+        assert column.dtype == np.int32 and not column.flags.writeable
+    distinct = {
+        (cid, ld): _pair_table(cid, t, ld).omega_distinct for cid in ChannelId for ld in PLAN_POINTS
+    }
+    want_omega = {}
+    rows = zip(plan(j_max), columns.src.tolist(), columns.dst.tolist(), columns.rank.tolist(),
+               columns.note.tolist())
+    for (cid, occ, kill_upper), src, dst, rank, note in rows:
+        spec = CHANNELS[cid]
+        assert dst == index_of(Component(partner_occupation(spec, occ), spec.upper_level), t)
+        assert note == (dst if kill_upper else src)
+        assert rank >= 0
+        for ld in PLAN_POINTS:
+            if (cid, occ, ld) not in want_omega:
+                want_omega[cid, occ, ld] = rabi(spec, occ, ld).hex()
+            assert float(distinct[cid, ld][rank]).hex() == want_omega[cid, occ, ld], (cid, occ, ld)
 
 
 def schedule_bytes(schedule) -> bytes:
