@@ -17,18 +17,19 @@ holding n quanta is
 with ``L1_n`` the generalized Laguerre polynomial of order 1; it tends to 1 in
 the small-eps limit, recovering the familiar sqrt factors.
 
-A channel's coupled pairs are built as arrays, by arithmetic on the canonical
-basis order, whose closed-form index the ``fock`` docstring gives.  The partner
-of a lower-level component adds one quantum to the channel's raised mode and
-takes one from its lowered mode, and every Lamb-Dicke factor comes from one
-Laguerre evaluation per eps over n = 0..j_max.  :func:`rabi` and
+A channel's coupled pairs are built as arrays by one function, ``_pairs``,
+from lower-level occupations: the partner adds one quantum to the channel's
+raised mode and takes one from its lowered mode, both ends' basis indices and
+each pair's Omega rank come by arithmetic on the canonical basis order, whose
+closed-form index the ``fock`` docstring gives, and every Lamb-Dicke factor
+from one Laguerre evaluation per eps over n = 0..j_max.  :func:`rabi` and
 :func:`partner_occupation` compute the same numbers one component at a time.
 
 Only the Rabi frequencies depend on the Lamb-Dicke point.  The rows, their
 Omega ranks and the frontier operands are built once per channel and cutoff
 and shared, read-only, by the tables at every point; a new point adds one
-Omega per rank, so a scan over points keeps one copy of the index arrays,
-and the compiler's plan looks each step up in those rows once per cutoff.
+Omega per rank, so a scan over points keeps one copy of the index arrays.
+The compiler's plan calls ``_pairs`` on its steps' occupations.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 from scipy.special import eval_genlaguerre
@@ -228,7 +228,7 @@ class PairTable:
     through nx (carriers, red sideband) or the raised and lowered occupations
     (exchange), so ``omega_distinct`` holds one Rabi frequency per such key,
     numbered in order of first appearance, and ``basis`` is the canonical basis
-    the indices point into.
+    the indices point into.  The rows and ranks are those ``_pairs`` gives.
 
     Only ``omega_distinct`` depends on the Lamb-Dicke point.  The rows, the
     inverse and ``upto`` depend on the channel and the cutoff alone, and every
@@ -261,56 +261,48 @@ class PairTable:
         return map(CoupledPair, src, dst, self.omega_distinct[self.omega_inverse].tolist())
 
 
-class _Rows(NamedTuple):
-    """The part of a channel's pair tables that the cutoff alone fixes."""
-
-    src_index: np.ndarray
-    dst_index: np.ndarray
-    omega_inverse: np.ndarray
-    keys: tuple[np.ndarray, ...]  # per Omega rank: its nx, or its raised and lowered occupations
-    upto: tuple[tuple[np.ndarray, np.ndarray, np.ndarray, int], ...]
-
-
-@lru_cache(maxsize=32 * len(ChannelId))
-def _rows(spec: ChannelSpec, j_max: int) -> _Rows:
-    """Rows, Omega ranks and frontier operands of ``spec`` at cutoff ``j_max``,
-    built once and kept as read-only arrays."""
-    occ = _layout(j_max).occ
-    vib = np.arange(occ.shape[1])
-    if spec.lowered is not None:
-        vib = vib[occ[spec.lowered] >= 1]
-    # Omega depends on a row only through nx (carriers, red sideband) or the
-    # raised and lowered occupations (exchange).  ``rank`` numbers those keys
-    # in the order they first appear along the basis.
+def _pairs(spec: ChannelSpec, occ: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each pair ``spec`` forms from the lower-level occupations ``occ``, of
+    shape (3, n): the basis indices of its lower and upper ends and its Omega
+    rank, the last two -1 where the channel would lower an empty mode.  Omega
+    depends on a pair only through nx (carriers, red sideband) or the raised
+    and lowered occupations (exchange); the rank numbers those keys in the
+    order they first appear along the basis."""
+    upper = occ.copy()
     if spec.raised is None:
-        nx = occ[Mode.X, vib]
-        rank = nx if spec.kind is ChannelKind.CARRIER else nx - 1
-        row_keys = (nx,)
+        rank = occ[Mode.X] - (spec.kind is ChannelKind.RED_SIDEBAND)  # nx, or nx - 1
     else:
-        n_up = occ[spec.raised, vib]
-        n_down = occ[spec.lowered, vib]
-        total = n_up + n_down
-        rank = total * (total - 1) // 2 + n_up
-        row_keys = (n_up, n_down)
-    size = int(rank.max(initial=-1)) + 1
-    keys = tuple(np.zeros(size, dtype=key.dtype) for key in row_keys)
-    for key, row_key in zip(keys, row_keys):
-        key[rank] = row_key  # every rank up to the largest has rows, all of one key
-    upper = occ[:, vib]
-    if spec.raised is not None:
+        n_up, n_down = occ[spec.raised], occ[spec.lowered]
+        rank = (n_up + n_down) * (n_up + n_down - 1) // 2 + n_up
         upper[spec.raised] += 1
     if spec.lowered is not None:
         upper[spec.lowered] -= 1
     levels = len(Level)
-    src = levels * vib + spec.lower_level
+    src = levels * _vib_index(*occ) + spec.lower_level
     dst = levels * _vib_index(*upper) + spec.upper_level
-    for column in (src, dst, rank, *keys):
+    empty = (upper < 0).any(axis=0)
+    dst[empty] = rank[empty] = -1
+    return src, dst, rank
+
+
+@lru_cache(maxsize=32 * len(ChannelId))
+def _rows(spec: ChannelSpec, j_max: int) -> tuple:
+    """The pairs :func:`_pairs` finds over the basis at cutoff ``j_max``, built
+    once and kept as read-only arrays: the ends, the Omega ranks, the lower
+    occupation of each rank as a (3, ranks) array, and the frontier operands."""
+    occ = _layout(j_max).occ
+    src, dst, rank = _pairs(spec, occ)
+    kept = rank >= 0
+    src, dst, rank = src[kept], dst[kept], rank[kept]
+    keys = np.zeros((3, int(rank.max(initial=-1)) + 1), dtype=occ.dtype)
+    keys[:, rank] = occ[:, kept]  # every rank up to the largest has rows, all of one Omega
+    for column in (src, dst, rank, keys):
         column.flags.writeable = False
-    j_dst = upper.sum(axis=0)  # every channel keeps or lowers J
+    j_dst = occ[:, dst // len(Level)].sum(axis=0)  # every channel keeps or lowers J
     ends = np.searchsorted(j_dst, np.arange(j_max + 1), side="right").tolist()
     used = np.concatenate(([0], np.maximum.accumulate(rank) + 1)).tolist()  # by the first c rows
     upto = tuple((src[:c], dst[:c], rank[:c], used[c]) for c in ends)
-    return _Rows(src, dst, rank, keys, upto)
+    return src, dst, rank, keys, upto
 
 
 def _nonlinearities(eps: float, j_max: int) -> np.ndarray:
@@ -333,20 +325,20 @@ def coupled_pairs(
     leave the truncation because each channel preserves or lowers the total
     quantum number.  The pairs depend on the channel and the cutoff alone: a
     pair whose Omega is zero or negative keeps its row, and only the compiler
-    refuses it.  The table shares the rows built once per cutoff and adds its
-    own Omega, evaluated once per rank by the operations :func:`rabi` applies
-    to a row, so bit for bit what it gives the same lower occupation.
+    refuses it.  The table shares the rows ``_pairs`` gives over the basis,
+    built once per cutoff, and adds its own Omega, evaluated once per rank by
+    the operations :func:`rabi` applies to a row, so bit for bit what it gives
+    the same lower occupation.
     """
     j_max = truncation.j_max
-    rows = _rows(spec, j_max)
+    src, dst, rank, keys, upto = _rows(spec, j_max)
+    nx = keys[Mode.X]
     if spec.kind is ChannelKind.CARRIER:
-        (nx,) = rows.keys
         omega = _nonlinearities(ld.eps_carrier, j_max)[nx]
     elif spec.kind is ChannelKind.RED_SIDEBAND:
-        (nx,) = rows.keys
         omega = np.sqrt(nx) * _nonlinearities(ld.eps_carrier, j_max)[nx - 1]
     else:
-        n_up, n_down = rows.keys
+        n_up, n_down = keys[spec.raised], keys[spec.lowered]
         omega = (
             np.sqrt((n_up + 1) * n_down)
             * _nonlinearities(ld.mode_eps(spec.raised), j_max)[n_up]
@@ -354,9 +346,9 @@ def coupled_pairs(
         )
     omega.flags.writeable = False
     basis = _layout(j_max).basis
-    table = PairTable(rows.src_index, rows.dst_index, omega, rows.omega_inverse, basis, rows.upto)
+    table = PairTable(src, dst, omega, rank, basis, upto)
     claimed = np.zeros(truncation.dim, dtype=bool)
-    claimed[rows.src_index] = claimed[rows.dst_index] = True
+    claimed[src] = claimed[dst] = True
     return table, np.flatnonzero(~claimed)
 
 

@@ -226,7 +226,7 @@ def _occupations(values: list[Any], j_max: int) -> np.ndarray:
     return occ
 
 
-def _rows(rows: list[Any], width: int) -> list[Any]:
+def _flatten_rows(rows: list[Any], width: int) -> list[Any]:
     """The items of ``rows``, row after row, each row a list of ``width``."""
     if not (set(map(type, rows)) <= {list} and set(map(len, rows)) <= {width}):
         raise _Unclean
@@ -239,7 +239,7 @@ def _notes(raw: list[Any], j_max: int) -> np.ndarray:
     null = [i for i, note in enumerate(raw) if note is None] if None in raw else []
     rows = [[0, 0, 0, "a"] if note is None else note for note in raw] if null else raw
     try:
-        occupations = _rows(rows, 4)
+        occupations = _flatten_rows(rows, 4)
         labels = occupations[3::4]
         del occupations[3::4]
         if not (set(map(type, labels)) <= {str} and set(labels) <= _LEVEL_CODE.keys()):
@@ -367,7 +367,7 @@ def _components(doc: list[Any], truncation: Truncation) -> tuple[np.ndarray, np.
     try:
         if not set(map(type, doc)) <= {dict}:
             raise _Unclean
-        vib = _vib_index(*_occupations(_rows(_field(doc, "n", None), 3), truncation.j_max))
+        vib = _vib_index(*_occupations(_flatten_rows(_field(doc, "n", None), 3), truncation.j_max))
         parts = [part for item in doc for part in (item.get("re"), item.get("im"))]
         if not set(map(type, parts)) <= {int, float}:
             raise _Unclean

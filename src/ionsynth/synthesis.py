@@ -21,9 +21,9 @@ steps ``(channel, occupation, kill_upper)``, and ``plan(j_max)`` chains them
 into the whole de-evolution, fixed by the cutoff alone as a hardware sequence
 is fixed before the state is known.  ``_plan_columns(j_max)`` turns the plan,
 once per cutoff, into read-only index columns: the channel code, the basis
-index of each step's lower-level component, its partner and Omega rank in the
-channel's pair rows (-1 for no pair), its note, the stage J it rotates up to,
-and ``kill_upper``.  The one numeric pass over such columns,
+index of each step's lower-level component, its partner and Omega rank as
+``channels._pairs`` computes them (-1 for no pair), its note, the stage J it
+rotates up to, and ``kill_upper``.  The one numeric pass over such columns,
 ``_solve_columns``, reads only the point's Omega and the amplitudes.  Per
 channel it gathers each step's Rabi frequency by rank, refusing before any
 rotation a step whose Omega is not positive (the one place a pair is
@@ -68,7 +68,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .channels import CHANNELS, ChannelId, LambDickeParams, _rows
+from .channels import CHANNELS, ChannelId, LambDickeParams, _pairs
 from .fock import (
     Component,
     DomainError,
@@ -78,7 +78,6 @@ from .fock import (
     Truncation,
     _layout,
     _require_level_a_support,
-    _vib_index,
     index_of,
 )
 from .pulses import (
@@ -128,6 +127,7 @@ class _StepColumns(NamedTuple):
     with the positions of its steps."""
 
     channel: np.ndarray  # uint8 ChannelId codes
+    # src, dst and rank as channels._pairs computes them from the solved occupation
     src: np.ndarray  # basis index of the solved occupation on the channel's lower level
     dst: np.ndarray  # int32 basis index of its partner on the upper level, -1 for no pair
     rank: np.ndarray  # int32 index of its Omega in the table's omega_distinct, -1 for no pair
@@ -135,10 +135,6 @@ class _StepColumns(NamedTuple):
     stage: np.ndarray  # its total J: the stage frontier the step rotates up to
     kill_upper: np.ndarray  # bool
     groups: tuple[tuple[int, np.ndarray], ...]
-
-
-# Lower electronic level of each channel, indexed by channel code.
-_LOWER_LEVEL = np.array([0] + [CHANNELS[cid].lower_level for cid in ChannelId], dtype=np.intp)
 
 
 def _step_columns(steps: Iterable[Step], truncation: Truncation) -> _StepColumns:
@@ -159,18 +155,14 @@ def _step_columns(steps: Iterable[Step], truncation: Truncation) -> _StepColumns
         k = int(outside[0])
         component = Component(Occupation._make(occ[:, k].tolist()), CHANNELS[codes[k]].lower_level)
         index_of(component, truncation)  # raises
-    src = len(Level) * _vib_index(*occ) + _LOWER_LEVEL[channel]
     kill_upper = np.array(kills, dtype=bool)
     groups = tuple(
         (code, np.flatnonzero(channel == code)) for code in sorted(set(channel.tolist()))
     )
-    dst, rank = np.empty((2, src.size), dtype=np.int32)
+    src = np.empty(channel.size, dtype=np.intp)
+    dst, rank = np.empty((2, channel.size), dtype=np.int32)
     for code, where in groups:
-        rows = _rows(CHANNELS[ChannelId(code)], truncation.j_max)
-        row = np.searchsorted(rows.src_index, src[where])
-        row[np.append(rows.src_index, -1)[row] != src[where]] = -1  # no pair: read the -1s
-        dst[where] = np.append(rows.dst_index, -1)[row]
-        rank[where] = np.append(rows.omega_inverse, -1)[row]
+        src[where], dst[where], rank[where] = _pairs(CHANNELS[ChannelId(code)], occ[:, where])
     note = np.where(kill_upper, dst, src).astype(np.int32)
     for column in (channel, src, dst, rank, note, stage, kill_upper, *(w for _, w in groups)):
         column.flags.writeable = False
@@ -372,7 +364,8 @@ def deevolve(
 
 def pulse_count_model(j_max: int) -> int:
     """Emitted pulse count at ``j_max``: the length of :func:`plan`, which
-    needs no target.  Grows as the cube of ``j_max``."""
-    if j_max < 0:
-        raise DomainError(f"j_max must be >= 0, got {j_max}")
-    return sum(1 for _ in plan(j_max))
+    needs no target, in closed form.  Grows as the cube of ``j_max``."""
+    if isinstance(j_max, bool) or not isinstance(j_max, (int, np.integer)) or j_max < 0:
+        raise DomainError(f"j_max must be a non-negative integer, got {j_max!r}")
+    j = int(j_max)
+    return j * (8 * j * j + 27 * j + 31) // 6 + 1

@@ -1,10 +1,12 @@
-"""Every name a module exports through ``__all__`` resolves, and every name a
-module imports is used."""
+"""Every name a module exports through ``__all__`` resolves, every name a
+module imports is used, and every private top-level name is read somewhere in
+the package and defined in one module only."""
 
 import ast
 import importlib
 import importlib.util
 import pkgutil
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -78,3 +80,56 @@ def test_unused_import_check_sees_names_left_behind():
     )
     patched = {("ionsynth.m", "compress"), ("ionsynth.other", "islice")}
     assert unused_imports(source, "ionsynth.m", patched) == ["Sequence", "islice"]
+
+
+def private_name_faults(sources: dict[str, str]) -> list[str]:
+    """Private top-level functions, classes and assigned constants that no
+    source reads, as ``"unread: module.name"``, then private names defined in
+    more than one module, as ``"twice: name"``.  A read is a loaded name or an
+    attribute access; an import alone is not one."""
+    defined = {}
+    read = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        names = set()
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names |= {target.id for target in targets if isinstance(target, ast.Name)}
+        defined[module] = {name for name in names if name[:1] == "_" and name[:2] != "__"}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    faults = [f"unread: {module}.{name}" for module, names in defined.items()
+              for name in sorted(names - read)]
+    counts = Counter(name for names in defined.values() for name in names)
+    return faults + [f"twice: {name}" for name, count in sorted(counts.items()) if count > 1]
+
+
+def test_every_private_name_is_read_and_defined_once():
+    sources = {path.stem: path.read_text() for path in SOURCES}
+    assert private_name_faults(sources) == []
+
+
+def test_private_name_check_sees_dead_and_doubled_names():
+    sources = {
+        "a": (
+            "from .b import _LIMIT\n"
+            "_CACHE: dict = {}\n"
+            "def _helper():\n    return _CACHE\n"
+            "def _dead():\n    pass\n"
+            "class _Gone:\n    pass\n"
+        ),
+        "b": (
+            "import a\n"
+            "_LIMIT = 3\n"
+            "def _helper():\n    return a._helper()\n"
+        ),
+    }
+    assert private_name_faults(sources) == [
+        "unread: a._Gone", "unread: a._dead", "unread: b._LIMIT", "twice: _helper",
+    ]

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import roots_genlaguerre
 
@@ -25,6 +25,7 @@ from ionsynth import (
     nonlinearity,
     pulse_count_model,
     rabi,
+    random_target,
     solve_kill_lower,
     solve_kill_upper,
     target_corr,
@@ -33,8 +34,8 @@ from ionsynth import (
     vacuum_state,
 )
 from ionsynth import synthesis
-from ionsynth.channels import partner_occupation
-from ionsynth.fock import _total_j
+from ionsynth.channels import _pairs, partner_occupation
+from ionsynth.fock import _layout, _total_j
 from ionsynth.pulses import _pair_table
 from ionsynth.synthesis import (
     build_A,
@@ -237,9 +238,10 @@ def test_stage_pulse_counts(j):
     assert len(list(build_U_bcd(j))) == bcd_count(j)
 
 
-@pytest.mark.parametrize("j_max", range(25))
+@pytest.mark.parametrize("j_max", range(41))
 def test_pulse_count_model_matches_stage_sum(j_max):
     assert pulse_count_model(j_max) == total_count(j_max)
+    assert pulse_count_model(j_max) == sum(1 for _ in plan(j_max))
 
 
 def test_deevolve_vacuum_is_all_noops():
@@ -369,6 +371,13 @@ def test_pulse_count_model_is_not_capped():
     """It counts the plan without a basis, so it sizes cutoffs Truncation refuses."""
     assert pulse_count_model(40) == 92741
     assert pulse_count_model(41) > 92741
+    assert pulse_count_model(10_000) == total_count(10_000)
+
+
+@pytest.mark.parametrize("j_max", [True, False, 2.5, 3.0, "3", None, -1])
+def test_pulse_count_model_refuses_a_bool_or_a_non_integer(j_max):
+    with pytest.raises(DomainError, match="j_max"):
+        pulse_count_model(j_max)
 
 
 # --- Stage-frontier rotations against the full-table compiler ---------------
@@ -665,7 +674,9 @@ def test_plan_columns_hold_each_steps_partner_omega_rank_and_note(j_max):
     ``partner_occupation`` on the upper level, its Omega rank reads ``rabi``
     bit for bit from ``omega_distinct`` at three points, and its note is the
     partner where kill_upper, else the solved component; all three columns
-    are read-only int32."""
+    are read-only int32.  ``_pairs`` over every occupation of the cutoff
+    agrees the same way, with -1 ends and ranks exactly where there is no
+    partner."""
     t = Truncation(j_max)
     columns = synthesis._plan_columns(j_max)
     for column in (columns.dst, columns.rank, columns.note):
@@ -685,6 +696,24 @@ def test_plan_columns_hold_each_steps_partner_omega_rank_and_note(j_max):
             if (cid, occ, ld) not in want_omega:
                 want_omega[cid, occ, ld] = rabi(spec, occ, ld).hex()
             assert float(distinct[cid, ld][rank]).hex() == want_omega[cid, occ, ld], (cid, occ, ld)
+    occupations = _layout(j_max).occ
+    for spec in CHANNELS.values():
+        lower, upper, ranks = _pairs(spec, occupations)
+        for occ, src, dst, rank in zip(
+            map(Occupation._make, occupations.T.tolist()), lower.tolist(), upper.tolist(),
+            ranks.tolist(),
+        ):
+            assert src == index_of(Component(occ, spec.lower_level), t)
+            partner = partner_occupation(spec, occ)
+            if partner is None:
+                assert dst == rank == -1, (spec.cid, occ)
+                continue
+            assert dst == index_of(Component(partner, spec.upper_level), t), (spec.cid, occ)
+            for ld in PLAN_POINTS:
+                if (spec.cid, occ, ld) not in want_omega:
+                    want_omega[spec.cid, occ, ld] = rabi(spec, occ, ld).hex()
+                got = float(distinct[spec.cid, ld][rank]).hex()
+                assert got == want_omega[spec.cid, occ, ld], (spec.cid, occ, ld)
 
 
 def schedule_bytes(schedule) -> bytes:
@@ -734,3 +763,36 @@ def test_deevolve_matches_full_table_compiler_below_the_first_zero(point, sparse
     want, residual = full_table_deevolve(target, ld)
     assert fingerprint(got.deevolution.pulses) == row_fingerprint(want)
     assert got.final_residual.hex() == residual.hex()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    j_max=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+    which=st.integers(0, 3),
+    f=st.floats(0.95, 1.05),
+)
+@example(j_max=5, seed=0, which=3, f=1.0)  # eps_carrier on the zero of L1_5
+@example(j_max=5, seed=1, which=3, f=1.0 + 1e-9)
+@example(j_max=5, seed=2, which=3, f=1.0 - 1e-9)
+@example(j_max=4, seed=3, which=0, f=1.0)
+@example(j_max=4, seed=4, which=1, f=1.0 + 1e-9)
+@example(j_max=3, seed=5, which=2, f=1.0 - 1e-9)
+def test_deevolve_on_both_sides_of_a_laguerre_zero(j_max, seed, which, f):
+    """One eps at f times the smallest Laguerre zero below the cutoff, the
+    rest at the default point: ``deevolve`` refuses with "no coupled pair"
+    exactly when some plan step's ``rabi`` is not positive, and otherwise
+    the preparation builds the target from the vacuum to 1e-12."""
+    t = Truncation(j_max)
+    eps = [LD.eps_x, LD.eps_y, LD.eps_z, LD.eps_carrier]
+    eps[which] = f * math.sqrt(first_laguerre_zero(j_max))
+    ld = LambDickeParams(*eps)
+    target = random_target(t, np.random.default_rng(seed)).state
+    if any(rabi(CHANNELS[cid], occ, ld) <= 0.0 for cid, occ, _ in plan(j_max)):
+        with pytest.raises(DomainError, match="no coupled pair"):
+            deevolve(target, ld)
+        return
+    result = deevolve(target, ld)
+    assert result.final_residual <= 1e-12
+    prepared = apply_schedule(vacuum_state(t), result.preparation)
+    assert 1.0 - fidelity_to_target(prepared, target) <= 1e-12
