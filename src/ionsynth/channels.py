@@ -289,20 +289,24 @@ def _pairs(spec: ChannelSpec, occ: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
 def _rows(spec: ChannelSpec, j_max: int) -> tuple:
     """The pairs :func:`_pairs` finds over the basis at cutoff ``j_max``, built
     once and kept as read-only arrays: the ends, the Omega ranks, the lower
-    occupation of each rank as a (3, ranks) array, and the frontier operands."""
+    occupation of each rank as a (3, ranks) array, the frontier operands and
+    the ascending basis indices no pair touches."""
     occ = _layout(j_max).occ
     src, dst, rank = _pairs(spec, occ)
     kept = rank >= 0
     src, dst, rank = src[kept], dst[kept], rank[kept]
     keys = np.zeros((3, int(rank.max(initial=-1)) + 1), dtype=occ.dtype)
     keys[:, rank] = occ[:, kept]  # every rank up to the largest has rows, all of one Omega
-    for column in (src, dst, rank, keys):
+    claimed = np.zeros(len(Level) * occ.shape[1], dtype=bool)
+    claimed[src] = claimed[dst] = True
+    untouched = np.flatnonzero(~claimed)
+    for column in (src, dst, rank, keys, untouched):
         column.flags.writeable = False
     j_dst = occ[:, dst // len(Level)].sum(axis=0)  # every channel keeps or lowers J
     ends = np.searchsorted(j_dst, np.arange(j_max + 1), side="right").tolist()
     used = np.concatenate(([0], np.maximum.accumulate(rank) + 1)).tolist()  # by the first c rows
     upto = tuple((src[:c], dst[:c], rank[:c], used[c]) for c in ends)
-    return src, dst, rank, keys, upto
+    return src, dst, rank, keys, upto, untouched
 
 
 def _nonlinearities(eps: float, j_max: int) -> np.ndarray:
@@ -321,7 +325,8 @@ def coupled_pairs(
     """Partition the basis into coupled pairs and untouched components.
 
     Every basis index appears exactly once: in ``src_index``, ``dst_index`` or
-    the ascending untouched indices returned with the table.  Pairs never
+    the ascending, read-only untouched indices returned with the table, one
+    array per channel and cutoff shared by every call.  Pairs never
     leave the truncation because each channel preserves or lowers the total
     quantum number.  The pairs depend on the channel and the cutoff alone: a
     pair whose Omega is zero or negative keeps its row, and only the compiler
@@ -331,7 +336,7 @@ def coupled_pairs(
     the same lower occupation.
     """
     j_max = truncation.j_max
-    src, dst, rank, keys, upto = _rows(spec, j_max)
+    src, dst, rank, keys, upto, untouched = _rows(spec, j_max)
     nx = keys[Mode.X]
     if spec.kind is ChannelKind.CARRIER:
         omega = _nonlinearities(ld.eps_carrier, j_max)[nx]
@@ -346,10 +351,7 @@ def coupled_pairs(
         )
     omega.flags.writeable = False
     basis = _layout(j_max).basis
-    table = PairTable(src, dst, omega, rank, basis, upto)
-    claimed = np.zeros(truncation.dim, dtype=bool)
-    claimed[src] = claimed[dst] = True
-    return table, np.flatnonzero(~claimed)
+    return PairTable(src, dst, omega, rank, basis, upto), untouched
 
 
 def dense_hamiltonian(

@@ -28,6 +28,16 @@ A note is written as the component its basis index names, or ``null``;
 ``{"n": [nx, ny, nz], "re": ..., "im": ...}`` components on electronic level a,
 normalized to 1 within 1e-6; files that are not are rejected, not fixed.
 
+``load_schedule`` streams too.  It reads :data:`_CHARS_PER_READ` characters at
+a time, parses the keys before and after the ``"pulses"`` array as two small
+objects, and parses and checks the array a batch of whole entries at a time,
+cut at the last ``},`` of each read; only the columns outlive a batch.  Input
+that this pass cannot take as clean goes to :func:`_load_whole`, which parses
+the file as one document and words every error: a batch or the keys around the
+array that do not parse or fail a check, a ``"pulses"`` match that is not a
+top-level key or a second top-level ``"pulses"``, a ``"jmax"`` after the array,
+bad UTF-8 and deep nesting.
+
 The loaders check clean notes and target components as whole columns, and any
 others entry by entry through :func:`_parse_note` or :func:`_check_components`,
 which word every fault.  An error names the first bad entry: ``pulses[i].<field>``
@@ -38,6 +48,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from itertools import chain, count, islice
 from operator import itemgetter
 from typing import Any, Iterator
@@ -154,12 +165,13 @@ def _field(entries: list[dict[str, Any]], key: str, default: Any) -> list[Any]:
 
 
 def _column(
-    entries: list[Any], key: str, kinds: tuple[type, ...], where: str = "pulses[{}]."
+    entries: list[Any], key: str, kinds: tuple[type, ...], where: str = "pulses[{}].", base: int = 0
 ) -> list[Any]:
-    """Field ``key`` of every entry, each value of a type in ``kinds``."""
+    """Field ``key`` of every entry, each value of a type in ``kinds``; the
+    entries are numbered from ``base``."""
     values = _field(entries, key, _MISSING)
     if not set(map(type, values)) <= set(kinds):
-        i, value = next((i, v) for i, v in enumerate(values) if type(v) not in kinds)
+        i, value = next((i, v) for i, v in enumerate(values, base) if type(v) not in kinds)
         problem = "missing" if value is _MISSING else f"unexpected type {type(value).__name__}"
         raise ScheduleFormatError(f"{where.format(i)}{key}: {problem}")
     return values
@@ -169,14 +181,14 @@ def _expect(doc: dict[str, Any], key: str, kinds: tuple[type, ...], where: str =
     return _column([doc], key, kinds, where)[0]
 
 
-def _reals(entries: list[Any], key: str, where: str = "pulses[{}].") -> np.ndarray:
+def _reals(entries: list[Any], key: str, where: str = "pulses[{}].", base: int = 0) -> np.ndarray:
     """Numeric field ``key`` of every entry as float64; an integer past the
     float range is a format error, not an ``OverflowError``."""
-    values = _column(entries, key, (int, float), where)
+    values = _column(entries, key, (int, float), where, base)
     try:
         return np.asarray(values, dtype=np.float64)
     except OverflowError:
-        i = next(i for i, v in enumerate(values) if type(v) is int and abs(v) >= _FLOAT_END)
+        i = next(i for i, v in enumerate(values, base) if type(v) is int and abs(v) >= _FLOAT_END)
         raise ScheduleFormatError(f"{where.format(i)}{key}: integer past the float range") from None
 
 
@@ -201,10 +213,12 @@ def _parse_note(raw: Any, i: int, j_max: int) -> Component | None:
     return Component(Occupation(nx, ny, nz), level)
 
 
-def _parse_notes(raw: list[Any], j_max: int) -> np.ndarray:
-    """The note column parsed note by note by :func:`_parse_note`, -1 for ``null``."""
+def _parse_notes(raw: list[Any], j_max: int, base: int = 0) -> np.ndarray:
+    """The note column parsed note by note by :func:`_parse_note`, -1 for
+    ``null``; the notes are those of pulses ``base``, ``base + 1``, ..."""
     index = _layout(j_max).index  # a null note parses as None, which is not a key
-    return np.array([index.get(_parse_note(n, i, j_max), -1) for i, n in enumerate(raw)], np.intp)
+    notes = enumerate(raw, base)
+    return np.array([index.get(_parse_note(n, i, j_max), -1) for i, n in notes], np.intp)
 
 
 # Level code of each label Level.from_label accepts.
@@ -233,8 +247,9 @@ def _flatten_rows(rows: list[Any], width: int) -> list[Any]:
     return list(chain.from_iterable(rows))
 
 
-def _notes(raw: list[Any], j_max: int) -> np.ndarray:
-    """The note column as basis indices, -1 for each ``null``, checked whole if clean."""
+def _notes(raw: list[Any], j_max: int, base: int = 0) -> np.ndarray:
+    """The note column of pulses ``base``, ``base + 1``, ... as basis indices,
+    -1 for each ``null``, checked whole if clean."""
     # A null note stands in as the note [0, 0, 0, "a"], set to -1 afterwards.
     null = [i for i, note in enumerate(raw) if note is None] if None in raw else []
     rows = [[0, 0, 0, "a"] if note is None else note for note in raw] if null else raw
@@ -246,7 +261,7 @@ def _notes(raw: list[Any], j_max: int) -> np.ndarray:
             raise _Unclean
         index = len(Level) * _vib_index(*_occupations(occupations, j_max))
     except (_Unclean, OverflowError):
-        return _parse_notes(raw, j_max)
+        return _parse_notes(raw, j_max, base)
     index += np.array(list(map(_LEVEL_CODE.__getitem__, labels)), dtype=np.intp)
     index[null] = -1
     return index
@@ -261,8 +276,8 @@ def _read_json(path: str | os.PathLike[str], error: type[ValueError]) -> Any:
         raise error(f"{path}: invalid JSON ({exc})") from exc
 
 
-def load_schedule(path: str | os.PathLike[str]) -> Schedule:
-    doc = _read_json(path, ScheduleFormatError)
+def _header(doc: Any) -> tuple[LambDickeParams, Truncation, Direction, str]:
+    """The checked fields of a schedule document other than its pulses."""
     if not isinstance(doc, dict):
         raise ScheduleFormatError("top level: expected an object")
     version = _expect(doc, "version", (int,))
@@ -288,28 +303,99 @@ def load_schedule(path: str | os.PathLike[str]) -> Schedule:
     except ValueError as exc:
         raise ScheduleFormatError(f"direction: unknown value {raw_direction!r}") from exc
 
-    target = _expect(doc, "target", (str,))
+    return ld, truncation, direction, _expect(doc, "target", (str,))
 
-    entries = _expect(doc, "pulses", (list,))
+
+def _pulse_columns(entries: list[Any], j_max: int, base: int = 0) -> tuple[np.ndarray, ...]:
+    """The channel, x, theta and note columns of the entries of pulses
+    ``base``, ``base + 1``, ...; an error names the first bad entry."""
     if not set(map(type, entries)) <= {dict}:
-        i = next(i for i, entry in enumerate(entries) if type(entry) is not dict)
+        i = next(i for i, entry in enumerate(entries, base) if type(entry) is not dict)
         raise ScheduleFormatError(f"pulses[{i}]: expected an object")
-    index = _column(entries, "i", (int,))
-    if index != list(range(len(entries))):
-        i = next(i for i, k in enumerate(index) if k != i)
-        raise ScheduleFormatError(f"pulses[{i}].i: expected {i}, got {index[i]}")
-    names = _column(entries, "channel", (str,))
+    index = _column(entries, "i", (int,), base=base)
+    if index != list(range(base, base + len(entries))):
+        i = next(i for i, k in enumerate(index, base) if k != i)
+        raise ScheduleFormatError(f"pulses[{i}].i: expected {i}, got {index[i - base]}")
+    names = _column(entries, "channel", (str,), base=base)
     if not set(names) <= _CHANNEL_CODES.keys():
-        i = next(i for i, name in enumerate(names) if name not in _CHANNEL_CODES)
-        raise ScheduleFormatError(f"pulses[{i}].channel: unknown channel {names[i]!r}")
-    x = _reals(entries, "x")
-    theta = _reals(entries, "theta")
+        i = next(i for i, name in enumerate(names, base) if name not in _CHANNEL_CODES)
+        raise ScheduleFormatError(f"pulses[{i}].channel: unknown channel {names[i - base]!r}")
+    x = _reals(entries, "x", base=base)
+    theta = _reals(entries, "theta", base=base)
     channel = np.array(list(map(_CHANNEL_CODES.__getitem__, names)), dtype=np.uint8)
-    note = _notes(_field(entries, "note", None), jmax)
+    return channel, x, theta, _notes(_field(entries, "note", None), j_max, base)
+
+
+def _schedule(columns: tuple[np.ndarray, ...], *header: Any) -> Schedule:
     try:
-        return Schedule.from_columns(channel, x, theta, note, ld, truncation, direction, target)
+        return Schedule.from_columns(*columns, *header)
     except DomainError as exc:
         raise ScheduleFormatError(str(exc)) from exc
+
+
+def _load_whole(path: str | os.PathLike[str]) -> Schedule:
+    """The schedule in ``path`` parsed as one document: the reader of any file
+    the streaming pass does not take as clean, and the one that words errors."""
+    doc = _read_json(path, ScheduleFormatError)
+    header = _header(doc)
+    entries = _expect(doc, "pulses", (list,))
+    return _schedule(_pulse_columns(entries, header[1].j_max), *header)
+
+
+# Characters read per call while streaming a schedule.  The "pulses" match
+# must follow "{", "," or JSON whitespace: after a backslash, the quote of the
+# dummy key that closes the text before it would be escaped, and a string
+# could then parse as a key.
+_CHARS_PER_READ = 1 << 16
+_PULSES_KEY = re.compile(r'(?<=[{, \t\n\r])"pulses"[ \t\n\r]*:[ \t\n\r]*\[')
+_DECODER = json.JSONDecoder()
+
+
+def _stream_schedule(path: str | os.PathLike[str]) -> Schedule:
+    """The schedule in ``path``, streamed as the module docstring says; input
+    it cannot take as clean raises ``_Unclean`` or the error of a failed
+    parse or check."""
+    with open(path, encoding="utf-8") as f:
+        text = ""
+        while not (key := _PULSES_KEY.search(text)):
+            if not (chunk := f.read(_CHARS_PER_READ)):
+                raise _Unclean
+            text += chunk
+        # Parses, closed by a dummy key, only if the match is a top-level key.
+        head = json.loads(text[: key.start()] + '"": 0}')
+        if "pulses" in head:  # a second top-level "pulses"
+            raise _Unclean
+        j_max = Truncation(_expect(head, "jmax", (int,))).j_max
+        rest, batches, base = text[key.end() :], [], 0
+        del text, key  # the match holds the text too
+        while True:
+            cut = rest.rfind("},")  # the end of the last entry that another follows
+            if cut >= 0:
+                entries = json.loads("[" + rest[: cut + 1] + "]")
+                batches.append(_pulse_columns(entries, j_max, base))
+                base += len(entries)
+                rest = rest[cut + 2 :]
+            if not (chunk := f.read(_CHARS_PER_READ)):
+                break
+            rest += chunk
+    entries, end = _DECODER.raw_decode("[" + rest)  # the last entries, up to "]"
+    if base and not entries:  # a comma before "]"
+        raise _Unclean
+    batches.append(_pulse_columns(entries, j_max, base))
+    tail = json.loads('{"": 0' + rest[end - 1 :])  # the keys after the array
+    if "pulses" in tail or "jmax" in tail:
+        raise _Unclean
+    columns = tuple(map(np.concatenate, zip(*batches)))
+    return _schedule(columns, *_header({**head, **tail}))
+
+
+def load_schedule(path: str | os.PathLike[str]) -> Schedule:
+    """Read a schedule file, streaming its pulses; an error names the first
+    bad field or entry."""
+    try:
+        return _stream_schedule(path)
+    except (_Unclean, ValueError, RecursionError):  # bad JSON or UTF-8, a failed check
+        return _load_whole(path)
 
 
 def save_report(report: SweepReport, path: str | os.PathLike[str]) -> None:

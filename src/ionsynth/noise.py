@@ -112,10 +112,7 @@ def perturb(schedule: Schedule, noise: NoiseModel, rng: np.random.Generator) -> 
     half = np.tile((0.5 * noise.delta, 0.5 * noise.delta_theta), len(schedule))
     offsets = rng.uniform(-half, half)
     x = schedule.x + offsets[0::2]
-    return Schedule.from_columns(
-        schedule.channel, np.where(x < 0.0, 0.0, x), schedule.theta + offsets[1::2], schedule.note,
-        schedule.lamb_dicke, schedule.truncation, schedule.direction, schedule.target,
-    )
+    return schedule._with_lengths(np.where(x < 0.0, 0.0, x), schedule.theta + offsets[1::2])
 
 
 def simulate_trial(

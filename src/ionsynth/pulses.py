@@ -68,9 +68,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import deque
+from dataclasses import dataclass, fields
 from enum import Enum
 from functools import lru_cache
+from itertools import repeat
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -108,7 +110,7 @@ def wrap_angle(theta: float) -> float:
     return r
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Pulse:
     """One laser pulse: channel, interaction length x = |g|*tau >= 0, phase.
 
@@ -157,18 +159,29 @@ def _outside(column: np.ndarray, low: int, high: int) -> np.ndarray:
     return (column < low) | (column > high)
 
 
+def _refuse(name: str, column: np.ndarray, bad: np.ndarray, rule: str) -> None:
+    """Raise the error that names the first ``bad`` entry of a column, if any."""
+    if bad.any():
+        i = int(np.flatnonzero(bad)[0])
+        raise DomainError(f"pulses[{i}].{name}: {rule}, got {column.tolist()[i]!r}")
+
+
+def _lengths(x: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Float64 columns ``x`` and ``theta``, checked, with the phases wrapped
+    into (-pi, pi]."""
+    _refuse("x", x, ~(np.isfinite(x) & (x >= 0.0)), "pulse length must be finite and >= 0")
+    _refuse("theta", theta, ~np.isfinite(theta), "pulse phase must be finite")
+    return x, _wrap_angles(theta)
+
+
 def _note_components(note: Iterable[int], j_max: int) -> Iterator[Component | None]:
     """The basis component of each note index below cutoff ``j_max``, None for -1."""
     return map((*_layout(j_max).basis, None).__getitem__, note)
 
 
-def _pulse_view(channel: ChannelId, x: float, theta: float, note: Component | None) -> Pulse:
-    """A :class:`Pulse` of values that already passed its checks and wrap:
-    the fields are set directly, so ``__post_init__`` does not run again."""
-    pulse = object.__new__(Pulse)
-    fields = pulse.__dict__
-    fields["channel"], fields["x"], fields["theta"], fields["note"] = channel, x, theta, note
-    return pulse
+# The setter of each of Pulse's slots, in field order; it bypasses the frozen
+# __setattr__.
+_SLOT_SETTERS = tuple(Pulse.__dict__[f.name].__set__ for f in fields(Pulse))
 
 
 class Schedule:
@@ -210,15 +223,10 @@ class Schedule:
         if channel.ndim != 1 or not channel.shape == x.shape == theta.shape == note.shape:
             raise DomainError("schedule columns must be 1-D and of one length")
         dim = truncation.dim
-        for name, column, bad, rule in (
-            ("channel", channel, _outside(channel, 1, len(ChannelId)), "unknown channel code"),
-            ("x", x, ~(np.isfinite(x) & (x >= 0.0)), "pulse length must be finite and >= 0"),
-            ("theta", theta, ~np.isfinite(theta), "pulse phase must be finite"),
-            ("note", note, _outside(note, -1, dim - 1), f"basis index must be -1 or in [0, {dim})"),
-        ):
-            if bad.any():
-                i = int(np.flatnonzero(bad)[0])
-                raise DomainError(f"pulses[{i}].{name}: {rule}, got {column.tolist()[i]!r}")
+        _refuse("channel", channel, _outside(channel, 1, len(ChannelId)), "unknown channel code")
+        x, theta = _lengths(x, theta)
+        rule = f"basis index must be -1 or in [0, {dim})"
+        _refuse("note", note, _outside(note, -1, dim - 1), rule)
         channel, note = channel.astype(np.uint8, copy=False), note.astype(np.int32, copy=False)
         # _COUPLES[channel, level of note] as one flat lookup, faster than 2-D.
         coupled = _COUPLES.take(len(Level) * channel + (note & 3)) | (note == -1)
@@ -226,19 +234,35 @@ class Schedule:
             i = int(np.argmin(coupled))
             level, name = Level(note[i] & 3).label, ChannelId(channel[i]).name
             raise DomainError(f"pulses[{i}].note: level {level} is not coupled by channel {name}")
-        self.channel, self.x, self.theta, self.note = channel, x, _wrap_angles(theta), note
+        self.channel, self.x, self.theta, self.note = channel, x, theta, note
         for column in (self.channel, self.x, self.theta, self.note):
             column.flags.writeable = False
         self.lamb_dicke, self.truncation = lamb_dicke, truncation
         self.direction, self.target = direction, target
 
+    def _with_lengths(self, x: np.ndarray, theta: np.ndarray) -> Schedule:
+        """This program with float64 columns ``x`` and ``theta`` of its length in
+        place of its own.  Only they are checked, and ``theta`` wrapped: the
+        channel and note columns, checked already, are shared."""
+        new = Schedule.__new__(Schedule)
+        new.__dict__.update(self.__dict__)
+        new.x, new.theta = _lengths(x, theta)
+        new.x.flags.writeable = new.theta.flags.writeable = False
+        return new
+
     @property
     def pulses(self) -> tuple[Pulse, ...]:
         """The program as :class:`Pulse` views, built on each access from the
         checked columns without checking them again."""
+        views = tuple(map(object.__new__, repeat(Pulse, len(self))))
         channels = map(_CHANNEL_OF_CODE.__getitem__, self.channel.tolist())
         notes = _note_components(self.note.tolist(), self.truncation.j_max)
-        return tuple(map(_pulse_view, channels, self.x.tolist(), self.theta.tolist(), notes))
+        columns = channels, self.x.tolist(), self.theta.tolist(), notes
+        # One field of every view at a time, set in C through the slot's setter:
+        # values that passed the checks and wrap once skip ``__post_init__``.
+        for setter, values in zip(_SLOT_SETTERS, columns):
+            deque(map(setter, views, values), maxlen=0)
+        return views
 
     def __len__(self) -> int:
         return len(self.note)

@@ -354,6 +354,7 @@ def test_table_rows_depend_only_on_the_channel_and_the_cutoff(j_max):
                 assert src.tobytes() == w_src.tobytes() and dst.tobytes() == w_dst.tobytes()
                 assert inverse.tobytes() == w_inverse.tobytes() and used == w_used
             assert untouched.tobytes() == want_untouched.tobytes(), (spec.cid, ld)
+            assert untouched is want_untouched and not untouched.flags.writeable, (spec.cid, ld)
 
 
 @settings(max_examples=40, deadline=None)

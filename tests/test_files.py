@@ -726,3 +726,216 @@ def test_clean_targets_stay_on_the_column_path_and_both_paths_agree(drawn):
         got = _components(doc, truncation)
     want = _check_components(doc, truncation)
     assert [(a.dtype, a.tobytes()) for a in got] == [(a.dtype, a.tobytes()) for a in want]
+
+
+# The streaming reader against the whole-document one it falls back to.
+
+LAYOUTS = {
+    "indent-none": {"indent": None},
+    "indent-4": {"indent": 4},
+    "sort-keys": {"indent": 2, "sort_keys": True},  # "pulses" before "target" and "version"
+    "compact": {"separators": (",", ":")},
+}
+
+
+def _outcome(load, path):
+    """What ``load`` makes of ``path``: the schedule, or the error's type and text."""
+    try:
+        return load(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.fixture(scope="module")
+def saved_schedules(tmp_path_factory):
+    """Both schedules of corr(1) and ghz(1) at J_max 0-12, as save_schedule writes them."""
+    root = tmp_path_factory.mktemp("saved")
+    saved = []
+    for j_max in range(13):
+        for make in (target_corr, target_ghz):
+            result = deevolve(make(1, Truncation(j_max)).state)
+            for schedule in (result.deevolution, result.preparation):
+                path = root / f"{make.__name__}-{j_max}-{schedule.direction.value}.json"
+                save_schedule(schedule, path)
+                saved.append((path, schedule))
+    return saved
+
+
+def test_streamed_and_whole_reads_agree_on_every_layout(saved_schedules, tmp_path):
+    relaid = tmp_path / "relaid.json"
+    for path, schedule in saved_schedules:
+        doc = json.loads(path.read_text())
+        assert files._stream_schedule(path) == files._load_whole(path) == schedule, path.name
+        for name, layout in LAYOUTS.items():
+            relaid.write_text(json.dumps(doc, **layout))
+            assert files._stream_schedule(relaid) == files._load_whole(relaid) == schedule, (
+                path.name, name)
+
+
+def test_streamed_and_whole_reads_agree_on_an_empty_program(tmp_path):
+    schedule = Schedule((), LambDickeParams(0.3, 0.1, 0.2, 0.1), Truncation(2),
+                        Direction.PREPARATION, "")
+    path = tmp_path / "empty.json"
+    save_schedule(schedule, path)
+    doc = json.loads(path.read_text())
+    for layout in (None, *LAYOUTS.values()):
+        if layout is not None:
+            path.write_text(json.dumps(doc, **layout))
+        assert files._stream_schedule(path) == files._load_whole(path) == schedule
+
+
+def test_canonical_files_load_without_the_whole_document_reader(saved_schedules):
+    with mock.patch.object(files, "_load_whole", side_effect=AssertionError("fell back")):
+        for path, schedule in saved_schedules:
+            assert load_schedule(path) == schedule, path.name
+
+
+@pytest.mark.parametrize("chars", [1, 2, 7, 64, 185, 186, 4096])
+def test_streamed_reads_agree_at_any_read_size(tmp_path, chars):
+    """Read sizes below one entry (about 185 characters here) and around it
+    cut entries, keys and the "pulses" match across reads."""
+    schedule = deevolve(target_ghz(1, Truncation(5)).state).preparation
+    path = tmp_path / "ghz5.json"
+    save_schedule(schedule, path)
+    doc = json.loads(path.read_text())
+    with mock.patch.object(files, "_CHARS_PER_READ", chars):
+        assert files._stream_schedule(path) == schedule
+        path.write_text(json.dumps(doc, **LAYOUTS["sort-keys"]))
+        assert files._stream_schedule(path) == schedule
+
+
+def _small_doc_text(**layout):
+    doc = {
+        "version": 1,
+        "lamb_dicke": {"ex": 0.3, "ey": 0.1, "ez": 0.2, "exc": 0.1},
+        "jmax": 2,
+        "direction": "preparation",
+        "target": "",
+        "pulses": [
+            {"i": 0, "channel": "H2", "x": 0.5, "theta": 0.25, "note": [0, 0, 0, "b"]},
+            {"i": 1, "channel": "H9", "x": 0.0, "theta": -1.5, "note": None},
+            {"i": 2, "channel": "H1", "x": 1.5, "theta": 3.0, "note": [0, 1, 0, "a"]},
+        ],
+    }
+    return json.dumps(doc, **layout)
+
+
+PULSES_TEXT = json.dumps(json.loads(_small_doc_text())["pulses"])
+
+# Documents the streaming pass must not take as clean: the whole-document
+# reader decides them, loading some and refusing others.
+UNCLEAN_TEXTS = {
+    "jmax-after-the-array": _small_doc_text().replace('"jmax": 2, ', "")[:-1] + ', "jmax": 2}',
+    "jmax-twice": _small_doc_text()[:-1] + ', "jmax": 1}',
+    "pulses-twice": _small_doc_text()[:-1] + ', "pulses": []}',
+    "pulses-twice-first-not-an-array": '{"pulses": 0, ' + _small_doc_text()[1:],
+    "pulses-nested-first": _small_doc_text().replace(
+        '"lamb_dicke": {', '"lamb_dicke": {"pulses": ' + PULSES_TEXT + ", "),
+    "pulses-nested-only": _small_doc_text().replace(
+        '"lamb_dicke": {', '"lamb_dicke": {"pulses": ' + PULSES_TEXT + ", ").replace(
+        ', "pulses": [{"i": 0', ', "other": [{"i": 0'),
+    "key-ending-in-an-escaped-quote": _small_doc_text().replace(
+        ', "pulses": [', ', "t \\"pulses": ['),
+    "pulses-inside-a-string": _small_doc_text().replace(
+        '"target": ""', '"target": "\\", \\"pulses\\": []"').replace('"pulses": [', '"other": ['),
+    "no-comma-before-the-array": _small_doc_text().replace(', "pulses": [', ' "pulses": ['),
+    "two-commas-before-the-array": _small_doc_text().replace(', "pulses": [', ',, "pulses": ['),
+    "trailing-comma-in-the-array": _small_doc_text().replace("]}]", "]}, ]"),
+    "trailing-comma-after-the-array": _small_doc_text()[:-1] + ", }",
+    "no-comma-after-the-array": _small_doc_text(sort_keys=True).replace('}], "ta', '}] "ta'),
+    "form-feed-before-the-colon": _small_doc_text().replace('"pulses": [', '"pulses"\f: ['),
+    "garbage-after-the-object": _small_doc_text() + "x",
+    "bad-utf8": _small_doc_text().replace('"target": ""', '"target": "\udcff"'),
+    "deep-nesting": _small_doc_text().replace('"note": null', '"note": ' + "[" * 5000 + "]" * 5000),
+    "leading-bom": "﻿" + _small_doc_text(),
+}
+
+
+@pytest.mark.parametrize("chars", [1, 5, 64, 1 << 16])
+@pytest.mark.parametrize("name", list(UNCLEAN_TEXTS))
+def test_unclean_documents_go_to_the_whole_document_reader(tmp_path, name, chars):
+    path = tmp_path / "unclean.json"
+    path.write_bytes(UNCLEAN_TEXTS[name].encode("utf-8", "surrogateescape"))
+    with mock.patch.object(files, "_CHARS_PER_READ", chars):
+        with pytest.raises((files._Unclean, ValueError, RecursionError)):
+            files._stream_schedule(path)
+        assert _outcome(load_schedule, path) == _outcome(files._load_whole, path)
+
+
+@pytest.mark.parametrize("chars", [1, 5, 64, 1 << 16])
+def test_documents_that_only_look_unclean_load_the_same_from_both_readers(tmp_path, chars):
+    """A top-level key "", keys that merely contain "pulses", and an entry
+    with an object in it are valid; the first two stream, and the last streams
+    when no read ends inside that entry's object."""
+    path = tmp_path / "odd.json"
+    with mock.patch.object(files, "_CHARS_PER_READ", chars):
+        for text in (
+            '{"": 1, ' + _small_doc_text()[1:],
+            '{"xpulses": [], "meta": {"pulses": 1}, ' + _small_doc_text()[1:],
+        ):
+            path.write_text(text)
+            assert files._stream_schedule(path) == files._load_whole(path)
+        path.write_text(_small_doc_text().replace('"i": 1,', '"i": 1, "extra": {"a": 1},'))
+        assert load_schedule(path) == files._load_whole(path)
+
+
+@st.composite
+def mutated_documents(draw, text):
+    kind = draw(st.sampled_from(["truncate", "flip", "nested", "twice", "retype"]))
+    data = text.encode()
+    if kind == "truncate":
+        return data[: draw(st.integers(0, len(data) - 1))]
+    if kind == "flip":
+        k = draw(st.integers(0, len(data) - 1))
+        return data[:k] + bytes([data[k] ^ draw(st.integers(1, 255))]) + data[k + 1 :]
+    doc = json.loads(text)
+    value = draw(st.sampled_from([[], 0, None, "x", doc["pulses"][:2], doc["pulses"]]))
+    if kind == "nested":
+        doc["lamb_dicke"] = {"pulses": value, **doc["lamb_dicke"]}
+        return json.dumps(doc, indent=2).encode()
+    if kind == "twice":
+        head, sep, tail = json.dumps(doc, indent=2).partition('"pulses": [')
+        extra = f'"pulses": {json.dumps(value)},\n  '
+        return (head + extra + sep + tail if draw(st.booleans()) else
+                head + sep + tail[:-2] + ",\n  " + extra[:-4] + "\n}").encode()
+    i = draw(st.integers(0, len(doc["pulses"]) - 1))
+    key = draw(st.sampled_from(["i", "channel", "x", "theta", "note"]))
+    doc["pulses"][i][key] = draw(st.sampled_from(["1", 1, 1.5, True, None, [], {}]))
+    return json.dumps(doc, indent=2).encode()
+
+
+@pytest.fixture(scope="module")
+def corr3_text(scratch_dir):
+    path = scratch_dir / "corr3.json"
+    save_schedule(deevolve(target_corr(1, Truncation(3)).state).preparation, path)
+    return path.read_text()
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), chars=st.sampled_from([7, 100, 1 << 16]))
+def test_mutated_files_raise_or_load_the_same_from_both_readers(
+    corr3_text, scratch_dir, data, chars
+):
+    """Truncated, byte-flipped, doubled or nested "pulses" and retyped fields:
+    the streaming reader gives what the whole-document reader gives."""
+    path = scratch_dir / "mutated.json"
+    path.write_bytes(data.draw(mutated_documents(corr3_text)))
+    with mock.patch.object(files, "_CHARS_PER_READ", chars):
+        assert _outcome(load_schedule, path) == _outcome(files._load_whole, path)
+
+
+def test_reader_streams_a_file_larger_than_its_peak_memory(tmp_path):
+    """The J_max 16 corr preparation (6697 pulses, 1.23 MB) is read without
+    holding the document: the traced allocation peak stays below 1 MiB."""
+    schedule = deevolve(target_corr(1.0, Truncation(16)).state).preparation
+    path = tmp_path / "corr16.json"
+    save_schedule(schedule, path)
+    assert load_schedule(path) == schedule
+    tracemalloc.start()
+    try:
+        load_schedule(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.stat().st_size > 1 << 20
+    assert peak < 1 << 20

@@ -106,6 +106,24 @@ def test_simulate_trial_equals_replaying_perturb(corr_preparation, noise):
         assert r.postselect_fidelity == (min(1.0, fid / p_a) if p_a > 0.0 else 0.0)
 
 
+def test_perturb_names_a_length_the_draw_takes_past_the_float_range(preparation):
+    """Only x and theta of a noisy schedule are checked again; a length that
+    overflows to inf is still refused by name, with the constructor's words."""
+    _, prep = preparation
+    n = len(prep)
+    x = np.full(n, 1.7e308)
+    big = Schedule.from_columns(prep.channel, x, prep.theta, prep.note, prep.lamb_dicke,
+                                prep.truncation, prep.direction, prep.target)
+    nm = NoiseModel(delta=1e308)
+    with np.errstate(over="ignore"):
+        half = np.tile((5e307, 0.0), n)  # the bounds perturb draws, length and phase
+        offsets = np.random.default_rng(3).uniform(-half, half)[0::2]
+        i = int(np.flatnonzero(np.isinf(x + offsets))[0])
+        with pytest.raises(DomainError) as err:
+            perturb(big, nm, np.random.default_rng(3))
+    assert str(err.value) == f"pulses[{i}].x: pulse length must be finite and >= 0, got inf"
+
+
 def test_perturbation_bounds(preparation):
     """Every realized pulse stays inside the centered interval."""
     _, prep = preparation
