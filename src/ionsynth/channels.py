@@ -46,11 +46,12 @@ from scipy.special import eval_genlaguerre
 
 from .fock import (
     Component,
-    DomainError,
     Level,
     Occupation,
     Truncation,
+    _integer,
     _layout,
+    _real,
     _vib_index,
     enumerate_basis,
     index_of,
@@ -89,9 +90,7 @@ class LambDickeParams:
 
     def __post_init__(self) -> None:
         for name in ("eps_x", "eps_y", "eps_z", "eps_carrier"):
-            value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value)) or value < 0:
-                raise DomainError(f"{name} must be a finite non-negative real, got {value!r}")
+            object.__setattr__(self, name, _real(name, getattr(self, name), non_negative=True))
 
     def mode_eps(self, mode: "Mode") -> float:
         return (self.eps_x, self.eps_y, self.eps_z)[mode]
@@ -162,10 +161,7 @@ def nonlinearity(eps: float, n: int) -> float:
     exp(-eps**2/2).  At eps=0 the factor is exactly 1; once exp(-eps**2/2)
     underflows it is 0, its limit, even where L1_n(eps**2) overflows.
     """
-    if eps < 0 or not math.isfinite(eps):
-        raise DomainError(f"eps must be a finite non-negative real, got {eps!r}")
-    if n < 0:
-        raise DomainError(f"occupation must be non-negative, got {n!r}")
+    eps, n = _real("eps", eps, non_negative=True), _integer("occupation", n, 0)
     x = eps * eps
     damping = math.exp(-0.5 * x)
     if damping == 0.0:

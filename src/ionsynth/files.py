@@ -31,7 +31,10 @@ normalized to 1 within 1e-6; files that are not are rejected, not fixed.
 ``load_schedule`` streams too.  It reads :data:`_CHARS_PER_READ` characters at
 a time, parses the keys before and after the ``"pulses"`` array as two small
 objects, and parses and checks the array a batch of whole entries at a time,
-cut at the last ``},`` of each read; only the columns outlive a batch.  Input
+cut at the last ``},`` of each read; only the columns outlive a batch.  Each
+search for the key or a cut covers what the last read added and the part of a
+match that can reach back across its start, so a long header or entry is
+scanned once, not once per read.  Input
 that this pass cannot take as clean goes to :func:`_load_whole`, which parses
 the file as one document and words every error: a batch or the keys around the
 array that do not parse or fail a check, a ``"pulses"`` match that is not a
@@ -287,7 +290,7 @@ def _header(doc: Any) -> tuple[LambDickeParams, Truncation, Direction, str]:
     ld_doc = _expect(doc, "lamb_dicke", (dict,))
     eps = [_reals([ld_doc], key, "lamb_dicke.")[0] for key in ("ex", "ey", "ez", "exc")]
     try:
-        ld = LambDickeParams(*map(float, eps))
+        ld = LambDickeParams(*eps)
     except DomainError as exc:
         raise ScheduleFormatError(f"lamb_dicke: {exc}") from exc
 
@@ -345,9 +348,12 @@ def _load_whole(path: str | os.PathLike[str]) -> Schedule:
 # Characters read per call while streaming a schedule.  The "pulses" match
 # must follow "{", "," or JSON whitespace: after a backslash, the quote of the
 # dummy key that closes the text before it would be escaped, and a string
-# could then parse as a key.
+# could then parse as a key.  A match that ends in a new read ends in its "[",
+# so only a read holding one is searched, from len('"pulses"') characters
+# before the run of _KEY_RUN characters that ends the text read before it.
 _CHARS_PER_READ = 1 << 16
 _PULSES_KEY = re.compile(r'(?<=[{, \t\n\r])"pulses"[ \t\n\r]*:[ \t\n\r]*\[')
+_KEY_RUN = " \t\n\r:"
 _DECODER = json.JSONDecoder()
 
 
@@ -356,11 +362,16 @@ def _stream_schedule(path: str | os.PathLike[str]) -> Schedule:
     it cannot take as clean raises ``_Unclean`` or the error of a failed
     parse or check."""
     with open(path, encoding="utf-8") as f:
-        text = ""
-        while not (key := _PULSES_KEY.search(text)):
+        text, run, key = "", 0, None  # run: where the closing run of _KEY_RUN characters starts
+        while not key:
             if not (chunk := f.read(_CHARS_PER_READ)):
                 raise _Unclean
+            start = max(0, run - len('"pulses"'))
+            if stripped := chunk.rstrip(_KEY_RUN):
+                run = len(text) + len(stripped)
             text += chunk
+            if "[" in chunk:
+                key = _PULSES_KEY.search(text, start)
         # Parses, closed by a dummy key, only if the match is a top-level key.
         head = json.loads(text[: key.start()] + '"": 0}')
         if "pulses" in head:  # a second top-level "pulses"
@@ -368,8 +379,11 @@ def _stream_schedule(path: str | os.PathLike[str]) -> Schedule:
         j_max = Truncation(_expect(head, "jmax", (int,))).j_max
         rest, batches, base = text[key.end() :], [], 0
         del text, key  # the match holds the text too
+        new = len(rest)  # the characters not searched yet end rest
         while True:
-            cut = rest.rfind("},")  # the end of the last entry that another follows
+            # The end of the last entry that another follows, searched for
+            # only where the new characters can end it.
+            cut = rest.rfind("},", max(0, len(rest) - new - 1))
             if cut >= 0:
                 entries = json.loads("[" + rest[: cut + 1] + "]")
                 batches.append(_pulse_columns(entries, j_max, base))
@@ -378,6 +392,7 @@ def _stream_schedule(path: str | os.PathLike[str]) -> Schedule:
             if not (chunk := f.read(_CHARS_PER_READ)):
                 break
             rest += chunk
+            new = len(chunk)
     entries, end = _DECODER.raw_decode("[" + rest)  # the last entries, up to "]"
     if base and not entries:  # a comma before "]"
         raise _Unclean

@@ -16,11 +16,20 @@ J = nx + ny + nz has vibrational index
 smaller nx, each J - nx + 1 long), and its component on electronic level l has
 index 4*vib + l.  This module owns that order; every other module reads it
 from here.
+
+It also owns the package's two numeric-argument rules, which every constructor
+and entry point that takes a cutoff, a count, a width, a length or a phase
+calls: :func:`_integer` takes an ``int`` or a NumPy integer, never a ``bool``,
+at or above a bound, and returns an ``int``; :func:`_real` takes a real number,
+never a ``bool``, that is finite as a float (and, if asked, >= 0), and returns
+that float.  A value either rule refuses raises :class:`DomainError`, so an
+integer past the float range is refused, not an ``OverflowError``.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import lru_cache
@@ -48,6 +57,29 @@ __all__ = [
 
 class DomainError(ValueError):
     """An argument is outside the domain an operation is defined on."""
+
+
+def _integer(name: str, value: object, low: int) -> int:
+    """``value`` as an ``int``: an ``int`` or NumPy integer, not a ``bool``, >= ``low``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        raise DomainError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
+
+
+def _real(name: str, value: object, non_negative: bool = False) -> float:
+    """``value`` as a finite ``float``: a real number, not a ``bool``, and
+    >= 0 if ``non_negative``."""
+    number = math.nan
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an integer or fraction past the float range
+            pass
+    if non_negative and not (math.isfinite(number) and number >= 0):
+        raise DomainError(f"{name} must be a finite non-negative real, got {value!r}")
+    if not math.isfinite(number):
+        raise DomainError(f"{name} must be a finite real, got {value!r}")
+    return number
 
 
 class Level(IntEnum):
@@ -105,8 +137,7 @@ class Truncation:
     j_max: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.j_max, int) or self.j_max < 0:
-            raise DomainError(f"j_max must be a non-negative integer, got {self.j_max!r}")
+        object.__setattr__(self, "j_max", _integer("j_max", self.j_max, 0))
         if self.j_max > J_MAX_CAP:
             raise DomainError(f"j_max {self.j_max} exceeds the cap of {J_MAX_CAP}")
 

@@ -32,13 +32,12 @@ or schedule outlives its perturbation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .fock import DomainError, Level, StateVector, fidelity_to_target, vacuum_state
+from .fock import DomainError, Level, StateVector, _integer, _real, fidelity_to_target, vacuum_state
 from .pulses import Schedule, _replay
 from .pulses import apply_schedule  # noqa: F401  perfbench/spans.py patches this name
 
@@ -68,9 +67,7 @@ class NoiseModel:
 
     def __post_init__(self) -> None:
         for name in ("delta", "delta_theta"):
-            value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value)) or value < 0:
-                raise DomainError(f"{name} must be a finite non-negative real, got {value!r}")
+            object.__setattr__(self, name, _real(name, getattr(self, name), non_negative=True))
 
 
 @dataclass(frozen=True)
@@ -170,10 +167,8 @@ def run_trials(
     integers, not bool, >= 1, 0 and 0, and ``target`` has the preparation's truncation.
     """
     t = preparation.truncation
-    checks = [("n", n, 1), ("seed", seed, 0), *(("substream entry", k, 0) for k in substream)]
-    for name, value, low in checks:
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
-            raise DomainError(f"{name} must be an integer >= {low}, got {value!r}")
+    n, seed = _integer("n", n, 1), _integer("seed", seed, 0)
+    substream = tuple(_integer("substream entry", k, 0) for k in substream)
     if target.truncation != t:
         raise DomainError(f"target has j_max {target.truncation.j_max}, the preparation {t.j_max}")
     chunk = max(1, _BATCH_AMPLITUDES // t.dim)

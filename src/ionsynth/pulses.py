@@ -86,7 +86,7 @@ from .channels import (
     coupled_pairs,
     dense_hamiltonian,
 )
-from .fock import Component, DomainError, Level, StateVector, Truncation, _layout, _total_j
+from .fock import Component, DomainError, Level, StateVector, Truncation, _layout, _real, _total_j
 
 __all__ = [
     "Pulse",
@@ -124,12 +124,8 @@ class Pulse:
     note: Component | None = None
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.x) or self.x < 0:
-            raise DomainError(f"pulse length x must be finite and >= 0, got {self.x!r}")
-        if not math.isfinite(self.theta):
-            raise DomainError(f"pulse phase theta must be finite, got {self.theta!r}")
-        object.__setattr__(self, "x", float(self.x))
-        object.__setattr__(self, "theta", wrap_angle(float(self.theta)))
+        object.__setattr__(self, "x", _real("pulse length x", self.x, non_negative=True))
+        object.__setattr__(self, "theta", wrap_angle(_real("pulse phase theta", self.theta)))
 
 
 class Direction(str, Enum):
@@ -190,39 +186,61 @@ class Schedule:
     The program is held as read-only columns, one entry per pulse: ``channel``
     (uint8 :class:`ChannelId` codes), ``x``, ``theta`` (float64) and ``note``
     (int32 basis index of the component the pulse nulls, -1 for none).  Both
-    constructors validate the columns, a note against the cutoff and the levels
-    its channel couples, and wrap the phases into (-pi, pi] in one place;
-    :attr:`pulses` gives :class:`Pulse` views back.
+    constructors validate the header and the columns, a note against the cutoff
+    and the levels its channel couples, and wrap the phases into (-pi, pi] in
+    one place; :attr:`pulses` gives :class:`Pulse` views back.
     """
 
     def __init__(
         self, pulses: Iterable[Pulse], lamb_dicke: LambDickeParams, truncation: Truncation,
-        direction: Direction, target: str = "",
+        direction: Direction | str, target: str = "",
     ) -> None:
         p = list(pulses)
+        self._set_header(lamb_dicke, truncation, direction, target)
         index = _layout(truncation.j_max).index  # a note outside gets dim, refused by _set
         note = [-1 if q.note is None else index.get(q.note, truncation.dim) for q in p]
-        columns = [q.channel for q in p], [q.x for q in p], [q.theta for q in p], note
-        self._set(*columns, lamb_dicke, truncation, direction, target)
+        self._set([q.channel for q in p], [q.x for q in p], [q.theta for q in p], note)
 
     @classmethod
     def from_columns(
         cls, channel: ArrayLike, x: ArrayLike, theta: ArrayLike, note: ArrayLike,
-        lamb_dicke: LambDickeParams, truncation: Truncation, direction: Direction, target: str = "",
+        lamb_dicke: LambDickeParams, truncation: Truncation, direction: Direction | str,
+        target: str = "",
     ) -> Schedule:
         """Build a schedule from its columns; arrays of the right dtype are kept,
-        not copied, and made read-only.  An error names the first bad pulse."""
+        not copied, and made read-only.  An error names the bad header field or
+        the first bad pulse."""
         self = cls.__new__(cls)
-        self._set(channel, x, theta, note, lamb_dicke, truncation, direction, target)
+        self._set_header(lamb_dicke, truncation, direction, target)
+        self._set(channel, x, theta, note)
         return self
 
-    def _set(self, channel, x, theta, note, lamb_dicke, truncation, direction, target) -> None:
+    def _set_header(self, lamb_dicke, truncation, direction, target) -> None:
+        """Check and keep the header: a ``direction`` given by its value becomes
+        the :class:`Direction` member."""
+        if not isinstance(lamb_dicke, LambDickeParams):
+            raise DomainError(f"lamb_dicke must be a LambDickeParams, got {lamb_dicke!r}")
+        if not isinstance(truncation, Truncation):
+            raise DomainError(f"truncation must be a Truncation, got {truncation!r}")
+        try:
+            direction = Direction(direction)
+        except ValueError:
+            raise DomainError(
+                f"direction must be 'deevolution' or 'preparation', got {direction!r}"
+            ) from None
+        if not isinstance(target, str):
+            raise DomainError(f"target must be a str, got {target!r}")
+        self.lamb_dicke, self.truncation = lamb_dicke, truncation
+        self.direction, self.target = direction, target
+
+    def _set(self, channel, x, theta, note) -> None:
+        """Check and keep the columns, against the header already kept."""
         channel, note = np.asarray(channel), np.asarray(note)
         x = np.asarray(x, dtype=np.float64)
         theta = np.asarray(theta, dtype=np.float64)
         if channel.ndim != 1 or not channel.shape == x.shape == theta.shape == note.shape:
             raise DomainError("schedule columns must be 1-D and of one length")
-        dim = truncation.dim
+        dim = self.truncation.dim
         _refuse("channel", channel, _outside(channel, 1, len(ChannelId)), "unknown channel code")
         x, theta = _lengths(x, theta)
         rule = f"basis index must be -1 or in [0, {dim})"
@@ -237,8 +255,6 @@ class Schedule:
         self.channel, self.x, self.theta, self.note = channel, x, theta, note
         for column in (self.channel, self.x, self.theta, self.note):
             column.flags.writeable = False
-        self.lamb_dicke, self.truncation = lamb_dicke, truncation
-        self.direction, self.target = direction, target
 
     def _with_lengths(self, x: np.ndarray, theta: np.ndarray) -> Schedule:
         """This program with float64 columns ``x`` and ``theta`` of its length in

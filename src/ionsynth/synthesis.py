@@ -76,6 +76,7 @@ from .fock import (
     Occupation,
     StateVector,
     Truncation,
+    _integer,
     _layout,
     _require_level_a_support,
     index_of,
@@ -365,7 +366,5 @@ def deevolve(
 def pulse_count_model(j_max: int) -> int:
     """Emitted pulse count at ``j_max``: the length of :func:`plan`, which
     needs no target, in closed form.  Grows as the cube of ``j_max``."""
-    if isinstance(j_max, bool) or not isinstance(j_max, (int, np.integer)) or j_max < 0:
-        raise DomainError(f"j_max must be a non-negative integer, got {j_max!r}")
-    j = int(j_max)
+    j = _integer("j_max", j_max, 0)
     return j * (8 * j * j + 27 * j + 31) // 6 + 1

@@ -1,11 +1,13 @@
 """Every name a module exports through ``__all__`` resolves, every name a
-module imports is used, and every private top-level name is read somewhere in
-the package and defined in one module only."""
+module imports is used, every private top-level name is read somewhere in
+the package and defined in one module only, and only ``fock`` words or
+applies the numeric-argument rules."""
 
 import ast
 import importlib
 import importlib.util
 import pkgutil
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -132,4 +134,82 @@ def test_private_name_check_sees_dead_and_doubled_names():
     }
     assert private_name_faults(sources) == [
         "unread: a._Gone", "unread: a._dead", "unread: b._LIMIT", "twice: _helper",
+    ]
+
+
+# The wording of the integer and real rules that ``fock`` owns.
+RULE_MESSAGE = re.compile(r"must be (an integer >=|a finite (non-negative )?real)")
+
+
+def _tests_bool(node: ast.AST) -> bool:
+    """Whether ``node`` is a call ``isinstance(..., bool)`` or ``isinstance(..., (..., bool))``."""
+    if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"):
+        return False
+    kinds = node.args[1:]
+    kinds = kinds[0].elts if kinds and isinstance(kinds[0], ast.Tuple) else kinds
+    return any(getattr(kind, "id", None) == "bool" for kind in kinds)
+
+
+def _format_checks(tree: ast.AST) -> set[ast.AST]:
+    """The ``isinstance`` calls in the test of an ``if`` whose body raises a
+    ``...FormatError``: a file's JSON-type check, which words a file error."""
+    calls = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.If) and any(
+            isinstance(stmt, ast.Raise)
+            and isinstance(stmt.exc, ast.Call)
+            and getattr(stmt.exc.func, "id", "").endswith("FormatError")
+            for stmt in node.body
+        ):
+            calls |= set(ast.walk(node.test))
+    return calls
+
+
+def rule_owner_faults(sources: dict[str, str]) -> list[str]:
+    """Outside ``fock``: each string holding a rule's wording, as
+    ``"message: module:line"``, and each ``isinstance(..., bool)`` test, as
+    ``"bool: module:line"``; ``files``' JSON-type checks may test for bool."""
+    faults = []
+    for module, source in sources.items():
+        if module == "fock":
+            continue
+        tree = ast.parse(source)
+        allowed = _format_checks(tree) if module == "files" else set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                if RULE_MESSAGE.search(node.value):
+                    faults.append(f"message: {module}:{node.lineno}")
+            elif _tests_bool(node) and node not in allowed:
+                faults.append(f"bool: {module}:{node.lineno}")
+    return faults
+
+
+def test_only_fock_words_or_applies_the_argument_rules():
+    sources = {path.stem: path.read_text() for path in SOURCES}
+    assert len(RULE_MESSAGE.findall(sources["fock"])) == 3  # integer, real, non-negative real
+    assert rule_owner_faults(sources) == []
+
+
+def test_rule_owner_check_sees_rules_outside_fock():
+    sources = {
+        "fock": (
+            "def _integer(name, value, low):\n"
+            "    if isinstance(value, bool) or value < low:\n"
+            "        raise DomainError(f'{name} must be an integer >= {low}')\n"
+        ),
+        "noise": (
+            "def run(n):\n"
+            "    if isinstance(n, (int, bool)):\n"
+            "        raise DomainError(f'n must be a finite non-negative real, got {n}')\n"
+        ),
+        "files": (
+            "def parse(v, where):\n"
+            "    if isinstance(v, bool):\n"
+            "        raise ScheduleFormatError(f'{where}: must be integers >= 0')\n"
+            "    if isinstance(v, bool):\n"
+            "        raise DomainError('must be a finite real')\n"
+        ),
+    }
+    assert rule_owner_faults(sources) == [
+        "bool: noise:2", "message: noise:3", "bool: files:4", "message: files:5",
     ]

@@ -1,0 +1,222 @@
+"""The numeric-argument rules ``fock`` owns, and the schedule header checks:
+every constructor input is refused with a DomainError, or builds a schedule
+that saves and loads exactly."""
+
+import math
+from functools import lru_cache
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ionsynth import (
+    ChannelId,
+    Direction,
+    DomainError,
+    LambDickeParams,
+    NoiseModel,
+    Pulse,
+    Schedule,
+    Truncation,
+    deevolve,
+    load_schedule,
+    nonlinearity,
+    perturb,
+    pulse_count_model,
+    save_schedule,
+    target_corr,
+)
+
+HUGE = 2**1100  # past the float range: float() of it raises OverflowError
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: Truncation(True), "j_max must be an integer >= 0, got True"),
+        (lambda: Truncation(-1), "j_max must be an integer >= 0, got -1"),
+        (lambda: pulse_count_model(np.int8(-2)), "j_max must be an integer >= 0, got np.int8(-2)"),
+        (lambda: LambDickeParams(True, 0.1, 0.2, 0.1),
+         "eps_x must be a finite non-negative real, got True"),
+        (lambda: LambDickeParams(HUGE), f"eps_x must be a finite non-negative real, got {HUGE}"),
+        (lambda: NoiseModel(True, 0.0), "delta must be a finite non-negative real, got True"),
+        (lambda: NoiseModel(0.0, -HUGE),
+         f"delta_theta must be a finite non-negative real, got {-HUGE}"),
+        (lambda: NoiseModel(HUGE), f"delta must be a finite non-negative real, got {HUGE}"),
+        (lambda: nonlinearity(True, 1), "eps must be a finite non-negative real, got True"),
+        (lambda: nonlinearity(HUGE, 1), f"eps must be a finite non-negative real, got {HUGE}"),
+        (lambda: nonlinearity(0.1, 2.5), "occupation must be an integer >= 0, got 2.5"),
+        (lambda: nonlinearity(0.1, True), "occupation must be an integer >= 0, got True"),
+        (lambda: Pulse(ChannelId.H1, HUGE, 0.0),
+         f"pulse length x must be a finite non-negative real, got {HUGE}"),
+        (lambda: Pulse(ChannelId.H1, -0.5, 0.0),
+         "pulse length x must be a finite non-negative real, got -0.5"),
+        (lambda: Pulse(ChannelId.H1, 0.5, -HUGE),
+         f"pulse phase theta must be a finite real, got {-HUGE}"),
+        (lambda: Pulse(ChannelId.H1, 0.5, math.nan),
+         "pulse phase theta must be a finite real, got nan"),
+        (lambda: Pulse(ChannelId.H1, False, 0.0),
+         "pulse length x must be a finite non-negative real, got False"),
+    ],
+)
+def test_a_bool_or_a_value_past_the_float_range_is_a_domain_error(make, message):
+    """Neither a bool nor an OverflowError gets through: each raises the
+    rule's DomainError, word for word."""
+    with pytest.raises(DomainError) as err:
+        make()
+    assert str(err.value) == message
+
+
+def test_numpy_integers_and_reals_are_taken_as_python_numbers():
+    t = Truncation(np.int64(3))
+    assert t == Truncation(3) and type(t.j_max) is int
+    assert pulse_count_model(np.int64(3)) == pulse_count_model(3) == 93
+    ld = LambDickeParams(np.float64(0.3), 0, np.float32(0.25), np.int16(0))
+    assert ld == LambDickeParams(0.3, 0.0, 0.25, 0.0)
+    assert {type(eps) for eps in (ld.eps_x, ld.eps_y, ld.eps_z, ld.eps_carrier)} == {float}
+    nm = NoiseModel(np.float64(0.03), 0)
+    assert (nm.delta, nm.delta_theta) == (0.03, 0.0) and type(nm.delta_theta) is float
+    assert nonlinearity(0.3, np.int64(4)) == nonlinearity(0.3, 4)
+
+
+LD = LambDickeParams()
+
+
+@pytest.mark.parametrize(
+    "header, message",
+    [
+        ((LD, Truncation(2), "prep", ""),
+         "direction must be 'deevolution' or 'preparation', got 'prep'"),
+        ((LD, Truncation(2), None, ""),
+         "direction must be 'deevolution' or 'preparation', got None"),
+        ((LD, Truncation(2), Direction.PREPARATION, 5), "target must be a str, got 5"),
+        ((LD, Truncation(2), Direction.PREPARATION, None), "target must be a str, got None"),
+        (((0.3, 0.1, 0.2, 0.1), Truncation(2), Direction.PREPARATION, ""),
+         "lamb_dicke must be a LambDickeParams, got (0.3, 0.1, 0.2, 0.1)"),
+        ((LD, 2, Direction.PREPARATION, ""), "truncation must be a Truncation, got 2"),
+    ],
+)
+def test_schedule_header_is_checked_at_construction(header, message):
+    """Both constructors refuse a header that ``save_schedule`` could not
+    write or ``load_schedule`` would refuse, naming the field."""
+    pulse = Pulse(ChannelId.H2, 0.5, 0.25)
+    with pytest.raises(DomainError) as err:
+        Schedule([pulse], *header)
+    assert str(err.value) == message
+    with pytest.raises(DomainError) as err:
+        Schedule.from_columns([2], [0.5], [0.25], [-1], *header)
+    assert str(err.value) == message
+
+
+@pytest.fixture(scope="module")
+def scratch_dir(tmp_path_factory):
+    """One directory for the round trips below, which rewrite their file."""
+    return tmp_path_factory.mktemp("arguments")
+
+
+def assert_round_trip(schedule, path):
+    """``load_schedule(save_schedule(s)) == s``, and saving again gives the same bytes."""
+    save_schedule(schedule, path)
+    saved = path.read_bytes()
+    loaded = load_schedule(path)
+    assert loaded == schedule
+    save_schedule(loaded, path)
+    assert path.read_bytes() == saved
+
+
+def test_a_direction_given_by_value_is_kept_as_the_member(scratch_dir):
+    schedule = Schedule([Pulse(ChannelId.H2, 0.5, 0.25)], LD, Truncation(2), "preparation")
+    assert schedule.direction is Direction.PREPARATION
+    assert_round_trip(schedule, scratch_dir / "by-value.json")
+
+
+def test_integer_lamb_dicke_values_and_numpy_cutoffs_save_and_reload_the_same_bytes(scratch_dir):
+    """Integers and NumPy numbers are stored as the floats and ints a load
+    gives back, so a re-save writes the same bytes."""
+    schedule = Schedule([Pulse(ChannelId.H2, 1, 0)], LambDickeParams(0, 0, 0, 0),
+                        Truncation(np.uint8(1)), Direction.DEEVOLUTION, "t")
+    assert_round_trip(schedule, scratch_dir / "ints.json")
+
+
+# --- Every constructor input refuses or round-trips --------------------------
+
+GOOD_REALS = st.one_of(
+    st.floats(0.0, 0.9), st.integers(0, 0), st.floats(0.0, 0.9).map(np.float64),
+)
+BAD_REALS = st.one_of(
+    st.booleans(),
+    st.sampled_from([math.nan, math.inf, -math.inf, HUGE, -HUGE]),
+    st.floats(max_value=-1e-300, allow_infinity=False),
+    st.integers(max_value=-1),
+    st.none(),
+    st.text(max_size=3),
+)
+REALS = st.one_of(GOOD_REALS, BAD_REALS)
+WIDTHS = st.one_of(st.floats(0.0, 10.0), st.integers(0, 3), BAD_REALS)
+J_MAXES = st.one_of(
+    st.integers(-3, 3),
+    st.integers(0, 3).map(np.int64),
+    st.integers(0, 3).map(np.uint8),
+    st.booleans(),
+    st.floats(-1.0, 4.0),
+    st.integers(41, 10**30),
+)
+DIRECTIONS = st.one_of(
+    st.sampled_from(list(Direction)),
+    st.sampled_from([d.value for d in Direction]),
+    st.text(max_size=12),
+    st.integers(),
+    st.none(),
+)
+TARGETS = st.one_of(st.text(max_size=20), st.integers(), st.none(), st.binary(max_size=3))
+
+
+def built(make, *args):
+    """``make(*args)``, or None if it raises DomainError; any other error fails."""
+    try:
+        return make(*args)
+    except DomainError:
+        return None
+
+
+@lru_cache(maxsize=None)
+def preparation(truncation, ld):
+    return deevolve(target_corr(1.0, truncation).state, ld).preparation
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    j_max=J_MAXES,
+    eps=st.tuples(REALS, REALS, REALS, REALS),
+    widths=st.tuples(WIDTHS, WIDTHS),
+    length=st.tuples(REALS, REALS),
+    direction=DIRECTIONS,
+    target=TARGETS,
+    ld_as_tuple=st.booleans(),
+)
+def test_every_constructor_input_refuses_or_round_trips(
+    j_max, eps, widths, length, direction, target, ld_as_tuple, scratch_dir
+):
+    """Each constructor either raises DomainError or builds a value that goes
+    into a J_max <= 3 preparation which saves and loads exactly, with the same
+    bytes on a re-save.  A refused cutoff or point is replaced by a valid one,
+    so the other inputs are still tried."""
+    path = scratch_dir / "drawn.json"
+    truncation = built(Truncation, j_max) or Truncation(1)
+    ld = built(LambDickeParams, *eps) or LD
+    prep = preparation(truncation, ld)
+    assert_round_trip(prep, path)
+
+    header = (eps if ld_as_tuple else ld, truncation, direction, target)
+    drawn = built(Schedule.from_columns, prep.channel, prep.x, prep.theta, prep.note, *header)
+    if drawn is not None:
+        assert_round_trip(drawn, path)
+
+    noise = built(NoiseModel, *widths)
+    if noise is not None:
+        assert_round_trip(perturb(prep, noise, np.random.default_rng(0)), path)
+
+    pulse = built(Pulse, ChannelId.H2, *length)
+    if pulse is not None:
+        assert_round_trip(Schedule([pulse], ld, truncation, Direction.PREPARATION), path)

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 import tracemalloc
 from unittest import mock
 
@@ -877,6 +878,77 @@ def test_documents_that_only_look_unclean_load_the_same_from_both_readers(tmp_pa
             assert files._stream_schedule(path) == files._load_whole(path)
         path.write_text(_small_doc_text().replace('"i": 1,', '"i": 1, "extra": {"a": 1},'))
         assert load_schedule(path) == files._load_whole(path)
+
+
+def _timed_outcomes(path, chars):
+    """``load_schedule``'s outcome and its time at read size ``chars``, then
+    ``_load_whole``'s outcome."""
+    with mock.patch.object(files, "_CHARS_PER_READ", chars):
+        start = time.perf_counter()
+        streamed = _outcome(load_schedule, path)
+        elapsed = time.perf_counter() - start
+    return streamed, elapsed, _outcome(files._load_whole, path)
+
+
+def test_an_entry_longer_than_many_reads_is_scanned_in_linear_time(tmp_path):
+    """Each read searches only the characters it added, and the one before,
+    for the "}," that ends an entry: a note nested 100,000 deep (200,000 characters) at one character
+    per read took 10-21 s when every read searched the whole entry again."""
+    path = tmp_path / "nested.json"
+    nested = "[" * 10**5 + "]" * 10**5
+    path.write_text(_small_doc_text().replace('"note": null', '"note": ' + nested))
+    streamed, elapsed, whole = _timed_outcomes(path, 1)
+    assert streamed == whole
+    assert whole[0] is ScheduleFormatError and "invalid JSON" in whole[1]
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ('"target": ""', '"target": "' + "t" * 200_000 + '"'),
+        ('"pulses": [', '"pulses"' + " " * 200_000 + ": ["),
+    ],
+    ids=["long-target", "long-space-after-the-key"],
+)
+def test_a_header_longer_than_many_reads_is_scanned_in_linear_time(tmp_path, old, new):
+    """Each read searches for the "pulses" key only from where a match that
+    ends in it can start, and only if it holds a "[": a 200,000-character
+    target at 64 characters per read took 5-6 s when every read searched the
+    whole header again, and 200,000 spaces after the key took 10 s when every
+    read searched them again."""
+    path = tmp_path / "long-header.json"
+    path.write_text(_small_doc_text().replace(old, new))
+    streamed, elapsed, whole = _timed_outcomes(path, 64)
+    assert streamed == whole
+    assert isinstance(whole, Schedule) and len(whole) == 3
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("chars", [1, 2])
+def test_an_entry_end_split_across_reads_still_cuts_a_batch(tmp_path, chars):
+    """A "}," whose two characters arrive in two reads still ends a batch, so
+    at one or two characters per read each entry is a batch of its own."""
+    schedule = deevolve(target_ghz(1, Truncation(2)).state).preparation
+    path = tmp_path / "ghz2.json"
+    save_schedule(schedule, path)
+    with mock.patch.object(files, "_pulse_columns", wraps=files._pulse_columns) as spy:
+        with mock.patch.object(files, "_CHARS_PER_READ", chars):
+            assert files._stream_schedule(path) == schedule
+    assert [len(call.args[0]) for call in spy.call_args_list] == [1] * len(schedule)
+
+
+@pytest.mark.parametrize("chars", [1, 2, 3, 7, 8, 9, 31])
+def test_a_key_split_by_long_whitespace_is_found_at_any_read_size(tmp_path, chars):
+    """The "pulses" key with runs of whitespace longer than a read around its
+    colon still streams, however the reads cut it."""
+    path = tmp_path / "spaced.json"
+    key = '"pulses"' + " \n\t\r" * 9 + ":" + " " * 40 + "["
+    path.write_text(_small_doc_text().replace('"pulses": [', key))
+    want = files._load_whole(path)
+    with mock.patch.object(files, "_load_whole", side_effect=AssertionError("fell back")):
+        with mock.patch.object(files, "_CHARS_PER_READ", chars):
+            assert load_schedule(path) == want
 
 
 @st.composite
