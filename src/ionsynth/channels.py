@@ -45,13 +45,16 @@ import numpy as np
 from scipy.special import eval_genlaguerre
 
 from .fock import (
+    J_MAX_CAP,
     Component,
+    DomainError,
     Level,
     Occupation,
     Truncation,
     _integer,
     _layout,
     _real,
+    _shown,
     _vib_index,
     enumerate_basis,
     index_of,
@@ -162,6 +165,8 @@ def nonlinearity(eps: float, n: int) -> float:
     underflows it is 0, its limit, even where L1_n(eps**2) overflows.
     """
     eps, n = _real("eps", eps, non_negative=True), _integer("occupation", n, 0)
+    if n > J_MAX_CAP:  # no basis holds more quanta, and L1_n costs O(n)
+        raise DomainError(f"occupation {_shown(n)} exceeds the cap of {J_MAX_CAP}")
     x = eps * eps
     damping = math.exp(-0.5 * x)
     if damping == 0.0:

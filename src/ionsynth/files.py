@@ -41,10 +41,11 @@ array that do not parse or fail a check, a ``"pulses"`` match that is not a
 top-level key or a second top-level ``"pulses"``, a ``"jmax"`` after the array,
 bad UTF-8 and deep nesting.
 
-The loaders check clean notes and target components as whole columns, and any
-others entry by entry through :func:`_parse_note` or :func:`_check_components`,
-which word every fault.  An error names the first bad entry: ``pulses[i].<field>``
-in a schedule, ``[i].<field>`` in a target.
+The schedule loaders check clean notes as a whole column, and any others note
+by note through :func:`_parse_note`, which words every fault; target
+components are checked entry by entry through :func:`_check_components`.  An
+error names the first bad entry: ``pulses[i].<field>`` in a schedule,
+``[i].<field>`` in a target.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ import json
 import os
 import re
 from itertools import chain, count, islice
-from operator import itemgetter
 from typing import Any, Iterator
 
 import numpy as np
@@ -159,20 +159,12 @@ def save_schedule(schedule: Schedule, path: str | os.PathLike[str]) -> None:
         f.write("\n  ]\n}\n" if len(schedule) else "]\n}\n")
 
 
-def _field(entries: list[dict[str, Any]], key: str, default: Any) -> list[Any]:
-    """Field ``key`` of every entry, ``default`` where an entry lacks it."""
-    try:
-        return list(map(itemgetter(key), entries))
-    except KeyError:
-        return [entry.get(key, default) for entry in entries]
-
-
 def _column(
     entries: list[Any], key: str, kinds: tuple[type, ...], where: str = "pulses[{}].", base: int = 0
 ) -> list[Any]:
     """Field ``key`` of every entry, each value of a type in ``kinds``; the
     entries are numbered from ``base``."""
-    values = _field(entries, key, _MISSING)
+    values = [entry.get(key, _MISSING) for entry in entries]
     if not set(map(type, values)) <= set(kinds):
         i, value = next((i, v) for i, v in enumerate(values, base) if type(v) not in kinds)
         problem = "missing" if value is _MISSING else f"unexpected type {type(value).__name__}"
@@ -326,7 +318,7 @@ def _pulse_columns(entries: list[Any], j_max: int, base: int = 0) -> tuple[np.nd
     x = _reals(entries, "x", base=base)
     theta = _reals(entries, "theta", base=base)
     channel = np.array(list(map(_CHANNEL_CODES.__getitem__, names)), dtype=np.uint8)
-    return channel, x, theta, _notes(_field(entries, "note", None), j_max, base)
+    return channel, x, theta, _notes([entry.get("note") for entry in entries], j_max, base)
 
 
 def _schedule(columns: tuple[np.ndarray, ...], *header: Any) -> Schedule:
@@ -463,23 +455,6 @@ def _check_components(doc: list[Any], truncation: Truncation) -> tuple[np.ndarra
     return np.array(index, dtype=np.intp), np.array(list(entries.values()), dtype=np.complex128)
 
 
-def _components(doc: list[Any], truncation: Truncation) -> tuple[np.ndarray, np.ndarray]:
-    """Each target entry's basis index and amplitude, checked whole if clean."""
-    try:
-        if not set(map(type, doc)) <= {dict}:
-            raise _Unclean
-        vib = _vib_index(*_occupations(_flatten_rows(_field(doc, "n", None), 3), truncation.j_max))
-        parts = [part for item in doc for part in (item.get("re"), item.get("im"))]
-        if not set(map(type, parts)) <= {int, float}:
-            raise _Unclean
-        values = np.array(parts, dtype=np.float64).view(np.complex128)  # re, im pairs
-        if not np.isfinite(values).all() or len(set(vib.tolist())) < len(doc):
-            raise _Unclean
-    except (_Unclean, OverflowError):  # OverflowError: an int past intp or the float range
-        return _check_components(doc, truncation)
-    return len(Level) * vib + Level.A, values
-
-
 def load_target(path: str | os.PathLike[str], truncation: Truncation) -> Target:
     """Read a component-list target file and validate it against ``truncation``."""
     doc = _read_json(path, TargetFormatError)
@@ -487,7 +462,7 @@ def load_target(path: str | os.PathLike[str], truncation: Truncation) -> Target:
         raise TargetFormatError("top level: expected an array of components")
     if not doc:
         raise TargetFormatError("target file holds no components")
-    index, values = _components(doc, truncation)
+    index, values = _check_components(doc, truncation)
     amps = np.zeros(truncation.dim, dtype=np.complex128)
     amps[index] = values
     with np.errstate(over="ignore"):  # |amplitude| past sqrt(max float) squares to inf

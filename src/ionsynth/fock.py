@@ -23,7 +23,10 @@ calls: :func:`_integer` takes an ``int`` or a NumPy integer, never a ``bool``,
 at or above a bound, and returns an ``int``; :func:`_real` takes a real number,
 never a ``bool``, that is finite as a float (and, if asked, >= 0), and returns
 that float.  A value either rule refuses raises :class:`DomainError`, so an
-integer past the float range is refused, not an ``OverflowError``.
+integer past the float range is refused, not an ``OverflowError``.  Every
+message that shows a caller's value shows it through :func:`_shown`, so one
+that Python will not print (an integer of more than 4,300 digits) is still
+refused by a :class:`DomainError`.
 """
 
 from __future__ import annotations
@@ -59,10 +62,18 @@ class DomainError(ValueError):
     """An argument is outside the domain an operation is defined on."""
 
 
+def _shown(value: object, show=repr) -> str:
+    """``show(value)``, or a placeholder for a value it refuses."""
+    try:
+        return show(value)
+    except ValueError:  # an integer past the digit limit of int-to-str conversion
+        return f"<{type(value).__name__} too long to print>"
+
+
 def _integer(name: str, value: object, low: int) -> int:
     """``value`` as an ``int``: an ``int`` or NumPy integer, not a ``bool``, >= ``low``."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
-        raise DomainError(f"{name} must be an integer >= {low}, got {value!r}")
+        raise DomainError(f"{name} must be an integer >= {low}, got {_shown(value)}")
     return int(value)
 
 
@@ -76,9 +87,9 @@ def _real(name: str, value: object, non_negative: bool = False) -> float:
         except OverflowError:  # an integer or fraction past the float range
             pass
     if non_negative and not (math.isfinite(number) and number >= 0):
-        raise DomainError(f"{name} must be a finite non-negative real, got {value!r}")
+        raise DomainError(f"{name} must be a finite non-negative real, got {_shown(value)}")
     if not math.isfinite(number):
-        raise DomainError(f"{name} must be a finite real, got {value!r}")
+        raise DomainError(f"{name} must be a finite real, got {_shown(value)}")
     return number
 
 
@@ -99,7 +110,7 @@ class Level(IntEnum):
         try:
             return cls[label.upper()]
         except (KeyError, AttributeError):
-            raise DomainError(f"unknown electronic level {label!r}") from None
+            raise DomainError(f"unknown electronic level {_shown(label)}") from None
 
 
 class Occupation(NamedTuple):
@@ -139,7 +150,7 @@ class Truncation:
     def __post_init__(self) -> None:
         object.__setattr__(self, "j_max", _integer("j_max", self.j_max, 0))
         if self.j_max > J_MAX_CAP:
-            raise DomainError(f"j_max {self.j_max} exceeds the cap of {J_MAX_CAP}")
+            raise DomainError(f"j_max {_shown(self.j_max)} exceeds the cap of {J_MAX_CAP}")
 
     @property
     def dim(self) -> int:
@@ -190,7 +201,7 @@ def index_of(component: Component, truncation: Truncation) -> int:
         return _layout(truncation.j_max).index[component]
     except KeyError:
         raise DomainError(
-            f"component {component!r} is not inside the truncation j_max={truncation.j_max}"
+            f"component {_shown(component)} is not inside the truncation j_max={truncation.j_max}"
         ) from None
 
 
@@ -203,7 +214,7 @@ def component_of(index: int, truncation: Truncation) -> Component:
     """Inverse of :func:`index_of`."""
     basis = _layout(truncation.j_max).basis
     if not 0 <= index < len(basis):
-        raise DomainError(f"basis index {index} out of range [0, {len(basis)})")
+        raise DomainError(f"basis index {_shown(index, str)} out of range [0, {len(basis)})")
     return basis[index]
 
 

@@ -86,7 +86,9 @@ from .channels import (
     coupled_pairs,
     dense_hamiltonian,
 )
-from .fock import Component, DomainError, Level, StateVector, Truncation, _layout, _real, _total_j
+from .fock import (
+    Component, DomainError, Level, StateVector, Truncation, _layout, _real, _shown, _total_j,
+)
 
 __all__ = [
     "Pulse",
@@ -148,6 +150,10 @@ for _spec in CHANNELS.values():
     _COUPLES[_spec.cid, [_spec.lower_level, _spec.upper_level]] = True
 
 
+_LENGTH_RULE = "pulse length must be finite and >= 0"
+_PHASE_RULE = "pulse phase must be finite"
+
+
 def _outside(column: np.ndarray, low: int, high: int) -> np.ndarray:
     """Which entries are not integers in [low, high], found before narrowing."""
     if column.dtype.kind not in "iu":  # float, bool or object: entry by entry
@@ -159,15 +165,27 @@ def _refuse(name: str, column: np.ndarray, bad: np.ndarray, rule: str) -> None:
     """Raise the error that names the first ``bad`` entry of a column, if any."""
     if bad.any():
         i = int(np.flatnonzero(bad)[0])
-        raise DomainError(f"pulses[{i}].{name}: {rule}, got {column.tolist()[i]!r}")
+        raise DomainError(f"pulses[{i}].{name}: {rule}, got {_shown(column.tolist()[i])}")
 
 
-def _lengths(x: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Float64 columns ``x`` and ``theta``, checked, with the phases wrapped
-    into (-pi, pi]."""
-    _refuse("x", x, ~(np.isfinite(x) & (x >= 0.0)), "pulse length must be finite and >= 0")
-    _refuse("theta", theta, ~np.isfinite(theta), "pulse phase must be finite")
-    return x, _wrap_angles(theta)
+def _overflows(value: object) -> bool:
+    """Whether ``float(value)`` overflows."""
+    try:
+        float(value)
+    except OverflowError:
+        return True
+    return False
+
+
+def _floats(name: str, column: ArrayLike, rule: str) -> np.ndarray:
+    """``column`` as float64; an entry past the float range breaks ``rule``,
+    and the error names it."""
+    try:
+        return np.asarray(column, dtype=np.float64)
+    except OverflowError:
+        raw = np.asarray(column, dtype=object).ravel()
+        _refuse(name, raw, np.array(list(map(_overflows, raw.tolist()))), rule)
+        raise
 
 
 def _note_components(note: Iterable[int], j_max: int) -> Iterator[Component | None]:
@@ -219,52 +237,43 @@ class Schedule:
         """Check and keep the header: a ``direction`` given by its value becomes
         the :class:`Direction` member."""
         if not isinstance(lamb_dicke, LambDickeParams):
-            raise DomainError(f"lamb_dicke must be a LambDickeParams, got {lamb_dicke!r}")
+            raise DomainError(f"lamb_dicke must be a LambDickeParams, got {_shown(lamb_dicke)}")
         if not isinstance(truncation, Truncation):
-            raise DomainError(f"truncation must be a Truncation, got {truncation!r}")
+            raise DomainError(f"truncation must be a Truncation, got {_shown(truncation)}")
         try:
             direction = Direction(direction)
         except ValueError:
             raise DomainError(
-                f"direction must be 'deevolution' or 'preparation', got {direction!r}"
+                f"direction must be 'deevolution' or 'preparation', got {_shown(direction)}"
             ) from None
         if not isinstance(target, str):
-            raise DomainError(f"target must be a str, got {target!r}")
+            raise DomainError(f"target must be a str, got {_shown(target)}")
         self.lamb_dicke, self.truncation = lamb_dicke, truncation
         self.direction, self.target = direction, target
 
     def _set(self, channel, x, theta, note) -> None:
         """Check and keep the columns, against the header already kept."""
         channel, note = np.asarray(channel), np.asarray(note)
-        x = np.asarray(x, dtype=np.float64)
-        theta = np.asarray(theta, dtype=np.float64)
+        x = _floats("x", x, _LENGTH_RULE)
+        theta = _floats("theta", theta, _PHASE_RULE)
         if channel.ndim != 1 or not channel.shape == x.shape == theta.shape == note.shape:
             raise DomainError("schedule columns must be 1-D and of one length")
         dim = self.truncation.dim
         _refuse("channel", channel, _outside(channel, 1, len(ChannelId)), "unknown channel code")
-        x, theta = _lengths(x, theta)
+        _refuse("x", x, ~(np.isfinite(x) & (x >= 0.0)), _LENGTH_RULE)
+        _refuse("theta", theta, ~np.isfinite(theta), _PHASE_RULE)
         rule = f"basis index must be -1 or in [0, {dim})"
         _refuse("note", note, _outside(note, -1, dim - 1), rule)
         channel, note = channel.astype(np.uint8, copy=False), note.astype(np.int32, copy=False)
-        # _COUPLES[channel, level of note] as one flat lookup, faster than 2-D.
-        coupled = _COUPLES.take(len(Level) * channel + (note & 3)) | (note == -1)
+        level = note % len(Level)
+        coupled = _COUPLES[channel, level] | (note == -1)
         if not coupled.all():
             i = int(np.argmin(coupled))
-            level, name = Level(note[i] & 3).label, ChannelId(channel[i]).name
+            level, name = Level(level[i]).label, ChannelId(channel[i]).name
             raise DomainError(f"pulses[{i}].note: level {level} is not coupled by channel {name}")
-        self.channel, self.x, self.theta, self.note = channel, x, theta, note
+        self.channel, self.x, self.theta, self.note = channel, x, _wrap_angles(theta), note
         for column in (self.channel, self.x, self.theta, self.note):
             column.flags.writeable = False
-
-    def _with_lengths(self, x: np.ndarray, theta: np.ndarray) -> Schedule:
-        """This program with float64 columns ``x`` and ``theta`` of its length in
-        place of its own.  Only they are checked, and ``theta`` wrapped: the
-        channel and note columns, checked already, are shared."""
-        new = Schedule.__new__(Schedule)
-        new.__dict__.update(self.__dict__)
-        new.x, new.theta = _lengths(x, theta)
-        new.x.flags.writeable = new.theta.flags.writeable = False
-        return new
 
     @property
     def pulses(self) -> tuple[Pulse, ...]:
@@ -367,6 +376,18 @@ def _replay(
     occupied = np.flatnonzero(flat.reshape(k, dim).any(axis=0))
     frontier = int(_total_j(occupied[-1], truncation)) if occupied.size else 0
     tables = {code: _pair_table(ChannelId(code), truncation, ld) for code in set(codes)}
+    # Every x*Omega must be finite, or its cos and sin make the amplitudes NaN.
+    peak = np.zeros(len(ChannelId) + 1)
+    for code, table in tables.items():
+        peak[code] = np.abs(table.omega_distinct).max(initial=0.0)
+    with np.errstate(over="ignore"):
+        finite = np.isfinite(lengths.reshape(-1, k) * peak[live_channel, np.newaxis]).all(axis=1)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise DomainError(
+            f"pulses[{live[i]}]: length x times the largest |Omega| of channel "
+            f"{ChannelId(codes[i]).name} overflows"
+        )
     # The frontier rises after each lifting (H9) pulse until it reaches j_max,
     # so the segments of one frontier end after those pulses.
     lifts = (np.flatnonzero(live_channel == ChannelId.H9) + 1).tolist()
@@ -445,7 +466,7 @@ def solve_kill_lower(q_lower: complex, q_upper: complex, omega: float) -> tuple[
     with x*omega in [0, pi/2].  A zero lower amplitude needs no pulse: (0, 0).
     """
     if omega <= 0.0:
-        raise DomainError(f"omega must be positive, got {omega!r}")
+        raise DomainError(f"omega must be positive, got {_shown(omega)}")
     if q_lower == 0:
         return 0.0, 0.0
     theta = wrap_angle(cmath.phase(q_lower) - cmath.phase(q_upper) - 0.5 * math.pi)
@@ -460,7 +481,7 @@ def solve_kill_upper(q_lower: complex, q_upper: complex, omega: float) -> tuple[
     with x*omega in [0, pi/2].  A zero upper amplitude needs no pulse: (0, 0).
     """
     if omega <= 0.0:
-        raise DomainError(f"omega must be positive, got {omega!r}")
+        raise DomainError(f"omega must be positive, got {_shown(omega)}")
     if q_upper == 0:
         return 0.0, 0.0
     theta = wrap_angle(cmath.phase(q_lower) - cmath.phase(q_upper) + 0.5 * math.pi)

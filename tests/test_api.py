@@ -1,7 +1,8 @@
 """Every name a module exports through ``__all__`` resolves, every name a
 module imports is used, every private top-level name is read somewhere in
-the package and defined in one module only, and only ``fock`` words or
-applies the numeric-argument rules."""
+the package and defined in one module only, only ``fock`` words or
+applies the numeric-argument rules, and a ``Schedule`` is built only through
+its two constructors."""
 
 import ast
 import importlib
@@ -212,4 +213,66 @@ def test_rule_owner_check_sees_rules_outside_fock():
     }
     assert rule_owner_faults(sources) == [
         "bool: noise:2", "message: noise:3", "bool: files:4", "message: files:5",
+    ]
+
+
+def construction_faults(sources: dict[str, str]) -> list[str]:
+    """Each ``__new__`` call that may build a ``Schedule`` outside
+    ``Schedule.from_columns``, as ``"__new__: module:line"``, and each
+    ``__dict__.update`` call, as ``"__dict__.update: module:line"``.  A call may
+    build one if it sits in the ``Schedule`` class or names ``Schedule``."""
+    faults = []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        inside, allowed = set(), set()
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef) and cls.name == "Schedule":
+                inside |= set(ast.walk(cls))
+                for fn in cls.body:
+                    if isinstance(fn, ast.FunctionDef) and fn.name == "from_columns":
+                        allowed |= set(ast.walk(fn))
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+                continue
+            names = {n.id for part in (node.func.value, *node.args) for n in ast.walk(part)
+                     if isinstance(n, ast.Name)}
+            if node.func.attr == "__new__" and (node in inside or "Schedule" in names):
+                if node not in allowed:
+                    faults.append(f"__new__: {module}:{node.lineno}")
+            elif node.func.attr == "update" and getattr(node.func.value, "attr", None) == "__dict__":
+                faults.append(f"__dict__.update: {module}:{node.lineno}")
+    return faults
+
+
+def test_a_schedule_is_built_only_through_its_constructors():
+    """Every schedule passes ``Schedule._set``: none is made by ``__new__``
+    outside ``from_columns`` or has its attributes copied in."""
+    sources = {path.stem: path.read_text() for path in SOURCES}
+    assert construction_faults(sources) == []
+
+
+def test_construction_check_sees_schedules_built_around_the_constructors():
+    sources = {
+        "pulses": (
+            "class Schedule:\n"
+            "    @classmethod\n"
+            "    def from_columns(cls):\n"
+            "        return cls.__new__(cls)\n"
+            "    def copy(self):\n"
+            "        new = type(self).__new__(type(self))\n"
+            "        new.__dict__.update(self.__dict__)\n"
+            "        return new\n"
+            "class StateVector:\n"
+            "    @classmethod\n"
+            "    def _wrap(cls):\n"
+            "        return cls.__new__(cls)\n"
+        ),
+        "noise": (
+            "def perturb(s):\n"
+            "    views = map(object.__new__, [Pulse])\n"
+            "    return object.__new__(Schedule), Schedule.__new__(Schedule)\n"
+        ),
+    }
+    assert construction_faults(sources) == [
+        "__new__: pulses:6", "__dict__.update: pulses:7", "__new__: noise:3", "__new__: noise:3",
     ]

@@ -3,6 +3,7 @@ every constructor input is refused with a DomainError, or builds a schedule
 that saves and loads exactly."""
 
 import math
+import time
 from functools import lru_cache
 
 import numpy as np
@@ -12,14 +13,19 @@ from hypothesis import strategies as st
 
 from ionsynth import (
     ChannelId,
+    Component,
     Direction,
     DomainError,
     LambDickeParams,
+    Level,
     NoiseModel,
+    Occupation,
     Pulse,
     Schedule,
     Truncation,
+    component_of,
     deevolve,
+    index_of,
     load_schedule,
     nonlinearity,
     perturb,
@@ -27,6 +33,7 @@ from ionsynth import (
     save_schedule,
     target_corr,
 )
+from ionsynth.fock import J_MAX_CAP
 
 HUGE = 2**1100  # past the float range: float() of it raises OverflowError
 
@@ -107,6 +114,59 @@ def test_schedule_header_is_checked_at_construction(header, message):
     with pytest.raises(DomainError) as err:
         Schedule.from_columns([2], [0.5], [0.25], [-1], *header)
     assert str(err.value) == message
+
+
+UNPRINTABLE = 10**5000  # past the digit limit of int-to-str: repr() of it raises ValueError
+PREPARATION = (LD, Truncation(2), Direction.PREPARATION)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Truncation(UNPRINTABLE),
+        lambda: LambDickeParams(UNPRINTABLE),
+        lambda: NoiseModel(UNPRINTABLE),
+        lambda: nonlinearity(0.1, UNPRINTABLE),
+        lambda: Pulse(ChannelId.H1, UNPRINTABLE, 0.0),
+        lambda: Schedule.from_columns([UNPRINTABLE], [0.5], [0.25], [-1], *PREPARATION),
+        lambda: Schedule.from_columns([2], [UNPRINTABLE], [0.25], [-1], *PREPARATION),
+        lambda: Schedule.from_columns([2], [0.5], [0.25], [UNPRINTABLE], *PREPARATION),
+        lambda: Schedule.from_columns([2], [0.5], [0.25], [-1], *PREPARATION, UNPRINTABLE),
+        lambda: component_of(UNPRINTABLE, Truncation(2)),
+        lambda: index_of(Component(Occupation(UNPRINTABLE, 0, 0), Level.A), Truncation(2)),
+    ],
+)
+def test_a_refused_value_python_cannot_print_is_still_a_domain_error(make):
+    """The message shows a placeholder where ``repr`` of the value raises."""
+    with pytest.raises(DomainError, match="too long to print"):
+        make()
+
+
+@pytest.mark.parametrize("value", [HUGE, -HUGE], ids=["huge", "-huge"])
+@pytest.mark.parametrize(
+    "column, rule", [("x", "pulse length must be finite and >= 0"),
+                     ("theta", "pulse phase must be finite")], ids=["x", "theta"],
+)
+def test_from_columns_names_a_column_entry_past_the_float_range(column, rule, value):
+    """Not an OverflowError from the float64 conversion: the first such entry
+    is named as any other bad entry is."""
+    columns = {"x": [0.5, 0.5, 0.5], "theta": [0.25, 0.25, 0.25]}
+    columns[column][1:] = [value, value]
+    with pytest.raises(DomainError) as err:
+        Schedule.from_columns([2, 2, 2], columns["x"], columns["theta"], [-1] * 3, *PREPARATION)
+    assert str(err.value) == f"pulses[1].{column}: {rule}, got {value}"
+
+
+@pytest.mark.parametrize("n", [J_MAX_CAP + 1, 2**40, 2**64])
+def test_nonlinearity_refuses_an_occupation_past_the_cap_at_once(n):
+    """No basis holds more than J_MAX_CAP quanta, and the Laguerre recurrence
+    costs O(n): 2**40 would not return, and 2**64 overflowed."""
+    start = time.perf_counter()
+    with pytest.raises(DomainError) as err:
+        nonlinearity(0.1, n)
+    assert time.perf_counter() - start < 1.0
+    assert str(err.value) == f"occupation {n} exceeds the cap of {J_MAX_CAP}"
+    assert 0.0 < nonlinearity(0.1, J_MAX_CAP) < 1.0
 
 
 @pytest.fixture(scope="module")

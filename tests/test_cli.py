@@ -4,7 +4,7 @@ import io
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ionsynth import cli, load_schedule
@@ -513,8 +513,24 @@ def ghz2(tmp_path_factory):
     return path, json.loads(path.read_text())
 
 
+class Draws:
+    """Stands in for ``st.data()`` in an ``@example``: gives the listed draws in turn."""
+
+    def __init__(self, *draws):
+        self.draws, self.count = draws, 0
+
+    def draw(self, strategy):
+        self.count += 1
+        return self.draws[(self.count - 1) % len(self.draws)]
+
+
+# A length whose product with the largest |Omega| of pulse 17's channel overflows.
+OVERFLOWING_X = 1.309890050482794e308
+
+
 @settings(max_examples=100, deadline=None)
 @given(data=st.data(), value=SCALARS | JSON_VALUES)
+@example(data=Draws(("pulses", 0, "x"), 17), value=OVERFLOWING_X)
 def test_no_schedule_file_reaches_exit_1(ghz2, data, value):
     """A compiled schedule with any JSON value spliced in at any key path is
     either accepted or refused by name: verify and sweep return 0 or 2."""
@@ -538,6 +554,27 @@ def test_no_schedule_file_reaches_exit_1(ghz2, data, value):
     csv = str(path.with_name("sweep.csv"))
     argv = ["--target", "ghz", "--trials", "1", "--delta-grid", "0:0.01:1", "--out", csv]
     assert quiet_main("sweep", "--schedule", str(edited), *argv) in (0, 2)
+
+
+def test_a_pulse_whose_x_omega_overflows_exits_2_by_name(ghz2, capsys):
+    """verify and sweep refuse, before any rotation, a finite length whose
+    product with its channel's largest |Omega| overflows to inf."""
+    path, doc = ghz2
+    doc = copy.deepcopy(doc)
+    doc["pulses"][17]["x"] = OVERFLOWING_X
+    edited = path.with_name("overflowing.json")
+    edited.write_text(json.dumps(doc))
+    message = (
+        f"error: pulses[17]: length x times the largest |Omega| of channel "
+        f"{doc['pulses'][17]['channel']} overflows\n"
+    )
+    code, out, err = run(capsys, "verify", "--schedule", str(edited), "--target", "ghz")
+    assert (code, out, err) == (2, "", message)
+    csv = path.with_name("overflowing.csv")
+    argv = ["--target", "ghz", "--trials", "1", "--delta-grid", "0:0.01:1", "--out", str(csv)]
+    code, out, err = run(capsys, "sweep", "--schedule", str(edited), *argv)
+    assert (code, out, err) == (2, "", message)
+    assert not csv.exists()
 
 
 @settings(max_examples=100, deadline=None)

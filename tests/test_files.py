@@ -38,7 +38,7 @@ from ionsynth import (
 )
 from ionsynth import files
 from ionsynth.cli import main
-from ionsynth.files import _check_components, _components, _notes, _parse_note, _parse_notes
+from ionsynth.files import _check_components, _notes, _parse_note, _parse_notes
 
 
 @pytest.fixture(scope="module")
@@ -717,16 +717,37 @@ def clean_targets(draw):
     return doc, Truncation(j_max)
 
 
+def entry_by_entry(doc, truncation):
+    """The amplitudes of a clean target document, set one entry at a time at
+    index_of as complex(re, im), and their norm."""
+    amps = np.zeros(truncation.dim, dtype=np.complex128)
+    for item in doc:
+        index = index_of(Component(Occupation(*item["n"]), Level.A), truncation)
+        amps[index] = complex(item["re"], item["im"])
+    with np.errstate(over="ignore"):
+        return amps, float(np.linalg.norm(amps))
+
+
 @settings(max_examples=150, deadline=None)
 @given(drawn=clean_targets())
-def test_clean_targets_stay_on_the_column_path_and_both_paths_agree(drawn):
-    """A clean document never reaches the per-entry checker, and that checker,
-    called directly, gives the same index and amplitude bytes."""
+def test_clean_targets_load_as_the_entry_by_entry_reference(drawn, scratch_dir):
+    """load_target's state bytes are the entry-by-entry amplitudes over their
+    norm, or it refuses a norm off 1 by more than 1e-6; the drawn document
+    is loaded as drawn and scaled by its norm, which mostly brings it to 1."""
     doc, truncation = drawn
-    with mock.patch.object(files, "_check_components", side_effect=AssertionError("per entry")):
-        got = _components(doc, truncation)
-    want = _check_components(doc, truncation)
-    assert [(a.dtype, a.tobytes()) for a in got] == [(a.dtype, a.tobytes()) for a in want]
+    _, norm = entry_by_entry(doc, truncation)
+    docs = [doc]
+    if 0.0 < norm < math.inf:
+        docs.append([{**item, "re": item["re"] / norm, "im": item["im"] / norm} for item in doc])
+    path = scratch_dir / "target.json"
+    for doc in docs:
+        path.write_text(json.dumps(doc))
+        want, norm = entry_by_entry(doc, truncation)
+        if abs(norm - 1.0) > 1e-6:
+            with pytest.raises(TargetFormatError, match="^target norm"):
+                load_target(path, truncation)
+        else:
+            assert load_target(path, truncation).state.amplitudes.tobytes() == (want / norm).tobytes()
 
 
 # The streaming reader against the whole-document one it falls back to.
