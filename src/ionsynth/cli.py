@@ -143,11 +143,10 @@ def _cmd_compile(args: argparse.Namespace) -> int:
 
 
 def _score_schedule(schedule: Schedule, target: Target) -> float:
-    if schedule.direction is Direction.PREPARATION:
-        out = apply_schedule(vacuum_state(schedule.truncation), schedule)
-        return fidelity_to_target(out, target.state)
-    out = apply_schedule(target.state, schedule)
-    return min(1.0, abs(out.amplitudes[0]) ** 2)
+    start, goal = vacuum_state(schedule.truncation), target.state
+    if schedule.direction is Direction.DEEVOLUTION:  # run the target back to the vacuum
+        start, goal = goal, start
+    return fidelity_to_target(apply_schedule(start, schedule), goal)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:

@@ -22,15 +22,17 @@ and entry point that takes a cutoff, a count, a width, a length or a phase
 calls: :func:`_integer` takes an ``int`` or a NumPy integer, never a ``bool``,
 at or above a bound, and returns an ``int``; :func:`_real` takes a real number,
 never a ``bool``, that is finite as a float (and, if asked, >= 0), and returns
-that float.  A value either rule refuses raises :class:`DomainError`, so an
-integer past the float range is refused, not an ``OverflowError``.  Every
-message that shows a caller's value shows it through :func:`_shown`, so one
-that Python will not print (an integer of more than 4,300 digits) is still
-refused by a :class:`DomainError`.
+that float; :func:`_real_column` applies it to a column of lengths or phases
+and words the first refusal as :func:`_real` does.  A value either rule refuses
+raises :class:`DomainError`, so an integer past the float range is refused, not
+an ``OverflowError``.  Every message that shows a caller's value shows it
+through :func:`_shown`, so one that Python will not print (an integer of more
+than 4,300 digits) is still refused by a :class:`DomainError`.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import numbers
 from dataclasses import dataclass
@@ -91,6 +93,23 @@ def _real(name: str, value: object, non_negative: bool = False) -> float:
     if not math.isfinite(number):
         raise DomainError(f"{name} must be a finite real, got {_shown(value)}")
     return number
+
+
+def _real_column(name: str, column: object, non_negative: bool = False) -> np.ndarray:
+    """``column`` (1-D) as float64 by :func:`_real`'s rule, entry i named ``name.format(i)``.
+    Integers and floats, not cast from bools, are checked whole (float64 uncopied); any
+    other column, or one with a bad entry, goes through :func:`_real` entry by entry."""
+    array = np.asarray(column)
+    plain = array is column or {bool, np.bool_}.isdisjoint(map(type, column))
+    if plain and array.dtype.kind in "iuf" and np.can_cast(array.dtype, np.float64):
+        floats = array.astype(np.float64, copy=False)
+        ok = np.isfinite(floats)
+        if non_negative:
+            ok &= floats >= 0.0
+        if ok.all():
+            return floats
+    entries = array.tolist() if array is column else column
+    return np.array([_real(name.format(i), v, non_negative) for i, v in enumerate(entries)])
 
 
 class Level(IntEnum):
@@ -299,11 +318,14 @@ def fidelity_to_target(out: StateVector, target: StateVector) -> float:
     """|<out|target>|**2 against a target supported only on level a.
 
     Global phases drop out, so a preparation that reproduces the target up to
-    an overall phase scores exactly 1.
+    an overall phase scores exactly 1.  A NaN or inf amplitude raises DomainError.
     """
     _check_same_truncation(out, target)
     _require_level_a_support(target)
-    return min(1.0, abs(overlap(out, target)) ** 2)
+    amplitude = overlap(out, target)
+    if not cmath.isfinite(amplitude):  # min(1.0, nan) would score it 1
+        raise DomainError(f"overlap with the target is not finite, got {amplitude!r}")
+    return min(1.0, abs(amplitude)) ** 2  # capped first, so |amplitude| > 1e154 cannot overflow
 
 
 def project_level(state: StateVector, level: Level) -> tuple[StateVector, float]:

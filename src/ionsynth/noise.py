@@ -39,7 +39,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .fock import DomainError, Level, StateVector, _integer, _real, fidelity_to_target, vacuum_state
+from .fock import DomainError, Level, StateVector, _integer, _real, _require_level_a_support
+from .fock import fidelity_to_target, vacuum_state
 from .pulses import Schedule, _replay
 from .pulses import apply_schedule  # noqa: F401  perfbench/spans.py patches this name
 
@@ -171,13 +172,14 @@ def run_trials(
     ``substream`` namespaces the per-trial random streams; sweeps use it so
     every grid row sees independent draws under the one user-facing seed.
     Checked before any trial runs: ``n``, ``seed`` and ``substream`` entries are
-    integers, not bool, >= 1, 0 and 0, and ``target`` has the preparation's truncation.
+    integers, not bool, >= 1, 0 and 0; ``target`` is on level a, at the preparation's j_max.
     """
     t = preparation.truncation
     n, seed = _integer("n", n, 1), _integer("seed", seed, 0)
     substream = tuple(_integer("substream entry", k, 0) for k in substream)
     if target.truncation != t:
         raise DomainError(f"target has j_max {target.truncation.j_max}, the preparation {t.j_max}")
+    _require_level_a_support(target)
     chunk = max(1, _BATCH_AMPLITUDES // t.dim)
     fids, posts, probs = np.empty(n), np.empty(n), np.empty(n)
     for start in range(0, n, chunk):

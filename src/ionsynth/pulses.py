@@ -87,7 +87,8 @@ from .channels import (
     dense_hamiltonian,
 )
 from .fock import (
-    Component, DomainError, Level, StateVector, Truncation, _layout, _real, _shown, _total_j,
+    Component, DomainError, Level, StateVector, Truncation, _layout, _real, _real_column,
+    _shown, _total_j,
 )
 
 __all__ = [
@@ -150,10 +151,6 @@ for _spec in CHANNELS.values():
     _COUPLES[_spec.cid, [_spec.lower_level, _spec.upper_level]] = True
 
 
-_LENGTH_RULE = "pulse length must be finite and >= 0"
-_PHASE_RULE = "pulse phase must be finite"
-
-
 def _outside(column: np.ndarray, low: int, high: int) -> np.ndarray:
     """Which entries are not integers in [low, high], found before narrowing."""
     if column.dtype.kind not in "iu":  # float, bool or object: entry by entry
@@ -166,26 +163,6 @@ def _refuse(name: str, column: np.ndarray, bad: np.ndarray, rule: str) -> None:
     if bad.any():
         i = int(np.flatnonzero(bad)[0])
         raise DomainError(f"pulses[{i}].{name}: {rule}, got {_shown(column.tolist()[i])}")
-
-
-def _overflows(value: object) -> bool:
-    """Whether ``float(value)`` overflows."""
-    try:
-        float(value)
-    except OverflowError:
-        return True
-    return False
-
-
-def _floats(name: str, column: ArrayLike, rule: str) -> np.ndarray:
-    """``column`` as float64; an entry past the float range breaks ``rule``,
-    and the error names it."""
-    try:
-        return np.asarray(column, dtype=np.float64)
-    except OverflowError:
-        raw = np.asarray(column, dtype=object).ravel()
-        _refuse(name, raw, np.array(list(map(_overflows, raw.tolist()))), rule)
-        raise
 
 
 def _note_components(note: Iterable[int], j_max: int) -> Iterator[Component | None]:
@@ -204,9 +181,10 @@ class Schedule:
     The program is held as read-only columns, one entry per pulse: ``channel``
     (uint8 :class:`ChannelId` codes), ``x``, ``theta`` (float64) and ``note``
     (int32 basis index of the component the pulse nulls, -1 for none).  Both
-    constructors validate the header and the columns, a note against the cutoff
-    and the levels its channel couples, and wrap the phases into (-pi, pi] in
-    one place; :attr:`pulses` gives :class:`Pulse` views back.
+    constructors validate the header and the columns in one place, lengths and
+    phases by :class:`Pulse`'s real rule (``fock._real_column``), a note by the
+    cutoff and the levels its channel couples, and wrap the phases into
+    (-pi, pi]; :attr:`pulses` gives :class:`Pulse` views back.
     """
 
     def __init__(
@@ -254,14 +232,12 @@ class Schedule:
     def _set(self, channel, x, theta, note) -> None:
         """Check and keep the columns, against the header already kept."""
         channel, note = np.asarray(channel), np.asarray(note)
-        x = _floats("x", x, _LENGTH_RULE)
-        theta = _floats("theta", theta, _PHASE_RULE)
-        if channel.ndim != 1 or not channel.shape == x.shape == theta.shape == note.shape:
+        if channel.ndim != 1 or not channel.shape == np.shape(x) == np.shape(theta) == note.shape:
             raise DomainError("schedule columns must be 1-D and of one length")
         dim = self.truncation.dim
         _refuse("channel", channel, _outside(channel, 1, len(ChannelId)), "unknown channel code")
-        _refuse("x", x, ~(np.isfinite(x) & (x >= 0.0)), _LENGTH_RULE)
-        _refuse("theta", theta, ~np.isfinite(theta), _PHASE_RULE)
+        x = _real_column("pulses[{}].x", x, non_negative=True)
+        theta = _real_column("pulses[{}].theta", theta)
         rule = f"basis index must be -1 or in [0, {dim})"
         _refuse("note", note, _outside(note, -1, dim - 1), rule)
         channel, note = channel.astype(np.uint8, copy=False), note.astype(np.int32, copy=False)
@@ -465,7 +441,7 @@ def solve_kill_lower(q_lower: complex, q_upper: complex, omega: float) -> tuple[
     i*exp(-i*theta)*q_lower*cos(x*omega) + q_upper*sin(x*omega) = 0
     with x*omega in [0, pi/2].  A zero lower amplitude needs no pulse: (0, 0).
     """
-    if omega <= 0.0:
+    if not omega > 0.0:  # a NaN omega is refused too
         raise DomainError(f"omega must be positive, got {_shown(omega)}")
     if q_lower == 0:
         return 0.0, 0.0
@@ -480,7 +456,7 @@ def solve_kill_upper(q_lower: complex, q_upper: complex, omega: float) -> tuple[
     i*exp(i*theta)*q_upper*cos(x*omega) + q_lower*sin(x*omega) = 0
     with x*omega in [0, pi/2].  A zero upper amplitude needs no pulse: (0, 0).
     """
-    if omega <= 0.0:
+    if not omega > 0.0:  # a NaN omega is refused too
         raise DomainError(f"omega must be positive, got {_shown(omega)}")
     if q_upper == 0:
         return 0.0, 0.0

@@ -351,9 +351,9 @@ def deevolve(
     steps = _plan_columns(target.truncation.j_max)
     xs, thetas = _solve_columns(work, steps, ld)
     residual = 1.0 - abs(work.amplitudes[0]) ** 2
-    deevolution = Schedule.from_columns(
-        steps.channel, xs, thetas, steps.note, ld, target.truncation, Direction.DEEVOLUTION,
-        description,
+    deevolution = Schedule.from_columns(  # arrays, which it checks whole without a type scan
+        steps.channel, np.array(xs), np.array(thetas), steps.note, ld, target.truncation,
+        Direction.DEEVOLUTION, description,
     )
     return CompileResult(
         deevolution=deevolution,

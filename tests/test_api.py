@@ -1,8 +1,8 @@
 """Every name a module exports through ``__all__`` resolves, every name a
 module imports is used, every private top-level name is read somewhere in
 the package and defined in one module only, only ``fock`` words or
-applies the numeric-argument rules, and a ``Schedule`` is built only through
-its two constructors."""
+applies the numeric-argument rules or tests finiteness with ``np.isfinite``,
+and a ``Schedule`` is built only through its two constructors."""
 
 import ast
 import importlib
@@ -166,22 +166,36 @@ def _format_checks(tree: ast.AST) -> set[ast.AST]:
     return calls
 
 
+def _replay_overflow_check(tree: ast.AST) -> set[ast.AST]:
+    """The nodes of ``_replay``, whose one ``np.isfinite`` finds a pulse whose
+    x*|Omega| overflows: a replay check, not a check of an argument."""
+    return {node for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+            and fn.name == "_replay" for node in ast.walk(fn)}
+
+
 def rule_owner_faults(sources: dict[str, str]) -> list[str]:
     """Outside ``fock``: each string holding a rule's wording, as
-    ``"message: module:line"``, and each ``isinstance(..., bool)`` test, as
-    ``"bool: module:line"``; ``files``' JSON-type checks may test for bool."""
+    ``"message: module:line"``, each ``isinstance(..., bool)`` test, as
+    ``"bool: module:line"``, and each ``np.isfinite``, as
+    ``"isfinite: module:line"``; ``files``' JSON-type checks may test for bool,
+    and ``pulses._replay`` may call ``np.isfinite``."""
     faults = []
     for module, source in sources.items():
         if module == "fock":
             continue
         tree = ast.parse(source)
         allowed = _format_checks(tree) if module == "files" else set()
+        if module == "pulses":
+            allowed |= _replay_overflow_check(tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.Constant) and isinstance(node.value, str):
                 if RULE_MESSAGE.search(node.value):
                     faults.append(f"message: {module}:{node.lineno}")
             elif _tests_bool(node) and node not in allowed:
                 faults.append(f"bool: {module}:{node.lineno}")
+            elif (isinstance(node, ast.Attribute) and node.attr == "isfinite"
+                  and getattr(node.value, "id", None) == "np" and node not in allowed):
+                faults.append(f"isfinite: {module}:{node.lineno}")
     return faults
 
 
@@ -210,9 +224,17 @@ def test_rule_owner_check_sees_rules_outside_fock():
             "    if isinstance(v, bool):\n"
             "        raise DomainError('must be a finite real')\n"
         ),
+        "pulses": (
+            "def _set(self, x):\n"
+            "    bad = ~np.isfinite(x)\n"
+            "def _replay(amps, x, peak):\n"
+            "    finite = np.isfinite(x * peak)\n"
+        ),
     }
+    sources["fock"] += "def _real_column(name, column):\n    return np.isfinite(column)\n"
     assert rule_owner_faults(sources) == [
         "bool: noise:2", "message: noise:3", "bool: files:4", "message: files:5",
+        "isfinite: pulses:2",
     ]
 
 

@@ -144,8 +144,8 @@ def test_a_refused_value_python_cannot_print_is_still_a_domain_error(make):
 
 @pytest.mark.parametrize("value", [HUGE, -HUGE], ids=["huge", "-huge"])
 @pytest.mark.parametrize(
-    "column, rule", [("x", "pulse length must be finite and >= 0"),
-                     ("theta", "pulse phase must be finite")], ids=["x", "theta"],
+    "column, rule", [("x", "must be a finite non-negative real"),
+                     ("theta", "must be a finite real")], ids=["x", "theta"],
 )
 def test_from_columns_names_a_column_entry_past_the_float_range(column, rule, value):
     """Not an OverflowError from the float64 conversion: the first such entry
@@ -154,7 +154,56 @@ def test_from_columns_names_a_column_entry_past_the_float_range(column, rule, va
     columns[column][1:] = [value, value]
     with pytest.raises(DomainError) as err:
         Schedule.from_columns([2, 2, 2], columns["x"], columns["theta"], [-1] * 3, *PREPARATION)
-    assert str(err.value) == f"pulses[1].{column}: {rule}, got {value}"
+    assert str(err.value) == f"pulses[1].{column} {rule}, got {value}"
+
+
+# One of each kind of value a caller may put in a length or phase column.
+ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, HUGE, -HUGE, 2**70]),
+    st.floats(),
+    st.booleans(),
+    st.integers(),
+    # The largest long double lies past the float64 range where long double is wider.
+    st.sampled_from([np.float64(math.nan), np.float64(-0.0), np.finfo(np.longdouble).max]),
+    st.floats().map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+    st.fractions(),
+    st.decimals(),
+    st.text(max_size=4),
+    st.binary(max_size=4),
+    st.none(),
+    st.complex_numbers(),
+)
+
+
+def outcome(make, name):
+    """The float ``make()`` keeps, as hex, or the text of its DomainError after ``name``."""
+    try:
+        return make().hex()
+    except DomainError as err:
+        text = str(err)
+        assert text.startswith(name), text
+        return text[len(name):]
+
+
+@settings(max_examples=400, deadline=None)
+@given(value=ENTRIES, first=st.booleans())
+def test_schedule_columns_and_pulse_take_and_word_the_same_values(value, first):
+    """A length or phase is taken by ``Schedule.from_columns`` exactly when
+    ``Pulse`` takes it, as the same float; a refusal has the same words after
+    the name.  The value is the column's only entry, or follows a valid one,
+    so a column of mixed types cannot cast it away."""
+    column = [value] if first else [0.25, value]
+    i, ones, zeros, notes = len(column) - 1, [1] * len(column), [0.0] * len(column), [-1] * len(column)
+    assert outcome(
+        lambda: Schedule.from_columns(ones, column, zeros, notes, *PREPARATION).x[i], f"pulses[{i}].x"
+    ) == outcome(lambda: Pulse(ChannelId.H1, value, 0.0).x, "pulse length x")
+    assert outcome(
+        lambda: Schedule.from_columns(ones, zeros, column, notes, *PREPARATION).theta[i],
+        f"pulses[{i}].theta",
+    ) == outcome(lambda: Pulse(ChannelId.H1, 0.0, value).theta, "pulse phase theta")
 
 
 @pytest.mark.parametrize("n", [J_MAX_CAP + 1, 2**40, 2**64])

@@ -232,8 +232,8 @@ def test_three_pulse_document_loads(tmp_path):
     "mutate, fragment",
     [
         (lambda p: p.update(x="1.5"), "pulses[2].x: unexpected type str"),
-        (lambda p: p.update(x=-1.5), "pulses[2].x: pulse length must be finite and >= 0"),
-        (lambda p: p.update(theta=float("nan")), "pulses[2].theta: pulse phase must be finite"),
+        (lambda p: p.update(x=-1.5), "pulses[2].x must be a finite non-negative real"),
+        (lambda p: p.update(theta=float("nan")), "pulses[2].theta must be a finite real"),
         (lambda p: p.update(channel="H0"), "pulses[2].channel: unknown channel H0"),
         (lambda p: p.update(i=0), "pulses[2].i: expected 2, got 0"),
         (lambda p: p.pop("i"), "pulses[2].i: missing"),
@@ -258,7 +258,7 @@ def test_load_schedule_checks_note_levels_after_lengths_and_phases(tmp_path):
     doc = json.loads(path.read_text())
     doc["pulses"][0]["note"] = [0, 0, 0, "D"]
     for x, message in (
-        (-1.5, "pulses[2].x: pulse length must be finite and >= 0, got -1.5"),
+        (-1.5, "pulses[2].x must be a finite non-negative real, got -1.5"),
         (1.5, "pulses[0].note: level d is not coupled by channel H2"),
     ):
         doc["pulses"][2]["x"] = x

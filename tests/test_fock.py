@@ -206,6 +206,25 @@ def test_fidelity_requires_level_a_target():
         fidelity_to_target(vacuum_state(t), off)
 
 
+@pytest.mark.parametrize(
+    "index, value", [(0, math.nan), (1, math.inf), (4, -math.inf), (5, complex(0.0, math.nan))],
+    ids=["nan-on-a", "inf-on-b", "inf-off-target", "nan-imaginary-on-b"],
+)
+def test_fidelity_refuses_a_state_with_a_non_finite_amplitude(index, value):
+    """``min(1.0, nan)`` is 1.0, so a NaN or infinite amplitude, on level b
+    too, once scored as a perfect preparation."""
+    t = Truncation(1)
+    amps = vacuum_state(t).amplitudes.copy()
+    amps[index] = value
+    with pytest.raises(DomainError, match="^overlap with the target is not finite, got "):
+        fidelity_to_target(StateVector(amps, t), vacuum_state(t))
+
+
+def test_fidelity_of_an_unnormalized_state_is_capped_without_overflow():
+    t = Truncation(1)
+    assert fidelity_to_target(StateVector(1e200 * vacuum_state(t).amplitudes, t), vacuum_state(t)) == 1.0
+
+
 def test_project_level_examples():
     t = Truncation(0)
     vac = vacuum_state(t)

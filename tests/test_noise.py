@@ -13,6 +13,7 @@ from ionsynth import (
     NoiseModel,
     Pulse,
     Schedule,
+    StateVector,
     SweepRow,
     TrialResult,
     Truncation,
@@ -121,7 +122,7 @@ def test_perturb_names_a_length_the_draw_takes_past_the_float_range(preparation)
         i = int(np.flatnonzero(np.isinf(x + offsets))[0])
         with pytest.raises(DomainError) as err:
             perturb(big, nm, np.random.default_rng(3))
-    assert str(err.value) == f"pulses[{i}].x: pulse length must be finite and >= 0, got inf"
+    assert str(err.value) == f"pulses[{i}].x must be a finite non-negative real, got inf"
 
 
 def test_perturbation_bounds(preparation):
@@ -261,6 +262,26 @@ def test_run_trials_refuses_a_target_of_another_truncation_before_any_trial():
     with mock.patch.object(noise_module, "perturb", side_effect=AssertionError("a trial ran")):
         with pytest.raises(DomainError, match="^target has j_max 4, the preparation 3$"):
             run_trials(target, prep, NoiseModel(0.01), 2, 1)
+
+
+def test_run_trials_refuses_a_target_off_level_a_before_any_replay(preparation):
+    """A target with weight on level b is refused with the other arguments:
+    no chunk is perturbed or replayed first."""
+    target, prep = preparation
+    off = target.amplitudes.copy()
+    off[1] = 0.5  # level b of the vacuum occupation
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _replay(*args)
+
+    with mock.patch.object(noise_module, "_replay", counted):
+        with pytest.raises(DomainError, match="^target state must have support only on electronic"):
+            run_trials(StateVector(off, target.truncation), prep, NoiseModel(0.01), 2, 1)
+        assert calls == []
+        run_trials(target, prep, NoiseModel(0.01), 2, 1)
+    assert len(calls) == 1
 
 
 def test_a_4096_trial_chunk_holds_no_per_trial_generator_or_schedule():

@@ -107,6 +107,16 @@ def test_solver_rejects_nonpositive_omega():
         solve_kill_upper(1.0, 0.0, -1.0)
 
 
+@pytest.mark.parametrize("solve", [solve_kill_lower, solve_kill_upper])
+@pytest.mark.parametrize("q_lower, q_upper", [(0.5, 1 + 0j), (1.0, 0.0), (0.0, 1.0)])
+def test_solvers_refuse_a_nan_omega(solve, q_lower, q_upper):
+    """A NaN Omega fails ``omega > 0`` as a non-positive one does; it once
+    gave x = nan with a finite phase."""
+    with pytest.raises(DomainError) as err:
+        solve(q_lower, q_upper, math.nan)
+    assert str(err.value) == "omega must be positive, got nan"
+
+
 def test_solvers_satisfy_transfer_conditions():
     """Solved (x, theta) must satisfy the defining transfer conditions literally:
 
