@@ -166,6 +166,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.trials > _TRIALS_CAP:
         raise DomainError(f"--trials {args.trials} exceeds the cap of {_TRIALS_CAP}")
+    if args.trials < 1:
+        raise DomainError(f"--trials {args.trials} is below the minimum of 1")
     schedule = load_schedule(args.schedule)
     if schedule.direction is not Direction.PREPARATION:
         raise DomainError(

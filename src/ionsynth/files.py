@@ -41,11 +41,18 @@ array that do not parse or fail a check, a ``"pulses"`` match that is not a
 top-level key or a second top-level ``"pulses"``, a ``"jmax"`` after the array,
 bad UTF-8 and deep nesting.
 
-The schedule loaders check clean notes as a whole column, and any others note
-by note through :func:`_parse_note`, which words every fault; target
-components are checked entry by entry through :func:`_check_components`.  An
-error names the first bad entry: ``pulses[i].<field>`` in a schedule,
-``[i].<field>`` in a target.
+This module checks a document's shape: that each field is present and of its
+JSON type, the pulse indices, channel names and level labels.  Every number
+goes through the rule :mod:`ionsynth.fock` owns for it: a length or phase
+through ``fock._real_column`` in ``Schedule.from_columns``, a Lamb-Dicke value
+through ``LambDickeParams``, an occupation through ``fock._integer`` and a
+target's ``re`` and ``im`` through ``fock._real``.  The schedule loaders check
+clean notes as a whole column, and any others note by note through
+:func:`_parse_note`, which words every fault; target components are checked
+entry by entry through :func:`_check_components`.  An error names the first
+bad entry: ``pulses[i].<field>`` in a schedule, ``[i].<field>`` in a target,
+and a rule's refusal is its message under that name.  A Lamb-Dicke value is
+named as ``LambDickeParams`` names it, after ``lamb_dicke: ``.
 """
 
 from __future__ import annotations
@@ -65,14 +72,15 @@ from .fock import (
     Occupation,
     StateVector,
     Truncation,
+    _integer,
     _layout,
+    _real,
     _vib_index,
-    index_of,
 )
 from .channels import ChannelId, LambDickeParams
 from .noise import SweepReport
 from .pulses import Direction, Schedule, _note_components
-from .targets import Target
+from .targets import Target, _level_a_state
 
 __all__ = [
     "ScheduleFormatError",
@@ -100,10 +108,6 @@ _PULSES_PER_WRITE = 256
 _CHANNEL_NAMES = {cid.value: cid.name for cid in ChannelId}
 _CHANNEL_CODES = {cid.name: cid.value for cid in ChannelId}
 _MISSING = object()
-# The least integer that float() rounds past the largest float.  Every finite
-# float lies below it and inf and nan do not, so ``abs(v) < _FLOAT_END`` holds
-# exactly for the JSON numbers that convert to a finite float.
-_FLOAT_END = 2**1024 - 2**970
 
 
 def _pulses_json(schedule: Schedule) -> Iterator[str]:
@@ -176,15 +180,14 @@ def _expect(doc: dict[str, Any], key: str, kinds: tuple[type, ...], where: str =
     return _column([doc], key, kinds, where)[0]
 
 
-def _reals(entries: list[Any], key: str, where: str = "pulses[{}].", base: int = 0) -> np.ndarray:
-    """Numeric field ``key`` of every entry as float64; an integer past the
-    float range is a format error, not an ``OverflowError``."""
-    values = _column(entries, key, (int, float), where, base)
-    try:
-        return np.asarray(values, dtype=np.float64)
-    except OverflowError:
-        i = next(i for i, v in enumerate(values, base) if type(v) is int and abs(v) >= _FLOAT_END)
-        raise ScheduleFormatError(f"{where.format(i)}{key}: integer past the float range") from None
+def _occupation_at(where: str, numbers: list[Any], j_max: int) -> Occupation:
+    """``numbers`` as an occupation inside the cutoff ``j_max``, each number by
+    ``fock._integer`` under the name ``where``."""
+    nx, ny, nz = numbers  # unpacked, not a generator: this runs once per target entry
+    occ = Occupation(_integer(where, nx, 0), _integer(where, ny, 0), _integer(where, nz, 0))
+    if occ.total > j_max:
+        raise DomainError(f"{where}: total occupation {occ.total} exceeds the cutoff {j_max}")
+    return occ
 
 
 def _parse_note(raw: Any, i: int, j_max: int) -> Component | None:
@@ -193,19 +196,15 @@ def _parse_note(raw: Any, i: int, j_max: int) -> Component | None:
     where = f"pulses[{i}].note"
     if not (isinstance(raw, list) and len(raw) == 4):
         raise ScheduleFormatError(f"{where}: expected [nx, ny, nz, level] or null")
-    nx, ny, nz, label = raw
-    for value in (nx, ny, nz):
-        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-            raise ScheduleFormatError(f"{where}: occupation numbers must be integers >= 0")
-    if nx + ny + nz > j_max:
-        raise ScheduleFormatError(
-            f"{where}: total occupation {nx + ny + nz} exceeds the cutoff {j_max}"
-        )
     try:
-        level = Level.from_label(label)
+        occ = _occupation_at(where, raw[:3], j_max)
+    except DomainError as exc:
+        raise ScheduleFormatError(str(exc)) from exc
+    try:
+        level = Level.from_label(raw[3])
     except DomainError as exc:
         raise ScheduleFormatError(f"{where}: {exc}") from exc
-    return Component(Occupation(nx, ny, nz), level)
+    return Component(occ, level)
 
 
 def _parse_notes(raw: list[Any], j_max: int, base: int = 0) -> np.ndarray:
@@ -280,7 +279,7 @@ def _header(doc: Any) -> tuple[LambDickeParams, Truncation, Direction, str]:
         raise ScheduleFormatError(f"version: unsupported value {version!r}")
 
     ld_doc = _expect(doc, "lamb_dicke", (dict,))
-    eps = [_reals([ld_doc], key, "lamb_dicke.")[0] for key in ("ex", "ey", "ez", "exc")]
+    eps = [_expect(ld_doc, key, (int, float), "lamb_dicke.") for key in ("ex", "ey", "ez", "exc")]
     try:
         ld = LambDickeParams(*eps)
     except DomainError as exc:
@@ -315,8 +314,9 @@ def _pulse_columns(entries: list[Any], j_max: int, base: int = 0) -> tuple[np.nd
     if not set(names) <= _CHANNEL_CODES.keys():
         i = next(i for i, name in enumerate(names, base) if name not in _CHANNEL_CODES)
         raise ScheduleFormatError(f"pulses[{i}].channel: unknown channel {names[i - base]!r}")
-    x = _reals(entries, "x", base=base)
-    theta = _reals(entries, "theta", base=base)
+    # Schedule.from_columns checks the values, naming pulses[i].x and .theta.
+    x = np.array(_column(entries, "x", (int, float), base=base))
+    theta = np.array(_column(entries, "theta", (int, float), base=base))
     channel = np.array(list(map(_CHANNEL_CODES.__getitem__, names)), dtype=np.uint8)
     return channel, x, theta, _notes([entry.get("note") for entry in entries], j_max, base)
 
@@ -422,9 +422,9 @@ def save_report(report: SweepReport, path: str | os.PathLike[str]) -> None:
             f.write(",".join(cells) + "\n")
 
 
-def _check_components(doc: list[Any], truncation: Truncation) -> tuple[np.ndarray, np.ndarray]:
+def _check_components(doc: list[Any], j_max: int) -> dict[Occupation, complex]:
     """Check the target entries one by one and raise the first bad entry's
-    error; otherwise return each entry's basis index and amplitude."""
+    error; otherwise return each entry's amplitude by its occupation."""
     entries: dict[Occupation, complex] = {}
     for i, item in enumerate(doc):
         where = f"[{i}]"
@@ -433,26 +433,19 @@ def _check_components(doc: list[Any], truncation: Truncation) -> tuple[np.ndarra
         raw_n = item.get("n")
         if not (isinstance(raw_n, list) and len(raw_n) == 3):
             raise TargetFormatError(f"{where}.n: expected [nx, ny, nz]")
-        for value in raw_n:
-            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-                raise TargetFormatError(f"{where}.n: occupation numbers must be integers >= 0")
-        occ = Occupation(*raw_n)
-        if occ.total > truncation.j_max:
-            raise TargetFormatError(
-                f"{where}.n: total occupation {occ.total} exceeds the cutoff {truncation.j_max}"
-            )
-        if occ in entries:
-            raise TargetFormatError(f"{where}.n: duplicate component {tuple(occ)}")
-        for key in ("re", "im"):
-            if key not in item:
-                raise TargetFormatError(f"{where}.{key}: missing")
-            if not isinstance(item[key], (int, float)) or isinstance(item[key], bool):
-                raise TargetFormatError(f"{where}.{key}: expected a number")
-            if not abs(item[key]) < _FLOAT_END:
-                raise TargetFormatError(f"{where}.{key}: must be finite and within the float range")
-        entries[occ] = complex(item["re"], item["im"])
-    index = [index_of(Component(occ, Level.A), truncation) for occ in entries]
-    return np.array(index, dtype=np.intp), np.array(list(entries.values()), dtype=np.complex128)
+        try:
+            occ = _occupation_at(f"{where}.n", raw_n, j_max)
+            if occ in entries:
+                raise TargetFormatError(f"{where}.n: duplicate component {tuple(occ)}")
+            if "re" not in item:
+                raise TargetFormatError(f"{where}.re: missing")
+            real = _real(f"{where}.re", item["re"])
+            if "im" not in item:
+                raise TargetFormatError(f"{where}.im: missing")
+            entries[occ] = complex(real, _real(f"{where}.im", item["im"]))
+        except DomainError as exc:
+            raise TargetFormatError(str(exc)) from exc
+    return entries
 
 
 def load_target(path: str | os.PathLike[str], truncation: Truncation) -> Target:
@@ -462,9 +455,7 @@ def load_target(path: str | os.PathLike[str], truncation: Truncation) -> Target:
         raise TargetFormatError("top level: expected an array of components")
     if not doc:
         raise TargetFormatError("target file holds no components")
-    index, values = _check_components(doc, truncation)
-    amps = np.zeros(truncation.dim, dtype=np.complex128)
-    amps[index] = values
+    amps = _level_a_state(_check_components(doc, truncation.j_max), truncation)
     with np.errstate(over="ignore"):  # |amplitude| past sqrt(max float) squares to inf
         norm = float(np.linalg.norm(amps))
     if abs(norm - 1.0) > 1e-6:

@@ -17,17 +17,20 @@ smaller nx, each J - nx + 1 long), and its component on electronic level l has
 index 4*vib + l.  This module owns that order; every other module reads it
 from here.
 
-It also owns the package's two numeric-argument rules, which every constructor
-and entry point that takes a cutoff, a count, a width, a length or a phase
-calls: :func:`_integer` takes an ``int`` or a NumPy integer, never a ``bool``,
-at or above a bound, and returns an ``int``; :func:`_real` takes a real number,
-never a ``bool``, that is finite as a float (and, if asked, >= 0), and returns
-that float; :func:`_real_column` applies it to a column of lengths or phases
-and words the first refusal as :func:`_real` does.  A value either rule refuses
-raises :class:`DomainError`, so an integer past the float range is refused, not
-an ``OverflowError``.  Every message that shows a caller's value shows it
-through :func:`_shown`, so one that Python will not print (an integer of more
-than 4,300 digits) is still refused by a :class:`DomainError`.
+It also owns the package's numeric-argument rules, which every constructor,
+entry point and file reader that takes a cutoff, a count, an occupation, a
+width, a length, a phase, an amplitude or a coherent amplitude calls:
+:func:`_integer` takes an ``int`` or a NumPy integer, never a ``bool``, at or
+above a bound, and returns an ``int``; :func:`_real` takes a real number, never
+a ``bool``, that is finite as a float (and, if asked, >= 0), and returns that
+float; :func:`_real_column` applies it to a column of lengths or phases and
+words the first refusal as :func:`_real` does; :func:`_number` takes a finite
+real or complex number, never a ``bool``, and returns a ``float`` or a
+``complex``.  A value a rule refuses raises :class:`DomainError`, so an integer
+past the float range is refused, not an ``OverflowError``.  Every message that
+shows a caller's value shows it through :func:`_shown`, so one that Python will
+not print (an integer of more than 4,300 digits) is still refused by a
+:class:`DomainError`.
 """
 
 from __future__ import annotations
@@ -74,6 +77,8 @@ def _shown(value: object, show=repr) -> str:
 
 def _integer(name: str, value: object, low: int) -> int:
     """``value`` as an ``int``: an ``int`` or NumPy integer, not a ``bool``, >= ``low``."""
+    if type(value) is int and value >= low:  # the common case, before the general test
+        return value
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
         raise DomainError(f"{name} must be an integer >= {low}, got {_shown(value)}")
     return int(value)
@@ -82,6 +87,8 @@ def _integer(name: str, value: object, low: int) -> int:
 def _real(name: str, value: object, non_negative: bool = False) -> float:
     """``value`` as a finite ``float``: a real number, not a ``bool``, and
     >= 0 if ``non_negative``."""
+    if type(value) is float and math.isfinite(value) and (value >= 0.0 or not non_negative):
+        return value  # the common case, before the general test
     number = math.nan
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
         try:
@@ -93,6 +100,20 @@ def _real(name: str, value: object, non_negative: bool = False) -> float:
     if not math.isfinite(number):
         raise DomainError(f"{name} must be a finite real, got {_shown(value)}")
     return number
+
+
+def _number(name: str, value: object) -> float | complex:
+    """``value`` as a finite ``float`` if it is a real number, else as a finite
+    ``complex``: a real or complex number, not a ``bool``."""
+    number = complex(math.nan)
+    if isinstance(value, numbers.Complex) and not isinstance(value, bool):
+        try:
+            number = complex(value)
+        except OverflowError:  # an integer or fraction past the float range
+            pass
+    if not cmath.isfinite(number):
+        raise DomainError(f"{name} must be a finite real or complex number, got {_shown(value)}")
+    return number.real if isinstance(value, numbers.Real) else number
 
 
 def _real_column(name: str, column: object, non_negative: bool = False) -> np.ndarray:

@@ -195,7 +195,10 @@ class Schedule:
         self._set_header(lamb_dicke, truncation, direction, target)
         index = _layout(truncation.j_max).index  # a note outside gets dim, refused by _set
         note = [-1 if q.note is None else index.get(q.note, truncation.dim) for q in p]
-        self._set([q.channel for q in p], [q.x for q in p], [q.theta for q in p], note)
+        # Pulse has checked each length and phase, so they go in as float64 columns.
+        x = np.fromiter((q.x for q in p), np.float64, len(p))
+        theta = np.fromiter((q.theta for q in p), np.float64, len(p))
+        self._set([q.channel for q in p], x, theta, note)
 
     @classmethod
     def from_columns(
@@ -231,8 +234,12 @@ class Schedule:
 
     def _set(self, channel, x, theta, note) -> None:
         """Check and keep the columns, against the header already kept."""
-        channel, note = np.asarray(channel), np.asarray(note)
-        if channel.ndim != 1 or not channel.shape == np.shape(x) == np.shape(theta) == note.shape:
+        try:  # a ragged column is refused by NumPy with a bare ValueError
+            channel, note = np.asarray(channel), np.asarray(note)
+            one_length = channel.shape == np.shape(x) == np.shape(theta) == note.shape
+        except ValueError:
+            one_length = False
+        if not (one_length and channel.ndim == 1):
             raise DomainError("schedule columns must be 1-D and of one length")
         dim = self.truncation.dim
         _refuse("channel", channel, _outside(channel, 1, len(ChannelId)), "unknown channel code")

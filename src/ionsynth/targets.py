@@ -8,7 +8,6 @@ whether the truncation is adequate.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -21,6 +20,7 @@ from .fock import (
     Occupation,
     StateVector,
     Truncation,
+    _number,
     index_of,
 )
 
@@ -42,10 +42,8 @@ def _level_a_state(entries: dict[Occupation, complex], truncation: Truncation) -
 
 
 def _prefactor(alpha: complex, rate: float) -> float:
-    """exp(-rate |alpha|^2) for a finite alpha; a prefactor that underflows to 0
-    is rejected before any alpha**n (which may overflow) is taken."""
-    if not cmath.isfinite(alpha):
-        raise DomainError(f"alpha must be finite, got {alpha!r}")
+    """exp(-rate |alpha|^2) for an alpha checked by ``fock._number``; a prefactor
+    that underflows to 0 is rejected before any alpha**n (which may overflow) is taken."""
     # the exp is 0 long before |alpha| = 1e3, and |alpha|**2 raises past 1e154
     prefactor = math.exp(-rate * abs(alpha) ** 2) if abs(alpha) < 1e3 else 0.0
     _check_kept(prefactor, alpha)
@@ -60,6 +58,7 @@ def _check_kept(kept: float, alpha: complex) -> None:
 def target_corr(alpha: complex, truncation: Truncation) -> Target:
     """Fully correlated state: amplitudes of a coherent state carried by the
     diagonal occupations |n, n, n>."""
+    alpha = _number("alpha", alpha)
     prefactor = _prefactor(alpha, 0.5)
     entries: dict[Occupation, complex] = {}
     for n in range(truncation.j_max // 3 + 1):
@@ -95,6 +94,7 @@ def target_ghz(alpha: complex, truncation: Truncation) -> Target:
     Amplitudes with odd total quanta cancel identically, so only even-total
     occupations appear.
     """
+    alpha = _number("alpha", alpha)
     prefactor = _prefactor(alpha, 1.5)
     entries: dict[Occupation, complex] = {}
     for j in range(0, truncation.j_max + 1, 2):

@@ -138,8 +138,10 @@ def test_private_name_check_sees_dead_and_doubled_names():
     ]
 
 
-# The wording of the integer and real rules that ``fock`` owns.
-RULE_MESSAGE = re.compile(r"must be (an integer >=|a finite (non-negative )?real)")
+# The wording of the integer, real and complex rules that ``fock`` owns.
+RULE_MESSAGE = re.compile(
+    r"must be (an integer >=|a finite (non-negative )?real( or complex number)?)"
+)
 
 
 def _tests_bool(node: ast.AST) -> bool:
@@ -149,21 +151,6 @@ def _tests_bool(node: ast.AST) -> bool:
     kinds = node.args[1:]
     kinds = kinds[0].elts if kinds and isinstance(kinds[0], ast.Tuple) else kinds
     return any(getattr(kind, "id", None) == "bool" for kind in kinds)
-
-
-def _format_checks(tree: ast.AST) -> set[ast.AST]:
-    """The ``isinstance`` calls in the test of an ``if`` whose body raises a
-    ``...FormatError``: a file's JSON-type check, which words a file error."""
-    calls = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.If) and any(
-            isinstance(stmt, ast.Raise)
-            and isinstance(stmt.exc, ast.Call)
-            and getattr(stmt.exc.func, "id", "").endswith("FormatError")
-            for stmt in node.body
-        ):
-            calls |= set(ast.walk(node.test))
-    return calls
 
 
 def _replay_overflow_check(tree: ast.AST) -> set[ast.AST]:
@@ -177,16 +164,13 @@ def rule_owner_faults(sources: dict[str, str]) -> list[str]:
     """Outside ``fock``: each string holding a rule's wording, as
     ``"message: module:line"``, each ``isinstance(..., bool)`` test, as
     ``"bool: module:line"``, and each ``np.isfinite``, as
-    ``"isfinite: module:line"``; ``files``' JSON-type checks may test for bool,
-    and ``pulses._replay`` may call ``np.isfinite``."""
+    ``"isfinite: module:line"``; only ``pulses._replay`` may call ``np.isfinite``."""
     faults = []
     for module, source in sources.items():
         if module == "fock":
             continue
         tree = ast.parse(source)
-        allowed = _format_checks(tree) if module == "files" else set()
-        if module == "pulses":
-            allowed |= _replay_overflow_check(tree)
+        allowed = _replay_overflow_check(tree) if module == "pulses" else set()
         for node in ast.walk(tree):
             if isinstance(node, ast.Constant) and isinstance(node.value, str):
                 if RULE_MESSAGE.search(node.value):
@@ -201,7 +185,8 @@ def rule_owner_faults(sources: dict[str, str]) -> list[str]:
 
 def test_only_fock_words_or_applies_the_argument_rules():
     sources = {path.stem: path.read_text() for path in SOURCES}
-    assert len(RULE_MESSAGE.findall(sources["fock"])) == 3  # integer, real, non-negative real
+    # integer, real, non-negative real, real or complex
+    assert len(RULE_MESSAGE.findall(sources["fock"])) == 4
     assert rule_owner_faults(sources) == []
 
 
@@ -233,7 +218,7 @@ def test_rule_owner_check_sees_rules_outside_fock():
     }
     sources["fock"] += "def _real_column(name, column):\n    return np.isfinite(column)\n"
     assert rule_owner_faults(sources) == [
-        "bool: noise:2", "message: noise:3", "bool: files:4", "message: files:5",
+        "bool: noise:2", "message: noise:3", "bool: files:2", "bool: files:4", "message: files:5",
         "isfinite: pulses:2",
     ]
 

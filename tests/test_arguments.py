@@ -32,6 +32,7 @@ from ionsynth import (
     pulse_count_model,
     save_schedule,
     target_corr,
+    target_ghz,
 )
 from ionsynth.fock import J_MAX_CAP
 
@@ -65,6 +66,14 @@ HUGE = 2**1100  # past the float range: float() of it raises OverflowError
          "pulse phase theta must be a finite real, got nan"),
         (lambda: Pulse(ChannelId.H1, False, 0.0),
          "pulse length x must be a finite non-negative real, got False"),
+        (lambda: target_corr(True, Truncation(3)),
+         "alpha must be a finite real or complex number, got True"),
+        (lambda: target_ghz(HUGE, Truncation(3)),
+         f"alpha must be a finite real or complex number, got {HUGE}"),
+        (lambda: target_corr("x", Truncation(3)),
+         "alpha must be a finite real or complex number, got 'x'"),
+        (lambda: target_ghz(None, Truncation(3)),
+         "alpha must be a finite real or complex number, got None"),
     ],
 )
 def test_a_bool_or_a_value_past_the_float_range_is_a_domain_error(make, message):

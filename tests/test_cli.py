@@ -344,6 +344,18 @@ def test_sweep_refuses_trials_past_the_cap_by_name(tmp_path, capsys):
     assert not csv.exists()
 
 
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_sweep_refuses_trials_below_one_by_flag(trials, tmp_path, capsys):
+    """Named by the flag, not by run_trials' argument, and refused before the
+    schedule is read."""
+    csv = tmp_path / "rows.csv"
+    argv = ["--schedule", str(tmp_path / "absent.json"), "--target", "ghz", "--out", str(csv)]
+    code, out, err = run(capsys, "sweep", *argv, "--trials", trials)
+    assert code == 2 and out == ""
+    assert err == f"error: --trials {trials} is below the minimum of 1\n"
+    assert not csv.exists()
+
+
 def test_jmax_over_the_cap_exits_2_by_name(tmp_path, capsys):
     out_path = tmp_path / "s.json"
     code, _, err = run(capsys, "compile", "--target", "corr", "--jmax", "41", "--out", str(out_path))
@@ -411,7 +423,8 @@ SWEEP = [
             VERIFY, "pulses[1].theta", id="huge-theta",
         ),
         pytest.param(
-            edit_schedule(lambda d: d["lamb_dicke"].update(ex=HUGE)), VERIFY, "lamb_dicke.ex", id="huge-ex"
+            edit_schedule(lambda d: d["lamb_dicke"].update(ex=HUGE)), VERIFY, "lamb_dicke: eps_x",
+            id="huge-ex",
         ),
         pytest.param(long_int_schedule, VERIFY, "{schedule}", id="int-past-digit-limit"),
         pytest.param(not_utf8_schedule, VERIFY, "{schedule}", id="schedule-not-utf8"),

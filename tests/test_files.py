@@ -39,6 +39,7 @@ from ionsynth import (
 from ionsynth import files
 from ionsynth.cli import main
 from ionsynth.files import _check_components, _notes, _parse_note, _parse_notes
+from ionsynth.fock import _integer, _real
 
 
 @pytest.fixture(scope="module")
@@ -358,7 +359,7 @@ def test_load_target_normalizes_rounding_slack(tmp_path):
         ),
         ([{"n": [3, 0, 0], "re": 1.0, "im": 0.0}], "exceeds the cutoff"),
         ([{"n": [0, 0], "re": 1.0, "im": 0.0}], "expected [nx, ny, nz]"),
-        ([{"n": [0, 0, -1], "re": 1.0, "im": 0.0}], "integers >= 0"),
+        ([{"n": [0, 0, -1], "re": 1.0, "im": 0.0}], "[0].n must be an integer >= 0, got -1"),
         ([{"n": [0, 0, 0], "re": 1.0}], "im: missing"),
         ([{"n": [0, 0, 0], "re": float("nan"), "im": 0.0}], "finite"),
         ("nope", "expected an array"),
@@ -582,7 +583,7 @@ def per_entry_load_target(doc, truncation):
             raise TargetFormatError(f"{where}.n: expected [nx, ny, nz]")
         for value in raw_n:
             if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-                raise TargetFormatError(f"{where}.n: occupation numbers must be integers >= 0")
+                raise TargetFormatError(f"{where}.n must be an integer >= 0, got {value!r}")
         occ = Occupation(*raw_n)
         if occ.total > truncation.j_max:
             raise TargetFormatError(
@@ -594,9 +595,9 @@ def per_entry_load_target(doc, truncation):
             if key not in item:
                 raise TargetFormatError(f"{where}.{key}: missing")
             if not isinstance(item[key], (int, float)) or isinstance(item[key], bool):
-                raise TargetFormatError(f"{where}.{key}: expected a number")
+                raise TargetFormatError(f"{where}.{key} must be a finite real, got {item[key]!r}")
             if not abs(item[key]) < 2**1024 - 2**970:
-                raise TargetFormatError(f"{where}.{key}: must be finite and within the float range")
+                raise TargetFormatError(f"{where}.{key} must be a finite real, got {item[key]!r}")
         entries[occ] = complex(item["re"], item["im"])
     if not entries:
         raise TargetFormatError("target file holds no components")
@@ -748,6 +749,90 @@ def test_clean_targets_load_as_the_entry_by_entry_reference(drawn, scratch_dir):
                 load_target(path, truncation)
         else:
             assert load_target(path, truncation).state.amplitudes.tobytes() == (want / norm).tobytes()
+
+
+# Any JSON scalar: ints past the float range, floats with NaN, the
+# infinities and -0.0, bools, short strings and null.
+JSON_SCALARS = st.one_of(
+    st.integers(),
+    st.sampled_from([2**1100, -(2**1100), 0, 1, 2, -1]),
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1.0, -1.0]),
+    st.booleans(),
+    st.text(max_size=3),
+    st.none(),
+)
+
+# Each numeric field of a schedule or target file: the name an error gives it,
+# and fock's rule for it.
+NUMBER_FIELDS = {
+    "x": ("pulses[0].x", lambda name, v: _real(name, v, non_negative=True)),
+    "theta": ("pulses[0].theta", _real),
+    "ex": ("lamb_dicke: eps_x", lambda name, v: _real(name, v, non_negative=True)),
+    "note": ("pulses[0].note", lambda name, v: _integer(name, v, 0)),
+    "re": ("[0].re", _real),
+    "im": ("[0].im", _real),
+    "n": ("[0].n", lambda name, v: _integer(name, v, 0)),
+}
+# The JSON-type check that comes first for a length, phase or Lamb-Dicke value.
+JSON_NUMBER_FIELDS = {"x": "pulses[0].x", "theta": "pulses[0].theta", "ex": "lamb_dicke.ex"}
+NORM = "target norm "
+
+
+def load_holding(value, field, directory):
+    """Load a file holding ``value`` in ``field``: _write_doc's one-pulse
+    schedule or a one-entry target, both at cutoff 1."""
+    if field in ("re", "im", "n"):
+        item = {"n": [0, 0, 0], "re": 1.0, "im": 0.0}
+        if field == "n":
+            item["n"] = [value, 0, 0]
+        else:
+            item.update({"re": 0.0, field: value})
+        path = directory / "target.json"
+        path.write_text(json.dumps([item]))
+        return load_target(path, Truncation(1))
+
+    def edit(doc):
+        if field == "ex":
+            doc["lamb_dicke"]["ex"] = value
+        else:
+            doc["pulses"][0][field] = [value, 0, 0, "b"] if field == "note" else value
+
+    return load_schedule(_write_doc(directory, edit))
+
+
+def expected_refusal(value, field):
+    """None for a value the file takes, else the error: the JSON-type check's,
+    fock's rule's under the field's name, the cutoff's, or the norm's (NORM)."""
+    if field in JSON_NUMBER_FIELDS and type(value) not in (int, float):
+        return f"{JSON_NUMBER_FIELDS[field]}: unexpected type {type(value).__name__}"
+    name, rule = NUMBER_FIELDS[field]
+    try:
+        number = rule(name, value)
+    except DomainError as exc:
+        return str(exc)
+    if field in ("note", "n") and number > 1:
+        return f"{name}: total occupation {number} exceeds the cutoff 1"
+    if field in ("re", "im") and abs(abs(number) - 1.0) > 1e-6:
+        return NORM  # a one-entry target's norm is its amplitude's modulus
+    return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(value=JSON_SCALARS, field=st.sampled_from(sorted(NUMBER_FIELDS)))
+def test_a_file_number_is_taken_exactly_when_focks_rule_takes_it(value, field, scratch_dir):
+    """A number in a schedule or target file loads exactly when fock's rule
+    for its field takes it, and a refusal is the rule's message under the
+    field's name; a length, phase or Lamb-Dicke value that is not a JSON
+    number is refused by its type first."""
+    want = expected_refusal(value, field)
+    try:
+        load_holding(value, field, scratch_dir)
+    except (ScheduleFormatError, TargetFormatError) as exc:
+        got = str(exc)
+        assert got.startswith(NORM) if want == NORM else got == want
+    else:
+        assert want is None
 
 
 # The streaming reader against the whole-document one it falls back to.

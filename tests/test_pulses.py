@@ -772,6 +772,9 @@ BAD_COLUMNS = [
     ([2**40], [0.0], [0.0], [-1], "pulses[0].channel"),
     ([1], [0.0], [0.0], [2**40], "pulses[0].note"),
     ([1, 2**70], [0.0, 0.0], [0.0, 0.0], [-1, -1], "pulses[1].channel"),
+    # A ragged column is refused by name, not by NumPy's bare ValueError.
+    ([1], [[1.0], [1.0, 2.0]], [0.0], [-1], "schedule columns must be 1-D and of one length"),
+    ([[1], [1, 2]], [0.0], [0.0], [-1], "schedule columns must be 1-D and of one length"),
 ]
 
 

@@ -149,6 +149,22 @@ def test_non_finite_alpha_is_rejected_by_name(build, alpha):
 
 
 @pytest.mark.parametrize(
+    "build, alpha, description",
+    [
+        (target_corr, 0.5, "corr(alpha=0.5)"),
+        (target_corr, np.float64(1.0), "corr(alpha=1.0)"),
+        (target_ghz, -0.0, "ghz(alpha=-0.0)"),
+        (target_ghz, 0.7 + 0.2j, "ghz(alpha=(0.7+0.2j))"),
+        (target_corr, np.complex128(0.3 - 0.1j), "corr(alpha=(0.3-0.1j))"),
+    ],
+)
+def test_a_float_or_complex_alpha_is_described_as_given(build, alpha, description):
+    """The description, and so a schedule's target field, shows the alpha the
+    caller gave."""
+    assert build(alpha, Truncation(4)).description == description
+
+
+@pytest.mark.parametrize(
     "build, alpha",
     [
         (target_corr, 1000.0),
