@@ -15,14 +15,17 @@ holding n quanta is
     nonlinearity(eps, n) = exp(-eps**2 / 2) * L1_n(eps**2) / (n + 1)
 
 with ``L1_n`` the generalized Laguerre polynomial of order 1; it tends to 1 in
-the small-eps limit, recovering the familiar sqrt factors.
+the small-eps limit, recovering the familiar sqrt factors.  ``_nonlinearities``
+is the one place that evaluates it: L1_n comes from the three-term recurrence
+SciPy's ``eval_genlaguerre`` runs, with its operations in SciPy's order, so
+every value keeps SciPy's bits without the package importing SciPy.
 
 A channel's coupled pairs are built as arrays by one function, ``_pairs``,
 from lower-level occupations: the partner adds one quantum to the channel's
 raised mode and takes one from its lowered mode, both ends' basis indices and
 each pair's Omega rank come by arithmetic on the canonical basis order, whose
 closed-form index the ``fock`` docstring gives, and every Lamb-Dicke factor
-from one Laguerre evaluation per eps over n = 0..j_max.  :func:`rabi` and
+from one pass of the recurrence per eps over n = 0..j_max.  :func:`rabi` and
 :func:`partner_occupation` compute the same numbers one component at a time.
 
 Only the Rabi frequencies depend on the Lamb-Dicke point.  The rows, their
@@ -42,7 +45,6 @@ from enum import Enum, IntEnum
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import eval_genlaguerre
 
 from .fock import (
     J_MAX_CAP,
@@ -162,16 +164,14 @@ def nonlinearity(eps: float, n: int) -> float:
     Equals exp(-eps**2/2) * L1_n(eps**2) / (n+1), which is also the closed form
     of the finite series sum_k (-1)**k eps**(2k) n! / ((k+1)! k! (n-k)!) times
     exp(-eps**2/2).  At eps=0 the factor is exactly 1; once exp(-eps**2/2)
-    underflows it is 0, its limit, even where L1_n(eps**2) overflows.
+    underflows it is 0, its limit, even where L1_n(eps**2) overflows.  The
+    value is entry n of :func:`_nonlinearities`, whose L1_n is SciPy's
+    ``eval_genlaguerre(n, 1, eps**2)`` bit for bit.
     """
     eps, n = _real("eps", eps, non_negative=True), _integer("occupation", n, 0)
     if n > J_MAX_CAP:  # no basis holds more quanta, and L1_n costs O(n)
         raise DomainError(f"occupation {_shown(n)} exceeds the cap of {J_MAX_CAP}")
-    x = eps * eps
-    damping = math.exp(-0.5 * x)
-    if damping == 0.0:
-        return 0.0
-    return damping * float(eval_genlaguerre(n, 1, x)) / (n + 1)
+    return float(_nonlinearities(eps, n)[n])
 
 
 def rabi(spec: ChannelSpec, occ: Occupation, ld: LambDickeParams) -> float:
@@ -311,13 +311,24 @@ def _rows(spec: ChannelSpec, j_max: int) -> tuple:
 
 
 def _nonlinearities(eps: float, j_max: int) -> np.ndarray:
-    """``nonlinearity(eps, n)`` for n = 0..j_max, by the same operations."""
+    """``nonlinearity(eps, n)`` for n = 0..j_max: exp(-x/2) * L1_n(x) / (n+1)
+    at x = eps**2, 0 once the damping underflows.  One pass of the recurrence
+    SciPy's ``eval_genlaguerre(n, 1, x)`` runs for each n on its own gives
+    every L1_n, each operation in SciPy's order, so each is SciPy's value bit
+    for bit: with alpha = 1, d_1 = -x/2, p_1 = d_1 + 1, then
+    d_{k+1} = -x/(k+2) * p_k + k/(k+2) * d_k, p_{k+1} = p_k + d_{k+1} and
+    L1_{k+1} = (k+2) * p_{k+1}."""
     x = eps * eps
-    n = np.arange(j_max + 1)
     damping = math.exp(-0.5 * x)
     if damping == 0.0:
-        return np.zeros(j_max + 1)  # as in nonlinearity
-    return damping * eval_genlaguerre(n, 1, x) / (n + 1)
+        return np.zeros(j_max + 1)
+    d = -x / 2.0
+    p, laguerre = d + 1.0, [1.0, -x + 1.0 + 1.0]  # L1_0 and L1_1
+    for k in range(1, j_max):
+        d = -x / (k + 2.0) * p + k / (k + 2.0) * d
+        p += d
+        laguerre.append((k + 2.0) * p)
+    return damping * np.array(laguerre[: j_max + 1]) / np.arange(1, j_max + 2)
 
 
 def coupled_pairs(

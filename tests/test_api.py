@@ -2,13 +2,17 @@
 module imports is used, every private top-level name is read somewhere in
 the package and defined in one module only, only ``fock`` words or
 applies the numeric-argument rules or tests finiteness with ``np.isfinite``,
-and a ``Schedule`` is built only through its two constructors."""
+a ``Schedule`` is built only through its two constructors, and importing the
+package and its CLI loads no SciPy."""
 
 import ast
 import importlib
 import importlib.util
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -29,6 +33,24 @@ def test_every_exported_name_resolves(name):
     assert len(exported) == len(set(exported)), name
     missing = [attr for attr in exported if not hasattr(module, attr)]
     assert missing == [], name
+
+
+def test_importing_the_package_loads_no_scipy():
+    """The package runs on NumPy alone; only the tests and the benchmark use
+    SciPy, as their reference.  A fresh interpreter is needed, since other
+    tests load SciPy into this one."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = "import sys, ionsynth, ionsynth.cli; print(sorted(sys.modules))"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    loaded = ast.literal_eval(out)
+    assert "ionsynth.cli" in loaded
+    assert [name for name in loaded if name == "scipy" or name.startswith("scipy.")] == []
 
 
 def perfbench_patches() -> set[tuple[str, str]]:

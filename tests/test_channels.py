@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -30,6 +31,7 @@ from ionsynth.channels import (
     dense_hamiltonian,
     partner_occupation,
 )
+from ionsynth.fock import J_MAX_CAP
 from ionsynth.pulses import _pair_table
 
 LD = LambDickeParams()
@@ -49,6 +51,48 @@ def series_nonlinearity(eps: float, n: int) -> float:
         term /= math.factorial(k + 1) * math.factorial(k) * math.factorial(n - k)
         total += term
     return math.exp(-0.5 * eps * eps) * total
+
+
+def scipy_nonlinearity(eps: float, n: int) -> float:
+    """Reference: the Lamb-Dicke factor through SciPy's own L1_n.  Past the
+    damping underflow the package returns +0.0, where this product would keep
+    the sign of L1_n and give -0.0 for odd n, so the reference does too."""
+    damping = math.exp(-eps * eps / 2)
+    if damping == 0.0:
+        return 0.0
+    return float(damping * scipy.special.eval_genlaguerre(n, 1, eps * eps) / (n + 1))
+
+
+def damping_edge() -> tuple[float, float]:
+    """The largest eps whose damping exp(-eps**2/2) is nonzero and the next
+    float up, whose damping is 0, by bisection over the floats: the damping is
+    nonzero at lo and 0 at hi throughout."""
+    lo, hi = 0.0, 40.0
+    while math.nextafter(lo, hi) != hi:
+        mid = (lo + hi) / 2
+        if math.exp(-mid * mid / 2) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+LAST_DAMPED, FIRST_UNDERFLOWED = damping_edge()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(0.0, 40.0))
+@example(0.0)
+@example(5e-324)
+@example(1e-160)
+@example(LAST_DAMPED)
+@example(FIRST_UNDERFLOWED)
+def test_nonlinearities_are_scipys_bits(eps):
+    """Both forms equal the factor through SciPy's eval_genlaguerre bit for
+    bit, for every occupation up to the cap."""
+    want = [scipy_nonlinearity(eps, n) for n in range(J_MAX_CAP + 1)]
+    assert _nonlinearities(eps, J_MAX_CAP).tobytes() == np.array(want).tobytes()
+    assert [nonlinearity(eps, n).hex() for n in range(J_MAX_CAP + 1)] == [v.hex() for v in want]
 
 
 def test_nonlinearity_at_zero_is_exactly_one():
