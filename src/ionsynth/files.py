@@ -461,7 +461,7 @@ def load_target(path: str | os.PathLike[str], truncation: Truncation) -> Target:
     if abs(norm - 1.0) > 1e-6:
         raise TargetFormatError(f"target norm {norm:.9f} differs from 1 by more than 1e-6")
     return Target(
-        state=StateVector._wrap(amps / norm, truncation),
+        state=StateVector(amps / norm, truncation),
         description=f"file:{os.path.basename(os.fspath(path))}",
         truncated_mass=0.0,
     )

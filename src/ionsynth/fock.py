@@ -17,6 +17,9 @@ smaller nx, each J - nx + 1 long), and its component on electronic level l has
 index 4*vib + l.  This module owns that order; every other module reads it
 from here.
 
+A :class:`StateVector` is built only by its constructor, which copies the
+amplitudes and checks their shape.
+
 It also owns the package's numeric-argument rules, which every constructor,
 entry point and file reader that takes a cutoff, a count, an occupation, a
 width, a length, a phase, an amplitude or a coherent amplitude calls:
@@ -77,8 +80,6 @@ def _shown(value: object, show=repr) -> str:
 
 def _integer(name: str, value: object, low: int) -> int:
     """``value`` as an ``int``: an ``int`` or NumPy integer, not a ``bool``, >= ``low``."""
-    if type(value) is int and value >= low:  # the common case, before the general test
-        return value
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
         raise DomainError(f"{name} must be an integer >= {low}, got {_shown(value)}")
     return int(value)
@@ -87,8 +88,6 @@ def _integer(name: str, value: object, low: int) -> int:
 def _real(name: str, value: object, non_negative: bool = False) -> float:
     """``value`` as a finite ``float``: a real number, not a ``bool``, and
     >= 0 if ``non_negative``."""
-    if type(value) is float and math.isfinite(value) and (value >= 0.0 or not non_negative):
-        return value  # the common case, before the general test
     number = math.nan
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
         try:
@@ -259,7 +258,11 @@ def component_of(index: int, truncation: Truncation) -> Component:
 
 
 class StateVector:
-    """Complex amplitudes over the canonical component basis."""
+    """Complex amplitudes over the canonical component basis.
+
+    The constructor is the one way to build a state: it copies ``amplitudes``
+    into a new complex128 array and checks that its shape is ``(dim,)``.
+    """
 
     __slots__ = ("amplitudes", "truncation")
 
@@ -272,16 +275,8 @@ class StateVector:
         self.amplitudes = amps
         self.truncation = truncation
 
-    @classmethod
-    def _wrap(cls, amps: np.ndarray, truncation: Truncation) -> "StateVector":
-        # Internal fast path: adopt an existing complex array without copying.
-        sv = cls.__new__(cls)
-        sv.amplitudes = amps
-        sv.truncation = truncation
-        return sv
-
     def copy(self) -> "StateVector":
-        return StateVector._wrap(self.amplitudes.copy(), self.truncation)
+        return StateVector(self.amplitudes, self.truncation)
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
@@ -290,7 +285,7 @@ class StateVector:
         n = self.norm()
         if n < 1e-300:
             raise DomainError("cannot normalize a zero state")
-        return StateVector._wrap(self.amplitudes / n, self.truncation)
+        return StateVector(self.amplitudes / n, self.truncation)
 
     def amplitude(self, component: Component) -> complex:
         return complex(self.amplitudes[index_of(component, self.truncation)])
@@ -306,9 +301,9 @@ class StateVector:
 
 def basis_state(component: Component, truncation: Truncation) -> StateVector:
     """Unit amplitude on a single component."""
-    amps = np.zeros(truncation.dim, dtype=np.complex128)
-    amps[index_of(component, truncation)] = 1.0
-    return StateVector._wrap(amps, truncation)
+    state = StateVector(np.zeros(truncation.dim), truncation)
+    state.amplitudes[index_of(component, truncation)] = 1.0
+    return state
 
 
 def vacuum_state(truncation: Truncation) -> StateVector:
@@ -361,5 +356,5 @@ def project_level(state: StateVector, level: Level) -> tuple[StateVector, float]
     if p == 0.0:
         raise DomainError(f"state has no support on level {level.label!r}")
     projected = np.zeros_like(cols)
-    projected[:, level] = cols[:, level]
-    return StateVector._wrap(projected.reshape(-1) / math.sqrt(p), state.truncation), p
+    projected[:, level] = cols[:, level] / math.sqrt(p)
+    return StateVector(projected.reshape(-1), state.truncation), p

@@ -142,7 +142,7 @@ def simulate_trial(
     amps = np.repeat(vacuum_state(t).amplitudes[np.newaxis], len(columns), axis=0)
     x, theta = (np.stack(column, axis=1) for column in zip(*columns))
     _replay(amps, t, preparation.lamb_dicke, preparation.channel, x, theta)
-    results = tuple(_score(StateVector._wrap(out, t), target) for out in amps)
+    results = tuple(_score(StateVector(out, t), target) for out in amps)
     return results[0] if single else results
 
 

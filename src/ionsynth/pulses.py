@@ -409,10 +409,10 @@ def apply_pulse(
     state: StateVector, pulse: Pulse, ld: LambDickeParams = LambDickeParams()
 ) -> StateVector:
     """Apply one pulse exactly; returns a new state, norm preserved."""
-    amps = state.amplitudes.copy()
+    out = StateVector(state.amplitudes, state.truncation)
     columns = np.array([pulse.channel]), np.array([pulse.x]), np.array([pulse.theta])
-    _replay(amps, state.truncation, ld, *columns)
-    return StateVector._wrap(amps, state.truncation)
+    _replay(out.amplitudes, state.truncation, ld, *columns)
+    return out
 
 
 def apply_schedule(state: StateVector, schedule: Schedule) -> StateVector:
@@ -422,10 +422,10 @@ def apply_schedule(state: StateVector, schedule: Schedule) -> StateVector:
             f"schedule truncation j_max={schedule.truncation.j_max} does not match "
             f"state truncation j_max={state.truncation.j_max}"
         )
-    amps = state.amplitudes.copy()
+    out = StateVector(state.amplitudes, state.truncation)
     columns = schedule.channel, schedule.x, schedule.theta
-    _replay(amps, schedule.truncation, schedule.lamb_dicke, *columns)
-    return StateVector._wrap(amps, state.truncation)
+    _replay(out.amplitudes, schedule.truncation, schedule.lamb_dicke, *columns)
+    return out
 
 
 def dagger_schedule(schedule: Schedule) -> Schedule:
@@ -483,4 +483,4 @@ def oracle_apply(
     w, vecs = np.linalg.eigh(h)
     phases = np.exp(-1j * pulse.x * w)
     out = vecs @ (phases * (vecs.conj().T @ state.amplitudes))
-    return StateVector._wrap(out, state.truncation)
+    return StateVector(out, state.truncation)

@@ -347,7 +347,8 @@ def deevolve(
     norm = target.norm()
     if not abs(norm - 1.0) <= 1e-6:  # written so that a NaN norm fails too
         raise DomainError(f"target must be normalized, got norm {norm!r}")
-    work = StateVector._wrap(target.amplitudes / norm, target.truncation)
+    work = StateVector(target.amplitudes, target.truncation)
+    work.amplitudes /= norm
     steps = _plan_columns(target.truncation.j_max)
     xs, thetas = _solve_columns(work, steps, ld)
     residual = 1.0 - abs(work.amplitudes[0]) ** 2

@@ -67,7 +67,7 @@ def target_corr(alpha: complex, truncation: Truncation) -> Target:
     kept = float(np.sum(np.abs(amps) ** 2))  # untruncated total is exactly 1
     _check_kept(kept, alpha)
     return Target(
-        state=StateVector._wrap(amps / math.sqrt(kept), truncation),
+        state=StateVector(amps / math.sqrt(kept), truncation),
         description=f"corr(alpha={alpha})",
         truncated_mass=1.0 - kept,
     )
@@ -82,7 +82,7 @@ def target_diag(truncation: Truncation) -> Target:
     amp = 1.0 / math.sqrt(5.0)
     entries = {Occupation(n, n, n): amp for n in range(5)}
     return Target(
-        state=StateVector._wrap(_level_a_state(entries, truncation), truncation),
+        state=StateVector(_level_a_state(entries, truncation), truncation),
         description="diag",
         truncated_mass=0.0,
     )
@@ -114,7 +114,7 @@ def target_ghz(alpha: complex, truncation: Truncation) -> Target:
     _check_kept(kept, alpha)
     total = 2.0 + 2.0 * math.exp(-6.0 * abs(alpha) ** 2)  # untruncated norm**2
     return Target(
-        state=StateVector._wrap(amps / math.sqrt(kept), truncation),
+        state=StateVector(amps / math.sqrt(kept), truncation),
         description=f"ghz(alpha={alpha})",
         truncated_mass=1.0 - kept / total,
     )
@@ -128,7 +128,7 @@ def random_target(truncation: Truncation, rng: np.random.Generator) -> Target:
     cols[:, Level.A] = rng.normal(size=vib) + 1j * rng.normal(size=vib)
     amps /= np.linalg.norm(amps)
     return Target(
-        state=StateVector._wrap(amps, truncation),
+        state=StateVector(amps, truncation),
         description="random",
         truncated_mass=0.0,
     )

@@ -245,27 +245,33 @@ def test_rule_owner_check_sees_rules_outside_fock():
     ]
 
 
+CHECKED_CLASSES = {"Schedule", "StateVector"}
+
+
 def construction_faults(sources: dict[str, str]) -> list[str]:
     """Each ``__new__`` call that may build a ``Schedule`` outside
-    ``Schedule.from_columns``, as ``"__new__: module:line"``, and each
-    ``__dict__.update`` call, as ``"__dict__.update: module:line"``.  A call may
-    build one if it sits in the ``Schedule`` class or names ``Schedule``."""
+    ``Schedule.from_columns``, or a ``StateVector`` at all, as
+    ``"__new__: module:line"``, and each ``__dict__.update`` call, as
+    ``"__dict__.update: module:line"``.  A call may build one if it sits in
+    either class or names either class."""
     faults = []
     for module, source in sources.items():
         tree = ast.parse(source)
         inside, allowed = set(), set()
         for cls in tree.body:
-            if isinstance(cls, ast.ClassDef) and cls.name == "Schedule":
+            if isinstance(cls, ast.ClassDef) and cls.name in CHECKED_CLASSES:
                 inside |= set(ast.walk(cls))
                 for fn in cls.body:
-                    if isinstance(fn, ast.FunctionDef) and fn.name == "from_columns":
+                    if isinstance(fn, ast.FunctionDef) and (cls.name, fn.name) == (
+                        "Schedule", "from_columns"
+                    ):
                         allowed |= set(ast.walk(fn))
         for node in ast.walk(tree):
             if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
                 continue
             names = {n.id for part in (node.func.value, *node.args) for n in ast.walk(part)
                      if isinstance(n, ast.Name)}
-            if node.func.attr == "__new__" and (node in inside or "Schedule" in names):
+            if node.func.attr == "__new__" and (node in inside or names & CHECKED_CLASSES):
                 if node not in allowed:
                     faults.append(f"__new__: {module}:{node.lineno}")
             elif node.func.attr == "update" and getattr(node.func.value, "attr", None) == "__dict__":
@@ -274,8 +280,9 @@ def construction_faults(sources: dict[str, str]) -> list[str]:
 
 
 def test_a_schedule_is_built_only_through_its_constructors():
-    """Every schedule passes ``Schedule._set``: none is made by ``__new__``
-    outside ``from_columns`` or has its attributes copied in."""
+    """Every schedule passes ``Schedule._set`` and every state its shape check:
+    no schedule is made by ``__new__`` outside ``from_columns``, no state by
+    ``__new__`` at all, and neither has its attributes copied in."""
     sources = {path.stem: path.read_text() for path in SOURCES}
     assert construction_faults(sources) == []
 
@@ -295,13 +302,18 @@ def test_construction_check_sees_schedules_built_around_the_constructors():
             "    @classmethod\n"
             "    def _wrap(cls):\n"
             "        return cls.__new__(cls)\n"
+            "    def copy(self):\n"
+            "        return StateVector(self.amplitudes, self.truncation)\n"
         ),
         "noise": (
             "def perturb(s):\n"
             "    views = map(object.__new__, [Pulse])\n"
             "    return object.__new__(Schedule), Schedule.__new__(Schedule)\n"
+            "def score(out, t):\n"
+            "    return object.__new__(StateVector), StateVector(out, t)\n"
         ),
     }
     assert construction_faults(sources) == [
-        "__new__: pulses:6", "__dict__.update: pulses:7", "__new__: noise:3", "__new__: noise:3",
+        "__new__: pulses:6", "__dict__.update: pulses:7", "__new__: pulses:12",
+        "__new__: noise:3", "__new__: noise:3", "__new__: noise:5",
     ]

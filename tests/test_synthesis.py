@@ -33,7 +33,7 @@ from ionsynth import (
     target_ghz,
     vacuum_state,
 )
-from ionsynth import synthesis
+from ionsynth import pulses, synthesis
 from ionsynth.channels import _pairs, partner_occupation
 from ionsynth.fock import _layout, _total_j
 from ionsynth.pulses import _pair_table
@@ -796,3 +796,37 @@ def test_deevolve_on_both_sides_of_a_laguerre_zero(j_max, seed, which, f):
     assert result.final_residual <= 1e-12
     prepared = apply_schedule(vacuum_state(t), result.preparation)
     assert 1.0 - fidelity_to_target(prepared, target) <= 1e-12
+
+
+# (rotation calls, pair operands summed over them) for the compile and for the
+# noiseless preparation replay from the vacuum.  Both skip x = 0 pulses and cut
+# each rotation at the occupied-J frontier; a kernel that loses either keeps
+# every bit, so only these counts catch it.
+WORK = {
+    ("corr", 10): ((1049, 83229), (1049, 95403)),
+    ("corr", 12): ((2441, 426086), (2441, 477554)),
+    ("corr", 16): ((4714, 1541274), (4714, 1697671)),
+    ("ghz", 10): ((1602, 194654), (1602, 215368)),
+    ("ghz", 12): ((2687, 526823), (2687, 578291)),
+    ("ghz", 16): ((6133, 2622690), (6133, 2838591)),
+}
+
+
+@pytest.mark.parametrize("name, j_max", list(WORK))
+def test_compile_and_replay_do_the_pinned_work(name, j_max, monkeypatch):
+    def count(module):
+        tally, rotate = [0, 0], module._rotate
+
+        def counted(flat, src, dst, *factors):
+            tally[0] += 1
+            tally[1] += src.size  # K included
+            rotate(flat, src, dst, *factors)
+
+        monkeypatch.setattr(module, "_rotate", counted)
+        return tally
+
+    t = Truncation(j_max)
+    compiled, replayed = count(synthesis), count(pulses)
+    result = deevolve({"corr": target_corr, "ghz": target_ghz}[name](1, t).state)
+    apply_schedule(vacuum_state(t), result.preparation)
+    assert (tuple(compiled), tuple(replayed)) == WORK[name, j_max]
