@@ -49,14 +49,12 @@ import numpy as np
 from .fock import (
     J_MAX_CAP,
     Component,
-    DomainError,
     Level,
     Occupation,
     Truncation,
     _integer,
     _layout,
     _real,
-    _shown,
     _vib_index,
     enumerate_basis,
     index_of,
@@ -168,9 +166,8 @@ def nonlinearity(eps: float, n: int) -> float:
     value is entry n of :func:`_nonlinearities`, whose L1_n is SciPy's
     ``eval_genlaguerre(n, 1, eps**2)`` bit for bit.
     """
-    eps, n = _real("eps", eps, non_negative=True), _integer("occupation", n, 0)
-    if n > J_MAX_CAP:  # no basis holds more quanta, and L1_n costs O(n)
-        raise DomainError(f"occupation {_shown(n)} exceeds the cap of {J_MAX_CAP}")
+    eps = _real("eps", eps, non_negative=True)
+    n = _integer("occupation", n, 0, J_MAX_CAP)  # no basis holds more quanta, and L1_n costs O(n)
     return float(_nonlinearities(eps, n)[n])
 
 

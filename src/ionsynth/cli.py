@@ -30,7 +30,7 @@ from .files import (
     save_report,
     save_schedule,
 )
-from .fock import DomainError, Truncation, fidelity_to_target, vacuum_state
+from .fock import DomainError, Truncation, _integer, fidelity_to_target, vacuum_state
 from .noise import NoiseModel, sweep as run_sweep
 from .pulses import Direction, Schedule, apply_schedule
 from .synthesis import deevolve
@@ -164,10 +164,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    if args.trials > _TRIALS_CAP:
-        raise DomainError(f"--trials {args.trials} exceeds the cap of {_TRIALS_CAP}")
-    if args.trials < 1:
-        raise DomainError(f"--trials {args.trials} is below the minimum of 1")
+    trials = _integer("--trials", args.trials, 1, _TRIALS_CAP)
     schedule = load_schedule(args.schedule)
     if schedule.direction is not Direction.PREPARATION:
         raise DomainError(
@@ -176,7 +173,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     target = _build_target(args.target, args.alpha, schedule.truncation)
     start, step, count = args.delta_grid
     grid = [NoiseModel(start + k * step, args.delta_theta) for k in range(count)]
-    report = run_sweep(target.state, schedule, grid, args.trials, args.seed)
+    report = run_sweep(target.state, schedule, grid, trials, args.seed)
     save_report(report, args.out)
     for row in report.rows:
         print(

@@ -22,17 +22,20 @@ amplitudes and checks their shape.
 
 It also owns the package's numeric-argument rules, which every constructor,
 entry point and file reader that takes a cutoff, a count, an occupation, a
-width, a length, a phase, an amplitude or a coherent amplitude calls:
-:func:`_integer` takes an ``int`` or a NumPy integer, never a ``bool``, at or
-above a bound, and returns an ``int``; :func:`_real` takes a real number, never
-a ``bool``, that is finite as a float (and, if asked, >= 0), and returns that
-float; :func:`_real_column` applies it to a column of lengths or phases and
-words the first refusal as :func:`_real` does; :func:`_number` takes a finite
-real or complex number, never a ``bool``, and returns a ``float`` or a
-``complex``.  A value a rule refuses raises :class:`DomainError`, so an integer
-past the float range is refused, not an ``OverflowError``.  Every message that
-shows a caller's value shows it through :func:`_shown`, so one that Python will
-not print (an integer of more than 4,300 digits) is still refused by a
+channel code, a basis index, a width, a length, a phase, an amplitude or a
+coherent amplitude calls: :func:`_integer` takes an ``int`` or a NumPy integer,
+never a ``bool``, at or above a lower bound and, if one is given, at or below
+an upper bound, a cap, and returns an ``int``; :func:`_integer_column` applies
+it to a column of channel codes or note indices and words the first refusal as
+:func:`_integer` does; :func:`_real` takes a real number, never a ``bool``,
+that is finite as a float (and, if asked, >= 0), and returns that float;
+:func:`_real_column` applies it to a column of lengths or phases and words the
+first refusal as :func:`_real` does; :func:`_number` takes a finite real or
+complex number, never a ``bool``, and returns a ``float`` or a ``complex``.  A
+value a rule refuses raises :class:`DomainError`, so an integer past the float
+range is refused, not an ``OverflowError``.  Every message that shows a
+caller's value shows it through :func:`_shown`, so one that Python will not
+print (an integer of more than 4,300 digits) is still refused by a
 :class:`DomainError`.
 """
 
@@ -70,18 +73,21 @@ class DomainError(ValueError):
     """An argument is outside the domain an operation is defined on."""
 
 
-def _shown(value: object, show=repr) -> str:
-    """``show(value)``, or a placeholder for a value it refuses."""
+def _shown(value: object) -> str:
+    """``repr(value)``, or a placeholder for a value it refuses."""
     try:
-        return show(value)
+        return repr(value)
     except ValueError:  # an integer past the digit limit of int-to-str conversion
         return f"<{type(value).__name__} too long to print>"
 
 
-def _integer(name: str, value: object, low: int) -> int:
-    """``value`` as an ``int``: an ``int`` or NumPy integer, not a ``bool``, >= ``low``."""
+def _integer(name: str, value: object, low: int, high: int | None = None) -> int:
+    """``value`` as an ``int``: an ``int`` or NumPy integer, not a ``bool``, >= ``low``
+    and, if ``high`` is given, <= ``high``."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
         raise DomainError(f"{name} must be an integer >= {low}, got {_shown(value)}")
+    if high is not None and value > high:
+        raise DomainError(f"{name} {_shown(int(value))} exceeds the cap of {high}")
     return int(value)
 
 
@@ -130,6 +136,18 @@ def _real_column(name: str, column: object, non_negative: bool = False) -> np.nd
             return floats
     entries = array.tolist() if array is column else column
     return np.array([_real(name.format(i), v, non_negative) for i, v in enumerate(entries)])
+
+
+def _integer_column(name: str, column: object, low: int, high: int) -> np.ndarray:
+    """``column`` (1-D) by :func:`_integer`'s rule in [``low``, ``high``], entry i named
+    ``name.format(i)``.  Integers, not cast from bools, are checked whole (uncopied); any
+    other column, or one with a bad entry, goes through :func:`_integer` entry by entry."""
+    array = np.asarray(column)
+    plain = array is column or {bool, np.bool_}.isdisjoint(map(type, column))
+    if plain and array.dtype.kind in "iu" and ((array >= low) & (array <= high)).all():
+        return array
+    entries = array.tolist() if array is column else column
+    return np.array([_integer(name.format(i), v, low, high) for i, v in enumerate(entries)])
 
 
 class Level(IntEnum):
@@ -187,9 +205,7 @@ class Truncation:
     j_max: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "j_max", _integer("j_max", self.j_max, 0))
-        if self.j_max > J_MAX_CAP:
-            raise DomainError(f"j_max {_shown(self.j_max)} exceeds the cap of {J_MAX_CAP}")
+        object.__setattr__(self, "j_max", _integer("j_max", self.j_max, 0, J_MAX_CAP))
 
     @property
     def dim(self) -> int:
@@ -252,9 +268,7 @@ def _total_j(indices: np.ndarray, truncation: Truncation) -> np.ndarray:
 def component_of(index: int, truncation: Truncation) -> Component:
     """Inverse of :func:`index_of`."""
     basis = _layout(truncation.j_max).basis
-    if not 0 <= index < len(basis):
-        raise DomainError(f"basis index {_shown(index, str)} out of range [0, {len(basis)})")
-    return basis[index]
+    return basis[_integer("basis index", index, 0, len(basis) - 1)]
 
 
 class StateVector:

@@ -87,8 +87,8 @@ from .channels import (
     dense_hamiltonian,
 )
 from .fock import (
-    Component, DomainError, Level, StateVector, Truncation, _layout, _real, _real_column,
-    _shown, _total_j,
+    Component, DomainError, Level, StateVector, Truncation, _integer, _integer_column, _layout,
+    _real, _real_column, _shown, _total_j,
 )
 
 __all__ = [
@@ -117,6 +117,7 @@ def wrap_angle(theta: float) -> float:
 class Pulse:
     """One laser pulse: channel, interaction length x = |g|*tau >= 0, phase.
 
+    The channel is given by its code (1-9) and kept as its :class:`ChannelId`.
     ``note`` records which component the pulse was solved to null; it is an
     audit annotation and does not influence the dynamics.
     """
@@ -127,6 +128,8 @@ class Pulse:
     note: Component | None = None
 
     def __post_init__(self) -> None:
+        channel = _integer("pulse channel", self.channel, 1, len(ChannelId))
+        object.__setattr__(self, "channel", ChannelId(channel))
         object.__setattr__(self, "x", _real("pulse length x", self.x, non_negative=True))
         object.__setattr__(self, "theta", wrap_angle(_real("pulse phase theta", self.theta)))
 
@@ -151,20 +154,6 @@ for _spec in CHANNELS.values():
     _COUPLES[_spec.cid, [_spec.lower_level, _spec.upper_level]] = True
 
 
-def _outside(column: np.ndarray, low: int, high: int) -> np.ndarray:
-    """Which entries are not integers in [low, high], found before narrowing."""
-    if column.dtype.kind not in "iu":  # float, bool or object: entry by entry
-        return np.array([type(v) is not int or not low <= v <= high for v in column.tolist()], bool)
-    return (column < low) | (column > high)
-
-
-def _refuse(name: str, column: np.ndarray, bad: np.ndarray, rule: str) -> None:
-    """Raise the error that names the first ``bad`` entry of a column, if any."""
-    if bad.any():
-        i = int(np.flatnonzero(bad)[0])
-        raise DomainError(f"pulses[{i}].{name}: {rule}, got {_shown(column.tolist()[i])}")
-
-
 def _note_components(note: Iterable[int], j_max: int) -> Iterator[Component | None]:
     """The basis component of each note index below cutoff ``j_max``, None for -1."""
     return map((*_layout(j_max).basis, None).__getitem__, note)
@@ -181,10 +170,12 @@ class Schedule:
     The program is held as read-only columns, one entry per pulse: ``channel``
     (uint8 :class:`ChannelId` codes), ``x``, ``theta`` (float64) and ``note``
     (int32 basis index of the component the pulse nulls, -1 for none).  Both
-    constructors validate the header and the columns in one place, lengths and
-    phases by :class:`Pulse`'s real rule (``fock._real_column``), a note by the
-    cutoff and the levels its channel couples, and wrap the phases into
-    (-pi, pi]; :attr:`pulses` gives :class:`Pulse` views back.
+    constructors validate the header and the columns in one place: channel
+    codes (1-9) and note indices (-1 to dim - 1) by the integer rule
+    (``fock._integer_column``), lengths and phases by :class:`Pulse`'s real
+    rule (``fock._real_column``), a note by the levels its channel couples;
+    they wrap the phases into (-pi, pi].  :attr:`pulses` gives :class:`Pulse`
+    views back.
     """
 
     def __init__(
@@ -194,11 +185,12 @@ class Schedule:
         p = list(pulses)
         self._set_header(lamb_dicke, truncation, direction, target)
         index = _layout(truncation.j_max).index  # a note outside gets dim, refused by _set
-        note = [-1 if q.note is None else index.get(q.note, truncation.dim) for q in p]
-        # Pulse has checked each length and phase, so they go in as float64 columns.
+        note = np.array([-1 if q.note is None else index.get(q.note, truncation.dim) for q in p])
+        # Pulse has checked each channel, length and phase, so they go in as arrays.
+        channel = np.fromiter((q.channel for q in p), np.uint8, len(p))
         x = np.fromiter((q.x for q in p), np.float64, len(p))
         theta = np.fromiter((q.theta for q in p), np.float64, len(p))
-        self._set([q.channel for q in p], x, theta, note)
+        self._set(channel, x, theta, note)
 
     @classmethod
     def from_columns(
@@ -235,18 +227,16 @@ class Schedule:
     def _set(self, channel, x, theta, note) -> None:
         """Check and keep the columns, against the header already kept."""
         try:  # a ragged column is refused by NumPy with a bare ValueError
-            channel, note = np.asarray(channel), np.asarray(note)
-            one_length = channel.shape == np.shape(x) == np.shape(theta) == note.shape
+            shape = np.shape(channel)
+            one_length = shape == np.shape(x) == np.shape(theta) == np.shape(note)
         except ValueError:
             one_length = False
-        if not (one_length and channel.ndim == 1):
+        if not (one_length and len(shape) == 1):
             raise DomainError("schedule columns must be 1-D and of one length")
-        dim = self.truncation.dim
-        _refuse("channel", channel, _outside(channel, 1, len(ChannelId)), "unknown channel code")
+        channel = _integer_column("pulses[{}].channel", channel, 1, len(ChannelId))
         x = _real_column("pulses[{}].x", x, non_negative=True)
         theta = _real_column("pulses[{}].theta", theta)
-        rule = f"basis index must be -1 or in [0, {dim})"
-        _refuse("note", note, _outside(note, -1, dim - 1), rule)
+        note = _integer_column("pulses[{}].note", note, -1, self.truncation.dim - 1)
         channel, note = channel.astype(np.uint8, copy=False), note.astype(np.int32, copy=False)
         level = note % len(Level)
         coupled = _COUPLES[channel, level] | (note == -1)

@@ -163,6 +163,7 @@ def test_private_name_check_sees_dead_and_doubled_names():
 # The wording of the integer, real and complex rules that ``fock`` owns.
 RULE_MESSAGE = re.compile(
     r"must be (an integer >=|a finite (non-negative )?real( or complex number)?)"
+    r"|exceeds the cap of"
 )
 
 
@@ -175,6 +176,17 @@ def _tests_bool(node: ast.AST) -> bool:
     return any(getattr(kind, "id", None) == "bool" for kind in kinds)
 
 
+def _tests_int_type(node: ast.AST) -> bool:
+    """Whether ``node`` is a comparison ``type(...) is int`` or ``type(...) is not int``."""
+    if not isinstance(node, ast.Compare) or len(node.ops) != 1:
+        return False
+    sides = node.left, node.comparators[0]
+    return (isinstance(node.ops[0], (ast.Is, ast.IsNot))
+            and any(getattr(side.func, "id", None) == "type" for side in sides
+                    if isinstance(side, ast.Call))
+            and any(getattr(side, "id", None) == "int" for side in sides))
+
+
 def _replay_overflow_check(tree: ast.AST) -> set[ast.AST]:
     """The nodes of ``_replay``, whose one ``np.isfinite`` finds a pulse whose
     x*|Omega| overflows: a replay check, not a check of an argument."""
@@ -185,7 +197,8 @@ def _replay_overflow_check(tree: ast.AST) -> set[ast.AST]:
 def rule_owner_faults(sources: dict[str, str]) -> list[str]:
     """Outside ``fock``: each string holding a rule's wording, as
     ``"message: module:line"``, each ``isinstance(..., bool)`` test, as
-    ``"bool: module:line"``, and each ``np.isfinite``, as
+    ``"bool: module:line"``, each ``type(...) is int`` or ``is not int`` test, as
+    ``"int: module:line"``, and each ``np.isfinite``, as
     ``"isfinite: module:line"``; only ``pulses._replay`` may call ``np.isfinite``."""
     faults = []
     for module, source in sources.items():
@@ -199,6 +212,8 @@ def rule_owner_faults(sources: dict[str, str]) -> list[str]:
                     faults.append(f"message: {module}:{node.lineno}")
             elif _tests_bool(node) and node not in allowed:
                 faults.append(f"bool: {module}:{node.lineno}")
+            elif _tests_int_type(node):
+                faults.append(f"int: {module}:{node.lineno}")
             elif (isinstance(node, ast.Attribute) and node.attr == "isfinite"
                   and getattr(node.value, "id", None) == "np" and node not in allowed):
                 faults.append(f"isfinite: {module}:{node.lineno}")
@@ -207,8 +222,8 @@ def rule_owner_faults(sources: dict[str, str]) -> list[str]:
 
 def test_only_fock_words_or_applies_the_argument_rules():
     sources = {path.stem: path.read_text() for path in SOURCES}
-    # integer, real, non-negative real, real or complex
-    assert len(RULE_MESSAGE.findall(sources["fock"])) == 4
+    # integer, integer cap, real, non-negative real, real or complex
+    assert len(RULE_MESSAGE.findall(sources["fock"])) == 5
     assert rule_owner_faults(sources) == []
 
 
@@ -236,12 +251,19 @@ def test_rule_owner_check_sees_rules_outside_fock():
             "    bad = ~np.isfinite(x)\n"
             "def _replay(amps, x, peak):\n"
             "    finite = np.isfinite(x * peak)\n"
+            "def _outside(column, low, high):\n"
+            "    return [type(v) is not int or not low <= v <= high for v in column]\n"
+        ),
+        "channels": (
+            "def nonlinearity(eps, n):\n"
+            "    if n > J_MAX_CAP:\n"
+            "        raise DomainError(f'occupation {n} exceeds the cap of {J_MAX_CAP}')\n"
         ),
     }
     sources["fock"] += "def _real_column(name, column):\n    return np.isfinite(column)\n"
     assert rule_owner_faults(sources) == [
         "bool: noise:2", "message: noise:3", "bool: files:2", "bool: files:4", "message: files:5",
-        "isfinite: pulses:2",
+        "isfinite: pulses:2", "int: pulses:6", "message: channels:3",
     ]
 
 

@@ -34,7 +34,7 @@ from ionsynth import (
     target_corr,
     target_ghz,
 )
-from ionsynth.fock import J_MAX_CAP
+from ionsynth.fock import J_MAX_CAP, _integer
 
 HUGE = 2**1100  # past the float range: float() of it raises OverflowError
 
@@ -149,6 +149,41 @@ def test_a_refused_value_python_cannot_print_is_still_a_domain_error(make):
     """The message shows a placeholder where ``repr`` of the value raises."""
     with pytest.raises(DomainError, match="too long to print"):
         make()
+
+
+def two_pulses(channel, note):
+    """A two-pulse schedule from its channel and note columns, at J_max 2."""
+    return Schedule.from_columns(channel, [0.0] * 2, [0.0] * 2, note, *PREPARATION)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: two_pulses([1, True], [-1, -1]),
+         "pulses[1].channel must be an integer >= 1, got True"),
+        (lambda: two_pulses([1, 1], [-1, True]),
+         "pulses[1].note must be an integer >= -1, got True"),
+        # The pulse refuses the bool before the schedule is built.
+        (lambda: Schedule([Pulse(1, 0.0, 0.0), Pulse(True, 0.0, 0.0)], *PREPARATION),
+         "pulse channel must be an integer >= 1, got True"),
+        (lambda: two_pulses([1, 2.5], [-1, -1]),
+         "pulses[1].channel must be an integer >= 1, got 2.5"),
+        (lambda: two_pulses([1, 1], [-1, 0.5]), "pulses[1].note must be an integer >= -1, got 0.5"),
+        (lambda: Pulse(99, 0.5, 0.0), "pulse channel 99 exceeds the cap of 9"),
+        (lambda: Pulse(True, 0.5, 0.0), "pulse channel must be an integer >= 1, got True"),
+        (lambda: Pulse(1.5, 0.5, 0.0), "pulse channel must be an integer >= 1, got 1.5"),
+        (lambda: Pulse("H1", 0.5, 0.0), "pulse channel must be an integer >= 1, got 'H1'"),
+        (lambda: component_of(True, Truncation(2)),
+         "basis index must be an integer >= 0, got True"),
+        (lambda: component_of(1.0, Truncation(2)), "basis index must be an integer >= 0, got 1.0"),
+    ],
+)
+def test_channel_codes_note_and_basis_indices_follow_the_integer_rule(make, message):
+    """A bool, a float or a code past the nine channels is refused where it is
+    given, naming the entry or the argument."""
+    with pytest.raises(DomainError) as err:
+        make()
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("value", [HUGE, -HUGE], ids=["huge", "-huge"])
@@ -290,6 +325,31 @@ DIRECTIONS = st.one_of(
 TARGETS = st.one_of(st.text(max_size=20), st.integers(), st.none(), st.binary(max_size=3))
 
 
+def integer_entries(low, high):
+    """Integers inside and outside [low, high], bools, ``np.int8``, ``np.bool_``,
+    integral and fractional floats, and integers past 2**64."""
+    return st.one_of(
+        st.integers(low - 2, high + 2),
+        st.booleans(),
+        st.integers(-128, 127).map(np.int8),
+        st.booleans().map(np.bool_),
+        st.integers(low - 2, high + 2).map(float),
+        st.floats(low - 2.0, high + 2.0),
+        st.integers(2**64, 2**70),
+        st.integers(-(2**70), -(2**64)),
+    )
+
+
+def first_refusal(name, entries, low, high):
+    """The message of the first entry ``_integer`` refuses, or None."""
+    for i, value in enumerate(entries):
+        try:
+            _integer(name.format(i), value, low, high)
+        except DomainError as err:
+            return str(err)
+    return None
+
+
 def built(make, *args):
     """``make(*args)``, or None if it raises DomainError; any other error fails."""
     try:
@@ -312,14 +372,22 @@ def preparation(truncation, ld):
     direction=DIRECTIONS,
     target=TARGETS,
     ld_as_tuple=st.booleans(),
+    code=integer_entries(1, len(ChannelId)),
+    channel_entry=integer_entries(1, len(ChannelId)),
+    note_entry=integer_entries(-1, Truncation(3).dim - 1),
+    at=st.integers(0, 10**6),
 )
 def test_every_constructor_input_refuses_or_round_trips(
-    j_max, eps, widths, length, direction, target, ld_as_tuple, scratch_dir
+    j_max, eps, widths, length, direction, target, ld_as_tuple, code, channel_entry, note_entry,
+    at, scratch_dir,
 ):
     """Each constructor either raises DomainError or builds a value that goes
     into a J_max <= 3 preparation which saves and loads exactly, with the same
     bytes on a re-save.  A refused cutoff or point is replaced by a valid one,
-    so the other inputs are still tried."""
+    so the other inputs are still tried.  A channel code or note index drawn
+    into one entry of a column, given as a list or as an array, is refused
+    with the message of the first entry ``fock._integer`` refuses, refused by
+    the note's level rule, or kept as its integer value."""
     path = scratch_dir / "drawn.json"
     truncation = built(Truncation, j_max) or Truncation(1)
     ld = built(LambDickeParams, *eps) or LD
@@ -335,6 +403,31 @@ def test_every_constructor_input_refuses_or_round_trips(
     if noise is not None:
         assert_round_trip(perturb(prep, noise, np.random.default_rng(0)), path)
 
-    pulse = built(Pulse, ChannelId.H2, *length)
-    if pulse is not None:
+    try:
+        pulse = Pulse(code, *length)
+    except DomainError as err:
+        assert first_refusal("pulse channel", [code], 1, len(ChannelId)) in (None, str(err))
+    else:
+        assert pulse.channel is ChannelId(code)
         assert_round_trip(Schedule([pulse], ld, truncation, Direction.PREPARATION), path)
+
+    header = prep.lamb_dicke, prep.truncation, prep.direction, prep.target
+    for field, low, high, value in (
+        ("channel", 1, len(ChannelId), channel_entry),
+        ("note", -1, truncation.dim - 1, note_entry),
+    ):
+        columns = {"channel": prep.channel, "x": prep.x, "theta": prep.theta, "note": prep.note}
+        given = columns[field].tolist()
+        given[at % len(given)] = value
+        for column in (given, np.array(given)):
+            columns[field] = column
+            as_given = column.tolist() if isinstance(column, np.ndarray) else column
+            want = first_refusal(f"pulses[{{}}].{field}", as_given, low, high)
+            try:
+                drawn = Schedule.from_columns(*columns.values(), *header)
+            except DomainError as err:
+                assert str(err) == want if want else "is not coupled by channel" in str(err)
+            else:
+                assert want is None
+                assert getattr(drawn, field).tolist() == [int(v) for v in as_given]
+                assert_round_trip(drawn, path)

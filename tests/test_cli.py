@@ -352,7 +352,7 @@ def test_sweep_refuses_trials_below_one_by_flag(trials, tmp_path, capsys):
     argv = ["--schedule", str(tmp_path / "absent.json"), "--target", "ghz", "--out", str(csv)]
     code, out, err = run(capsys, "sweep", *argv, "--trials", trials)
     assert code == 2 and out == ""
-    assert err == f"error: --trials {trials} is below the minimum of 1\n"
+    assert err == f"error: --trials must be an integer >= 1, got {trials}\n"
     assert not csv.exists()
 
 

@@ -754,8 +754,8 @@ BAD_COLUMNS = [
     ([1, 2, 3], [0.1, 0.2, 0.3], [0.0, 0.0, math.nan], [-1] * 3, "pulses[2].theta"),
     ([1, 2, 3], [0.1, 0.2, 0.3], [0.0, -math.inf, 0.0], [-1] * 3, "pulses[1].theta"),
     ([1, 2], [0.1, 0.2, 0.3], [0.0, 0.0, 0.0], [-1] * 3, "one length"),
-    ([1], [0.0], [0.0], [4 * 999 + 0], "pulses[0].note: basis index must be -1 or in [0, 80)"),
-    ([3], [0.0], [0.0], [-2], "pulses[0].note: basis index must be -1 or in [0, 80), got -2"),
+    ([1], [0.0], [0.0], [4 * 999 + 0], "pulses[0].note 3996 exceeds the cap of 79"),
+    ([3], [0.0], [0.0], [-2], "pulses[0].note must be an integer >= -1, got -2"),
     ([1, 1], [0.0, 0.0], [0.0, 0.0], [-1, 3], "pulses[1].note: level d is not coupled by channel H1"),
     ([1, 1], [0.0, -1.0], [0.0, 0.0], [3, -1], "pulses[1].x"),
     ([1], [0.0], [0.0], [Component(Occupation(0, 0, 999), Level.A)], "pulses[0].note"),
@@ -763,12 +763,12 @@ BAD_COLUMNS = [
      "pulses[0].note: level d is not coupled by channel H1"),
     # Wide or non-integer columns are checked before they are narrowed.
     (np.array([257]), [0.0], [0.0], np.array([2**32]),
-     "pulses[0].channel: unknown channel code, got 257"),
+     "pulses[0].channel 257 exceeds the cap of 9"),
     ([1], [0.0], [0.0], np.array([2**32]),
-     "pulses[0].note: basis index must be -1 or in [0, 80), got 4294967296"),
-    (np.array([1.7]), [0.0], [0.0], [-1], "pulses[0].channel: unknown channel code, got 1.7"),
-    ([1], [0.0], [0.0], np.array([4.0]), "pulses[0].note: basis index must be -1 or in [0, 80)"),
-    ([257], [0.0], [0.0], [-1], "pulses[0].channel: unknown channel code, got 257"),
+     "pulses[0].note 4294967296 exceeds the cap of 79"),
+    (np.array([1.7]), [0.0], [0.0], [-1], "pulses[0].channel must be an integer >= 1, got 1.7"),
+    ([1], [0.0], [0.0], np.array([4.0]), "pulses[0].note must be an integer >= -1, got 4.0"),
+    ([257], [0.0], [0.0], [-1], "pulses[0].channel 257 exceeds the cap of 9"),
     ([2**40], [0.0], [0.0], [-1], "pulses[0].channel"),
     ([1], [0.0], [0.0], [2**40], "pulses[0].note"),
     ([1, 2**70], [0.0, 0.0], [0.0, 0.0], [-1, -1], "pulses[1].channel"),
