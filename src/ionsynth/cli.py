@@ -75,11 +75,11 @@ def _grid_spec(text: str) -> tuple[float, float, int]:
         raise argparse.ArgumentTypeError(f"expected start:step:count, got {text!r}")
     try:
         start, step = float(parts[0]), float(parts[1])
-        count = int(parts[2])
+        count = _integer("grid count", int(parts[2]), 1, _GRID_ROWS_CAP)
+    except DomainError as exc:  # argparse would print only "invalid _grid_spec value"
+        raise argparse.ArgumentTypeError(str(exc)) from exc
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad grid spec {text!r}") from exc
-    if not 1 <= count <= _GRID_ROWS_CAP:
-        raise argparse.ArgumentTypeError(f"grid count must lie in [1, {_GRID_ROWS_CAP}], got {count}")
     if not (0 <= start < math.inf and 0 <= step < math.inf):  # NaN fails too
         raise argparse.ArgumentTypeError("grid start and step must be finite and >= 0")
     if start + step * (count - 1) == math.inf:  # the grid's last value

@@ -121,13 +121,17 @@ def _number(name: str, value: object) -> float | complex:
     return number.real if isinstance(value, numbers.Real) else number
 
 
+def _whole(array: np.ndarray, column: object) -> bool:
+    """Whether ``column``'s cast ``array`` hides no bool, NumPy bool or array entry."""
+    return array is column or {bool, np.bool_, np.ndarray}.isdisjoint(map(type, column))
+
+
 def _real_column(name: str, column: object, non_negative: bool = False) -> np.ndarray:
     """``column`` (1-D) as float64 by :func:`_real`'s rule, entry i named ``name.format(i)``.
-    Integers and floats, not cast from bools, are checked whole (float64 uncopied); any
-    other column, or one with a bad entry, goes through :func:`_real` entry by entry."""
+    Integers and floats, not cast from bools or arrays, are checked whole (float64 uncopied);
+    any other column, or one with a bad entry, goes through :func:`_real` entry by entry."""
     array = np.asarray(column)
-    plain = array is column or {bool, np.bool_}.isdisjoint(map(type, column))
-    if plain and array.dtype.kind in "iuf" and np.can_cast(array.dtype, np.float64):
+    if _whole(array, column) and array.dtype.kind in "iuf" and np.can_cast(array.dtype, np.float64):
         floats = array.astype(np.float64, copy=False)
         ok = np.isfinite(floats)
         if non_negative:
@@ -140,11 +144,11 @@ def _real_column(name: str, column: object, non_negative: bool = False) -> np.nd
 
 def _integer_column(name: str, column: object, low: int, high: int) -> np.ndarray:
     """``column`` (1-D) by :func:`_integer`'s rule in [``low``, ``high``], entry i named
-    ``name.format(i)``.  Integers, not cast from bools, are checked whole (uncopied); any
-    other column, or one with a bad entry, goes through :func:`_integer` entry by entry."""
+    ``name.format(i)``.  Integers, not cast from bools or arrays, are checked whole (uncopied);
+    any other column, or one with a bad entry, goes through :func:`_integer` entry by entry."""
     array = np.asarray(column)
-    plain = array is column or {bool, np.bool_}.isdisjoint(map(type, column))
-    if plain and array.dtype.kind in "iu" and ((array >= low) & (array <= high)).all():
+    whole = _whole(array, column) and array.dtype.kind in "iu"
+    if whole and ((array >= low) & (array <= high)).all():
         return array
     entries = array.tolist() if array is column else column
     return np.array([_integer(name.format(i), v, low, high) for i, v in enumerate(entries)])
@@ -325,33 +329,21 @@ def vacuum_state(truncation: Truncation) -> StateVector:
     return basis_state(Component(Occupation(0, 0, 0), Level.A), truncation)
 
 
-def _check_same_truncation(u: StateVector, v: StateVector) -> None:
+def overlap(u: StateVector, v: StateVector) -> complex:
+    """Inner product <u|v>, conjugate-linear in ``u``."""
     if u.truncation != v.truncation:
         raise DomainError(
             f"truncation mismatch: j_max={u.truncation.j_max} vs j_max={v.truncation.j_max}"
         )
-
-
-def overlap(u: StateVector, v: StateVector) -> complex:
-    """Inner product <u|v>, conjugate-linear in ``u``."""
-    _check_same_truncation(u, v)
     return complex(np.vdot(u.amplitudes, v.amplitudes))
 
 
-def _require_level_a_support(target: StateVector) -> None:
-    off = target.amplitudes.reshape(-1, len(Level))[:, 1:]
-    if float(np.sum(np.abs(off) ** 2)) > 1e-24:
-        raise DomainError("target state must have support only on electronic level a")
-
-
 def fidelity_to_target(out: StateVector, target: StateVector) -> float:
-    """|<out|target>|**2 against a target supported only on level a.
+    """|<out|target>|**2, the overlap with a target of any support.
 
     Global phases drop out, so a preparation that reproduces the target up to
     an overall phase scores exactly 1.  A NaN or inf amplitude raises DomainError.
     """
-    _check_same_truncation(out, target)
-    _require_level_a_support(target)
     amplitude = overlap(out, target)
     if not cmath.isfinite(amplitude):  # min(1.0, nan) would score it 1
         raise DomainError(f"overlap with the target is not finite, got {amplitude!r}")

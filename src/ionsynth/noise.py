@@ -39,8 +39,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .fock import DomainError, Level, StateVector, _integer, _real, _require_level_a_support
-from .fock import fidelity_to_target, vacuum_state
+from .fock import DomainError, Level, StateVector, _integer, _real, fidelity_to_target, vacuum_state
 from .pulses import Schedule, _replay
 from .pulses import apply_schedule  # noqa: F401  perfbench/spans.py patches this name
 
@@ -132,7 +131,10 @@ def simulate_trial(
     iterable of generators runs one trial per generator, perturbed through
     :func:`perturb` in order and replayed as one batch, and returns their
     results in the same order; each equals the result of that generator alone.
+    Post-selection needs a target on level a; any other raises DomainError first.
     """
+    if target.level_probabilities()[Level.B:].sum() > 1e-24:
+        raise DomainError("target state must have support only on electronic level a")
     single = isinstance(rng, np.random.Generator)
     noisy = (perturb(preparation, noise, r) for r in ([rng] if single else rng))
     columns = [(s.x, s.theta) for s in noisy]  # no schedule outlives its own trial
@@ -172,14 +174,13 @@ def run_trials(
     ``substream`` namespaces the per-trial random streams; sweeps use it so
     every grid row sees independent draws under the one user-facing seed.
     Checked before any trial runs: ``n``, ``seed`` and ``substream`` entries are
-    integers, not bool, >= 1, 0 and 0; ``target`` is on level a, at the preparation's j_max.
+    integers, not bool, >= 1, 0 and 0; ``target`` is at the preparation's j_max (and on level a).
     """
     t = preparation.truncation
     n, seed = _integer("n", n, 1), _integer("seed", seed, 0)
     substream = tuple(_integer("substream entry", k, 0) for k in substream)
     if target.truncation != t:
         raise DomainError(f"target has j_max {target.truncation.j_max}, the preparation {t.j_max}")
-    _require_level_a_support(target)
     chunk = max(1, _BATCH_AMPLITUDES // t.dim)
     fids, posts, probs = np.empty(n), np.empty(n), np.empty(n)
     for start in range(0, n, chunk):

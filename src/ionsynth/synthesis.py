@@ -1,10 +1,10 @@
 """Compiler from a target vibrational state to an explicit pulse program.
 
-The compiler works backwards ("de-evolution"): starting from the target on
-electronic level a it empties one total-quantum-number subspace after another,
-walking population down to the motional ground state.  Reversing the emitted
-program and shifting every phase by pi yields the preparation schedule that
-builds the target out of the vacuum.
+The compiler works backwards ("de-evolution"): starting from the target (on any
+level but one block, see ``deevolve``) it empties one total-quantum-number
+subspace after another, walking population down to the motional ground state.
+Reversing the emitted program and shifting every phase by pi yields the
+preparation schedule that builds the target out of the vacuum.
 
 Within one subspace of total J the moves are organized in ladders over rows of
 fixed nx:
@@ -70,6 +70,7 @@ import numpy as np
 
 from .channels import CHANNELS, ChannelId, LambDickeParams, _pairs
 from .fock import (
+    J_MAX_CAP,
     Component,
     DomainError,
     Level,
@@ -78,7 +79,6 @@ from .fock import (
     Truncation,
     _integer,
     _layout,
-    _require_level_a_support,
     index_of,
 )
 from .pulses import (
@@ -336,14 +336,21 @@ def deevolve(
     ld: LambDickeParams = LambDickeParams(),
     description: str = "",
 ) -> CompileResult:
-    """Compile the pulse program that walks ``target`` (on level a) to vacuum.
+    """Compile the pulse program that walks ``target`` to vacuum.
 
     Returns the de-evolution schedule, its exact inverse (the preparation
     schedule), the residual population left outside the ground state, and the
     emitted pulse count.  The program shape depends only on the truncation;
-    amplitudes only determine the solved (x, theta) values.
+    amplitudes only determine the solved (x, theta) values.  The target may hold
+    any level but the one block no stage empties: level d at J = j_max, or c and d
+    at j_max 0 (a single H2 pulse).  Weight there raises DomainError; j_max + 1 clears it.
     """
-    _require_level_a_support(target)
+    j = target.truncation.j_max
+    top = target.amplitudes.reshape(-1, len(Level))[_layout(j).occ.sum(axis=0) == j]
+    if float(np.sum(np.abs(top[:, Level.D if j else Level.C:]) ** 2)) > 1e-24:
+        fix = f"compiling at j_max {j + 1} empties it" if j < J_MAX_CAP else f"j_max {j} is the cap"
+        raise DomainError(f"target has weight on (J={j}; {'d' if j else 'c, d'}), which the plan "
+                          f"at j_max {j} cannot empty; {fix}")
     norm = target.norm()
     if not abs(norm - 1.0) <= 1e-6:  # written so that a NaN norm fails too
         raise DomainError(f"target must be normalized, got norm {norm!r}")

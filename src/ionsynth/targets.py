@@ -1,9 +1,9 @@
 """Built-in target states and user-supplied targets.
 
-Targets are full-space states with support only on electronic level a.  When a
-built-in family extends past the truncation, the kept amplitudes are
-renormalized and the dropped probability mass is reported so callers can judge
-whether the truncation is adequate.
+Targets are full-space states on electronic level a, as post-selection needs
+(``deevolve`` takes others).  When a built-in family extends past the
+truncation, the kept amplitudes are renormalized and the dropped probability
+mass is reported so callers can judge whether the truncation is adequate.
 """
 
 from __future__ import annotations

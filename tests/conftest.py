@@ -2,7 +2,7 @@ import cmath
 
 import numpy as np
 
-from ionsynth import StateVector, Truncation, random_target
+from ionsynth import Level, StateVector, Truncation, enumerate_basis, random_target
 
 
 def random_state(truncation: Truncation, rng: np.random.Generator) -> StateVector:
@@ -14,6 +14,17 @@ def random_state(truncation: Truncation, rng: np.random.Generator) -> StateVecto
 def random_level_a(truncation: Truncation, rng: np.random.Generator) -> StateVector:
     """Random unit state supported only on electronic level a."""
     return random_target(truncation, rng).state
+
+
+def random_vibronic(truncation: Truncation, rng: np.random.Generator) -> StateVector:
+    """Random unit state on every electronic level but the block ``deevolve``
+    cannot empty: level d at total J = j_max, and levels c and d at j_max 0."""
+    j_max = truncation.j_max
+    first = Level.D if j_max else Level.C
+    top = [c.occ.total == j_max and c.level >= first for c in enumerate_basis(truncation)]
+    amps = random_state(truncation, rng).amplitudes
+    amps[top] = 0.0
+    return StateVector(amps / np.linalg.norm(amps), truncation)
 
 
 def per_pair_rotate(amps: np.ndarray, table, x: float, theta: float, count: int | None = None):

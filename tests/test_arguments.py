@@ -8,7 +8,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from ionsynth import (
@@ -37,6 +37,9 @@ from ionsynth import (
 from ionsynth.fock import J_MAX_CAP, _integer
 
 HUGE = 2**1100  # past the float range: float() of it raises OverflowError
+# The property tests below draw many arguments; after a failure, hypothesis's
+# explain phase could run for minutes and grow to about 780 MB.
+NO_EXPLAIN = tuple(phase for phase in Phase if phase is not Phase.explain)
 
 
 @pytest.mark.parametrize(
@@ -213,6 +216,8 @@ ENTRIES = st.one_of(
     st.floats(width=32).map(np.float32),
     st.integers(-(2**63), 2**63 - 1).map(np.int64),
     st.booleans().map(np.bool_),
+    st.floats().map(np.array),  # 0-d arrays, which NumPy casts whole into a column
+    st.integers(-(2**63), 2**63 - 1).map(np.array),
     st.fractions(),
     st.decimals(),
     st.text(max_size=4),
@@ -232,7 +237,7 @@ def outcome(make, name):
         return text[len(name):]
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=400, deadline=None, phases=NO_EXPLAIN)
 @given(value=ENTRIES, first=st.booleans())
 def test_schedule_columns_and_pulse_take_and_word_the_same_values(value, first):
     """A length or phase is taken by ``Schedule.from_columns`` exactly when
@@ -327,12 +332,13 @@ TARGETS = st.one_of(st.text(max_size=20), st.integers(), st.none(), st.binary(ma
 
 def integer_entries(low, high):
     """Integers inside and outside [low, high], bools, ``np.int8``, ``np.bool_``,
-    integral and fractional floats, and integers past 2**64."""
+    0-d arrays, integral and fractional floats, and integers past 2**64."""
     return st.one_of(
         st.integers(low - 2, high + 2),
         st.booleans(),
         st.integers(-128, 127).map(np.int8),
         st.booleans().map(np.bool_),
+        st.integers(low - 2, high + 2).map(np.array),
         st.integers(low - 2, high + 2).map(float),
         st.floats(low - 2.0, high + 2.0),
         st.integers(2**64, 2**70),
@@ -363,7 +369,7 @@ def preparation(truncation, ld):
     return deevolve(target_corr(1.0, truncation).state, ld).preparation
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, deadline=None, phases=NO_EXPLAIN)
 @given(
     j_max=J_MAXES,
     eps=st.tuples(REALS, REALS, REALS, REALS),

@@ -199,11 +199,14 @@ def test_fidelity_global_phase_invariance():
     assert fidelity_to_target(rotated, target) == pytest.approx(f, abs=1e-12)
 
 
-def test_fidelity_requires_level_a_target():
+def test_fidelity_scores_a_target_off_level_a():
+    """The score is the overlap, whatever levels the target holds."""
     t = Truncation(0)
     off = basis_state(Component(Occupation(0, 0, 0), Level.B), t)
-    with pytest.raises(DomainError):
-        fidelity_to_target(vacuum_state(t), off)
+    assert fidelity_to_target(vacuum_state(t), off) == 0.0
+    assert fidelity_to_target(off, off) == 1.0
+    half = StateVector(np.array([1.0, 1j, 0.0, 0.0]) / math.sqrt(2), t)
+    assert fidelity_to_target(off, half) == pytest.approx(0.5, abs=1e-15)
 
 
 @pytest.mark.parametrize(

@@ -284,6 +284,24 @@ def test_run_trials_refuses_a_target_off_level_a_before_any_replay(preparation):
     assert len(calls) == 1
 
 
+def test_simulate_trial_refuses_a_target_off_level_a_before_any_perturb_or_replay(preparation):
+    """Post-selection is defined only on level a: one generator, several or
+    none, the target is refused before a trial is perturbed or replayed."""
+    target, prep = preparation
+    off = StateVector(target.amplitudes, target.truncation)
+    off.amplitudes[1] = 0.5  # level b of the vacuum occupation
+    ran = mock.Mock(side_effect=AssertionError("a trial ran"))
+    refusal = "^target state must have support only on electronic level a$"
+    with (
+        mock.patch.object(noise_module, "perturb", ran),
+        mock.patch.object(noise_module, "_replay", ran),
+    ):
+        for rng in (np.random.default_rng(1), [np.random.default_rng(k) for k in (1, 2)], []):
+            with pytest.raises(DomainError, match=refusal):
+                simulate_trial(off, prep, NoiseModel(0.01), rng)
+    assert ran.call_count == 0
+
+
 def test_a_4096_trial_chunk_holds_no_per_trial_generator_or_schedule():
     """A J_max 0 row of 4,096 trials is one chunk; its traced peak stays at or
     below 3 MB (7.0 MB while each trial's generator and perturbed schedule

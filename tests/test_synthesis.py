@@ -15,6 +15,7 @@ from ionsynth import (
     LambDickeParams,
     Level,
     Occupation,
+    Schedule,
     StateVector,
     Truncation,
     apply_schedule,
@@ -35,7 +36,7 @@ from ionsynth import (
 )
 from ionsynth import pulses, synthesis
 from ionsynth.channels import _pairs, partner_occupation
-from ionsynth.fock import _layout, _total_j
+from ionsynth.fock import J_MAX_CAP, _layout, _total_j
 from ionsynth.pulses import _pair_table
 from ionsynth.synthesis import (
     build_A,
@@ -48,7 +49,7 @@ from ionsynth.synthesis import (
     run_steps,
 )
 
-from conftest import per_pair_rotate, random_level_a, random_state
+from conftest import per_pair_rotate, random_level_a, random_state, random_vibronic
 
 LD = LambDickeParams()
 LD0 = LambDickeParams(0.0, 0.0, 0.0, 0.0)
@@ -289,6 +290,63 @@ def test_deevolve_random_targets(j_max):
         assert fidelity_to_target(out, target) >= 1 - 1e-12
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    j_max=st.integers(0, 8),
+    seed=st.integers(0, 2**32 - 1),
+    ld=st.sampled_from([LD, LambDickeParams(0.45, 0.15, 0.25, 0.2)]),
+)
+def test_vibronic_targets_round_trip(j_max, seed, ld):
+    """A target on all four levels, with the top level-d block empty (levels c
+    and d at J_max 0), compiles and prepares back; so does its pruned schedule."""
+    t = Truncation(j_max)
+    target = random_vibronic(t, np.random.default_rng(seed))
+    result = deevolve(target, ld)
+    assert result.final_residual <= 1e-12
+    prep = result.preparation
+    keep = prep.x > 0.0
+    pruned = Schedule.from_columns(
+        prep.channel[keep], prep.x[keep], prep.theta[keep], prep.note[keep],
+        ld, t, prep.direction, prep.target,
+    )
+    fid, fid_pruned = (
+        fidelity_to_target(apply_schedule(vacuum_state(t), s), target) for s in (prep, pruned)
+    )
+    assert 1.0 - fid <= 1e-12
+    assert fid_pruned == fid
+
+
+@pytest.mark.parametrize(
+    "j_max, component, refusal",
+    [
+        (3, cell(0, 0, 3, Level.D), "(J=3; d), which the plan at j_max 3 cannot empty; "
+         "compiling at j_max 4 empties it"),
+        (1, cell(1, 0, 0, Level.D), "(J=1; d), which the plan at j_max 1 cannot empty; "
+         "compiling at j_max 2 empties it"),
+        (0, cell(0, 0, 0, Level.C), "(J=0; c, d), which the plan at j_max 0 cannot empty; "
+         "compiling at j_max 1 empties it"),
+        (0, cell(0, 0, 0, Level.D), "(J=0; c, d), which the plan at j_max 0 cannot empty; "
+         "compiling at j_max 1 empties it"),
+        (J_MAX_CAP, cell(0, J_MAX_CAP, 0, Level.D),
+         "(J=40; d), which the plan at j_max 40 cannot empty; j_max 40 is the cap"),
+    ],
+)
+def test_deevolve_refuses_weight_the_plan_cannot_empty_by_name(j_max, component, refusal):
+    """Weight on the top stage's level d, or on level c or d at J_max 0, is
+    refused by name; one cutoff up, the same state compiles."""
+    t = Truncation(j_max)
+    target = vacuum_state(t)
+    target.amplitudes[0] = 0.8
+    put(target, component, 0.6)
+    with pytest.raises(DomainError) as err:
+        deevolve(target)
+    assert str(err.value) == f"target has weight on {refusal}"
+    if j_max < J_MAX_CAP:
+        wider = Truncation(j_max + 1)
+        embedded = StateVector(np.pad(target.amplitudes, (0, wider.dim - t.dim)), wider)
+        assert deevolve(embedded).final_residual <= 1e-12
+
+
 def test_deevolve_is_deterministic():
     t = Truncation(3)
     target = random_level_a(t, np.random.default_rng(8))
@@ -302,9 +360,9 @@ def test_deevolve_is_deterministic():
 def test_deevolve_validation():
     t = Truncation(1)
     with pytest.raises(DomainError):
-        deevolve(StateVector(np.full(t.dim, 0.5), t))  # norm 2, off level a
+        deevolve(StateVector(np.full(t.dim, 0.5), t))  # norm 2, weight on (1; d)
     amps = np.zeros(t.dim)
-    amps[1] = 1.0  # |0,0,0;b>
+    amps[index_of(cell(0, 1, 0, Level.D), t)] = 1.0  # |0,1,0;d>, on (1; d)
     with pytest.raises(DomainError):
         deevolve(StateVector(amps, t))
 
