@@ -30,7 +30,7 @@ from .files import (
     save_report,
     save_schedule,
 )
-from .fock import DomainError, Truncation, _integer, fidelity_to_target, vacuum_state
+from .fock import DomainError, Truncation, _integer, _real, fidelity_to_target, vacuum_state
 from .noise import NoiseModel, sweep as run_sweep
 from .pulses import Direction, Schedule, apply_schedule
 from .synthesis import deevolve
@@ -76,12 +76,12 @@ def _grid_spec(text: str) -> tuple[float, float, int]:
     try:
         start, step = float(parts[0]), float(parts[1])
         count = _integer("grid count", int(parts[2]), 1, _GRID_ROWS_CAP)
+        start = _real("grid start", start, non_negative=True)
+        step = _real("grid step", step, non_negative=True)
     except DomainError as exc:  # argparse would print only "invalid _grid_spec value"
         raise argparse.ArgumentTypeError(str(exc)) from exc
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad grid spec {text!r}") from exc
-    if not (0 <= start < math.inf and 0 <= step < math.inf):  # NaN fails too
-        raise argparse.ArgumentTypeError("grid start and step must be finite and >= 0")
     if start + step * (count - 1) == math.inf:  # the grid's last value
         raise argparse.ArgumentTypeError(
             f"grid's last value {start:g} + {step:g} * {count - 1} overflows"

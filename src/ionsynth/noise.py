@@ -131,8 +131,11 @@ def simulate_trial(
     iterable of generators runs one trial per generator, perturbed through
     :func:`perturb` in order and replayed as one batch, and returns their
     results in the same order; each equals the result of that generator alone.
-    Post-selection needs a target on level a; any other raises DomainError first.
+    Before any perturb, a target at another j_max or off level a raises DomainError.
     """
+    t = preparation.truncation
+    if target.truncation != t:
+        raise DomainError(f"target has j_max {target.truncation.j_max}, the preparation {t.j_max}")
     if target.level_probabilities()[Level.B:].sum() > 1e-24:
         raise DomainError("target state must have support only on electronic level a")
     single = isinstance(rng, np.random.Generator)
@@ -140,7 +143,6 @@ def simulate_trial(
     columns = [(s.x, s.theta) for s in noisy]  # no schedule outlives its own trial
     if not columns:
         return ()
-    t = preparation.truncation
     amps = np.repeat(vacuum_state(t).amplitudes[np.newaxis], len(columns), axis=0)
     x, theta = (np.stack(column, axis=1) for column in zip(*columns))
     _replay(amps, t, preparation.lamb_dicke, preparation.channel, x, theta)
@@ -174,14 +176,11 @@ def run_trials(
     ``substream`` namespaces the per-trial random streams; sweeps use it so
     every grid row sees independent draws under the one user-facing seed.
     Checked before any trial runs: ``n``, ``seed`` and ``substream`` entries are
-    integers, not bool, >= 1, 0 and 0; ``target`` is at the preparation's j_max (and on level a).
+    integers, not bool, >= 1, 0 and 0; the target by :func:`simulate_trial`'s first call.
     """
-    t = preparation.truncation
     n, seed = _integer("n", n, 1), _integer("seed", seed, 0)
     substream = tuple(_integer("substream entry", k, 0) for k in substream)
-    if target.truncation != t:
-        raise DomainError(f"target has j_max {target.truncation.j_max}, the preparation {t.j_max}")
-    chunk = max(1, _BATCH_AMPLITUDES // t.dim)
+    chunk = max(1, _BATCH_AMPLITUDES // preparation.truncation.dim)
     fids, posts, probs = np.empty(n), np.empty(n), np.empty(n)
     for start in range(0, n, chunk):
         stop = min(n, start + chunk)

@@ -78,6 +78,7 @@ from .fock import (
     StateVector,
     Truncation,
     _integer,
+    _integer_column,
     _layout,
     index_of,
 )
@@ -139,19 +140,25 @@ class _StepColumns(NamedTuple):
 
 
 def _step_columns(steps: Iterable[Step], truncation: Truncation) -> _StepColumns:
-    """Index columns of ``steps``; an occupation outside the truncation raises
-    :class:`DomainError` as :func:`index_of` words it."""
+    """Index columns of ``steps``, whose numbers go through ``fock._integer_column`` by step;
+    an occupation outside the truncation raises :class:`DomainError` as :func:`index_of` words it."""
     codes: list[int] = []
     quanta: list[int] = []
     kills: list[bool] = []
-    for cid, occupation, kill_upper in steps:  # one step object alive at a time
+    for k, (cid, occupation, kill_upper) in enumerate(steps):  # one step object alive at a time
+        try:
+            nx, ny, nz = occupation
+        except (TypeError, ValueError):
+            raise DomainError(f"step {k} occupation must hold 3 entries") from None
         codes.append(cid)
-        quanta.extend(occupation)
+        quanta += nx, ny, nz
         kills.append(kill_upper)
-    channel = np.array(codes, dtype=np.uint8)
-    occ = np.array(quanta, dtype=np.intp).reshape(-1, 3).T
-    stage = occ.sum(axis=0)
-    outside = np.flatnonzero((occ < 0).any(axis=0) | (stage > truncation.j_max))
+    channel = _integer_column("step {} channel", codes, 1, len(ChannelId)).astype(np.uint8)
+    index = np.iinfo(np.intp)
+    occ = np.array([_integer_column(f"step {{}} {name}", quanta[axis::3], index.min, index.max)
+                    for axis, name in enumerate(Occupation._fields)], dtype=np.intp)
+    j_max, stage = truncation.j_max, occ.sum(axis=0)  # wraps only if an entry is outside [0, j_max]
+    outside = np.flatnonzero(((occ < 0) | (occ > j_max)).any(axis=0) | (stage > j_max))
     if outside.size:
         k = int(outside[0])
         component = Component(Occupation._make(occ[:, k].tolist()), CHANNELS[codes[k]].lower_level)
@@ -316,10 +323,8 @@ def build_U_bcd(j: int) -> Iterator[Step]:
 
 
 def bridge(j: int) -> tuple[Step]:
-    """One red-sideband pulse nulling (J, 0, 0; a) into (J-1, 0, 0; b)."""
-    if j < 1:
-        raise DomainError(f"bridge needs J >= 1, got {j}")
-    return ((ChannelId.H9, Occupation(j, 0, 0), False),)
+    """One red-sideband pulse nulling (J, 0, 0; a) into (J-1, 0, 0; b); J is an integer >= 1."""
+    return ((ChannelId.H9, Occupation(_integer("bridge J", j, 1), 0, 0), False),)
 
 
 def plan(j_max: int) -> Iterator[Step]:

@@ -2,8 +2,8 @@
 
 Targets are full-space states on electronic level a, as post-selection needs
 (``deevolve`` takes others).  When a built-in family extends past the
-truncation, the kept amplitudes are renormalized and the dropped probability
-mass is reported so callers can judge whether the truncation is adequate.
+truncation, one step, ``_kept_target``, renormalizes the kept amplitudes and
+reports the dropped probability mass so callers can judge the truncation.
 """
 
 from __future__ import annotations
@@ -41,13 +41,14 @@ def _level_a_state(entries: dict[Occupation, complex], truncation: Truncation) -
     return amps
 
 
-def _prefactor(alpha: complex, rate: float) -> float:
-    """exp(-rate |alpha|^2) for an alpha checked by ``fock._number``; a prefactor
+def _prefactor(alpha: object, rate: float) -> tuple[complex, float]:
+    """``alpha`` checked by ``fock._number``, and exp(-rate |alpha|^2); a prefactor
     that underflows to 0 is rejected before any alpha**n (which may overflow) is taken."""
+    alpha = _number("alpha", alpha)
     # the exp is 0 long before |alpha| = 1e3, and |alpha|**2 raises past 1e154
     prefactor = math.exp(-rate * abs(alpha) ** 2) if abs(alpha) < 1e3 else 0.0
     _check_kept(prefactor, alpha)
-    return prefactor
+    return alpha, prefactor
 
 
 def _check_kept(kept: float, alpha: complex) -> None:
@@ -55,22 +56,24 @@ def _check_kept(kept: float, alpha: complex) -> None:
         raise DomainError(f"alpha={alpha!r} is too large: the kept target amplitudes underflow")
 
 
+def _kept_target(entries: dict[Occupation, complex], truncation: Truncation, description: str,
+                 total: float, alpha: complex) -> Target:
+    """The level-a state of ``entries`` renormalized to unit norm; the mass the
+    truncation drops is ``1 - kept/total``, ``total`` being the untruncated norm**2."""
+    amps = _level_a_state(entries, truncation)
+    kept = float(np.sum(np.abs(amps) ** 2))
+    _check_kept(kept, alpha)
+    return Target(StateVector(amps / math.sqrt(kept), truncation), description, 1.0 - kept / total)
+
+
 def target_corr(alpha: complex, truncation: Truncation) -> Target:
     """Fully correlated state: amplitudes of a coherent state carried by the
     diagonal occupations |n, n, n>."""
-    alpha = _number("alpha", alpha)
-    prefactor = _prefactor(alpha, 0.5)
+    alpha, prefactor = _prefactor(alpha, 0.5)
     entries: dict[Occupation, complex] = {}
     for n in range(truncation.j_max // 3 + 1):
         entries[Occupation(n, n, n)] = prefactor * alpha**n / math.sqrt(math.factorial(n))
-    amps = _level_a_state(entries, truncation)
-    kept = float(np.sum(np.abs(amps) ** 2))  # untruncated total is exactly 1
-    _check_kept(kept, alpha)
-    return Target(
-        state=StateVector(amps / math.sqrt(kept), truncation),
-        description=f"corr(alpha={alpha})",
-        truncated_mass=1.0 - kept,
-    )
+    return _kept_target(entries, truncation, f"corr(alpha={alpha})", 1.0, alpha)  # norm**2 is 1
 
 
 def target_diag(truncation: Truncation) -> Target:
@@ -94,8 +97,7 @@ def target_ghz(alpha: complex, truncation: Truncation) -> Target:
     Amplitudes with odd total quanta cancel identically, so only even-total
     occupations appear.
     """
-    alpha = _number("alpha", alpha)
-    prefactor = _prefactor(alpha, 1.5)
+    alpha, prefactor = _prefactor(alpha, 1.5)
     entries: dict[Occupation, complex] = {}
     for j in range(0, truncation.j_max + 1, 2):
         for nx in range(j + 1):
@@ -109,15 +111,8 @@ def target_ghz(alpha: complex, truncation: Truncation) -> Target:
                         math.factorial(nx) * math.factorial(ny) * math.factorial(nz)
                     )
                 )
-    amps = _level_a_state(entries, truncation)
-    kept = float(np.sum(np.abs(amps) ** 2))
-    _check_kept(kept, alpha)
     total = 2.0 + 2.0 * math.exp(-6.0 * abs(alpha) ** 2)  # untruncated norm**2
-    return Target(
-        state=StateVector(amps / math.sqrt(kept), truncation),
-        description=f"ghz(alpha={alpha})",
-        truncated_mass=1.0 - kept / total,
-    )
+    return _kept_target(entries, truncation, f"ghz(alpha={alpha})", total, alpha)
 
 
 def random_target(truncation: Truncation, rng: np.random.Generator) -> Target:

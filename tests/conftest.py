@@ -3,6 +3,7 @@ import cmath
 import numpy as np
 
 from ionsynth import Level, StateVector, Truncation, enumerate_basis, random_target
+from ionsynth.pulses import _pair_table
 
 
 def random_state(truncation: Truncation, rng: np.random.Generator) -> StateVector:
@@ -42,3 +43,14 @@ def per_pair_rotate(amps: np.ndarray, table, x: float, theta: float, count: int 
     s = np.sin(ang)
     amps[src] = c * u + (-1j * cmath.exp(1j * theta)) * (s * v)
     amps[dst] = c * v + (-1j * cmath.exp(-1j * theta)) * (s * u)
+
+
+def full_table_replay(state: StateVector, schedule, count: int | None = None) -> np.ndarray:
+    """Reference replay of the first ``count`` pulses of ``schedule`` (all of them
+    by default) on a copy of ``state``'s amplitudes: every pulse rotates every
+    coupled pair of its channel."""
+    amps = state.amplitudes.copy()
+    for p in schedule.pulses[:count]:
+        table = _pair_table(p.channel, schedule.truncation, schedule.lamb_dicke)
+        per_pair_rotate(amps, table, p.x, p.theta)
+    return amps

@@ -163,7 +163,7 @@ def test_private_name_check_sees_dead_and_doubled_names():
 # The wording of the integer, real and complex rules that ``fock`` owns.
 RULE_MESSAGE = re.compile(
     r"must be (an integer >=|a finite (non-negative )?real( or complex number)?)"
-    r"|exceeds the cap of"
+    r"|exceeds the cap of|must be finite"
 )
 
 
@@ -259,11 +259,16 @@ def test_rule_owner_check_sees_rules_outside_fock():
             "    if n > J_MAX_CAP:\n"
             "        raise DomainError(f'occupation {n} exceeds the cap of {J_MAX_CAP}')\n"
         ),
+        "cli": (
+            "def _grid_spec(start, step):\n"
+            "    if not (0 <= start < math.inf and 0 <= step < math.inf):\n"
+            "        raise ArgumentTypeError('grid start and step must be finite and >= 0')\n"
+        ),
     }
     sources["fock"] += "def _real_column(name, column):\n    return np.isfinite(column)\n"
     assert rule_owner_faults(sources) == [
         "bool: noise:2", "message: noise:3", "bool: files:2", "bool: files:4", "message: files:5",
-        "isfinite: pulses:2", "int: pulses:6", "message: channels:3",
+        "isfinite: pulses:2", "int: pulses:6", "message: channels:3", "message: cli:3",
     ]
 
 

@@ -319,11 +319,12 @@ def test_sweep_refuses_a_grid_past_the_cap_at_the_parser(count, rule, tmp_path, 
 @pytest.mark.parametrize(
     "grid, rule",
     [
-        ("0:inf:2", "grid start and step must be finite and >= 0"),
-        ("inf:0:1", "grid start and step must be finite and >= 0"),
-        ("nan:0.01:2", "grid start and step must be finite and >= 0"),
-        ("0:nan:3", "grid start and step must be finite and >= 0"),
-        ("-1:0.01:2", "grid start and step must be finite and >= 0"),
+        ("0:inf:2", "grid step must be a finite non-negative real, got inf"),
+        ("inf:0:1", "grid start must be a finite non-negative real, got inf"),
+        ("nan:0.01:2", "grid start must be a finite non-negative real, got nan"),
+        ("0:nan:3", "grid step must be a finite non-negative real, got nan"),
+        ("-1:0.01:2", "grid start must be a finite non-negative real, got -1.0"),
+        ("nan:-1:0", "grid count must be an integer >= 1, got 0"),
         ("1e308:1e308:3", "grid's last value 1e+308 + 1e+308 * 2 overflows"),
         ("0:1e308:3", "grid's last value 0 + 1e+308 * 2 overflows"),
     ],

@@ -302,6 +302,23 @@ def test_simulate_trial_refuses_a_target_off_level_a_before_any_perturb_or_repla
     assert ran.call_count == 0
 
 
+def test_simulate_trial_refuses_a_target_of_another_truncation_before_any_perturb_or_replay():
+    """A direct call with a J_max 4 target and a J_max 3 preparation is refused
+    in run_trials' words, before the level-a check and before any trial runs."""
+    prep = deevolve(target_corr(1.0, Truncation(3)).state).preparation
+    target = StateVector(target_corr(1.0, Truncation(4)).state.amplitudes, Truncation(4))
+    target.amplitudes[1] = 0.5  # off level a too: the cutoff is named first
+    ran = mock.Mock(side_effect=AssertionError("a trial ran"))
+    with (
+        mock.patch.object(noise_module, "perturb", ran),
+        mock.patch.object(noise_module, "_replay", ran),
+    ):
+        for rng in (np.random.default_rng(1), [np.random.default_rng(k) for k in (1, 2)], []):
+            with pytest.raises(DomainError, match="^target has j_max 4, the preparation 3$"):
+                simulate_trial(target, prep, NoiseModel(0.01), rng)
+    assert ran.call_count == 0
+
+
 def test_a_4096_trial_chunk_holds_no_per_trial_generator_or_schedule():
     """A J_max 0 row of 4,096 trials is one chunk; its traced peak stays at or
     below 3 MB (7.0 MB while each trial's generator and perturbed schedule

@@ -44,7 +44,7 @@ from ionsynth.pulses import (
     _pair_table, _phase_factors, _replay, _rotate, _trig, _wrap_angles, oracle_apply,
 )
 
-from conftest import per_pair_rotate, random_state
+from conftest import full_table_replay, per_pair_rotate, random_state
 
 LD = LambDickeParams()
 
@@ -321,15 +321,6 @@ def test_long_schedule_norm_drift():
     )
     out = apply_schedule(s, Schedule(pulses, LD, t, Direction.PREPARATION))
     assert abs(out.norm() - 1.0) <= 1e-10
-
-
-def full_table_replay(state: StateVector, schedule: Schedule) -> np.ndarray:
-    """Reference replay: every pulse rotates every coupled pair of its channel."""
-    amps = state.amplitudes.copy()
-    for p in schedule.pulses:
-        table = _pair_table(p.channel, schedule.truncation, schedule.lamb_dicke)
-        per_pair_rotate(amps, table, p.x, p.theta)
-    return amps
 
 
 def random_schedule(t: Truncation, rng, n: int, h9_slots=()) -> Schedule:

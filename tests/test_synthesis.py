@@ -49,7 +49,9 @@ from ionsynth.synthesis import (
     run_steps,
 )
 
-from conftest import per_pair_rotate, random_level_a, random_state, random_vibronic
+from conftest import (
+    full_table_replay, per_pair_rotate, random_level_a, random_state, random_vibronic,
+)
 
 LD = LambDickeParams()
 LD0 = LambDickeParams(0.0, 0.0, 0.0, 0.0)
@@ -76,16 +78,6 @@ def cell(nx, ny, nz, level) -> Component:
 
 def put(state: StateVector, component: Component, value: complex) -> None:
     state.amplitudes[index_of(component, state.truncation)] = value
-
-
-def replay(schedule, state: StateVector, upto: int | None = None) -> StateVector:
-    """Apply the first ``upto`` pulses of a schedule (all when None)."""
-    amps = state.amplitudes.copy()
-    pulses = schedule.pulses if upto is None else schedule.pulses[:upto]
-    for p in pulses:
-        table = _pair_table(p.channel, schedule.truncation, schedule.lamb_dicke)
-        per_pair_rotate(amps, table, p.x, p.theta)
-    return StateVector(amps, schedule.truncation)
 
 
 def test_build_A_two_forced_transfers():
@@ -227,9 +219,10 @@ def test_bridge_rabi_at_higher_rung():
     assert abs(work.amplitude(cell(4, 0, 0, Level.A))) <= 1e-12
 
 
-def test_bridge_requires_positive_level():
-    with pytest.raises(DomainError):
-        bridge(0)
+@pytest.mark.parametrize("j", [0, -1, 1.5, True])
+def test_bridge_requires_positive_level(j):
+    with pytest.raises(DomainError, match=f"^bridge J must be an integer >= 1, got {j!r}$"):
+        bridge(j)
 
 
 @pytest.mark.parametrize("j", range(5))
@@ -385,7 +378,7 @@ def test_deevolve_notes_record_killed_components():
     sched = deevolve(target).deevolution
     state = target
     for k, p in enumerate(sched.pulses):
-        state = replay(sched, target, upto=k + 1)
+        state = StateVector(full_table_replay(target, sched, k + 1), t)
         assert p.note is not None
         assert abs(state.amplitude(p.note)) <= 1e-10
 
@@ -403,7 +396,7 @@ def test_subspace_monotonicity():
     offset = 0
     for j in range(j_max, 0, -1):
         offset += abc_count(j) + bcd_count(j - 1) + 1
-        state = replay(sched, target, upto=offset)
+        state = StateVector(full_table_replay(target, sched, offset), t)
         mass = sum(
             abs(a) ** 2
             for a, (total, level) in zip(state.amplitudes, basis)
@@ -698,6 +691,31 @@ def test_run_steps_names_a_step_outside_the_truncation():
     with pytest.raises(DomainError, match="is not inside the truncation j_max=2"):
         run_steps(work, build_A(3, 0), LD)
     assert run_steps(work, [], LD) == []
+
+
+@pytest.mark.parametrize(
+    "step, message",
+    [
+        ((ChannelId.H2, Occupation(0.5, 0, 0), True), "step 1 nx must be an integer >= .*, got 0.5"),
+        ((ChannelId.H2, Occupation(True, 0, 0), True), "step 1 nx must be an integer >= .*, got True"),
+        ((ChannelId.H2, Occupation(0, 0, 1.0), True), "step 1 nz must be an integer >= .*, got 1.0"),
+        ((12, Occupation(0, 0, 0), True), "step 1 channel 12 exceeds the cap of 9"),
+        ((True, Occupation(0, 0, 0), True), "step 1 channel must be an integer >= 1, got True"),
+        ((ChannelId.H2, (0, 0), True), "step 1 occupation must hold 3 entries$"),
+        ((ChannelId.H2, 5, True), "step 1 occupation must hold 3 entries$"),
+        ((ChannelId.H2, (10**30, 0, 0), True), f"step 1 nx {10**30} exceeds the cap of"),
+        ((ChannelId.H2, (0, -1, 0), True), r"component .* is not inside the truncation j_max=2$"),
+        ((ChannelId.H2, (2**62, 2**62, 0), True), r"component .* is not inside the truncation j_max=2$"),
+    ],
+)
+def test_run_steps_names_a_step_whose_numbers_break_the_rules(step, message):
+    """A step's channel and occupation entries go through fock's integer rule,
+    named by step, before any rotation; negative entries and totals past the
+    cutoff keep index_of's wording."""
+    work = vacuum_state(Truncation(2))
+    with pytest.raises(DomainError, match=f"^{message}"):
+        run_steps(work, [(ChannelId.H2, Occupation(0, 0, 0), True), step], LD)
+    assert np.array_equal(work.amplitudes, vacuum_state(Truncation(2)).amplitudes)
 
 
 @pytest.mark.parametrize("j_max", [*range(17), 40])
