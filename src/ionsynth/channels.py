@@ -22,9 +22,9 @@ every value keeps SciPy's bits without the package importing SciPy.
 
 A channel's coupled pairs are built as arrays by one function, ``_pairs``,
 from lower-level occupations: the partner adds one quantum to the channel's
-raised mode and takes one from its lowered mode, both ends' basis indices and
-each pair's Omega rank come by arithmetic on the canonical basis order, whose
-closed-form index the ``fock`` docstring gives, and every Lamb-Dicke factor
+raised mode and takes one from its lowered mode, both ends' basis indices come
+from ``fock._basis_index``, the closed form of the canonical order, each
+pair's Omega rank by arithmetic on the occupations, and every Lamb-Dicke factor
 from one pass of the recurrence per eps over n = 0..j_max.  :func:`rabi` and
 :func:`partner_occupation` compute the same numbers one component at a time.
 
@@ -52,10 +52,10 @@ from .fock import (
     Level,
     Occupation,
     Truncation,
+    _basis_index,
     _integer,
     _layout,
     _real,
-    _vib_index,
     enumerate_basis,
     index_of,
 )
@@ -275,9 +275,8 @@ def _pairs(spec: ChannelSpec, occ: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
         upper[spec.raised] += 1
     if spec.lowered is not None:
         upper[spec.lowered] -= 1
-    levels = len(Level)
-    src = levels * _vib_index(*occ) + spec.lower_level
-    dst = levels * _vib_index(*upper) + spec.upper_level
+    src = _basis_index(occ, spec.lower_level)
+    dst = _basis_index(upper, spec.upper_level)
     empty = (upper < 0).any(axis=0)
     dst[empty] = rank[empty] = -1
     return src, dst, rank

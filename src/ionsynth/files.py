@@ -45,9 +45,9 @@ This module checks a document's shape: that each field is present and of its
 JSON type, the pulse indices, channel names and level labels.  Every number
 goes through the rule :mod:`ionsynth.fock` owns for it: a length or phase
 through ``fock._real_column`` in ``Schedule.from_columns``, a Lamb-Dicke value
-through ``LambDickeParams``, an occupation through ``fock._integer`` and a
+through ``LambDickeParams``, an occupation through ``fock._occupation`` and a
 target's ``re`` and ``im`` through ``fock._real``.  The schedule loaders check
-clean notes as a whole column, and any others note by note through
+clean notes as a whole column by ``fock._index_column``, others note by note through
 :func:`_parse_note`, which words every fault; target components are checked
 entry by entry through :func:`_check_components`.  An error names the first
 bad entry: ``pulses[i].<field>`` in a schedule, ``[i].<field>`` in a target,
@@ -72,10 +72,10 @@ from .fock import (
     Occupation,
     StateVector,
     Truncation,
-    _integer,
-    _layout,
+    _index_column,
+    _occupation,
     _real,
-    _vib_index,
+    index_of,
 )
 from .channels import ChannelId, LambDickeParams
 from .noise import SweepReport
@@ -180,16 +180,6 @@ def _expect(doc: dict[str, Any], key: str, kinds: tuple[type, ...], where: str =
     return _column([doc], key, kinds, where)[0]
 
 
-def _occupation_at(where: str, numbers: list[Any], j_max: int) -> Occupation:
-    """``numbers`` as an occupation inside the cutoff ``j_max``, each number by
-    ``fock._integer`` under the name ``where``."""
-    nx, ny, nz = numbers  # unpacked, not a generator: this runs once per target entry
-    occ = Occupation(_integer(where, nx, 0), _integer(where, ny, 0), _integer(where, nz, 0))
-    if occ.total > j_max:
-        raise DomainError(f"{where}: total occupation {occ.total} exceeds the cutoff {j_max}")
-    return occ
-
-
 def _parse_note(raw: Any, i: int, j_max: int) -> Component | None:
     if raw is None:
         return None
@@ -197,7 +187,7 @@ def _parse_note(raw: Any, i: int, j_max: int) -> Component | None:
     if not (isinstance(raw, list) and len(raw) == 4):
         raise ScheduleFormatError(f"{where}: expected [nx, ny, nz, level] or null")
     try:
-        occ = _occupation_at(where, raw[:3], j_max)
+        occ = _occupation(where, raw[:3], j_max)
     except DomainError as exc:
         raise ScheduleFormatError(str(exc)) from exc
     try:
@@ -210,9 +200,9 @@ def _parse_note(raw: Any, i: int, j_max: int) -> Component | None:
 def _parse_notes(raw: list[Any], j_max: int, base: int = 0) -> np.ndarray:
     """The note column parsed note by note by :func:`_parse_note`, -1 for
     ``null``; the notes are those of pulses ``base``, ``base + 1``, ..."""
-    index = _layout(j_max).index  # a null note parses as None, which is not a key
-    notes = enumerate(raw, base)
-    return np.array([index.get(_parse_note(n, i, j_max), -1) for i, n in notes], np.intp)
+    truncation = Truncation(j_max)
+    notes = (_parse_note(n, i, j_max) for i, n in enumerate(raw, base))
+    return np.array([-1 if c is None else index_of(c, truncation) for c in notes], np.intp)
 
 
 # Level code of each label Level.from_label accepts.
@@ -223,40 +213,24 @@ class _Unclean(Exception):
     """Input that the column checks leave to the per-entry checkers."""
 
 
-def _occupations(values: list[Any], j_max: int) -> np.ndarray:
-    """``values``, nx, ny, nz after nx, ny, nz, as (3, n) occupations inside the cutoff."""
-    if not set(map(type, values)) <= {int}:
-        raise _Unclean
-    occ = np.array(values, dtype=np.intp).reshape(-1, 3).T
-    # Each of 0..j_max first, so that the total cannot wrap.
-    if ((occ < 0) | (occ > j_max)).any() or (occ.sum(axis=0) > j_max).any():
-        raise _Unclean
-    return occ
-
-
-def _flatten_rows(rows: list[Any], width: int) -> list[Any]:
-    """The items of ``rows``, row after row, each row a list of ``width``."""
-    if not (set(map(type, rows)) <= {list} and set(map(len, rows)) <= {width}):
-        raise _Unclean
-    return list(chain.from_iterable(rows))
-
-
 def _notes(raw: list[Any], j_max: int, base: int = 0) -> np.ndarray:
     """The note column of pulses ``base``, ``base + 1``, ... as basis indices,
-    -1 for each ``null``, checked whole if clean."""
+    -1 for each ``null``, checked whole by ``fock._index_column`` if clean."""
     # A null note stands in as the note [0, 0, 0, "a"], set to -1 afterwards.
     null = [i for i, note in enumerate(raw) if note is None] if None in raw else []
     rows = [[0, 0, 0, "a"] if note is None else note for note in raw] if null else raw
     try:
-        occupations = _flatten_rows(rows, 4)
-        labels = occupations[3::4]
-        del occupations[3::4]
+        if not (set(map(type, rows)) <= {list} and set(map(len, rows)) <= {4}):
+            raise _Unclean
+        quanta = list(chain.from_iterable(rows))
+        labels = quanta[3::4]
+        del quanta[3::4]
         if not (set(map(type, labels)) <= {str} and set(labels) <= _LEVEL_CODE.keys()):
             raise _Unclean
-        index = len(Level) * _vib_index(*_occupations(occupations, j_max))
-    except (_Unclean, OverflowError):
+        level = np.array(list(map(_LEVEL_CODE.__getitem__, labels)), dtype=np.intp)
+        index = _index_column("pulses[{}].note ", quanta, level, j_max)
+    except (_Unclean, ValueError):  # ValueError: a DomainError, or a ragged entry
         return _parse_notes(raw, j_max, base)
-    index += np.array(list(map(_LEVEL_CODE.__getitem__, labels)), dtype=np.intp)
     index[null] = -1
     return index
 
@@ -434,7 +408,7 @@ def _check_components(doc: list[Any], j_max: int) -> dict[Occupation, complex]:
         if not (isinstance(raw_n, list) and len(raw_n) == 3):
             raise TargetFormatError(f"{where}.n: expected [nx, ny, nz]")
         try:
-            occ = _occupation_at(f"{where}.n", raw_n, j_max)
+            occ = _occupation(f"{where}.n", raw_n, j_max)
             if occ in entries:
                 raise TargetFormatError(f"{where}.n: duplicate component {tuple(occ)}")
             if "re" not in item:

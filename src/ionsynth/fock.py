@@ -14,8 +14,8 @@ J = nx + ny + nz has vibrational index
 
 (the C(J + 2, 3) occupations of lower total come first, then the rows of
 smaller nx, each J - nx + 1 long), and its component on electronic level l has
-index 4*vib + l.  This module owns that order; every other module reads it
-from here.
+index 4*vib + l.  This module owns that order, and :func:`_basis_index` is its
+one implementation, which every other module reads through this module.
 
 A :class:`StateVector` is built only by its constructor, which copies the
 amplitudes and checks their shape.
@@ -26,8 +26,10 @@ channel code, a basis index, a width, a length, a phase, an amplitude or a
 coherent amplitude calls: :func:`_integer` takes an ``int`` or a NumPy integer,
 never a ``bool``, at or above a lower bound and, if one is given, at or below
 an upper bound, a cap, and returns an ``int``; :func:`_integer_column` applies
-it to a column of channel codes or note indices and words the first refusal as
-:func:`_integer` does; :func:`_real` takes a real number, never a ``bool``,
+it to a column of channel codes, note indices or occupation entries and words
+the first refusal as :func:`_integer` does; :func:`_occupation` takes three of
+them >= 0 whose total is at most a cutoff; :func:`_flag_column` takes a column
+of ``bool`` flags; :func:`_real` takes a real number, never a ``bool``,
 that is finite as a float (and, if asked, >= 0), and returns that float;
 :func:`_real_column` applies it to a column of lengths or phases and words the
 first refusal as :func:`_real` does; :func:`_number` takes a finite real or
@@ -122,8 +124,9 @@ def _number(name: str, value: object) -> float | complex:
 
 
 def _whole(array: np.ndarray, column: object) -> bool:
-    """Whether ``column``'s cast ``array`` hides no bool, NumPy bool or array entry."""
-    return array is column or {bool, np.bool_, np.ndarray}.isdisjoint(map(type, column))
+    """Whether ``column``'s cast ``array`` is 1-D and hides no bool, NumPy bool or array entry."""
+    kinds = {bool, np.bool_, np.ndarray}
+    return array.ndim == 1 and (array is column or kinds.isdisjoint(map(type, column)))
 
 
 def _real_column(name: str, column: object, non_negative: bool = False) -> np.ndarray:
@@ -152,6 +155,15 @@ def _integer_column(name: str, column: object, low: int, high: int) -> np.ndarra
         return array
     entries = array.tolist() if array is column else column
     return np.array([_integer(name.format(i), v, low, high) for i, v in enumerate(entries)])
+
+
+def _flag_column(name: str, column: list) -> np.ndarray:
+    """``column`` as a bool array: each entry a ``bool`` or NumPy bool, never an integer
+    or another truthy value; the first other entry i is refused, named ``name.format(i)``."""
+    if not {bool, np.bool_}.issuperset(map(type, column)):
+        i, value = next((i, v) for i, v in enumerate(column) if type(v) not in (bool, np.bool_))
+        raise DomainError(f"{name.format(i)} must be a bool, got {_shown(value)}")
+    return np.array(column, dtype=bool)
 
 
 class Level(IntEnum):
@@ -227,12 +239,17 @@ def _vib_index(nx: np.ndarray, ny: np.ndarray, nz: np.ndarray) -> np.ndarray:
     return (j + 2) * (j + 1) * j // 6 + nx * (j + 1) - nx * (nx - 1) // 2 + ny
 
 
+def _basis_index(occ, level):
+    """Basis index of the occupations ``occ`` (nx, ny, nz) on ``level``, unchecked."""
+    return len(Level) * _vib_index(*occ) + level
+
+
 class _Layout(NamedTuple):
-    """The canonical order below one cutoff; the ``occ`` array is read-only."""
+    """The canonical order below one cutoff, from index to component (``occ`` is
+    read-only); :func:`_basis_index`, the order's one implementation, maps back."""
 
     occ: np.ndarray  # occ[:, v] is the (nx, ny, nz) of vibrational index v
     basis: tuple[Component, ...]
-    index: dict[Component, int]
 
 
 @lru_cache(maxsize=32)
@@ -246,7 +263,7 @@ def _layout(j_max: int) -> _Layout:
         Component(o, level) for o in map(Occupation._make, occ.T.tolist()) for level in levels
     )
     occ.setflags(write=False)
-    return _Layout(occ, basis, {comp: k for k, comp in enumerate(basis)})
+    return _Layout(occ, basis)
 
 
 def enumerate_basis(truncation: Truncation) -> tuple[Component, ...]:
@@ -254,14 +271,52 @@ def enumerate_basis(truncation: Truncation) -> tuple[Component, ...]:
     return _layout(truncation.j_max).basis
 
 
+def _occupation(name: str, numbers, j_max: int) -> Occupation:
+    """``numbers`` (nx, ny, nz) as an occupation inside the cutoff ``j_max``: each
+    number by :func:`_integer`'s rule, >= 0 and named ``name``, then the total."""
+    nx, ny, nz = numbers  # unpacked, not a generator: this runs once per target entry
+    occ = Occupation(_integer(name, nx, 0), _integer(name, ny, 0), _integer(name, nz, 0))
+    if occ.total > j_max:  # a sum of Python ints, which cannot wrap
+        total = _shown(occ.total)
+        raise DomainError(f"{name}: total occupation {total} exceeds the cutoff {j_max}")
+    return occ
+
+
 def index_of(component: Component, truncation: Truncation) -> int:
-    """Position of ``component`` in the canonical order."""
+    """Position of ``component`` in the canonical order: its occupation by
+    :func:`_occupation`'s rule and its level by :func:`_integer`'s, in 0..3."""
     try:
-        return _layout(truncation.j_max).index[component]
-    except KeyError:
+        occ, level = component
+        occ = _occupation("", occ, truncation.j_max)
+        return _basis_index(occ, _integer("", level, 0, len(Level) - 1))
+    except (TypeError, ValueError):  # no (occupation, level) pair, or a refused number
         raise DomainError(
             f"component {_shown(component)} is not inside the truncation j_max={truncation.j_max}"
         ) from None
+
+
+def _index_column(name: str, quanta: list, level, j_max: int) -> np.ndarray:
+    """:func:`index_of` over columns: ``quanta`` holds the nx, ny and nz of each occupation
+    in turn, ``level`` its level.  Plain ints are cast at once; other numbers go through
+    :func:`_integer_column` over the intp range, named ``name.format(i)`` and the field.
+    A level is in 0..3, and an occupation outside the cutoff ``j_max`` raises as
+    :func:`index_of` words it."""
+    occ = None
+    if set(map(type, quanta)) <= {int}:
+        try:
+            occ = np.array(quanta, dtype=np.intp).reshape(-1, 3).T
+        except OverflowError:  # an int past intp
+            pass
+    if occ is None:
+        bounds = np.iinfo(np.intp)
+        occ = np.array([_integer_column(name + field, quanta[axis::3], bounds.min, bounds.max)
+                        for axis, field in enumerate(Occupation._fields)], dtype=np.intp)
+    level = _integer_column(name + "level", level, 0, len(Level) - 1)
+    # An entry outside 0..j_max is caught by itself, so a total that wraps cannot slip past.
+    if ((occ < 0) | (occ > j_max)).any() or (occ.sum(axis=0) > j_max).any():
+        for numbers, code in zip(occ.T.tolist(), level.tolist()):  # index_of raises at the first
+            index_of(Component(Occupation._make(numbers), Level(code)), Truncation(j_max))
+    return _basis_index(occ, level)
 
 
 def _total_j(indices: np.ndarray, truncation: Truncation) -> np.ndarray:

@@ -88,7 +88,7 @@ from .channels import (
 )
 from .fock import (
     Component, DomainError, Level, StateVector, Truncation, _integer, _integer_column, _layout,
-    _real, _real_column, _shown, _total_j,
+    _real, _real_column, _shown, _total_j, index_of,
 )
 
 __all__ = [
@@ -174,8 +174,8 @@ class Schedule:
     codes (1-9) and note indices (-1 to dim - 1) by the integer rule
     (``fock._integer_column``), lengths and phases by :class:`Pulse`'s real
     rule (``fock._real_column``), a note by the levels its channel couples;
-    they wrap the phases into (-pi, pi].  :attr:`pulses` gives :class:`Pulse`
-    views back.
+    they wrap the phases into (-pi, pi].  ``Schedule(pulses)`` indexes each note
+    by ``fock.index_of``.  :attr:`pulses` gives :class:`Pulse` views back.
     """
 
     def __init__(
@@ -184,13 +184,17 @@ class Schedule:
     ) -> None:
         p = list(pulses)
         self._set_header(lamb_dicke, truncation, direction, target)
-        index = _layout(truncation.j_max).index  # a note outside gets dim, refused by _set
-        note = np.array([-1 if q.note is None else index.get(q.note, truncation.dim) for q in p])
+        note = []
+        for i, q in enumerate(p):
+            try:
+                note.append(-1 if q.note is None else index_of(q.note, truncation))
+            except DomainError as exc:
+                raise DomainError(f"pulses[{i}].note: {exc}") from None
         # Pulse has checked each channel, length and phase, so they go in as arrays.
         channel = np.fromiter((q.channel for q in p), np.uint8, len(p))
         x = np.fromiter((q.x for q in p), np.float64, len(p))
         theta = np.fromiter((q.theta for q in p), np.float64, len(p))
-        self._set(channel, x, theta, note)
+        self._set(channel, x, theta, np.array(note))
 
     @classmethod
     def from_columns(

@@ -77,10 +77,12 @@ from .fock import (
     Occupation,
     StateVector,
     Truncation,
+    _flag_column,
+    _index_column,
     _integer,
     _integer_column,
     _layout,
-    index_of,
+    component_of,
 )
 from .pulses import (
     Direction,
@@ -111,6 +113,8 @@ __all__ = [
 # Solve a channel at an occupation of its lower level, nulling the pair's
 # upper end if kill_upper, else its lower end.
 Step = tuple[ChannelId, Occupation, bool]
+# The lower level of each channel code, as _LOWER_LEVEL[code].
+_LOWER_LEVEL = np.array([0, *(CHANNELS[cid].lower_level for cid in ChannelId)])
 
 
 @dataclass(frozen=True)
@@ -129,7 +133,7 @@ class _StepColumns(NamedTuple):
     with the positions of its steps."""
 
     channel: np.ndarray  # uint8 ChannelId codes
-    # src, dst and rank as channels._pairs computes them from the solved occupation
+    # src as fock._index_column, dst and rank as channels._pairs compute them
     src: np.ndarray  # basis index of the solved occupation on the channel's lower level
     dst: np.ndarray  # int32 basis index of its partner on the upper level, -1 for no pair
     rank: np.ndarray  # int32 index of its Omega in the table's omega_distinct, -1 for no pair
@@ -140,8 +144,8 @@ class _StepColumns(NamedTuple):
 
 
 def _step_columns(steps: Iterable[Step], truncation: Truncation) -> _StepColumns:
-    """Index columns of ``steps``, whose numbers go through ``fock._integer_column`` by step;
-    an occupation outside the truncation raises :class:`DomainError` as :func:`index_of` words it."""
+    """Index columns of ``steps``, whose channels, occupations and ``kill_upper`` go through
+    ``fock._integer_column``, ``_index_column`` and ``_flag_column``, named by step."""
     codes: list[int] = []
     quanta: list[int] = []
     kills: list[bool] = []
@@ -154,23 +158,16 @@ def _step_columns(steps: Iterable[Step], truncation: Truncation) -> _StepColumns
         quanta += nx, ny, nz
         kills.append(kill_upper)
     channel = _integer_column("step {} channel", codes, 1, len(ChannelId)).astype(np.uint8)
-    index = np.iinfo(np.intp)
-    occ = np.array([_integer_column(f"step {{}} {name}", quanta[axis::3], index.min, index.max)
-                    for axis, name in enumerate(Occupation._fields)], dtype=np.intp)
-    j_max, stage = truncation.j_max, occ.sum(axis=0)  # wraps only if an entry is outside [0, j_max]
-    outside = np.flatnonzero(((occ < 0) | (occ > j_max)).any(axis=0) | (stage > j_max))
-    if outside.size:
-        k = int(outside[0])
-        component = Component(Occupation._make(occ[:, k].tolist()), CHANNELS[codes[k]].lower_level)
-        index_of(component, truncation)  # raises
-    kill_upper = np.array(kills, dtype=bool)
+    src = _index_column("step {} ", quanta, _LOWER_LEVEL[channel], truncation.j_max)
+    kill_upper = _flag_column("step {} kill_upper", kills)
+    occ = _layout(truncation.j_max).occ[:, src // len(Level)]
+    stage = occ.sum(axis=0)
     groups = tuple(
         (code, np.flatnonzero(channel == code)) for code in sorted(set(channel.tolist()))
     )
-    src = np.empty(channel.size, dtype=np.intp)
     dst, rank = np.empty((2, channel.size), dtype=np.int32)
     for code, where in groups:
-        src[where], dst[where], rank[where] = _pairs(CHANNELS[ChannelId(code)], occ[:, where])
+        _, dst[where], rank[where] = _pairs(CHANNELS[ChannelId(code)], occ[:, where])
     note = np.where(kill_upper, dst, src).astype(np.int32)
     for column in (channel, src, dst, rank, note, stage, kill_upper, *(w for _, w in groups)):
         column.flags.writeable = False
@@ -205,8 +202,7 @@ def _solve_columns(
     refused = ~(omega > 0.0)
     if refused.any():
         step = int(np.argmax(refused))
-        vib = int(steps.src[step]) // len(Level)
-        occ = tuple(_layout(truncation.j_max).occ[:, vib].tolist())
+        occ = tuple(component_of(int(steps.src[step]), truncation).occ)
         raise DomainError(
             f"channel {ChannelId(int(steps.channel[step])).name} has no coupled pair at "
             f"occupation {occ} for {ld!r}: its Rabi frequency {omega[step]:.6g} is not "

@@ -10,18 +10,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .fock import (
-    Component,
     DomainError,
     Level,
     Occupation,
     StateVector,
     Truncation,
+    _index_column,
     _number,
-    index_of,
 )
 
 __all__ = ["Target", "target_corr", "target_diag", "target_ghz", "random_target"]
@@ -35,9 +35,10 @@ class Target:
 
 
 def _level_a_state(entries: dict[Occupation, complex], truncation: Truncation) -> np.ndarray:
+    """The amplitudes of ``entries`` on level a, placed by one ``fock._index_column`` call."""
     amps = np.zeros(truncation.dim, dtype=np.complex128)
-    for occ, value in entries.items():
-        amps[index_of(Component(occ, Level.A), truncation)] = value
+    quanta, level = list(chain.from_iterable(entries)), np.full(len(entries), Level.A)
+    amps[_index_column("entry {} ", quanta, level, truncation.j_max)] = list(entries.values())
     return amps
 
 

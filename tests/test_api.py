@@ -160,10 +160,10 @@ def test_private_name_check_sees_dead_and_doubled_names():
     ]
 
 
-# The wording of the integer, real and complex rules that ``fock`` owns.
+# The wording of the integer, occupation, flag, real and complex rules that ``fock`` owns.
 RULE_MESSAGE = re.compile(
-    r"must be (an integer >=|a finite (non-negative )?real( or complex number)?)"
-    r"|exceeds the cap of|must be finite"
+    r"must be (an integer >=|a bool|a finite (non-negative )?real( or complex number)?)"
+    r"|exceeds the (cap of|cutoff)|must be finite"
 )
 
 
@@ -198,8 +198,9 @@ def rule_owner_faults(sources: dict[str, str]) -> list[str]:
     """Outside ``fock``: each string holding a rule's wording, as
     ``"message: module:line"``, each ``isinstance(..., bool)`` test, as
     ``"bool: module:line"``, each ``type(...) is int`` or ``is not int`` test, as
-    ``"int: module:line"``, and each ``np.isfinite``, as
-    ``"isfinite: module:line"``; only ``pulses._replay`` may call ``np.isfinite``."""
+    ``"int: module:line"``, each ``np.isfinite``, as ``"isfinite: module:line"``,
+    and each call of ``_vib_index``, the closed form of the basis order, as
+    ``"vib_index: module:line"``; only ``pulses._replay`` may call ``np.isfinite``."""
     faults = []
     for module, source in sources.items():
         if module == "fock":
@@ -217,13 +218,17 @@ def rule_owner_faults(sources: dict[str, str]) -> list[str]:
             elif (isinstance(node, ast.Attribute) and node.attr == "isfinite"
                   and getattr(node.value, "id", None) == "np" and node not in allowed):
                 faults.append(f"isfinite: {module}:{node.lineno}")
+            elif isinstance(node, ast.Call) and "_vib_index" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)
+            ):
+                faults.append(f"vib_index: {module}:{node.lineno}")
     return faults
 
 
 def test_only_fock_words_or_applies_the_argument_rules():
     sources = {path.stem: path.read_text() for path in SOURCES}
-    # integer, integer cap, real, non-negative real, real or complex
-    assert len(RULE_MESSAGE.findall(sources["fock"])) == 5
+    # integer, integer cap, occupation total, flag, real, non-negative real, real or complex
+    assert len(RULE_MESSAGE.findall(sources["fock"])) == 7
     assert rule_owner_faults(sources) == []
 
 
@@ -245,6 +250,7 @@ def test_rule_owner_check_sees_rules_outside_fock():
             "        raise ScheduleFormatError(f'{where}: must be integers >= 0')\n"
             "    if isinstance(v, bool):\n"
             "        raise DomainError('must be a finite real')\n"
+            "    return 4 * _vib_index(*v)\n"
         ),
         "pulses": (
             "def _set(self, x):\n"
@@ -258,6 +264,8 @@ def test_rule_owner_check_sees_rules_outside_fock():
             "def nonlinearity(eps, n):\n"
             "    if n > J_MAX_CAP:\n"
             "        raise DomainError(f'occupation {n} exceeds the cap of {J_MAX_CAP}')\n"
+            "def _pairs(spec, occ):\n"
+            "    return fock._vib_index(*occ)\n"
         ),
         "cli": (
             "def _grid_spec(start, step):\n"
@@ -266,9 +274,11 @@ def test_rule_owner_check_sees_rules_outside_fock():
         ),
     }
     sources["fock"] += "def _real_column(name, column):\n    return np.isfinite(column)\n"
+    sources["fock"] += "def _basis_index(occ, level):\n    return 4 * _vib_index(*occ) + level\n"
     assert rule_owner_faults(sources) == [
-        "bool: noise:2", "message: noise:3", "bool: files:2", "bool: files:4", "message: files:5",
-        "isfinite: pulses:2", "int: pulses:6", "message: channels:3", "message: cli:3",
+        "bool: noise:2", "message: noise:3", "bool: files:2", "bool: files:4", "vib_index: files:6",
+        "message: files:5", "isfinite: pulses:2", "int: pulses:6", "vib_index: channels:5",
+        "message: channels:3", "message: cli:3",
     ]
 
 

@@ -23,6 +23,7 @@ from ionsynth import (
     Pulse,
     Schedule,
     Truncation,
+    basis_state,
     component_of,
     deevolve,
     index_of,
@@ -33,10 +34,34 @@ from ionsynth import (
     save_schedule,
     target_corr,
     target_ghz,
+    vacuum_state,
 )
 from ionsynth.fock import J_MAX_CAP, _integer
 
 HUGE = 2**1100  # past the float range: float() of it raises OverflowError
+# Components that are not inside Truncation(2): bool and float entries or
+# levels, negative entries, totals past the cutoff, and non-components.
+OUTSIDE_J_MAX_2 = [
+    Component(Occupation(True, 0, 0), Level.A),
+    Component(Occupation(1.0, 0, 0), Level.A),
+    Component(Occupation(0, np.bool_(True), 0), Level.A),
+    Component(Occupation(0, -1, 0), Level.B),
+    Component(Occupation(3, 0, 0), Level.A),
+    Component(Occupation(1, 1, 1), Level.D),
+    Component(Occupation(2**63, 2**63, 2), Level.A),
+    Component(Occupation(0, 0, 0), True),
+    Component(Occupation(0, 0, 0), np.bool_(True)),
+    Component(Occupation(0, 0, 0), 4),
+    Component(Occupation(0, 0, 0), -1),
+    Component(Occupation(0, 0, 0), 1.0),
+    "xyz",
+    (0, 0, 0),
+]
+COMPONENT_USERS = [
+    lambda c: index_of(c, Truncation(2)),
+    lambda c: basis_state(c, Truncation(2)),
+    lambda c: vacuum_state(Truncation(2)).amplitude(c),
+]
 # The property tests below draw many arguments; after a failure, hypothesis's
 # explain phase could run for minutes and grow to about 780 MB.
 NO_EXPLAIN = tuple(phase for phase in Phase if phase is not Phase.explain)
@@ -77,6 +102,8 @@ NO_EXPLAIN = tuple(phase for phase in Phase if phase is not Phase.explain)
          "alpha must be a finite real or complex number, got 'x'"),
         (lambda: target_ghz(None, Truncation(3)),
          "alpha must be a finite real or complex number, got None"),
+        *[(lambda use=use, c=c: use(c), f"component {c!r} is not inside the truncation j_max=2")
+          for use in COMPONENT_USERS for c in OUTSIDE_J_MAX_2],
     ],
 )
 def test_a_bool_or_a_value_past_the_float_range_is_a_domain_error(make, message):

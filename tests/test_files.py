@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from ionsynth import (
@@ -420,6 +420,9 @@ SMALL_NOTE = st.tuples(*[st.integers(0, 1)] * 3, st.sampled_from("abcd")).map(li
     notes=st.lists(st.one_of(SMALL_NOTE, SMALL_NOTE, SMALL_NOTE, ANY_NOTE), max_size=6),
     j_max=st.integers(0, 3),
 )
+# Entries that NumPy would cast to a 2-D column, or a ragged one.
+@example(notes=[[[1], [0], [0], "a"], [[0], [1], [0], "b"]], j_max=1)
+@example(notes=[[0, 0, 0, "a"], [[1], 0, 0, "b"]], j_max=1)
 def test_note_column_matches_the_per_note_parser(notes, j_max):
     """The column check accepts exactly what ``_parse_note`` accepts, note by
     note, gives the basis index of its component (-1 for null), and raises the

@@ -20,7 +20,7 @@ from ionsynth import (
     vacuum_state,
 )
 
-from ionsynth.fock import _total_j
+from ionsynth.fock import _index_column, _total_j
 
 from conftest import random_state
 
@@ -86,11 +86,41 @@ def test_canonical_order(j_max):
 
 @pytest.mark.parametrize("j_max", CUTOFFS)
 def test_basis_bijection(j_max):
+    """index_of, its column twin and component_of agree with the basis order,
+    also on NumPy integer entries and levels."""
     t = Truncation(j_max)
     for k, comp in enumerate(enumerate_basis(t)):
         assert index_of(comp, t) == k
         assert component_of(k, t) == comp
         assert _total_j(k, t) == comp.occ.total
+    comp = enumerate_basis(t)[-1]
+    wide = Component(Occupation(*map(np.int64, comp.occ)), np.uint8(comp.level))
+    assert index_of(wide, t) == t.dim - 1 and type(index_of(wide, t)) is int
+    quanta = [n for comp in enumerate_basis(t) for n in comp.occ]
+    levels = [comp.level for comp in enumerate_basis(t)]
+    every = list(range(t.dim))
+    assert _index_column("", quanta, levels, j_max).tolist() == every
+    assert _index_column("", np.array(quanta), np.array(levels), j_max).tolist() == every
+
+
+@pytest.mark.parametrize(
+    "quanta, levels, message",
+    [
+        ([0, 0, 0, True, 0, 0], [0, 0], "x 1 nx must be an integer >= .*, got True"),
+        ([0, 0, 0, 0, 0, 1.0], [0, 0], "x 1 nz must be an integer >= .*, got 1.0"),
+        ([0, 0, 0, 0, 2**64, 0], [0, 0], "x 1 ny 18446744073709551616 exceeds the cap of"),
+        ([0, 0, 0, 0, 0, 0], [0, 4], "x 1 level 4 exceeds the cap of 3"),
+        ([0, 0, 0, 0, 0, 0], [0, True], "x 1 level must be an integer >= 0, got True"),
+        ([0, 0, 0, 0, -1, 0], [0, 1], r"component .*ny=-1.*B.* is not inside the truncation"),
+        ([0, 0, 0, 0, 3, 0], [0, 0], r"component .*ny=3.* is not inside the truncation j_max=2"),
+        ([2**62, 2**62, 0, 0, 0, 0], [0, 0], r"component .*nx=4611686018427387904.* is not inside"),
+    ],
+)
+def test_index_column_names_the_first_entry_it_refuses(quanta, levels, message):
+    """Numbers break the integer rule under their entry's name; an occupation
+    outside the truncation, or one whose total wraps intp, gets index_of's words."""
+    with pytest.raises(DomainError, match=f"^{message}"):
+        _index_column("x {} ", quanta, levels, 2)
 
 
 def test_index_of_by_exhaustive_search():

@@ -787,6 +787,27 @@ def test_schedule_constructor_names_the_first_bad_pulse(channel, x, theta, note,
     assert fragment in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "note",
+    [
+        "xyz",
+        5,
+        Component(Occupation(0, 0, 9), Level.A),
+        Component(Occupation(0, 0, 1), 7),
+        Component(Occupation(True, 0, 0), Level.A),
+        Component(Occupation(0, 1.0, 0), Level.B),
+    ],
+)
+def test_schedule_names_a_pulse_note_that_is_no_component_of_the_cutoff(note):
+    """A pulse's note goes through index_of and is refused in its words under
+    the pulse's name, not as an index past the cap."""
+    pulses = [Pulse(1, 0.1, 0.0, Component(Occupation(0, 0, 1), Level.A)), Pulse(1, 0.1, 0.0, note)]
+    with pytest.raises(DomainError) as err:
+        Schedule(pulses, LD, Truncation(3), Direction.PREPARATION)
+    want = f"pulses[1].note: component {note!r} is not inside the truncation j_max=3"
+    assert str(err.value) == want
+
+
 def test_from_columns_wraps_phases_like_pulse():
     thetas = [5 * math.pi, -math.pi, math.pi, 1e300, -7.5]
     schedule = Schedule.from_columns(

@@ -718,6 +718,27 @@ def test_run_steps_names_a_step_whose_numbers_break_the_rules(step, message):
     assert np.array_equal(work.amplitudes, vacuum_state(Truncation(2)).amplitudes)
 
 
+@pytest.mark.parametrize("flag", ["no", 0.5, 2, 1, 0, None, np.int64(1), np.array(True)])
+def test_run_steps_refuses_a_kill_upper_that_is_not_a_bool(flag):
+    """Only a bool or NumPy bool picks the solver: a truthy or falsy value of
+    another type is refused by name before any rotation."""
+    work = random_state(Truncation(1), np.random.default_rng(3))
+    before = work.amplitudes.copy()
+    step = (ChannelId.H1, Occupation(0, 0, 1), flag)
+    with pytest.raises(DomainError) as info:
+        run_steps(work, [(ChannelId.H1, Occupation(0, 0, 1), False), step], LD)
+    assert str(info.value) == f"step 1 kill_upper must be a bool, got {flag!r}"
+    assert np.array_equal(work.amplitudes, before)
+
+
+@pytest.mark.parametrize("flag", [True, False, np.True_, np.False_])
+def test_run_steps_takes_a_bool_or_numpy_bool_kill_upper(flag):
+    steps = [(ChannelId.H1, Occupation(0, 0, 1), flag)]
+    pulses = run_steps(random_state(Truncation(1), np.random.default_rng(3)), steps, LD)
+    steps = [(ChannelId.H1, Occupation(0, 0, 1), bool(flag))]
+    assert pulses == run_steps(random_state(Truncation(1), np.random.default_rng(3)), steps, LD)
+
+
 @pytest.mark.parametrize("j_max", [*range(17), 40])
 def test_plan_columns_match_the_plan(j_max):
     """The cached columns hold, step by step, the plan's channel, the basis
