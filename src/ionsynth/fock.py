@@ -149,8 +149,11 @@ def _integer_column(name: str, column: object, low: int, high: int) -> np.ndarra
     """``column`` (1-D) by :func:`_integer`'s rule in [``low``, ``high``], entry i named
     ``name.format(i)``.  Integers, not cast from bools or arrays, are checked whole (uncopied);
     any other column, or one with a bad entry, goes through :func:`_integer` entry by entry."""
-    array = np.asarray(column)
-    whole = _whole(array, column) and array.dtype.kind in "iu"
+    try:
+        array = np.asarray(column)
+    except ValueError:  # a ragged column, which NumPy cannot cast
+        array = None
+    whole = array is not None and _whole(array, column) and array.dtype.kind in "iu"
     if whole and ((array >= low) & (array <= high)).all():
         return array
     entries = array.tolist() if array is column else column

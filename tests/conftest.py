@@ -54,3 +54,26 @@ def full_table_replay(state: StateVector, schedule, count: int | None = None) ->
         table = _pair_table(p.channel, schedule.truncation, schedule.lamb_dicke)
         per_pair_rotate(amps, table, p.x, p.theta)
     return amps
+
+
+# A valid one-pulse schedule document at J_max 1, and a three-pulse one at J_max 2.
+ONE_PULSE_DOC = {
+    "version": 1,
+    "lamb_dicke": {"ex": 0.3, "ey": 0.1, "ez": 0.2, "exc": 0.1},
+    "jmax": 1,
+    "direction": "preparation",
+    "target": "",
+    "pulses": [{"i": 0, "channel": "H2", "x": 0.5, "theta": 0.25, "note": [0, 0, 0, "b"]}],
+}
+THREE_PULSE_DOC = {
+    **ONE_PULSE_DOC,
+    "jmax": 2,
+    "pulses": [
+        {"i": 0, "channel": "H2", "x": 0.5, "theta": 0.25, "note": [0, 0, 0, "b"]},
+        {"i": 1, "channel": "H9", "x": 0.0, "theta": -1.5, "note": None},
+        {"i": 2, "channel": "H1", "x": 1.5, "theta": 3.0, "note": [0, 1, 0, "a"]},
+    ],
+}
+# A length whose product with the largest |Omega| of pulse 17's channel (H3)
+# overflows, in the ghz J_max 2 preparation.
+OVERFLOWING_X = 1.309890050482794e308

@@ -12,7 +12,6 @@ from ionsynth import (
     ChannelId,
     ChannelKind,
     Component,
-    DomainError,
     LambDickeParams,
     Level,
     Mode,
@@ -114,14 +113,11 @@ def test_nonlinearity_matches_series_oracle():
             assert abs(nonlinearity(float(eps), n) - series_nonlinearity(float(eps), n)) <= 1e-12
 
 
-def test_nonlinearity_range_and_validation():
+def test_nonlinearity_range():
     for eps in (0.1, 0.3, 0.5):
         for n in range(13):
             assert 0.0 < nonlinearity(eps, n) <= 1.0
-    with pytest.raises(DomainError):
-        nonlinearity(-0.1, 0)
-    with pytest.raises(DomainError):
-        nonlinearity(0.1, -1)
+    assert 0.0 < nonlinearity(0.1, J_MAX_CAP) < 1.0
 
 
 @pytest.mark.parametrize("eps", [38.6, 38.61, 40.0, 1e10, 1e100, 1e200])
@@ -165,13 +161,6 @@ def test_channel_table():
 
 def test_default_lamb_dicke_working_point():
     assert (LD.eps_x, LD.eps_y, LD.eps_z, LD.eps_carrier) == (0.3, 0.1, 0.2, 0.1)
-
-
-def test_lamb_dicke_validation():
-    with pytest.raises(DomainError):
-        LambDickeParams(eps_x=-0.1)
-    with pytest.raises(DomainError):
-        LambDickeParams(eps_carrier=float("nan"))
 
 
 def test_rabi_lamb_dicke_limit_is_exact():

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import time
@@ -40,6 +41,8 @@ from ionsynth import files
 from ionsynth.cli import main
 from ionsynth.files import _check_components, _notes, _parse_note, _parse_notes
 from ionsynth.fock import _integer, _real
+
+from conftest import ONE_PULSE_DOC, THREE_PULSE_DOC
 
 
 @pytest.fixture(scope="module")
@@ -162,137 +165,18 @@ def test_streamed_writer_matches_json_dump_on_pruned_cli_schedule(tmp_path, caps
 
 
 def _write_doc(tmp_path, mutate):
-    doc = {
-        "version": 1,
-        "lamb_dicke": {"ex": 0.3, "ey": 0.1, "ez": 0.2, "exc": 0.1},
-        "jmax": 1,
-        "direction": "preparation",
-        "target": "",
-        "pulses": [
-            {"i": 0, "channel": "H2", "x": 0.5, "theta": 0.25, "note": [0, 0, 0, "b"]}
-        ],
-    }
+    doc = copy.deepcopy(ONE_PULSE_DOC)
     mutate(doc)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     return path
 
 
-@pytest.mark.parametrize(
-    "mutate, fragment",
-    [
-        (lambda d: d.update(version=2), "version"),
-        (lambda d: d.pop("jmax"), "jmax: missing"),
-        (lambda d: d.update(jmax=-1), "jmax"),
-        (lambda d: d.update(direction="sideways"), "direction"),
-        (lambda d: d["pulses"][0].update(channel="H10"), "unknown channel"),
-        (lambda d: d["pulses"][0].update(i=3), "expected 0, got 3"),
-        (lambda d: d["pulses"][0].update(x=-0.5), "pulses[0]"),
-        (lambda d: d["pulses"][0].update(x="0.5"), "pulses[0].x"),
-        (lambda d: d["pulses"][0].update(theta=float("inf")), "pulses[0].theta"),
-        (lambda d: d["pulses"][0].update(note=[0, 0, 0]), "note"),
-        (lambda d: d["pulses"][0].update(note=[0, 0, 0, "e"]), "note"),
-        (lambda d: d["pulses"][0].update(note=[2, 0, 0, "a"]), "pulses[0].note: total occupation 2"),
-        (lambda d: d.update(jmax=4) or d["pulses"][0].update(note=[50, 0, 0, "a"]),
-         "pulses[0].note: total occupation 50 exceeds the cutoff 4"),
-        (lambda d: d["lamb_dicke"].pop("exc"), "lamb_dicke.exc"),
-    ],
-)
-def test_load_schedule_rejects(tmp_path, mutate, fragment):
-    path = _write_doc(tmp_path, mutate)
-    with pytest.raises(ScheduleFormatError, match=None) as err:
-        load_schedule(path)
-    assert fragment in str(err.value).replace("'", "")
-
-
-def _write_three_pulse_doc(tmp_path, mutate):
-    doc = {
-        "version": 1,
-        "lamb_dicke": {"ex": 0.3, "ey": 0.1, "ez": 0.2, "exc": 0.1},
-        "jmax": 2,
-        "direction": "preparation",
-        "target": "",
-        "pulses": [
-            {"i": 0, "channel": "H2", "x": 0.5, "theta": 0.25, "note": [0, 0, 0, "b"]},
-            {"i": 1, "channel": "H9", "x": 0.0, "theta": -1.5, "note": None},
-            {"i": 2, "channel": "H1", "x": 1.5, "theta": 3.0, "note": [0, 1, 0, "a"]},
-        ],
-    }
-    mutate(doc["pulses"][2])
-    path = tmp_path / "bad3.json"
-    path.write_text(json.dumps(doc))  # a NaN is written as the NaN literal
-    return path
-
-
 def test_three_pulse_document_loads(tmp_path):
-    schedule = load_schedule(_write_three_pulse_doc(tmp_path, lambda p: None))
+    path = tmp_path / "three.json"
+    path.write_text(json.dumps(THREE_PULSE_DOC))
+    schedule = load_schedule(path)
     assert [p.channel for p in schedule.pulses] == [ChannelId.H2, ChannelId.H9, ChannelId.H1]
-
-
-@pytest.mark.parametrize(
-    "mutate, fragment",
-    [
-        (lambda p: p.update(x="1.5"), "pulses[2].x: unexpected type str"),
-        (lambda p: p.update(x=-1.5), "pulses[2].x must be a finite non-negative real"),
-        (lambda p: p.update(theta=float("nan")), "pulses[2].theta must be a finite real"),
-        (lambda p: p.update(channel="H0"), "pulses[2].channel: unknown channel H0"),
-        (lambda p: p.update(i=0), "pulses[2].i: expected 2, got 0"),
-        (lambda p: p.pop("i"), "pulses[2].i: missing"),
-        (lambda p: p.update(note=[2, 1, 0, "a"]), "pulses[2].note: total occupation 3 exceeds"),
-        (lambda p: p.update(note=[0, 1, 0, "c"]), "pulses[2].note: level c is not coupled"),
-    ],
-    ids=["x-string", "x-negative", "theta-nan", "channel", "index", "index-missing",
-         "note-cutoff", "note-level"],
-)
-def test_load_schedule_names_a_bad_entry_past_the_first(tmp_path, mutate, fragment):
-    path = _write_three_pulse_doc(tmp_path, mutate)
-    with pytest.raises(ScheduleFormatError) as err:
-        load_schedule(path)
-    assert fragment in str(err.value).replace("'", "")
-
-
-def test_load_schedule_checks_note_levels_after_lengths_and_phases(tmp_path):
-    """``Schedule.from_columns`` refuses a note on a level its channel does not
-    couple, after it checks every pulse's length and phase, so a later pulse's
-    bad length is named first.  The level is named by its lower-case label."""
-    path = _write_three_pulse_doc(tmp_path, lambda p: p.update(x=-1.5))
-    doc = json.loads(path.read_text())
-    doc["pulses"][0]["note"] = [0, 0, 0, "D"]
-    for x, message in (
-        (-1.5, "pulses[2].x must be a finite non-negative real, got -1.5"),
-        (1.5, "pulses[0].note: level d is not coupled by channel H2"),
-    ):
-        doc["pulses"][2]["x"] = x
-        path.write_text(json.dumps(doc))
-        with pytest.raises(ScheduleFormatError) as err:
-            load_schedule(path)
-        assert str(err.value) == message
-
-
-def test_load_schedule_rejects_a_non_object_entry_past_the_first(tmp_path):
-    path = _write_three_pulse_doc(tmp_path, lambda p: None)
-    doc = json.loads(path.read_text())
-    doc["pulses"][2] = [2, "H1", 1.5, 3.0]
-    path.write_text(json.dumps(doc))
-    with pytest.raises(ScheduleFormatError, match=r"pulses\[2\]: expected an object"):
-        load_schedule(path)
-
-
-def test_load_schedule_rejects_jmax_over_the_cap(tmp_path):
-    path = _write_doc(tmp_path, lambda d: d.update(jmax=41))
-    with pytest.raises(ScheduleFormatError) as err:
-        load_schedule(path)
-    assert str(err.value) == "jmax: j_max 41 exceeds the cap of 40"
-
-
-def test_load_schedule_rejects_garbage(tmp_path):
-    path = tmp_path / "junk.json"
-    path.write_text("{ not json")
-    with pytest.raises(ScheduleFormatError, match="invalid JSON"):
-        load_schedule(path)
-    path.write_text("[1, 2, 3]")
-    with pytest.raises(ScheduleFormatError, match="expected an object"):
-        load_schedule(path)
 
 
 def test_report_csv_format(compiled, tmp_path):
@@ -343,46 +227,6 @@ def test_load_target_normalizes_rounding_slack(tmp_path):
     )
     target = load_target(path, Truncation(3))
     assert target.state.norm() == pytest.approx(1.0, abs=1e-15)
-
-
-@pytest.mark.parametrize(
-    "doc, fragment",
-    [
-        ([], "no components"),
-        ([{"n": [0, 0, 0], "re": 0.5, "im": 0.0}], "norm"),
-        (
-            [
-                {"n": [0, 0, 0], "re": 1.0, "im": 0.0},
-                {"n": [0, 0, 0], "re": 0.0, "im": 0.0},
-            ],
-            "duplicate",
-        ),
-        ([{"n": [3, 0, 0], "re": 1.0, "im": 0.0}], "exceeds the cutoff"),
-        ([{"n": [0, 0], "re": 1.0, "im": 0.0}], "expected [nx, ny, nz]"),
-        ([{"n": [0, 0, -1], "re": 1.0, "im": 0.0}], "[0].n must be an integer >= 0, got -1"),
-        ([{"n": [0, 0, 0], "re": 1.0}], "im: missing"),
-        ([{"n": [0, 0, 0], "re": float("nan"), "im": 0.0}], "finite"),
-        ("nope", "expected an array"),
-    ],
-)
-def test_load_target_rejects(tmp_path, doc, fragment):
-    path = tmp_path / "t.json"
-    path.write_text(json.dumps(doc) if not isinstance(doc, str) else '"nope"')
-    with pytest.raises(TargetFormatError) as err:
-        load_target(path, Truncation(2))
-    assert fragment in str(err.value)
-
-
-def test_load_target_names_a_norm_past_the_float_range(tmp_path, capsys):
-    """An amplitude whose square overflows gives an infinite norm, refused by
-    name without a NumPy overflow warning; the CLI exits 2."""
-    path = tmp_path / "t.json"
-    path.write_text(json.dumps([{"n": [0, 0, 0], "re": 0.0, "im": 1.3407807929942597e154}]))
-    with pytest.raises(TargetFormatError, match="target norm inf differs from 1"):
-        load_target(path, Truncation(2))
-    argv = ["compile", "--target", f"file:{path}", "--jmax", "2", "--out", str(tmp_path / "s.json")]
-    assert main(argv) == 2
-    assert "norm inf" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("cid", list(ChannelId))
@@ -554,21 +398,6 @@ def test_writer_streams_a_file_larger_than_its_peak_memory(tmp_path):
         tracemalloc.stop()
     assert path.stat().st_size > 1 << 20
     assert peak < 1 << 20
-
-
-@pytest.mark.parametrize("n", [[2**63 - 1, 1, 0], [2**62, 2**62, 0], [0, 2**63 - 1, 2**63 - 1]])
-def test_occupations_whose_sum_wraps_intp_are_named(tmp_path, n):
-    """Each occupation fits intp but their sum does not: still refused by name."""
-    total = sum(n)
-    path = _write_doc(tmp_path, lambda d: d["pulses"][0].update(note=[*n, "b"]))
-    with pytest.raises(ScheduleFormatError) as err:
-        load_schedule(path)
-    assert str(err.value) == f"pulses[0].note: total occupation {total} exceeds the cutoff 1"
-    path = tmp_path / "t.json"
-    path.write_text(json.dumps([{"n": n, "re": 1.0, "im": 0.0}]))
-    with pytest.raises(TargetFormatError) as err:
-        load_target(path, Truncation(1))
-    assert str(err.value) == f"[0].n: total occupation {total} exceeds the cutoff 1"
 
 
 def per_entry_load_target(doc, truncation):

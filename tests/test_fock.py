@@ -5,7 +5,6 @@ import pytest
 
 from ionsynth import (
     Component,
-    DomainError,
     Level,
     Occupation,
     StateVector,
@@ -25,7 +24,7 @@ from ionsynth.fock import _index_column, _total_j
 from conftest import random_state
 
 
-@pytest.mark.parametrize("j_max,dim", [(0, 4), (1, 16), (4, 140), (10, 1144), (12, 1820)])
+@pytest.mark.parametrize("j_max,dim", [(0, 4), (1, 16), (4, 140), (10, 1144), (12, 1820), (40, 4 * 12341)])
 def test_dimension_formula(j_max, dim):
     assert Truncation(j_max).dim == dim
     assert len(enumerate_basis(Truncation(j_max))) == dim
@@ -42,19 +41,6 @@ def test_dimension_matches_exhaustive_count():
             if nx + ny + nz <= j_max
         )
         assert Truncation(j_max).dim == 4 * count
-
-
-def test_truncation_validation():
-    with pytest.raises(DomainError):
-        Truncation(-1)
-    with pytest.raises(DomainError):
-        Truncation(2.5)
-
-
-def test_truncation_cap():
-    assert Truncation(40).dim == 4 * 12341
-    with pytest.raises(DomainError, match="j_max 41 exceeds the cap of 40"):
-        Truncation(41)
 
 
 def loop_basis(j_max):
@@ -103,52 +89,15 @@ def test_basis_bijection(j_max):
     assert _index_column("", np.array(quanta), np.array(levels), j_max).tolist() == every
 
 
-@pytest.mark.parametrize(
-    "quanta, levels, message",
-    [
-        ([0, 0, 0, True, 0, 0], [0, 0], "x 1 nx must be an integer >= .*, got True"),
-        ([0, 0, 0, 0, 0, 1.0], [0, 0], "x 1 nz must be an integer >= .*, got 1.0"),
-        ([0, 0, 0, 0, 2**64, 0], [0, 0], "x 1 ny 18446744073709551616 exceeds the cap of"),
-        ([0, 0, 0, 0, 0, 0], [0, 4], "x 1 level 4 exceeds the cap of 3"),
-        ([0, 0, 0, 0, 0, 0], [0, True], "x 1 level must be an integer >= 0, got True"),
-        ([0, 0, 0, 0, -1, 0], [0, 1], r"component .*ny=-1.*B.* is not inside the truncation"),
-        ([0, 0, 0, 0, 3, 0], [0, 0], r"component .*ny=3.* is not inside the truncation j_max=2"),
-        ([2**62, 2**62, 0, 0, 0, 0], [0, 0], r"component .*nx=4611686018427387904.* is not inside"),
-    ],
-)
-def test_index_column_names_the_first_entry_it_refuses(quanta, levels, message):
-    """Numbers break the integer rule under their entry's name; an occupation
-    outside the truncation, or one whose total wraps intp, gets index_of's words."""
-    with pytest.raises(DomainError, match=f"^{message}"):
-        _index_column("x {} ", quanta, levels, 2)
-
-
 def test_index_of_by_exhaustive_search():
     t = Truncation(1)
     comp = Component(Occupation(1, 0, 0), Level.A)
     assert index_of(comp, t) == list(enumerate_basis(t)).index(comp)
 
 
-def test_index_errors():
-    t = Truncation(2)
-    with pytest.raises(DomainError):
-        index_of(Component(Occupation(3, 0, 0), Level.A), t)
-    with pytest.raises(DomainError):
-        component_of(-1, t)
-    with pytest.raises(DomainError):
-        component_of(t.dim, t)
-
-
 def test_level_labels():
     for level in Level:
         assert Level.from_label(level.label) is level
-    with pytest.raises(DomainError):
-        Level.from_label("e")
-
-
-def test_statevector_shape_validation():
-    with pytest.raises(DomainError):
-        StateVector(np.zeros(5), Truncation(0))
 
 
 def test_statevector_copies_input():
@@ -164,8 +113,6 @@ def test_norm_and_normalized():
     s = StateVector(np.full(t.dim, 0.5 + 0j), t)
     assert s.norm() == pytest.approx(2.0)
     assert s.normalized().norm() == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(DomainError):
-        StateVector(np.zeros(t.dim), t).normalized()
 
 
 def test_vacuum_and_basis_state():
@@ -192,11 +139,6 @@ def test_overlap_properties():
     a = basis_state(component_of(0, t), t)
     b = basis_state(component_of(5, t), t)
     assert overlap(a, b) == 0
-
-
-def test_overlap_truncation_mismatch():
-    with pytest.raises(DomainError):
-        overlap(vacuum_state(Truncation(1)), vacuum_state(Truncation(2)))
 
 
 def test_gram_bound():
@@ -239,20 +181,6 @@ def test_fidelity_scores_a_target_off_level_a():
     assert fidelity_to_target(off, half) == pytest.approx(0.5, abs=1e-15)
 
 
-@pytest.mark.parametrize(
-    "index, value", [(0, math.nan), (1, math.inf), (4, -math.inf), (5, complex(0.0, math.nan))],
-    ids=["nan-on-a", "inf-on-b", "inf-off-target", "nan-imaginary-on-b"],
-)
-def test_fidelity_refuses_a_state_with_a_non_finite_amplitude(index, value):
-    """``min(1.0, nan)`` is 1.0, so a NaN or infinite amplitude, on level b
-    too, once scored as a perfect preparation."""
-    t = Truncation(1)
-    amps = vacuum_state(t).amplitudes.copy()
-    amps[index] = value
-    with pytest.raises(DomainError, match="^overlap with the target is not finite, got "):
-        fidelity_to_target(StateVector(amps, t), vacuum_state(t))
-
-
 def test_fidelity_of_an_unnormalized_state_is_capped_without_overflow():
     t = Truncation(1)
     assert fidelity_to_target(StateVector(1e200 * vacuum_state(t).amplitudes, t), vacuum_state(t)) == 1.0
@@ -266,9 +194,6 @@ def test_project_level_examples():
     assert np.allclose(state.amplitudes, vac.amplitudes)
 
     b = basis_state(Component(Occupation(0, 0, 0), Level.B), t)
-    with pytest.raises(DomainError):
-        project_level(b, Level.A)
-
     half = StateVector((vac.amplitudes + b.amplitudes) / math.sqrt(2), t)
     state, p = project_level(half, Level.A)
     assert p == pytest.approx(0.5, abs=1e-12)

@@ -12,7 +12,6 @@ from ionsynth import (
     ChannelId,
     Component,
     Direction,
-    DomainError,
     LambDickeParams,
     Level,
     Occupation,
@@ -69,13 +68,7 @@ def test_wrap_angle_interval():
         assert -math.pi < w <= math.pi
 
 
-def test_pulse_validation():
-    with pytest.raises(DomainError):
-        Pulse(ChannelId.H1, -0.1, 0.0)
-    with pytest.raises(DomainError):
-        Pulse(ChannelId.H1, float("nan"), 0.0)
-    with pytest.raises(DomainError):
-        Pulse(ChannelId.H1, 0.1, float("inf"))
+def test_pulse_wraps_its_phase():
     assert Pulse(ChannelId.H1, 0.1, 5 * math.pi).theta == pytest.approx(math.pi)
 
 
@@ -98,23 +91,6 @@ def test_solve_kill_upper_examples():
     x, theta = solve_kill_upper(0.6, 0.8j, 1.0)
     assert x == pytest.approx(math.atan2(0.8, 0.6))
     assert theta == pytest.approx(0.0, abs=1e-15)
-
-
-def test_solver_rejects_nonpositive_omega():
-    with pytest.raises(DomainError):
-        solve_kill_lower(1.0, 0.0, 0.0)
-    with pytest.raises(DomainError):
-        solve_kill_upper(1.0, 0.0, -1.0)
-
-
-@pytest.mark.parametrize("solve", [solve_kill_lower, solve_kill_upper])
-@pytest.mark.parametrize("q_lower, q_upper", [(0.5, 1 + 0j), (1.0, 0.0), (0.0, 1.0)])
-def test_solvers_refuse_a_nan_omega(solve, q_lower, q_upper):
-    """A NaN Omega fails ``omega > 0`` as a non-positive one does; it once
-    gave x = nan with a finite phase."""
-    with pytest.raises(DomainError) as err:
-        solve(q_lower, q_upper, math.nan)
-    assert str(err.value) == "omega must be positive, got nan"
 
 
 def test_solvers_satisfy_transfer_conditions():
@@ -213,12 +189,6 @@ def test_apply_schedule_empty_and_singleton():
     assert np.array_equal(
         apply_schedule(s, single).amplitudes, apply_pulse(s, p).amplitudes
     )
-
-
-def test_apply_schedule_truncation_mismatch():
-    sched = Schedule((), LD, Truncation(2), Direction.PREPARATION)
-    with pytest.raises(DomainError):
-        apply_schedule(vacuum_state(Truncation(3)), sched)
 
 
 def test_dagger_schedule_round_trip():
@@ -735,77 +705,6 @@ def test_schedule_equality_sees_every_column():
         Schedule(base[:1], LD, t, Direction.PREPARATION, "t"),
     ):
         assert schedule != other
-
-
-BAD_COLUMNS = [
-    ([1, 2, 0], [0.1, 0.2, 0.3], [0.0, 0.0, 0.0], [-1] * 3, "pulses[2].channel"),
-    ([1, 2, 10], [0.1, 0.2, 0.3], [0.0, 0.0, 0.0], [-1] * 3, "pulses[2].channel"),
-    ([1, 2, 3], [0.1, 0.2, -0.3], [0.0, 0.0, 0.0], [-1] * 3, "pulses[2].x"),
-    ([1, 2, 3], [0.1, math.inf, math.nan], [0.0, 0.0, 0.0], [-1] * 3, "pulses[1].x"),
-    ([1, 2, 3], [0.1, 0.2, 0.3], [0.0, 0.0, math.nan], [-1] * 3, "pulses[2].theta"),
-    ([1, 2, 3], [0.1, 0.2, 0.3], [0.0, -math.inf, 0.0], [-1] * 3, "pulses[1].theta"),
-    ([1, 2], [0.1, 0.2, 0.3], [0.0, 0.0, 0.0], [-1] * 3, "one length"),
-    ([1], [0.0], [0.0], [4 * 999 + 0], "pulses[0].note 3996 exceeds the cap of 79"),
-    ([3], [0.0], [0.0], [-2], "pulses[0].note must be an integer >= -1, got -2"),
-    ([1, 1], [0.0, 0.0], [0.0, 0.0], [-1, 3], "pulses[1].note: level d is not coupled by channel H1"),
-    ([1, 1], [0.0, -1.0], [0.0, 0.0], [3, -1], "pulses[1].x"),
-    ([1], [0.0], [0.0], [Component(Occupation(0, 0, 999), Level.A)], "pulses[0].note"),
-    ([1], [0.0], [0.0], [Component(Occupation(0, 0, 0), Level.D)],
-     "pulses[0].note: level d is not coupled by channel H1"),
-    # Wide or non-integer columns are checked before they are narrowed.
-    (np.array([257]), [0.0], [0.0], np.array([2**32]),
-     "pulses[0].channel 257 exceeds the cap of 9"),
-    ([1], [0.0], [0.0], np.array([2**32]),
-     "pulses[0].note 4294967296 exceeds the cap of 79"),
-    (np.array([1.7]), [0.0], [0.0], [-1], "pulses[0].channel must be an integer >= 1, got 1.7"),
-    ([1], [0.0], [0.0], np.array([4.0]), "pulses[0].note must be an integer >= -1, got 4.0"),
-    ([257], [0.0], [0.0], [-1], "pulses[0].channel 257 exceeds the cap of 9"),
-    ([2**40], [0.0], [0.0], [-1], "pulses[0].channel"),
-    ([1], [0.0], [0.0], [2**40], "pulses[0].note"),
-    ([1, 2**70], [0.0, 0.0], [0.0, 0.0], [-1, -1], "pulses[1].channel"),
-    # A ragged column is refused by name, not by NumPy's bare ValueError.
-    ([1], [[1.0], [1.0, 2.0]], [0.0], [-1], "schedule columns must be 1-D and of one length"),
-    ([[1], [1, 2]], [0.0], [0.0], [-1], "schedule columns must be 1-D and of one length"),
-]
-
-
-@pytest.mark.parametrize(
-    "channel, x, theta, note, fragment",
-    BAD_COLUMNS,
-    # The ids leave the note column out, so each case keeps a stable name.
-    ids=[f"channel{k}-x{k}-theta{k}-{case[-1]}" for k, case in enumerate(BAD_COLUMNS)],
-)
-def test_schedule_constructor_names_the_first_bad_pulse(channel, x, theta, note, fragment):
-    """Columns go through ``from_columns``; notes given as components go
-    through ``Schedule(pulses, ...)``."""
-    meta = LD, Truncation(3), Direction.PREPARATION
-    with pytest.raises(DomainError) as err:
-        if any(isinstance(n, Component) for n in note):
-            Schedule(map(Pulse, channel, x, theta, note), *meta)
-        else:
-            Schedule.from_columns(channel, x, theta, note, *meta)
-    assert fragment in str(err.value)
-
-
-@pytest.mark.parametrize(
-    "note",
-    [
-        "xyz",
-        5,
-        Component(Occupation(0, 0, 9), Level.A),
-        Component(Occupation(0, 0, 1), 7),
-        Component(Occupation(True, 0, 0), Level.A),
-        Component(Occupation(0, 1.0, 0), Level.B),
-    ],
-)
-def test_schedule_names_a_pulse_note_that_is_no_component_of_the_cutoff(note):
-    """A pulse's note goes through index_of and is refused in its words under
-    the pulse's name, not as an index past the cap."""
-    pulses = [Pulse(1, 0.1, 0.0, Component(Occupation(0, 0, 1), Level.A)), Pulse(1, 0.1, 0.0, note)]
-    with pytest.raises(DomainError) as err:
-        Schedule(pulses, LD, Truncation(3), Direction.PREPARATION)
-    want = f"pulses[1].note: component {note!r} is not inside the truncation j_max=3"
-    assert str(err.value) == want
 
 
 def test_from_columns_wraps_phases_like_pulse():
