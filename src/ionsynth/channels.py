@@ -33,6 +33,9 @@ Omega ranks and the frontier operands are built once per channel and cutoff
 and shared, read-only, by the tables at every point; a new point adds one
 Omega per rank, so a scan over points keeps one copy of the index arrays.
 The compiler's plan calls ``_pairs`` on its steps' occupations.
+
+``_LEVELS``, built from the specs, is the one table of each channel code's
+levels; a schedule's note check and the compiler's step columns read it.
 """
 
 from __future__ import annotations
@@ -154,6 +157,8 @@ CHANNELS: dict[ChannelId, ChannelSpec] = {
         ChannelSpec(ChannelId.H9, ChannelKind.RED_SIDEBAND, None, Mode.X, Level.A, Level.B),
     )
 }
+# The lower (row 0) and upper (row 1) level of each channel code; column 0 is no channel.
+_LEVELS = np.array([(0, 0), *((s.lower_level, s.upper_level) for s in CHANNELS.values())]).T.copy()
 
 
 def nonlinearity(eps: float, n: int) -> float:

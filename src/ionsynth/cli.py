@@ -38,10 +38,13 @@ from .targets import Target, target_corr, target_diag, target_ghz
 
 __all__ = ["main"]
 
+# Each built-in target's blurb and builder.  A builder looks its target function
+# up by name when it runs, so a name patched on this module is the one called.
 _BUILTIN_TARGETS = {
-    "ghz": "even cat of three-mode coherent states (uses --alpha)",
-    "corr": "Poissonian superposition of |n,n,n> (uses --alpha)",
-    "diag": "equal superposition of |n,n,n> for n = 0..4 (needs --jmax >= 12)",
+    "ghz": ("even cat of three-mode coherent states (uses --alpha)", lambda a, t: target_ghz(a, t)),
+    "corr": ("Poissonian superposition of |n,n,n> (uses --alpha)", lambda a, t: target_corr(a, t)),
+    "diag": ("equal superposition of |n,n,n> for n = 0..4 (needs --jmax >= 12)",
+             lambda a, t: target_diag(t)),
 }
 
 
@@ -93,7 +96,7 @@ def _add_target_options(parser: argparse.ArgumentParser, *, with_jmax: bool) -> 
     parser.add_argument(
         "--target",
         required=True,
-        metavar="ghz|corr|diag|file:<path>",
+        metavar="|".join([*_BUILTIN_TARGETS, "file:<path>"]),
         help="built-in target name or file:<path> to a component-list JSON file",
     )
     parser.add_argument("--alpha", type=float, default=1.0, help="coherent amplitude (default 1.0)")
@@ -104,15 +107,12 @@ def _add_target_options(parser: argparse.ArgumentParser, *, with_jmax: bool) -> 
 
 
 def _build_target(kind: str, alpha: float, truncation: Truncation) -> Target:
-    if kind == "ghz":
-        return target_ghz(alpha, truncation)
-    if kind == "corr":
-        return target_corr(alpha, truncation)
-    if kind == "diag":
-        return target_diag(truncation)
+    if kind in _BUILTIN_TARGETS:
+        return _BUILTIN_TARGETS[kind][1](alpha, truncation)
     if kind.startswith("file:"):
         return load_target(kind[len("file:") :], truncation)
-    raise DomainError(f"unknown target {kind!r}; pick one of ghz, corr, diag, or file:<path>")
+    names = ", ".join(_BUILTIN_TARGETS)
+    raise DomainError(f"unknown target {kind!r}; pick one of {names}, or file:<path>")
 
 
 def _cmd_compile(args: argparse.Namespace) -> int:
@@ -125,9 +125,8 @@ def _cmd_compile(args: argparse.Namespace) -> int:
     schedule = result.preparation if args.direction == "preparation" else result.deevolution
     if args.prune_noops:
         keep = schedule.x > 0.0
-        schedule = Schedule.from_columns(
-            schedule.channel[keep], schedule.x[keep], schedule.theta[keep], schedule.note[keep],
-            ld, truncation, schedule.direction, schedule.target,
+        schedule = schedule._derived(
+            schedule.channel[keep], schedule.x[keep], schedule.theta[keep], schedule.note[keep]
         )
     save_schedule(schedule, args.out)
 
@@ -185,7 +184,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_targets(_: argparse.Namespace) -> int:
-    for name, blurb in _BUILTIN_TARGETS.items():
+    for name, (blurb, _) in _BUILTIN_TARGETS.items():
         print(f"{name:5s} {blurb}")
     print("file:<path>  component list from a JSON file")
     return 0

@@ -53,6 +53,10 @@ entry by entry through :func:`_check_components`.  An error names the first
 bad entry: ``pulses[i].<field>`` in a schedule, ``[i].<field>`` in a target,
 and a rule's refusal is its message under that name.  A Lamb-Dicke value is
 named as ``LambDickeParams`` names it, after ``lamb_dicke: ``.
+
+One owner each: :func:`_refused` turns a rule's ``DomainError`` into the
+file's error, :data:`_LD_KEYS` names the Lamb-Dicke keys for the writer and
+the reader, and ``SweepRow``'s fields are the sweep CSV's columns.
 """
 
 from __future__ import annotations
@@ -60,6 +64,8 @@ from __future__ import annotations
 import json
 import os
 import re
+from contextlib import contextmanager
+from dataclasses import astuple, fields
 from itertools import chain, count, islice
 from typing import Any, Iterator
 
@@ -72,13 +78,13 @@ from .fock import (
     Occupation,
     StateVector,
     Truncation,
+    _basis_index,
     _index_column,
     _occupation,
     _real,
-    index_of,
 )
 from .channels import ChannelId, LambDickeParams
-from .noise import SweepReport
+from .noise import SweepReport, SweepRow
 from .pulses import Direction, Schedule, _note_components
 from .targets import Target, _level_a_state
 
@@ -91,7 +97,7 @@ __all__ = [
     "load_target",
 ]
 
-REPORT_HEADER = "delta,delta_theta,trials,fid_mean,fid_std,fid_post_mean,efficiency_mean"
+REPORT_HEADER = ",".join(field.name for field in fields(SweepRow))
 
 
 class ScheduleFormatError(ValueError):
@@ -108,6 +114,16 @@ _PULSES_PER_WRITE = 256
 _CHANNEL_NAMES = {cid.value: cid.name for cid in ChannelId}
 _CHANNEL_CODES = {cid.name: cid.value for cid in ChannelId}
 _MISSING = object()
+_LD_KEYS = ("ex", "ey", "ez", "exc")  # a schedule file's names of LambDickeParams' fields
+
+
+@contextmanager
+def _refused(error: type[ValueError], where: str = "") -> Iterator[None]:
+    """A rule's ``DomainError`` in the block, raised as ``error`` after ``where``."""
+    try:
+        yield
+    except DomainError as exc:
+        raise error(where + str(exc)) from exc
 
 
 def _pulses_json(schedule: Schedule) -> Iterator[str]:
@@ -142,12 +158,7 @@ def save_schedule(schedule: Schedule, path: str | os.PathLike[str]) -> None:
     """
     head = {
         "version": 1,
-        "lamb_dicke": {
-            "ex": schedule.lamb_dicke.eps_x,
-            "ey": schedule.lamb_dicke.eps_y,
-            "ez": schedule.lamb_dicke.eps_z,
-            "exc": schedule.lamb_dicke.eps_carrier,
-        },
+        "lamb_dicke": dict(zip(_LD_KEYS, astuple(schedule.lamb_dicke))),
         "jmax": schedule.truncation.j_max,
         "direction": schedule.direction.value,
         "target": schedule.target,
@@ -186,23 +197,17 @@ def _parse_note(raw: Any, i: int, j_max: int) -> Component | None:
     where = f"pulses[{i}].note"
     if not (isinstance(raw, list) and len(raw) == 4):
         raise ScheduleFormatError(f"{where}: expected [nx, ny, nz, level] or null")
-    try:
+    with _refused(ScheduleFormatError):
         occ = _occupation(where, raw[:3], j_max)
-    except DomainError as exc:
-        raise ScheduleFormatError(str(exc)) from exc
-    try:
-        level = Level.from_label(raw[3])
-    except DomainError as exc:
-        raise ScheduleFormatError(f"{where}: {exc}") from exc
-    return Component(occ, level)
+    with _refused(ScheduleFormatError, f"{where}: "):
+        return Component(occ, Level.from_label(raw[3]))
 
 
 def _parse_notes(raw: list[Any], j_max: int, base: int = 0) -> np.ndarray:
     """The note column parsed note by note by :func:`_parse_note`, -1 for
     ``null``; the notes are those of pulses ``base``, ``base + 1``, ..."""
-    truncation = Truncation(j_max)
     notes = (_parse_note(n, i, j_max) for i, n in enumerate(raw, base))
-    return np.array([-1 if c is None else index_of(c, truncation) for c in notes], np.intp)
+    return np.array([-1 if c is None else _basis_index(*c) for c in notes], np.intp)
 
 
 # Level code of each label Level.from_label accepts.
@@ -253,17 +258,13 @@ def _header(doc: Any) -> tuple[LambDickeParams, Truncation, Direction, str]:
         raise ScheduleFormatError(f"version: unsupported value {version!r}")
 
     ld_doc = _expect(doc, "lamb_dicke", (dict,))
-    eps = [_expect(ld_doc, key, (int, float), "lamb_dicke.") for key in ("ex", "ey", "ez", "exc")]
-    try:
+    eps = [_expect(ld_doc, key, (int, float), "lamb_dicke.") for key in _LD_KEYS]
+    with _refused(ScheduleFormatError, "lamb_dicke: "):
         ld = LambDickeParams(*eps)
-    except DomainError as exc:
-        raise ScheduleFormatError(f"lamb_dicke: {exc}") from exc
 
     jmax = _expect(doc, "jmax", (int,))
-    try:
+    with _refused(ScheduleFormatError, "jmax: "):
         truncation = Truncation(jmax)
-    except DomainError as exc:
-        raise ScheduleFormatError(f"jmax: {exc}") from exc
 
     raw_direction = _expect(doc, "direction", (str,))
     try:
@@ -296,10 +297,8 @@ def _pulse_columns(entries: list[Any], j_max: int, base: int = 0) -> tuple[np.nd
 
 
 def _schedule(columns: tuple[np.ndarray, ...], *header: Any) -> Schedule:
-    try:
+    with _refused(ScheduleFormatError):
         return Schedule.from_columns(*columns, *header)
-    except DomainError as exc:
-        raise ScheduleFormatError(str(exc)) from exc
 
 
 def _load_whole(path: str | os.PathLike[str]) -> Schedule:
@@ -384,15 +383,7 @@ def save_report(report: SweepReport, path: str | os.PathLike[str]) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(REPORT_HEADER + "\n")
         for row in report.rows:
-            cells = [
-                repr(float(row.delta)),
-                repr(float(row.delta_theta)),
-                str(row.trials),
-                repr(float(row.fid_mean)),
-                repr(float(row.fid_std)),
-                repr(float(row.fid_post_mean)),
-                repr(float(row.efficiency_mean)),
-            ]
+            cells = (str(v) if k == "trials" else repr(float(v)) for k, v in vars(row).items())
             f.write(",".join(cells) + "\n")
 
 
@@ -400,14 +391,14 @@ def _check_components(doc: list[Any], j_max: int) -> dict[Occupation, complex]:
     """Check the target entries one by one and raise the first bad entry's
     error; otherwise return each entry's amplitude by its occupation."""
     entries: dict[Occupation, complex] = {}
-    for i, item in enumerate(doc):
-        where = f"[{i}]"
-        if not isinstance(item, dict):
-            raise TargetFormatError(f"{where}: expected an object")
-        raw_n = item.get("n")
-        if not (isinstance(raw_n, list) and len(raw_n) == 3):
-            raise TargetFormatError(f"{where}.n: expected [nx, ny, nz]")
-        try:
+    with _refused(TargetFormatError):
+        for i, item in enumerate(doc):
+            where = f"[{i}]"
+            if not isinstance(item, dict):
+                raise TargetFormatError(f"{where}: expected an object")
+            raw_n = item.get("n")
+            if not (isinstance(raw_n, list) and len(raw_n) == 3):
+                raise TargetFormatError(f"{where}.n: expected [nx, ny, nz]")
             occ = _occupation(f"{where}.n", raw_n, j_max)
             if occ in entries:
                 raise TargetFormatError(f"{where}.n: duplicate component {tuple(occ)}")
@@ -417,8 +408,6 @@ def _check_components(doc: list[Any], j_max: int) -> dict[Occupation, complex]:
             if "im" not in item:
                 raise TargetFormatError(f"{where}.im: missing")
             entries[occ] = complex(real, _real(f"{where}.im", item["im"]))
-        except DomainError as exc:
-            raise TargetFormatError(str(exc)) from exc
     return entries
 
 

@@ -15,8 +15,9 @@ the row is a sweep's grid row, so results do not depend on evaluation order
 and are reproducible bit for bit.  :func:`perturb` draws all length and phase
 offsets of a trial in one call, in slot order (length, then phase, for each
 slot), adds them to the schedule's columns and builds the noisy schedule
-through ``Schedule.from_columns``, which checks it and shares the channel and
-note columns with the ideal one; a trial is
+through ``Schedule._derived``, ``from_columns`` under the ideal schedule's
+header, which checks it and shares the channel and note columns with the
+ideal one; a trial is
 ``apply_schedule(vacuum, perturb(...))``, scored.  Replay skips pairs above
 the occupied-J frontier, which starts at 0 on the vacuum and rises only on
 red-sideband (H9) pulses, the one channel that links J to J-1.
@@ -106,16 +107,15 @@ def perturb(schedule: Schedule, noise: NoiseModel, rng: np.random.Generator) -> 
     program drives each slot regardless of its ideal length.  Lengths that
     would come out negative are clamped to zero.  One uniform call over
     interleaved bounds (length, phase, length, ...) yields the same stream,
-    order and bits as one scalar draw per bound.  The result is built through
-    ``Schedule.from_columns``, so it is checked as any schedule is, and keeps
-    the channel and note columns of ``schedule`` without copying them.
+    order and bits as one scalar draw per bound.  The result is built by
+    ``Schedule._derived`` under the header of ``schedule``, so it is checked as
+    any schedule is, and keeps its channel and note columns without copying.
     """
     half = np.tile((0.5 * noise.delta, 0.5 * noise.delta_theta), len(schedule))
     offsets = rng.uniform(-half, half)
     x = schedule.x + offsets[0::2]
-    return Schedule.from_columns(
-        schedule.channel, np.where(x < 0.0, 0.0, x), schedule.theta + offsets[1::2], schedule.note,
-        schedule.lamb_dicke, schedule.truncation, schedule.direction, schedule.target,
+    return schedule._derived(
+        schedule.channel, np.where(x < 0.0, 0.0, x), schedule.theta + offsets[1::2], schedule.note
     )
 
 

@@ -83,6 +83,7 @@ from .channels import (
     ChannelId,
     LambDickeParams,
     PairTable,
+    _LEVELS,
     coupled_pairs,
     dense_hamiltonian,
 )
@@ -148,10 +149,6 @@ def _wrap_angles(theta: np.ndarray) -> np.ndarray:
 
 
 _CHANNEL_OF_CODE = {int(cid): cid for cid in ChannelId}
-# Whether channel code c couples level l, as _COUPLES[c, l].
-_COUPLES = np.zeros((len(ChannelId) + 1, len(Level)), dtype=bool)
-for _spec in CHANNELS.values():
-    _COUPLES[_spec.cid, [_spec.lower_level, _spec.upper_level]] = True
 
 
 def _note_components(note: Iterable[int], j_max: int) -> Iterator[Component | None]:
@@ -173,9 +170,12 @@ class Schedule:
     constructors validate the header and the columns in one place: channel
     codes (1-9) and note indices (-1 to dim - 1) by the integer rule
     (``fock._integer_column``), lengths and phases by :class:`Pulse`'s real
-    rule (``fock._real_column``), a note by the levels its channel couples;
-    they wrap the phases into (-pi, pi].  ``Schedule(pulses)`` indexes each note
-    by ``fock.index_of``.  :attr:`pulses` gives :class:`Pulse` views back.
+    rule (``fock._real_column``), a note by the levels its channel couples
+    (``channels._LEVELS``); they wrap the phases into (-pi, pi].
+    ``Schedule(pulses)`` indexes each note by ``fock.index_of``.  A schedule
+    made from another's columns (inversion, noise, pruning) comes from
+    :meth:`_derived`, under the other's header.  :attr:`pulses` gives
+    :class:`Pulse` views back.
     """
 
     def __init__(
@@ -210,6 +210,11 @@ class Schedule:
         self._set(channel, x, theta, note)
         return self
 
+    def _derived(self, channel, x, theta, note, direction: Direction | None = None) -> Schedule:
+        """A schedule of new columns under this one's header, in ``direction`` if given."""
+        header = self.lamb_dicke, self.truncation, direction or self.direction, self.target
+        return Schedule.from_columns(channel, x, theta, note, *header)
+
     def _set_header(self, lamb_dicke, truncation, direction, target) -> None:
         """Check and keep the header: a ``direction`` given by its value becomes
         the :class:`Direction` member."""
@@ -243,7 +248,8 @@ class Schedule:
         note = _integer_column("pulses[{}].note", note, -1, self.truncation.dim - 1)
         channel, note = channel.astype(np.uint8, copy=False), note.astype(np.int32, copy=False)
         level = note % len(Level)
-        coupled = _COUPLES[channel, level] | (note == -1)
+        lower, upper = _LEVELS.take(channel, axis=1)
+        coupled = (lower == level) | (upper == level) | (note == -1)
         if not coupled.all():
             i = int(np.argmin(coupled))
             level, name = Level(level[i]).label, ChannelId(channel[i]).name
@@ -429,10 +435,19 @@ def dagger_schedule(schedule: Schedule) -> Schedule:
         if schedule.direction is Direction.DEEVOLUTION
         else Direction.DEEVOLUTION
     )
-    return Schedule.from_columns(
-        schedule.channel[::-1], schedule.x[::-1], schedule.theta[::-1] + math.pi, schedule.note[::-1],
-        schedule.lamb_dicke, schedule.truncation, flipped, schedule.target,
-    )
+    columns = schedule.channel, schedule.x, schedule.theta + math.pi, schedule.note
+    return schedule._derived(*(column[::-1] for column in columns), flipped)
+
+
+def _solve_kill(q_lower: complex, q_upper: complex, omega: float, kill_upper: bool):
+    """Both solvers' body, which the compiler calls directly."""
+    if not omega > 0.0:  # a NaN omega is refused too
+        raise DomainError(f"omega must be positive, got {_shown(omega)}")
+    killed, kept, shift = (q_upper, q_lower, 0.5) if kill_upper else (q_lower, q_upper, -0.5)
+    if killed == 0:
+        return 0.0, 0.0
+    theta = wrap_angle(cmath.phase(q_lower) - cmath.phase(q_upper) + shift * math.pi)
+    return math.atan2(abs(killed), abs(kept)) / omega, theta
 
 
 def solve_kill_lower(q_lower: complex, q_upper: complex, omega: float) -> tuple[float, float]:
@@ -442,12 +457,7 @@ def solve_kill_lower(q_lower: complex, q_upper: complex, omega: float) -> tuple[
     i*exp(-i*theta)*q_lower*cos(x*omega) + q_upper*sin(x*omega) = 0
     with x*omega in [0, pi/2].  A zero lower amplitude needs no pulse: (0, 0).
     """
-    if not omega > 0.0:  # a NaN omega is refused too
-        raise DomainError(f"omega must be positive, got {_shown(omega)}")
-    if q_lower == 0:
-        return 0.0, 0.0
-    theta = wrap_angle(cmath.phase(q_lower) - cmath.phase(q_upper) - 0.5 * math.pi)
-    return math.atan2(abs(q_lower), abs(q_upper)) / omega, theta
+    return _solve_kill(q_lower, q_upper, omega, False)
 
 
 def solve_kill_upper(q_lower: complex, q_upper: complex, omega: float) -> tuple[float, float]:
@@ -457,12 +467,7 @@ def solve_kill_upper(q_lower: complex, q_upper: complex, omega: float) -> tuple[
     i*exp(i*theta)*q_upper*cos(x*omega) + q_lower*sin(x*omega) = 0
     with x*omega in [0, pi/2].  A zero upper amplitude needs no pulse: (0, 0).
     """
-    if not omega > 0.0:  # a NaN omega is refused too
-        raise DomainError(f"omega must be positive, got {_shown(omega)}")
-    if q_upper == 0:
-        return 0.0, 0.0
-    theta = wrap_angle(cmath.phase(q_lower) - cmath.phase(q_upper) + 0.5 * math.pi)
-    return math.atan2(abs(q_upper), abs(q_lower)) / omega, theta
+    return _solve_kill(q_lower, q_upper, omega, True)
 
 
 def oracle_apply(

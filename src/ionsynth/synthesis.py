@@ -68,7 +68,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .channels import CHANNELS, ChannelId, LambDickeParams, _pairs
+from .channels import CHANNELS, ChannelId, LambDickeParams, _LEVELS, _pairs
 from .fock import (
     J_MAX_CAP,
     Component,
@@ -90,10 +90,9 @@ from .pulses import (
     _note_components,
     _pair_table,
     _rotate,
+    _solve_kill,
     _trig,
     dagger_schedule,
-    solve_kill_lower,
-    solve_kill_upper,
 )
 
 __all__ = [
@@ -113,8 +112,6 @@ __all__ = [
 # Solve a channel at an occupation of its lower level, nulling the pair's
 # upper end if kill_upper, else its lower end.
 Step = tuple[ChannelId, Occupation, bool]
-# The lower level of each channel code, as _LOWER_LEVEL[code].
-_LOWER_LEVEL = np.array([0, *(CHANNELS[cid].lower_level for cid in ChannelId)])
 
 
 @dataclass(frozen=True)
@@ -158,7 +155,7 @@ def _step_columns(steps: Iterable[Step], truncation: Truncation) -> _StepColumns
         quanta += nx, ny, nz
         kills.append(kill_upper)
     channel = _integer_column("step {} channel", codes, 1, len(ChannelId)).astype(np.uint8)
-    src = _index_column("step {} ", quanta, _LOWER_LEVEL[channel], truncation.j_max)
+    src = _index_column("step {} ", quanta, _LEVELS[0, channel], truncation.j_max)
     kill_upper = _flag_column("step {} kill_upper", kills)
     occ = _layout(truncation.j_max).occ[:, src // len(Level)]
     stage = occ.sum(axis=0)
@@ -217,8 +214,7 @@ def _solve_columns(
         steps.stage.tolist(), steps.kill_upper.tolist(),
     )
     for code, src, dst, w, stage, kill_upper in zip(*columns):
-        solve = solve_kill_upper if kill_upper else solve_kill_lower
-        x, theta = solve(amplitude(src), amplitude(dst), w)
+        x, theta = _solve_kill(amplitude(src), amplitude(dst), w, kill_upper)
         xs.append(x)
         thetas.append(theta)
         if x != 0.0:

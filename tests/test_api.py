@@ -24,6 +24,7 @@ MODULES = ["ionsynth"] + [
     f"ionsynth.{info.name}" for info in pkgutil.iter_modules(ionsynth.__path__)
 ]
 SOURCES = sorted(Path(ionsynth.__file__).parent.glob("*.py"))
+TEST_SOURCES = sorted(Path(__file__).parent.glob("*.py"))  # conftest.py too
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -87,7 +88,7 @@ def unused_imports(source: str, module: str, patched: set[tuple[str, str]]) -> l
     return sorted(imported - used)
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+@pytest.mark.parametrize("path", SOURCES + TEST_SOURCES, ids=lambda path: path.name)
 def test_every_imported_name_is_used(path):
     module = f"ionsynth.{path.stem}" if path.stem != "__init__" else "ionsynth"
     assert unused_imports(path.read_text(), module, perfbench_patches()) == []

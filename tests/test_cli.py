@@ -142,8 +142,20 @@ def test_grid_spec_admits_its_edges():
 def test_targets_lists_builtins(capsys):
     code, out, _ = run(capsys, "targets")
     assert code == 0
-    for name in ("ghz", "corr", "diag", "file:<path>"):
-        assert name in out
+    assert out == (
+        "ghz   even cat of three-mode coherent states (uses --alpha)\n"
+        "corr  Poissonian superposition of |n,n,n> (uses --alpha)\n"
+        "diag  equal superposition of |n,n,n> for n = 0..4 (needs --jmax >= 12)\n"
+        "file:<path>  component list from a JSON file\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["compile", "verify", "sweep"])
+def test_usage_names_every_target(command, capsys):
+    code, out, _ = run(capsys, command, "--help")
+    assert code == 0
+    usage = " ".join(out.split("\n\n")[0].split())  # the usage lines, unwrapped
+    assert " --target ghz|corr|diag|file:<path> " in usage
 
 
 @pytest.mark.parametrize("tol", ["0", "0.5", "0.999"])

@@ -39,7 +39,7 @@ from ionsynth import (
 )
 from ionsynth import files
 from ionsynth.cli import main
-from ionsynth.files import _check_components, _notes, _parse_note, _parse_notes
+from ionsynth.files import _notes, _parse_note, _parse_notes
 from ionsynth.fock import _integer, _real
 
 from conftest import ONE_PULSE_DOC, THREE_PULSE_DOC
@@ -194,7 +194,9 @@ def test_report_csv_format(compiled, tmp_path):
     raw = path.read_bytes()
     assert b"\r" not in raw
     lines = raw.decode().splitlines()
-    assert lines[0] == REPORT_HEADER
+    assert lines[0] == REPORT_HEADER == (
+        "delta,delta_theta,trials,fid_mean,fid_std,fid_post_mean,efficiency_mean"
+    )
     assert len(lines) == 3
     for line, row in zip(lines[1:], report.rows):
         cells = line.split(",")

@@ -111,6 +111,7 @@ def test_statevector_copies_input():
 def test_norm_and_normalized():
     t = Truncation(1)
     s = StateVector(np.full(t.dim, 0.5 + 0j), t)
+    assert repr(s) == "StateVector(dim=16, j_max=1)"
     assert s.norm() == pytest.approx(2.0)
     assert s.normalized().norm() == pytest.approx(1.0, abs=1e-12)
 

@@ -144,3 +144,22 @@ def test_traced_trials_perturb_each_trial_inside_one_batched_simulate_trial():
     m = spans.summarize(tracer, 1)
     assert m["pulses.pulses_applied"] == len(preparation)
     assert m["pulses.apply_schedule_s"] > 0
+
+
+def test_traced_compile_of_each_builtin_target_records_its_target_span(tmp_path, capsys):
+    """The tracer patches ``cli.target_ghz``, ``target_corr`` and ``target_diag``,
+    so the CLI must look each one up when it builds the target: a table that
+    kept the functions from import time would call the originals untraced."""
+    spans = load("spans")
+    for name, jmax in [("ghz", "2"), ("corr", "2"), ("diag", "12")]:
+        tracer = spans.Tracer()
+        tracer.request = 1
+        tracer.install()
+        try:
+            argv = ["compile", "--target", name, "--jmax", jmax, "--out", str(tmp_path / "s.json")]
+            assert main(argv) == 0
+        finally:
+            tracer.uninstall()
+        capsys.readouterr()
+        names = [span[spans.NAME] for span in tracer.spans]
+        assert names.count(f"targets.target_{name}") == 1, name

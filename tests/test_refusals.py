@@ -677,6 +677,8 @@ CLI = [
             "the diagonal target needs j_max >= 12 (support up to |4,4,4>), got 5"),
     exits_2("compile-eps-pair", "compile --target ghz --eps 0.3,0.1 --out {out}",
             "argument --eps: expected three comma-separated values, got '0.3,0.1'"),
+    exits_2("compile-eps-a,b,c", "compile --target ghz --eps a,b,c --out {out}",
+            "argument --eps: bad Lamb-Dicke triple 'a,b,c'"),
     exits_2("sweep-missing", "sweep --schedule {absent} --target ghz --out {out}",
             "[Errno 2] No such file or directory: '{absent}'"),
     exits_2("frobnicate", "frobnicate", "argument command: invalid choice: 'frobnicate' (choose from "
@@ -743,6 +745,9 @@ CLI = [
           ("nan:-1:0", "grid count must be an integer >= 1, got 0"),
           ("1e308:1e308:3", "grid's last value 1e+308 + 1e+308 * 2 overflows"),
           ("0:1e308:3", "grid's last value 0 + 1e+308 * 2 overflows"),
+          ("0:1", "expected start:step:count, got '0:1'"),
+          ("a:0.1:3", "bad grid spec 'a:0.1:3'"),
+          ("0:0.1:1.5", "bad grid spec '0:0.1:1.5'"),
       ]],
     # Files and paths the loaders or writers cannot use.
     exits_2("huge-x", VERIFY, f"pulses[1].x {NON_NEGATIVE_REAL} {TEN_TO_400}",
