@@ -358,7 +358,10 @@ class StateVector:
         return float(np.linalg.norm(self.amplitudes))
 
     def normalized(self) -> "StateVector":
-        n = self.norm()
+        with np.errstate(over="ignore"):  # |amplitude| past sqrt(max float) squares to inf
+            n = self.norm()
+        if not math.isfinite(n):
+            raise DomainError(f"cannot normalize a state of norm {n!r}")
         if n < 1e-300:
             raise DomainError("cannot normalize a zero state")
         return StateVector(self.amplitudes / n, self.truncation)
@@ -413,10 +416,13 @@ def project_level(state: StateVector, level: Level) -> tuple[StateVector, float]
 
     Returns the renormalized conditional state and the probability of the
     projection.  Raises :class:`DomainError` when the state has no support on
-    the requested level.
+    the requested level, or a probability there that is not finite.
     """
     cols = state.amplitudes.reshape(-1, len(Level))
-    p = float(np.sum(np.abs(cols[:, level]) ** 2))
+    with np.errstate(over="ignore"):  # |amplitude| past sqrt(max float) squares to inf
+        p = float(np.sum(np.abs(cols[:, level]) ** 2))
+    if not math.isfinite(p):
+        raise DomainError(f"state's probability on level {level.label!r} is {p!r}, not finite")
     if p == 0.0:
         raise DomainError(f"state has no support on level {level.label!r}")
     projected = np.zeros_like(cols)

@@ -136,7 +136,7 @@ def simulate_trial(
     t = preparation.truncation
     if target.truncation != t:
         raise DomainError(f"target has j_max {target.truncation.j_max}, the preparation {t.j_max}")
-    if target.level_probabilities()[Level.B:].sum() > 1e-24:
+    if not target.level_probabilities()[Level.B:].sum() <= 1e-24:  # so that NaN fails too
         raise DomainError("target state must have support only on electronic level a")
     single = isinstance(rng, np.random.Generator)
     noisy = (perturb(preparation, noise, r) for r in ([rng] if single else rng))

@@ -21,10 +21,13 @@ partner component.
 
 A pair table holds few distinct Rabi frequencies (13 among the 455 carrier
 pairs at J_max 12), so a rotation takes cos and sin of x*Omega once per
-distinct Omega (:func:`_trig`), casts them to complex and gathers them onto
-the pairs (:func:`_rotate`).  The gathered values are bit for bit those of
-evaluating every pair, since the same inputs pass through the same contiguous
-ufunc, and NumPy casts a real factor to complex before any complex product, so
+distinct Omega, as complex values, and gathers them onto the pairs
+(:func:`_rotate`).  Replay casts them to complex in blocks (:func:`_trig`);
+the compiler writes them through ``out=`` into the real parts of zeroed
+complex buffers, which gives the cast's values.  The gathered values are bit
+for bit those of evaluating every pair, since the same inputs pass through
+the same ufunc, which gives each element the same bytes whatever array holds
+it, and NumPy casts a real factor to complex before any complex product, so
 casting first changes no bit.
 
 Replay tracks the occupied-J frontier: the highest total quantum number J
@@ -320,10 +323,11 @@ def _phase_factors(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _rotate(flat: np.ndarray, src: np.ndarray, dst: np.ndarray, c, s, plus, minus) -> None:
     """The rotation body: rotate the pairs (``flat[src]``, ``flat[dst]``) in place.
 
-    ``c`` and ``s`` are :func:`_trig`'s cos and sin gathered onto the pairs by
-    the table's inverse.  The phase factors ``plus`` = -i*exp(+i*theta) and
-    ``minus`` = -i*exp(-i*theta) are scalars for one state, or (K, 1) columns
-    for K states whose index arrays are (K, count).
+    ``c`` and ``s`` are the complex cos and sin of x*Omega, from :func:`_trig`
+    or the compiler's buffers, gathered onto the pairs by the table's inverse.
+    The phase factors ``plus`` = -i*exp(+i*theta) and ``minus`` =
+    -i*exp(-i*theta) are scalars for one state, or (K, 1) columns for K states
+    whose index arrays are (K, count).
     """
     u = flat[src]
     v = flat[dst]

@@ -91,7 +91,6 @@ from .pulses import (
     _pair_table,
     _rotate,
     _solve_kill,
-    _trig,
     dagger_schedule,
 )
 
@@ -186,7 +185,10 @@ def _solve_columns(
     channel, before any rotation, so the first step whose Omega is not
     positive (0 where the step has no pair) raises :class:`DomainError` with
     ``work`` untouched.  A pulse of nonzero length rotates its channel's
-    pairs up to the step's stage frontier (see the module docstring).
+    pairs up to the step's stage frontier (see the module docstring).  Its
+    cos and sin go through ``out=`` into the real parts of the channel's two
+    zeroed complex buffers, made once per pass as wide as its widest stage:
+    the values :func:`pulses._trig`'s cast gives, with no cast or temporary.
     """
     truncation = work.truncation
     omega = np.empty(steps.src.size)
@@ -195,7 +197,13 @@ def _solve_columns(
         table = _pair_table(ChannelId(code), truncation, ld)
         distinct = table.omega_distinct
         omega[where] = np.append(distinct, 0.0)[steps.rank[where]]  # -1 reads the 0
-        operands[code] = [(src, dst, distinct[:used], inv) for src, dst, inv, used in table.upto]
+        width = table.upto[-1][3]
+        ang, c, s = np.empty(width), np.zeros(width, complex), np.zeros(width, complex)
+        operands[code] = [
+            (src, dst, distinct[:used], inv, ang[:used], c[:used], s[:used], c.real[:used],
+             s.real[:used])
+            for src, dst, inv, used in table.upto
+        ]
     refused = ~(omega > 0.0)
     if refused.any():
         step = int(np.argmax(refused))
@@ -218,8 +226,10 @@ def _solve_columns(
         xs.append(x)
         thetas.append(theta)
         if x != 0.0:
-            ends_lower, ends_upper, distinct, inverse = operands[code][stage]
-            c, s = _trig(x, distinct)
+            ends_lower, ends_upper, distinct, inverse, ang, c, s, cos, sin = operands[code][stage]
+            np.multiply(x, distinct, out=ang)
+            np.cos(ang, out=cos)
+            np.sin(ang, out=sin)
             plus, minus = -1j * cmath.exp(1j * theta), -1j * cmath.exp(-1j * theta)
             # Indexing, not ``take``: take copies an index array that is read-only.
             _rotate(amps, ends_lower, ends_upper, c[inverse], s[inverse], plus, minus)

@@ -116,6 +116,22 @@ def test_norm_and_normalized():
     assert s.normalized().norm() == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-150, 1e150])
+def test_normalizing_a_finite_norm_keeps_the_bits(scale):
+    """The guard against a norm or probability that is not finite changes no
+    bit of a state whose norm is finite (the refusals are rows of test_refusals)."""
+    t = Truncation(3)
+    amps = scale * random_state(t, np.random.default_rng(7)).amplitudes
+    s = StateVector(amps, t)
+    assert s.normalized().amplitudes.tobytes() == (amps / np.linalg.norm(amps)).tobytes()
+    cols = amps.reshape(-1, len(Level))
+    p = float(np.sum(np.abs(cols[:, Level.B]) ** 2))
+    want = np.zeros_like(cols)
+    want[:, Level.B] = cols[:, Level.B] / math.sqrt(p)
+    state, got = project_level(s, Level.B)
+    assert (got, state.amplitudes.tobytes()) == (p, want.reshape(-1).tobytes())
+
+
 def test_vacuum_and_basis_state():
     t = Truncation(2)
     vac = vacuum_state(t)

@@ -571,6 +571,24 @@ def test_block_trig_rows_equal_per_pulse_trig(lengths, k):
         assert c[i].tobytes() == row[0].tobytes() and s[i].tobytes() == row[1].tobytes()
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e3, 1e20, 1e100, 1e300])
+def test_cos_and_sin_into_the_real_part_of_a_complex_array_give_the_same_bytes(scale):
+    """The compiler writes cos and sin through ``out=`` into the real parts of
+    zeroed complex buffers, a strided output: each element gets the bytes of
+    the contiguous ufunc, and the imaginary parts stay zero, which is what
+    casting the contiguous result to complex gives."""
+    edges = [0.0, -0.0, 5e-324, 1.0, math.pi / 2, math.pi, 1e300]
+    a = np.concatenate([edges, scale * np.random.default_rng(7).uniform(-1.0, 1.0, 20_000)])
+    for f in (np.cos, np.sin):
+        want = f(a)
+        for size in (a.size, 1, 7, 13):  # a slice as the compiler takes one, and SIMD tails
+            z = np.zeros(a.size + 3, dtype=np.complex128)
+            f(a[:size], out=z.real[:size])
+            assert z.real[:size].tobytes() == want[:size].tobytes(), (f, size)
+            assert z[:size].tobytes() == want[:size].astype(np.complex128).tobytes(), (f, size)
+            assert not z.imag.any() and not z.real[size:].any()
+
+
 # --- columnar schedules -----------------------------------------------------
 
 WRAP_EDGES = [

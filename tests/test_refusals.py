@@ -382,6 +382,11 @@ LIBRARY = [
             "amplitude array has shape (5,), expected (4,)"),
     refuses("normalized-zero", lambda: StateVector(np.zeros(16), Truncation(1)).normalized(),
             "cannot normalize a zero state"),
+    # A finite amplitude past about 1.3e154 once overflowed the norm to inf and normalized to zeros.
+    *[refuses(f"normalized-{name}",
+              lambda v=v: StateVector(np.array([v, 0, 0, 0]), Truncation(0)).normalized(),
+              f"cannot normalize a state of norm {norm}")
+      for name, v, norm in [("1e200", 1e200, "inf"), ("inf", math.inf, "inf"), ("nan", math.nan, "nan")]],
     refuses("overlap-truncations", lambda: overlap(vacuum_state(Truncation(1)),
                                                    vacuum_state(Truncation(2))),
             "truncation mismatch: j_max=1 vs j_max=2"),
@@ -390,6 +395,10 @@ LIBRARY = [
         "schedule truncation j_max=2 does not match state truncation j_max=3"),
     refuses("project_level-empty", lambda: project_level(basis_state(cell(0, 0, 0, B), Truncation(0)), A),
             "state has no support on level 'a'"),
+    *[refuses(f"project_level-{name}", lambda v=v: project_level(
+        StateVector(np.array([0, v, 0, 0]), Truncation(0)), B),
+              f"state's probability on level 'b' is {p}, not finite")
+      for name, v, p in [("1e200", 1e200, "inf"), ("inf", math.inf, "inf"), ("nan", math.nan, "nan")]],
     # min(1.0, nan) is 1.0, so a NaN or infinite amplitude once scored as a perfect preparation.
     *[refuses(f"fidelity-{name}", lambda i=i, v=v: fidelity_to_target(
         with_amplitude(vacuum_state(Truncation(1)), i, v), vacuum_state(Truncation(1))),
@@ -556,11 +565,17 @@ LIBRARY = [
                                              lambda: corr_preparation(3), 2, 1), OTHER_CUTOFF),
     refuses("run_trials-off-level-a", trials(lambda: with_amplitude(random_preparation()[0], 1, 0.5),
                                              lambda: random_preparation()[1], 2, 1), OFF_LEVEL_A),
+    refuses("run_trials-nan-on-level-b",
+            trials(lambda: with_amplitude(random_preparation()[0], 1, math.nan),
+                   lambda: random_preparation()[1], 2, 1), OFF_LEVEL_A),
     # One generator, several or none; a target at another cutoff, off level a too, is named by its cutoff.
     *[refuses(f"simulate_trial-{name}-{rngs}", before_any_trial(
         lambda target=target, prep=prep, rng=rng: simulate_trial(target(), prep(), NOISE, rng)), message)
       for name, target, prep, message in [
           ("off-level-a", lambda: with_amplitude(random_preparation()[0], 1, 0.5),
+           lambda: random_preparation()[1], OFF_LEVEL_A),
+          # A NaN on level b once passed the check and was refused only after a replay.
+          ("nan-on-level-b", lambda: with_amplitude(random_preparation()[0], 1, math.nan),
            lambda: random_preparation()[1], OFF_LEVEL_A),
           ("truncations", lambda: with_amplitude(target_corr(1.0, Truncation(4)).state, 1, 0.5),
            lambda: corr_preparation(3), OTHER_CUTOFF)]

@@ -557,6 +557,22 @@ def test_row_builders_match_full_table_on_dense_states(seed):
     state = assert_matches_up_to(bridge, state, (j,), j, LD)
 
 
+def test_one_pass_reuses_a_channels_trig_buffers_across_stages():
+    """One pass solves H9 at stage 1, then 2, then 1 again, so the channel's
+    trig buffers serve a wider slice between two narrower ones.  bridge(J)
+    reads only (J; a) and (J-1; b), which each earlier bridge of the chain
+    leaves exact, so on a dense state the rows equal the full-table step's."""
+    t = Truncation(3)
+    used = [used for *_, used in _pair_table(ChannelId.H9, t, LD).upto]
+    assert used[1] < used[2]
+    steps = [*bridge(1), *bridge(2), *bridge(1)]
+    state = random_state(t, np.random.default_rng(33))
+    got = run_steps(StateVector(state.amplitudes, t), steps, LD)
+    want = full_table_rows(StateVector(state.amplitudes, t), steps, LD)
+    assert all(x > 0.0 for _, x, _, _ in got)
+    assert row_fingerprint(got) == row_fingerprint(want)
+
+
 def test_an_exchange_step_with_no_pair_has_no_partner_in_the_step_columns():
     """H1 lowers z, so it has no pair from (0, 1, 0): its step columns hold
     partner and rank -1, after a coupled H1/H2 ladder whose steps have both
