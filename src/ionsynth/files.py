@@ -28,18 +28,16 @@ A note is written as the component its basis index names, or ``null``;
 ``{"n": [nx, ny, nz], "re": ..., "im": ...}`` components on electronic level a,
 normalized to 1 within 1e-6; files that are not are rejected, not fixed.
 
-``load_schedule`` streams too.  It reads :data:`_CHARS_PER_READ` characters at
-a time, parses the keys before and after the ``"pulses"`` array as two small
-objects, and parses and checks the array a batch of whole entries at a time,
-cut at the last ``},`` of each read; only the columns outlive a batch.  Each
-search for the key or a cut covers what the last read added and the part of a
-match that can reach back across its start, so a long header or entry is
-scanned once, not once per read.  Input
-that this pass cannot take as clean goes to :func:`_load_whole`, which parses
-the file as one document and words every error: a batch or the keys around the
-array that do not parse or fail a check, a ``"pulses"`` match that is not a
-top-level key or a second top-level ``"pulses"``, a ``"jmax"`` after the array,
-bad UTF-8 and deep nesting.
+``load_schedule`` streams the layout ``save_schedule`` writes, which the
+layout constants next to it spell, :data:`_CHARS_PER_READ` characters per read:
+the keys before the array parse as one small object, and the array a batch of
+whole entries at a time, cut after each read's last :data:`_ENTRY_END`; only
+the columns outlive a batch.  Each search covers what the last read added and
+the part of a match that can reach back across its start, so a long header or
+entry is scanned once.  Any other layout (another indent, separator or key
+order, keys after the array, no final newline), a batch that fails to parse or
+a check, bad UTF-8 and deep nesting go to :func:`_load_whole`, which holds the
+document and words every error.  Newlines are translated, so CRLF copies stream.
 
 This module checks a document's shape: that each field is present and of its
 JSON type, the pulse indices, channel names and level labels.  Every number
@@ -63,7 +61,6 @@ from __future__ import annotations
 
 import json
 import os
-import re
 from contextlib import contextmanager
 from dataclasses import astuple, fields
 from itertools import chain, count, islice
@@ -148,6 +145,15 @@ def _pulses_json(schedule: Schedule) -> Iterator[str]:
             )
 
 
+# The writer's layout, the only one the reader streams: the array opens the
+# last key at _ARRAY_OPEN, each entry that another follows ends in _ENTRY_END,
+# and the document ends in _DOC_END, or _EMPTY_END for an empty program.
+_ARRAY_OPEN = '\n  "pulses": ['
+_ENTRY_END = "\n    },"
+_DOC_END = "\n  ]\n}\n"
+_EMPTY_END = "]\n}\n"
+
+
 def save_schedule(schedule: Schedule, path: str | os.PathLike[str]) -> None:
     """Write ``schedule`` as JSON, streaming :data:`_PULSES_PER_WRITE` pulses
     per write.
@@ -166,12 +172,12 @@ def save_schedule(schedule: Schedule, path: str | os.PathLike[str]) -> None:
     pulses = _pulses_json(schedule)
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         # The header without its closing "\n}", so the pulses array follows.
-        f.write(json.dumps(head, indent=2)[:-2] + ',\n  "pulses": [')
+        f.write(json.dumps(head, indent=2)[:-2] + "," + _ARRAY_OPEN)
         sep = ""
         while chunk := ",".join(islice(pulses, _PULSES_PER_WRITE)):
             f.write(sep + chunk)
             sep = ","
-        f.write("\n  ]\n}\n" if len(schedule) else "]\n}\n")
+        f.write(_DOC_END if len(schedule) else _EMPTY_END)
 
 
 def _column(
@@ -310,72 +316,57 @@ def _load_whole(path: str | os.PathLike[str]) -> Schedule:
     return _schedule(_pulse_columns(entries, header[1].j_max), *header)
 
 
-# Characters read per call while streaming a schedule.  The "pulses" match
-# must follow "{", "," or JSON whitespace: after a backslash, the quote of the
-# dummy key that closes the text before it would be escaped, and a string
-# could then parse as a key.  A match that ends in a new read ends in its "[",
-# so only a read holding one is searched, from len('"pulses"') characters
-# before the run of _KEY_RUN characters that ends the text read before it.
-_CHARS_PER_READ = 1 << 16
-_PULSES_KEY = re.compile(r'(?<=[{, \t\n\r])"pulses"[ \t\n\r]*:[ \t\n\r]*\[')
-_KEY_RUN = " \t\n\r:"
-_DECODER = json.JSONDecoder()
+_CHARS_PER_READ = 1 << 16  # characters read per call while streaming a schedule
 
 
 def _stream_schedule(path: str | os.PathLike[str]) -> Schedule:
-    """The schedule in ``path``, streamed as the module docstring says; input
-    it cannot take as clean raises ``_Unclean`` or the error of a failed
-    parse or check."""
+    """The schedule in ``path``, streamed as the module docstring says; another
+    layout raises ``_Unclean``, and a failed parse or check its error."""
     with open(path, encoding="utf-8") as f:
-        text, run, key = "", 0, None  # run: where the closing run of _KEY_RUN characters starts
-        while not key:
+        text, key = "", -1
+        while key < 0:
             if not (chunk := f.read(_CHARS_PER_READ)):
                 raise _Unclean
-            start = max(0, run - len('"pulses"'))
-            if stripped := chunk.rstrip(_KEY_RUN):
-                run = len(text) + len(stripped)
             text += chunk
-            if "[" in chunk:
-                key = _PULSES_KEY.search(text, start)
-        # Parses, closed by a dummy key, only if the match is a top-level key.
-        head = json.loads(text[: key.start()] + '"": 0}')
-        if "pulses" in head:  # a second top-level "pulses"
-            raise _Unclean
+            key = text.find(_ARRAY_OPEN, max(0, len(text) - len(chunk) - len(_ARRAY_OPEN) + 1))
+        # No JSON string holds the match's raw newline, so the text up to it,
+        # the array closed, parses only if the match opens a top-level key.
+        end = key + len(_ARRAY_OPEN)
+        head = json.loads(text[:end] + "]}")
         j_max = Truncation(_expect(head, "jmax", (int,))).j_max
-        rest, batches, base = text[key.end() :], [], 0
-        del text, key  # the match holds the text too
-        new = len(rest)  # the characters not searched yet end rest
+        rest, batches, base = text[end:], [], 0
+        del text
         while True:
-            # The end of the last entry that another follows, searched for
-            # only where the new characters can end it.
-            cut = rest.rfind("},", max(0, len(rest) - new - 1))
+            # The end of the last entry that another follows, searched for only
+            # where the last read, which rest starts inside at first, can end it.
+            cut = rest.rfind(_ENTRY_END, max(0, len(rest) - len(chunk) - len(_ENTRY_END) + 1))
             if cut >= 0:
-                entries = json.loads("[" + rest[: cut + 1] + "]")
+                entries = json.loads("[" + rest[: cut + len(_ENTRY_END) - 1] + "]")
                 batches.append(_pulse_columns(entries, j_max, base))
                 base += len(entries)
-                rest = rest[cut + 2 :]
+                rest = rest[cut + len(_ENTRY_END) :]
             if not (chunk := f.read(_CHARS_PER_READ)):
                 break
             rest += chunk
-            new = len(chunk)
-    entries, end = _DECODER.raw_decode("[" + rest)  # the last entries, up to "]"
-    if base and not entries:  # a comma before "]"
+    if rest == _EMPTY_END and not base:
+        entries = []
+    elif rest.endswith("}" + _DOC_END):  # the last entry, not a comma, before "]"
+        entries = json.loads("[" + rest[: -len(_DOC_END)] + "]")
+    else:
         raise _Unclean
     batches.append(_pulse_columns(entries, j_max, base))
-    tail = json.loads('{"": 0' + rest[end - 1 :])  # the keys after the array
-    if "pulses" in tail or "jmax" in tail:
-        raise _Unclean
     columns = tuple(map(np.concatenate, zip(*batches)))
-    return _schedule(columns, *_header({**head, **tail}))
+    return _schedule(columns, *_header(head))
 
 
 def load_schedule(path: str | os.PathLike[str]) -> Schedule:
-    """Read a schedule file, streaming its pulses; an error names the first
-    bad field or entry."""
+    """Read a schedule file, streaming the pulses of the layout
+    :func:`save_schedule` writes; an error names the first bad field or entry."""
     try:
         return _stream_schedule(path)
     except (_Unclean, ValueError, RecursionError):  # bad JSON or UTF-8, a failed check
-        return _load_whole(path)
+        pass  # read whole outside the handler, whose traceback holds the stream's text
+    return _load_whole(path)
 
 
 def save_report(report: SweepReport, path: str | os.PathLike[str]) -> None:

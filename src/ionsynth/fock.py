@@ -355,11 +355,11 @@ class StateVector:
         return StateVector(self.amplitudes, self.truncation)
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+        with np.errstate(over="ignore"):  # |amplitude| past sqrt(max float) squares to inf
+            return float(np.linalg.norm(self.amplitudes))
 
     def normalized(self) -> "StateVector":
-        with np.errstate(over="ignore"):  # |amplitude| past sqrt(max float) squares to inf
-            n = self.norm()
+        n = self.norm()
         if not math.isfinite(n):
             raise DomainError(f"cannot normalize a state of norm {n!r}")
         if n < 1e-300:
@@ -372,7 +372,8 @@ class StateVector:
     def level_probabilities(self) -> np.ndarray:
         """Population per electronic level, in level order; sums to norm**2."""
         cols = self.amplitudes.reshape(-1, len(Level))
-        return np.sum(np.abs(cols) ** 2, axis=0)
+        with np.errstate(over="ignore"):  # |amplitude| past sqrt(max float) squares to inf
+            return np.sum(np.abs(cols) ** 2, axis=0)
 
     def __repr__(self) -> str:
         return f"StateVector(dim={self.truncation.dim}, j_max={self.truncation.j_max})"
@@ -409,6 +410,14 @@ def fidelity_to_target(out: StateVector, target: StateVector) -> float:
     if not cmath.isfinite(amplitude):  # min(1.0, nan) would score it 1
         raise DomainError(f"overlap with the target is not finite, got {amplitude!r}")
     return min(1.0, abs(amplitude)) ** 2  # capped first, so |amplitude| > 1e154 cannot overflow
+
+
+def _target_norm(target: StateVector) -> float:
+    """A target's norm, which must lie within 1e-6 of 1, or DomainError."""
+    norm = target.norm()
+    if not abs(norm - 1.0) <= 1e-6:  # written so that a NaN norm fails too
+        raise DomainError(f"target must be normalized, got norm {norm!r}")
+    return norm
 
 
 def project_level(state: StateVector, level: Level) -> tuple[StateVector, float]:

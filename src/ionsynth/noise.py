@@ -40,7 +40,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .fock import DomainError, Level, StateVector, _integer, _real, fidelity_to_target, vacuum_state
+from .fock import DomainError, Level, StateVector, _integer, _real, _target_norm
+from .fock import fidelity_to_target, vacuum_state
 from .pulses import Schedule, _replay
 from .pulses import apply_schedule  # noqa: F401  perfbench/spans.py patches this name
 
@@ -131,13 +132,14 @@ def simulate_trial(
     iterable of generators runs one trial per generator, perturbed through
     :func:`perturb` in order and replayed as one batch, and returns their
     results in the same order; each equals the result of that generator alone.
-    Before any perturb, a target at another j_max or off level a raises DomainError.
+    Before any perturb, a target at another j_max, off level a or off norm 1 raises DomainError.
     """
     t = preparation.truncation
     if target.truncation != t:
         raise DomainError(f"target has j_max {target.truncation.j_max}, the preparation {t.j_max}")
     if not target.level_probabilities()[Level.B:].sum() <= 1e-24:  # so that NaN fails too
         raise DomainError("target state must have support only on electronic level a")
+    _target_norm(target)
     single = isinstance(rng, np.random.Generator)
     noisy = (perturb(preparation, noise, r) for r in ([rng] if single else rng))
     columns = [(s.x, s.theta) for s in noisy]  # no schedule outlives its own trial

@@ -82,6 +82,7 @@ from .fock import (
     _integer,
     _integer_column,
     _layout,
+    _target_norm,
     component_of,
 )
 from .pulses import (
@@ -358,11 +359,7 @@ def deevolve(
         fix = f"compiling at j_max {j + 1} empties it" if j < J_MAX_CAP else f"j_max {j} is the cap"
         raise DomainError(f"target has weight on (J={j}; {'d' if j else 'c, d'}), which the plan "
                           f"at j_max {j} cannot empty; {fix}")
-    norm = target.norm()
-    if not abs(norm - 1.0) <= 1e-6:  # written so that a NaN norm fails too
-        raise DomainError(f"target must be normalized, got norm {norm!r}")
-    work = StateVector(target.amplitudes, target.truncation)
-    work.amplitudes /= norm
+    work = StateVector(target.amplitudes / _target_norm(target), target.truncation)
     steps = _plan_columns(target.truncation.j_max)
     xs, thetas = _solve_columns(work, steps, ld)
     residual = 1.0 - abs(work.amplitudes[0]) ** 2

@@ -378,12 +378,14 @@ def written_schedules(draw):
 def test_writer_matches_json_dump_on_random_columns(schedule, scratch_dir):
     """Any lengths and phases, all nine channels, null notes and notes on every
     level up to the cutoff: the bytes are json.dump's, and every schedule that
-    constructs loads back equal."""
+    constructs loads back equal, streamed."""
     streamed, reference = scratch_dir / "streamed.json", scratch_dir / "reference.json"
     save_schedule(schedule, streamed)
     json_dump_schedule(schedule, reference)
     assert streamed.read_bytes() == reference.read_bytes()
     assert load_schedule(streamed) == schedule
+    with mock.patch.object(files, "_load_whole", side_effect=AssertionError("read whole")):
+        assert files._stream_schedule(streamed) == schedule
 
 
 def test_writer_streams_a_file_larger_than_its_peak_memory(tmp_path):
@@ -517,8 +519,9 @@ def target_docs(draw):
 @settings(max_examples=300, deadline=None)
 @given(drawn=target_docs())
 def test_target_columns_match_the_per_entry_loop(drawn, scratch_dir):
-    """load_target's column checks accept exactly the documents the per-entry
-    loop accepts, with equal amplitude bits, and otherwise raise its error."""
+    """On mutated documents, load_target, which checks entry by entry, accepts
+    exactly what the reference loop ``per_entry_load_target`` accepts, with
+    equal amplitude bits, and otherwise raises its error."""
     doc, j_max = drawn
     path = scratch_dir / "target.json"
     path.write_text(json.dumps(doc))
@@ -702,15 +705,29 @@ def saved_schedules(tmp_path_factory):
     return saved
 
 
+def assert_read_whole(path, schedule, where=None):
+    """``path`` is not in the writer's layout: the stream refuses it as
+    unclean, and ``load_schedule`` reads it whole, to ``schedule``."""
+    with pytest.raises(files._Unclean):
+        files._stream_schedule(path)
+    assert load_schedule(path) == files._load_whole(path) == schedule, where
+
+
 def test_streamed_and_whole_reads_agree_on_every_layout(saved_schedules, tmp_path):
+    """The writer's layout streams, and so does a copy with CRLF line ends;
+    every other layout, a copy without its final newline among them, is read
+    whole, to the same schedule."""
     relaid = tmp_path / "relaid.json"
     for path, schedule in saved_schedules:
         doc = json.loads(path.read_text())
         assert files._stream_schedule(path) == files._load_whole(path) == schedule, path.name
         for name, layout in LAYOUTS.items():
             relaid.write_text(json.dumps(doc, **layout))
-            assert files._stream_schedule(relaid) == files._load_whole(relaid) == schedule, (
-                path.name, name)
+            assert_read_whole(relaid, schedule, (path.name, name))
+        relaid.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        assert files._stream_schedule(relaid) == files._load_whole(relaid) == schedule, path.name
+        relaid.write_bytes(path.read_bytes()[:-1])
+        assert_read_whole(relaid, schedule, (path.name, "no final newline"))
 
 
 def test_streamed_and_whole_reads_agree_on_an_empty_program(tmp_path):
@@ -719,10 +736,10 @@ def test_streamed_and_whole_reads_agree_on_an_empty_program(tmp_path):
     path = tmp_path / "empty.json"
     save_schedule(schedule, path)
     doc = json.loads(path.read_text())
-    for layout in (None, *LAYOUTS.values()):
-        if layout is not None:
-            path.write_text(json.dumps(doc, **layout))
-        assert files._stream_schedule(path) == files._load_whole(path) == schedule
+    assert files._stream_schedule(path) == files._load_whole(path) == schedule
+    for name, layout in LAYOUTS.items():
+        path.write_text(json.dumps(doc, **layout))
+        assert_read_whole(path, schedule, name)
 
 
 def test_canonical_files_load_without_the_whole_document_reader(saved_schedules):
@@ -734,7 +751,8 @@ def test_canonical_files_load_without_the_whole_document_reader(saved_schedules)
 @pytest.mark.parametrize("chars", [1, 2, 7, 64, 185, 186, 4096])
 def test_streamed_reads_agree_at_any_read_size(tmp_path, chars):
     """Read sizes below one entry (about 185 characters here) and around it
-    cut entries, keys and the "pulses" match across reads."""
+    cut entries, keys and the array's opening across reads; at each, a
+    sorted-keys copy is read whole."""
     schedule = deevolve(target_ghz(1, Truncation(5)).state).preparation
     path = tmp_path / "ghz5.json"
     save_schedule(schedule, path)
@@ -742,7 +760,7 @@ def test_streamed_reads_agree_at_any_read_size(tmp_path, chars):
     with mock.patch.object(files, "_CHARS_PER_READ", chars):
         assert files._stream_schedule(path) == schedule
         path.write_text(json.dumps(doc, **LAYOUTS["sort-keys"]))
-        assert files._stream_schedule(path) == schedule
+        assert_read_whole(path, schedule)
 
 
 def _small_doc_text(**layout):
@@ -762,9 +780,14 @@ def _small_doc_text(**layout):
 
 
 PULSES_TEXT = json.dumps(json.loads(_small_doc_text())["pulses"])
+# The same document in the writer's layout, which streams.
+SAVED_TEXT = _small_doc_text(indent=2) + "\n"
+LONG_TARGET = '"target": "' + "t" * 200_000 + '"'
 
 # Documents the streaming pass must not take as clean: the whole-document
-# reader decides them, loading some and refusing others.
+# reader decides them, loading some and refusing others.  The stream never
+# finds the array's opening in the compact ones; those in the writer's layout
+# reach its head parse, its cuts and its check of the document's end.
 UNCLEAN_TEXTS = {
     "jmax-after-the-array": _small_doc_text().replace('"jmax": 2, ', "")[:-1] + ', "jmax": 2}',
     "jmax-twice": _small_doc_text()[:-1] + ', "jmax": 1}',
@@ -789,6 +812,10 @@ UNCLEAN_TEXTS = {
     "bad-utf8": _small_doc_text().replace('"target": ""', '"target": "\udcff"'),
     "deep-nesting": _small_doc_text().replace('"note": null', '"note": ' + "[" * 5000 + "]" * 5000),
     "leading-bom": "﻿" + _small_doc_text(),
+    "saved-keys-after-the-array": SAVED_TEXT[:-3] + ',\n  "pulses": [],\n  "jmax": 1\n}\n',
+    "saved-comma-before-the-bracket": SAVED_TEXT.replace("\n    }\n  ]", "\n    },\n  ]"),
+    # Closed by a dummy key, the head would parse: {..., "t \"": 0}.
+    "saved-backslash-before-the-key": SAVED_TEXT.replace('"target": "",', '"target": "",\n  "t \\'),
 }
 
 
@@ -806,34 +833,40 @@ def test_unclean_documents_go_to_the_whole_document_reader(tmp_path, name, chars
 @pytest.mark.parametrize("chars", [1, 5, 64, 1 << 16])
 def test_documents_that_only_look_unclean_load_the_same_from_both_readers(tmp_path, chars):
     """A top-level key "", keys that merely contain "pulses", and an entry
-    with an object in it are valid; the first two stream, and the last streams
-    when no read ends inside that entry's object."""
+    with an object in it are valid.  In the writer's layout they stream; in a
+    compact one they are read whole, to the same schedule."""
     path = tmp_path / "odd.json"
+    path.write_text(_small_doc_text())
+    want = files._load_whole(path)
+    save_schedule(want, path)
+    assert path.read_text() == SAVED_TEXT
+    small = json.loads(SAVED_TEXT)
+    extra = [{**entry, "extra": {"a": 1}} for entry in small["pulses"]]
     with mock.patch.object(files, "_CHARS_PER_READ", chars):
-        for text in (
-            '{"": 1, ' + _small_doc_text()[1:],
-            '{"xpulses": [], "meta": {"pulses": 1}, ' + _small_doc_text()[1:],
-        ):
-            path.write_text(text)
-            assert files._stream_schedule(path) == files._load_whole(path)
-        path.write_text(_small_doc_text().replace('"i": 1,', '"i": 1, "extra": {"a": 1},'))
-        assert load_schedule(path) == files._load_whole(path)
+        for doc in ({"": 1, **small}, {"xpulses": [], "meta": {"pulses": 1}, **small},
+                    {**small, "pulses": extra}):
+            path.write_text(json.dumps(doc))
+            assert_read_whole(path, want)
+            path.write_text(json.dumps(doc, indent=2) + "\n")
+            assert files._stream_schedule(path) == files._load_whole(path) == want
 
 
-def _timed_outcomes(path, chars):
-    """``load_schedule``'s outcome and its time at read size ``chars``, then
+def _timed_outcomes(path, chars, load=load_schedule):
+    """``load``'s outcome and its time at read size ``chars``, then
     ``_load_whole``'s outcome."""
     with mock.patch.object(files, "_CHARS_PER_READ", chars):
         start = time.perf_counter()
-        streamed = _outcome(load_schedule, path)
+        streamed = _outcome(load, path)
         elapsed = time.perf_counter() - start
     return streamed, elapsed, _outcome(files._load_whole, path)
 
 
 def test_an_entry_longer_than_many_reads_is_scanned_in_linear_time(tmp_path):
-    """Each read searches only the characters it added, and the one before,
-    for the "}," that ends an entry: a note nested 100,000 deep (200,000 characters) at one character
-    per read took 10-21 s when every read searched the whole entry again."""
+    """Each read searches only the characters it added, and those before it
+    that a match can span, for the end of an entry: a note nested 100,000 deep
+    (200,000 characters) at one character per read took 10-21 s when every
+    read searched the whole entry again.  In the writer's layout, an entry with
+    a 200,000-character field streams at one character per read."""
     path = tmp_path / "nested.json"
     nested = "[" * 10**5 + "]" * 10**5
     path.write_text(_small_doc_text().replace('"note": null', '"note": ' + nested))
@@ -841,25 +874,32 @@ def test_an_entry_longer_than_many_reads_is_scanned_in_linear_time(tmp_path):
     assert streamed == whole
     assert whole[0] is ScheduleFormatError and "invalid JSON" in whole[1]
     assert elapsed < 1.0
+    path.write_text(SAVED_TEXT.replace('"i": 1,', '"i": 1,\n      "extra": "' + "e" * 200_000 + '",'))
+    streamed, elapsed, whole = _timed_outcomes(path, 1, files._stream_schedule)
+    assert streamed == whole
+    assert isinstance(whole, Schedule) and len(whole) == 3
+    assert elapsed < 1.0
 
 
 @pytest.mark.parametrize(
-    "old, new",
+    "text, chars, load",
     [
-        ('"target": ""', '"target": "' + "t" * 200_000 + '"'),
-        ('"pulses": [', '"pulses"' + " " * 200_000 + ": ["),
+        (_small_doc_text().replace('"target": ""', LONG_TARGET), 64, load_schedule),
+        (_small_doc_text().replace('"pulses": [', '"pulses"' + " " * 200_000 + ": ["), 64,
+         load_schedule),
+        (SAVED_TEXT.replace('"target": ""', LONG_TARGET), 1, files._stream_schedule),
     ],
-    ids=["long-target", "long-space-after-the-key"],
+    ids=["long-target", "long-space-after-the-key", "saved-long-target"],
 )
-def test_a_header_longer_than_many_reads_is_scanned_in_linear_time(tmp_path, old, new):
-    """Each read searches for the "pulses" key only from where a match that
-    ends in it can start, and only if it holds a "[": a 200,000-character
-    target at 64 characters per read took 5-6 s when every read searched the
-    whole header again, and 200,000 spaces after the key took 10 s when every
-    read searched them again."""
+def test_a_header_longer_than_many_reads_is_scanned_in_linear_time(tmp_path, text, chars, load):
+    """Each read searches for the array's opening only from where a match
+    that ends in it can start: a 200,000-character target at 64 characters
+    per read took 5-6 s, and 200,000 spaces after the key 10 s, when every
+    read searched the whole header again.  In the writer's layout, a
+    200,000-character target streams at one character per read."""
     path = tmp_path / "long-header.json"
-    path.write_text(_small_doc_text().replace(old, new))
-    streamed, elapsed, whole = _timed_outcomes(path, 64)
+    path.write_text(text)
+    streamed, elapsed, whole = _timed_outcomes(path, chars, load)
     assert streamed == whole
     assert isinstance(whole, Schedule) and len(whole) == 3
     assert elapsed < 1.0
@@ -881,14 +921,15 @@ def test_an_entry_end_split_across_reads_still_cuts_a_batch(tmp_path, chars):
 @pytest.mark.parametrize("chars", [1, 2, 3, 7, 8, 9, 31])
 def test_a_key_split_by_long_whitespace_is_found_at_any_read_size(tmp_path, chars):
     """The "pulses" key with runs of whitespace longer than a read around its
-    colon still streams, however the reads cut it."""
+    colon is not the writer's layout: at any read size the stream refuses it,
+    and the whole-document reader finds the key."""
     path = tmp_path / "spaced.json"
+    path.write_text(_small_doc_text())
+    want = files._load_whole(path)
     key = '"pulses"' + " \n\t\r" * 9 + ":" + " " * 40 + "["
     path.write_text(_small_doc_text().replace('"pulses": [', key))
-    want = files._load_whole(path)
-    with mock.patch.object(files, "_load_whole", side_effect=AssertionError("fell back")):
-        with mock.patch.object(files, "_CHARS_PER_READ", chars):
-            assert load_schedule(path) == want
+    with mock.patch.object(files, "_CHARS_PER_READ", chars):
+        assert_read_whole(path, want)
 
 
 @st.composite

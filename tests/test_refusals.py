@@ -283,6 +283,10 @@ WEIGHT_ON_1_D = ("target has weight on (J=1; d), which the plan at j_max 1 canno
                  "compiling at j_max 2 empties it")
 OFF_LEVEL_A = "target state must have support only on electronic level a"
 OTHER_CUTOFF = "target has j_max 4, the preparation 3"
+NOT_NORMALIZED = "target must be normalized, got norm {}"
+# Vacuum targets at J_max 3 scaled off norm 1, the last past the float range
+# when squared; the fidelity caps at 1, so a trial once scored 2x the vacuum 1.
+OFF_NORM = [("norm-0.5", 0.5, "0.5"), ("norm-2", 2.0, "2.0"), ("1e200", 1e200, "inf")]
 NON_NEGATIVE_REAL = "must be a finite non-negative real, got"
 
 LIBRARY = [
@@ -542,8 +546,11 @@ LIBRARY = [
     refuses("deevolve-on-1-d", lambda: deevolve(basis_state(cell(0, 1, 0, D), Truncation(1))),
             WEIGHT_ON_1_D),
     refuses("deevolve-nan", lambda: deevolve(with_amplitude(vacuum_state(Truncation(1)), 0, math.nan)),
-            "target must be normalized, got norm nan"),
-    # The noise lab: its arguments, then the target's cutoff and level, before any trial.
+            NOT_NORMALIZED.format("nan")),
+    # Its norm once overflowed with a RuntimeWarning.
+    refuses("deevolve-1e200", lambda: deevolve(with_amplitude(vacuum_state(Truncation(1)), 0, 1e200)),
+            NOT_NORMALIZED.format("inf")),
+    # The noise lab: its arguments, then the target's cutoff, level and norm, before any trial.
     *[refuses(f"run_trials-{name}", trials(lambda: random_preparation()[0],
                                            lambda: random_preparation()[1], *args), message)
       for name, args, message in [
@@ -568,6 +575,10 @@ LIBRARY = [
     refuses("run_trials-nan-on-level-b",
             trials(lambda: with_amplitude(random_preparation()[0], 1, math.nan),
                    lambda: random_preparation()[1], 2, 1), OFF_LEVEL_A),
+    *[refuses(f"run_trials-{name}", trials(
+        lambda scale=scale: with_amplitude(vacuum_state(Truncation(3)), 0, scale),
+        lambda: random_preparation()[1], 2, 1), NOT_NORMALIZED.format(norm))
+      for name, scale, norm in OFF_NORM],
     # One generator, several or none; a target at another cutoff, off level a too, is named by its cutoff.
     *[refuses(f"simulate_trial-{name}-{rngs}", before_any_trial(
         lambda target=target, prep=prep, rng=rng: simulate_trial(target(), prep(), NOISE, rng)), message)
@@ -578,7 +589,10 @@ LIBRARY = [
           ("nan-on-level-b", lambda: with_amplitude(random_preparation()[0], 1, math.nan),
            lambda: random_preparation()[1], OFF_LEVEL_A),
           ("truncations", lambda: with_amplitude(target_corr(1.0, Truncation(4)).state, 1, 0.5),
-           lambda: corr_preparation(3), OTHER_CUTOFF)]
+           lambda: corr_preparation(3), OTHER_CUTOFF),
+          *[(name, lambda scale=scale: with_amplitude(vacuum_state(Truncation(3)), 0, scale),
+             lambda: random_preparation()[1], NOT_NORMALIZED.format(norm))
+            for name, scale, norm in OFF_NORM]]
       for rngs, rng in [("one", np.random.default_rng(1)),
                         ("two", [np.random.default_rng(k) for k in (1, 2)]), ("none", [])]],
     refuses("perturb-overflow", perturb_past_the_float_range, f"pulses[1].x {NON_NEGATIVE_REAL} inf"),
