@@ -28,16 +28,16 @@ A note is written as the component its basis index names, or ``null``;
 ``{"n": [nx, ny, nz], "re": ..., "im": ...}`` components on electronic level a,
 normalized to 1 within 1e-6; files that are not are rejected, not fixed.
 
-``load_schedule`` streams the layout ``save_schedule`` writes, which the
-layout constants next to it spell, :data:`_CHARS_PER_READ` characters per read:
-the keys before the array parse as one small object, and the array a batch of
+``load_schedule`` streams the layout that ``save_schedule`` writes and its
+constants spell.  It reads :data:`_CHARS_PER_READ` characters at a time, parses
+the keys before the array as one small object, and parses the array a batch of
 whole entries at a time, cut after each read's last :data:`_ENTRY_END`; only
 the columns outlive a batch.  Each search covers what the last read added and
 the part of a match that can reach back across its start, so a long header or
 entry is scanned once.  Any other layout (another indent, separator or key
 order, keys after the array, no final newline), a batch that fails to parse or
 a check, bad UTF-8 and deep nesting go to :func:`_load_whole`, which holds the
-document and words every error.  Newlines are translated, so CRLF copies stream.
+document and words every error.  Newlines are translated: CRLF copies stream.
 
 This module checks a document's shape: that each field is present and of its
 JSON type, the pulse indices, channel names and level labels.  Every number
@@ -221,7 +221,7 @@ _LEVEL_CODE = {label: int(level) for level in Level for label in (level.name, le
 
 
 class _Unclean(Exception):
-    """Input that the column checks leave to the per-entry checkers."""
+    """Input a fast path leaves to a slower reader: the per-note parser or the whole-document one."""
 
 
 def _notes(raw: list[Any], j_max: int, base: int = 0) -> np.ndarray:
